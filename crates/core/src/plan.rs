@@ -39,8 +39,8 @@ use crate::uniformization::{
     SolverConfig, SolverStats,
 };
 use somrm_linalg::{
-    FootprintBytes, FusedMomentKernel, IterationMatrix, LinalgError, MatrixFormat,
-    OperatorMatrix, ResolvedKernel, UniformizedBirthDeath, WorkerPool,
+    FootprintBytes, FusedMomentKernel, IterationMatrix, LinalgError, MatrixFormat, OperatorMatrix,
+    ResolvedKernel, StepWeights, UniformizedBirthDeath, WorkerPool, MAX_STRETCH_STEPS,
 };
 use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::{binomial, ln_factorial};
@@ -130,6 +130,9 @@ pub fn model_digest(model: &SecondOrderMrm) -> u64 {
 #[derive(Debug)]
 struct PlanKernel {
     matrix: IterationMatrix,
+    /// `matrix.bandwidth()`, scanned once here (`O(nnz)` for CSR): the
+    /// kernel's wavefront skew per step.
+    bandwidth: usize,
     r_prime: Vec<f64>,
     s_half: Vec<f64>,
     /// Parked worker threads, spawned once at plan build. `None` for
@@ -208,6 +211,7 @@ impl SolvePlan {
             (
                 d,
                 Some(PlanKernel {
+                    bandwidth: matrix.bandwidth(),
                     matrix,
                     r_prime,
                     s_half,
@@ -434,54 +438,14 @@ impl SolvePlan {
             return Ok(solutions);
         }
         let pk = self.kernel.as_ref().expect("kernel built whenever q > 0");
-        let matrix = &pk.matrix;
-        let variant = config.kernel.resolve();
-        if ev.enabled() {
-            ev.emit(&Event::PlanResolved {
-                format: matrix.format_name().to_string(),
-                n_states: n_states as u64,
-                matrix_bytes: matrix.footprint_bytes() as u64,
-                plan_bytes: ((pk.r_prime.len() + pk.s_half.len()) * std::mem::size_of::<f64>())
-                    as u64,
-                q,
-                d,
-                shift,
-            });
-        }
+        self.emit_plan_resolved(pk, d);
 
         let t_max = times.iter().copied().fold(0.0, f64::max);
         let qt = q * t_max;
-        let (g_limit, error_bounds) =
-            rec.time("solve.truncation", || truncation_point(qt, d, order, config))?;
-        let error_bound = error_bounds.iter().copied().fold(0.0, f64::max);
-        if ev.enabled() {
-            ev.emit(&Event::Truncation {
-                qt,
-                g: g_limit as u64,
-                error_bounds: error_bounds.clone(),
-            });
-        }
-        if rec.enabled() {
-            rec.gauge_set("solver.q", q);
-            rec.gauge_set("solver.d", d);
-            rec.gauge_set("solver.qt", qt);
-            rec.gauge_set("solver.shift", shift);
-            rec.gauge_set("solver.g", g_limit as f64);
-            rec.gauge_set("solver.error_bound", error_bound);
-            rec.gauge_set(
-                "solver.matrix_format",
-                match matrix {
-                    IterationMatrix::Csr(_) => 0.0,
-                    IterationMatrix::Dia(_) => 1.0,
-                    IterationMatrix::Operator(_) => 2.0,
-                },
-            );
-            rec.gauge_set("solver.bandwidth", matrix.bandwidth() as f64);
-            rec.gauge_set(
-                "solver.kernel_variant",
-                if variant == ResolvedKernel::Simd { 1.0 } else { 0.0 },
-            );
-        }
+        let (g_limit, error_bounds) = rec.time("solve.truncation", || {
+            truncation_point(qt, d, order, config)
+        })?;
+        let error_bound = self.record_truncation(pk, d, qt, g_limit, &error_bounds);
 
         let windows: Vec<Option<PoissonWindow>> = rec.time("solve.poisson", || {
             times
@@ -508,99 +472,6 @@ impl SolvePlan {
             Vec::new()
         };
 
-        let u0 = vec![1.0; n_states];
-        let mut pool_guard = Self::lock_pool(pk);
-        let mut kernel = FusedMomentKernel::with_pool(
-            matrix,
-            &pk.r_prime,
-            &pk.s_half,
-            order,
-            times.len(),
-            &u0,
-            pool_guard.as_deref_mut(),
-        );
-        kernel.set_variant(variant);
-        kernel.set_recorder(rec.clone());
-        if let Some(ledger) = &self.mem {
-            let kernel_bytes = kernel.footprint_bytes() as u64;
-            ledger.set(MemCategory::KernelBuffers, kernel_bytes);
-            rec.gauge_set(
-                MemCategory::KernelBuffers.gauge_name(),
-                kernel_bytes as f64,
-            );
-        }
-        // The monitor also feeds the event log's health records, so it
-        // runs whenever either sink is attached (it only reads).
-        let mut health =
-            (rec.enabled() || ev.enabled()).then(|| HealthMonitor::new(g_limit, order));
-        let mut meter = config
-            .progress
-            .then(|| ProgressMeter::new("solve.recursion", g_limit));
-        // Progress events fire every ~5% of G (stride floor 1) plus the
-        // final iteration; the ETA is read off a wall clock only when a
-        // record is actually emitted, so the recursion arithmetic is
-        // untouched — bit-identity holds with the log on.
-        let ev_progress = ev
-            .enabled()
-            .then(|| (Instant::now(), (g_limit / 20).max(1)));
-        {
-            let _recursion = rec.span("solve.recursion");
-            let mut active: Vec<(usize, f64)> = Vec::with_capacity(times.len());
-            for k in 0..=g_limit {
-                active.clear();
-                for (ti, w) in windows.iter().enumerate() {
-                    let wk = w.as_ref().map_or(0.0, |w| w.weight(k));
-                    if wk > 0.0 {
-                        active.push((ti, wk));
-                    }
-                }
-                kernel.step(&active, k < g_limit);
-                if let Some(h) = health.as_mut() {
-                    if h.should_sample(k, g_limit) {
-                        for j in 0..=order {
-                            h.observe_order(j, kernel.u_order(j));
-                        }
-                        if ev.enabled() {
-                            ev.emit(&Event::Health {
-                                k: k as u64,
-                                g: g_limit as u64,
-                                u0_mass: h.u0_mass_last(),
-                                anomalies: h.anomalies(),
-                            });
-                        }
-                    }
-                }
-                if let Some((start, stride)) = &ev_progress {
-                    if k % stride == 0 || k == g_limit {
-                        let elapsed = start.elapsed().as_secs_f64();
-                        let eta_s = (k > 0)
-                            .then(|| elapsed * (g_limit - k) as f64 / k as f64);
-                        ev.emit(&Event::Progress {
-                            k: k as u64,
-                            g: g_limit as u64,
-                            percent: 100.0 * k as f64 / g_limit.max(1) as f64,
-                            eta_s,
-                        });
-                    }
-                }
-                if let Some(m) = meter.as_mut() {
-                    m.tick(k);
-                }
-            }
-        }
-        if let Some(ledger) = &self.mem {
-            ledger.observe_rss();
-        }
-        if let Some(h) = health.as_mut() {
-            for ti in 0..times.len() {
-                for j in 0..=order {
-                    for a in kernel.accumulated(ti, j) {
-                        h.observe_compensation(a.raw_sum(), a.compensation());
-                    }
-                }
-            }
-        }
-
         let stats = SolverStats {
             q,
             d,
@@ -608,82 +479,88 @@ impl SolvePlan {
             iterations: g_limit,
             error_bound,
         };
-        let mut solutions: Vec<MomentSolution> = rec.time("solve.assemble", || {
-            times
-                .iter()
-                .enumerate()
-                .map(|(ti, &t)| {
-                    let shifted_moments: Vec<Vec<f64>> = if t == 0.0 {
-                        (0..=order)
-                            .map(|j| vec![if j == 0 { 1.0 } else { 0.0 }; n_states])
-                            .collect()
-                    } else {
-                        (0..=order)
-                            .map(|j| {
-                                let scale =
-                                    (ln_factorial(j as u64) + j as f64 * d.ln()).exp();
-                                kernel
-                                    .accumulated(ti, j)
-                                    .iter()
-                                    .map(|a| scale * a.value())
+        let u0 = vec![1.0; n_states];
+        let (mut solutions, report) =
+            self.run_recursion(pk, &u0, order, &windows, g_limit, |kernel, health| {
+                let solutions: Vec<MomentSolution> = rec.time("solve.assemble", || {
+                    times
+                        .iter()
+                        .enumerate()
+                        .map(|(ti, &t)| {
+                            let shifted_moments: Vec<Vec<f64>> = if t == 0.0 {
+                                (0..=order)
+                                    .map(|j| vec![if j == 0 { 1.0 } else { 0.0 }; n_states])
                                     .collect()
-                            })
-                            .collect()
-                    };
-                    let per_state = unshift_moments(&shifted_moments, shift, t);
-                    let weighted = (0..=order)
-                        .map(|j| {
-                            per_state[j]
-                                .iter()
-                                .zip(model.initial())
-                                .map(|(&v, &p)| v * p)
-                                .sum()
+                            } else {
+                                (0..=order)
+                                    .map(|j| {
+                                        let scale =
+                                            (ln_factorial(j as u64) + j as f64 * d.ln()).exp();
+                                        kernel
+                                            .accumulated(ti, j)
+                                            .values()
+                                            .map(|v| scale * v)
+                                            .collect()
+                                    })
+                                    .collect()
+                            };
+                            let per_state = unshift_moments(&shifted_moments, shift, t);
+                            let weighted = (0..=order)
+                                .map(|j| {
+                                    per_state[j]
+                                        .iter()
+                                        .zip(model.initial())
+                                        .map(|(&v, &p)| v * p)
+                                        .sum()
+                                })
+                                .collect();
+                            MomentSolution {
+                                t,
+                                per_state,
+                                weighted,
+                                stats,
+                                error_bounds: error_bounds.clone(),
+                                report: None,
+                            }
                         })
-                        .collect();
-                    MomentSolution {
-                        t,
-                        per_state,
-                        weighted,
-                        stats,
-                        error_bounds: error_bounds.clone(),
-                        report: None,
-                    }
-                })
-                .collect()
-        });
-        if rec.enabled() {
-            let health_section = health.map(|h| h.finish(rec));
-            let report = Arc::new(SolveReport {
-                command: "moments".to_string(),
-                solver: Some(SolverSection {
-                    q,
-                    d,
-                    qt,
-                    shift,
-                    g: g_limit,
-                    max_iterations: config.max_iterations,
-                    epsilon: config.epsilon,
-                    order,
-                    n_states,
-                    n_times: times.len(),
-                    threads: kernel.threads(),
-                    kernel_variant: variant.name().to_string(),
-                    error_bound,
-                    error_bounds,
-                    poisson: poisson_stats,
-                }),
-                pool: kernel.pool_stats().map(pool_section),
-                health: health_section,
-                mem: self.mem.as_ref().map(|l| l.section()),
-                metrics: rec.snapshot().unwrap_or_default(),
+                        .collect()
+                });
+                let report = rec.enabled().then(|| {
+                    Arc::new(SolveReport {
+                        command: "moments".to_string(),
+                        solver: Some(SolverSection {
+                            q,
+                            d,
+                            qt,
+                            shift,
+                            g: g_limit,
+                            max_iterations: config.max_iterations,
+                            epsilon: config.epsilon,
+                            order,
+                            n_states,
+                            n_times: times.len(),
+                            threads: kernel.threads(),
+                            kernel_variant: kernel.variant().name().to_string(),
+                            error_bound,
+                            error_bounds: error_bounds.clone(),
+                            poisson: poisson_stats,
+                        }),
+                        pool: kernel.pool_stats().map(pool_section),
+                        health: health.map(|h| h.finish(rec)),
+                        mem: self.mem.as_ref().map(|l| l.section()),
+                        metrics: rec.snapshot().unwrap_or_default(),
+                    })
+                });
+                (solutions, report)
             });
+        if let Some(report) = report {
             for s in &mut solutions {
                 s.report = Some(Arc::clone(&report));
             }
         }
         if ev.enabled() {
             ev.emit(&Event::Complete {
-                g: g_limit as u64,
+                g: g_limit,
                 error_bound,
             });
         }
@@ -778,168 +655,86 @@ impl SolvePlan {
         // were computed with the same floor.
         let d = self.d.max(f64::MIN_POSITIVE);
         let pk = self.kernel.as_ref().expect("kernel built whenever q > 0");
-        let matrix = &pk.matrix;
-        let variant = config.kernel.resolve();
-        if ev.enabled() {
-            ev.emit(&Event::PlanResolved {
-                format: matrix.format_name().to_string(),
-                n_states: n_states as u64,
-                matrix_bytes: matrix.footprint_bytes() as u64,
-                plan_bytes: ((pk.r_prime.len() + pk.s_half.len()) * std::mem::size_of::<f64>())
-                    as u64,
-                q,
-                d,
-                shift,
-            });
-        }
+        self.emit_plan_resolved(pk, d);
 
         let qt = q * t;
         let (g_limit, error_bounds) = rec.time("solve.truncation", || {
             terminal_truncation(qt, d, order, w_max, config)
         })?;
-        let error_bound = error_bounds.iter().copied().fold(0.0, f64::max);
-        if ev.enabled() {
-            ev.emit(&Event::Truncation {
-                qt,
-                g: g_limit as u64,
-                error_bounds: error_bounds.clone(),
-            });
-        }
-        if rec.enabled() {
-            rec.gauge_set("solver.q", q);
-            rec.gauge_set("solver.d", d);
-            rec.gauge_set("solver.qt", qt);
-            rec.gauge_set("solver.shift", shift);
-            rec.gauge_set("solver.g", g_limit as f64);
-            rec.gauge_set("solver.error_bound", error_bound);
-            rec.gauge_set(
-                "solver.matrix_format",
-                match matrix {
-                    IterationMatrix::Csr(_) => 0.0,
-                    IterationMatrix::Dia(_) => 1.0,
-                    IterationMatrix::Operator(_) => 2.0,
-                },
-            );
-            rec.gauge_set("solver.bandwidth", matrix.bandwidth() as f64);
-            rec.gauge_set(
-                "solver.kernel_variant",
-                if variant == ResolvedKernel::Simd { 1.0 } else { 0.0 },
-            );
-        }
+        let error_bound = self.record_truncation(pk, d, qt, g_limit, &error_bounds);
         let window = rec.time("solve.poisson", || Some(PoissonWindow::exact(qt, g_limit)));
+        let windows = std::slice::from_ref(&window);
 
-        let mut pool_guard = Self::lock_pool(pk);
-        let mut kernel = FusedMomentKernel::with_pool(
-            matrix,
-            &pk.r_prime,
-            &pk.s_half,
-            order,
-            1,
+        let (per_state, report) = self.run_recursion(
+            pk,
             terminal_weights,
-            pool_guard.as_deref_mut(),
-        );
-        kernel.set_variant(variant);
-        kernel.set_recorder(rec.clone());
-        if let Some(ledger) = &self.mem {
-            let kernel_bytes = kernel.footprint_bytes() as u64;
-            ledger.set(MemCategory::KernelBuffers, kernel_bytes);
-            rec.gauge_set(
-                MemCategory::KernelBuffers.gauge_name(),
-                kernel_bytes as f64,
-            );
-        }
-        let mut health =
-            (rec.enabled() || ev.enabled()).then(|| HealthMonitor::new(g_limit, order));
-        let mut meter = config
-            .progress
-            .then(|| ProgressMeter::new("solve.recursion", g_limit));
-        let ev_progress = ev
-            .enabled()
-            .then(|| (Instant::now(), (g_limit / 20).max(1)));
-        {
-            let _recursion = rec.span("solve.recursion");
-            let w = window.as_ref().expect("qt > 0 here");
-            for k in 0..=g_limit {
-                let wk = w.weight(k);
-                let active = [(0usize, wk)];
-                kernel.step(if wk > 0.0 { &active } else { &[] }, k < g_limit);
-                if let Some(h) = health.as_mut() {
-                    if h.should_sample(k, g_limit) {
-                        for j in 0..=order {
-                            h.observe_order(j, kernel.u_order(j));
-                        }
-                        if ev.enabled() {
-                            ev.emit(&Event::Health {
-                                k: k as u64,
-                                g: g_limit as u64,
-                                u0_mass: h.u0_mass_last(),
-                                anomalies: h.anomalies(),
-                            });
-                        }
-                    }
-                }
-                if let Some((start, stride)) = &ev_progress {
-                    if k % stride == 0 || k == g_limit {
-                        let elapsed = start.elapsed().as_secs_f64();
-                        let eta_s = (k > 0)
-                            .then(|| elapsed * (g_limit - k) as f64 / k as f64);
-                        ev.emit(&Event::Progress {
-                            k: k as u64,
-                            g: g_limit as u64,
-                            percent: 100.0 * k as f64 / g_limit.max(1) as f64,
-                            eta_s,
-                        });
-                    }
-                }
-                if let Some(m) = meter.as_mut() {
-                    m.tick(k);
-                }
-            }
-        }
-        if let Some(ledger) = &self.mem {
-            ledger.observe_rss();
-        }
-        if let Some(h) = health.as_mut() {
-            for j in 0..=order {
-                for a in kernel.accumulated(0, j) {
-                    h.observe_compensation(a.raw_sum(), a.compensation());
-                }
-            }
-        }
-
-        let _assemble = rec.span("solve.assemble");
-        let shifted_moments: Vec<Vec<f64>> = (0..=order)
-            .map(|j| {
-                let scale = (ln_factorial(j as u64) + j as f64 * d.ln()).exp();
-                kernel
-                    .accumulated(0, j)
-                    .iter()
-                    .map(|a| scale * a.value())
-                    .collect()
-            })
-            .collect();
-        // Un-shift the *defective* moments:
-        // E[(B̌+c)ⁿ w] = Σ C(n,j)c^{n−j}E[B̌ʲ w].
-        let per_state = if shift == 0.0 {
-            shifted_moments
-        } else {
-            let c = shift * t;
-            (0..=order)
-                .map(|n| {
-                    (0..n_states)
-                        .map(|i| {
-                            (0..=n)
-                                .map(|j| {
-                                    binomial(n as u32, j as u32)
-                                        * c.powi((n - j) as i32)
-                                        * shifted_moments[j][i]
+            order,
+            windows,
+            g_limit,
+            |kernel, health| {
+                let _assemble = rec.span("solve.assemble");
+                let shifted_moments: Vec<Vec<f64>> = (0..=order)
+                    .map(|j| {
+                        let scale = (ln_factorial(j as u64) + j as f64 * d.ln()).exp();
+                        kernel
+                            .accumulated(0, j)
+                            .values()
+                            .map(|v| scale * v)
+                            .collect()
+                    })
+                    .collect();
+                // Un-shift the *defective* moments:
+                // E[(B̌+c)ⁿ w] = Σ C(n,j)c^{n−j}E[B̌ʲ w].
+                let per_state: Vec<Vec<f64>> = if shift == 0.0 {
+                    shifted_moments
+                } else {
+                    let c = shift * t;
+                    (0..=order)
+                        .map(|n| {
+                            (0..n_states)
+                                .map(|i| {
+                                    (0..=n)
+                                        .map(|j| {
+                                            binomial(n as u32, j as u32)
+                                                * c.powi((n - j) as i32)
+                                                * shifted_moments[j][i]
+                                        })
+                                        .sum()
                                 })
-                                .sum()
+                                .collect()
                         })
                         .collect()
-                })
-                .collect()
-        };
+                };
+                drop(_assemble);
+                let report = rec.enabled().then(|| {
+                    Arc::new(SolveReport {
+                        command: "terminal".to_string(),
+                        solver: Some(SolverSection {
+                            q,
+                            d,
+                            qt,
+                            shift,
+                            g: g_limit,
+                            max_iterations: config.max_iterations,
+                            epsilon: config.epsilon,
+                            order,
+                            n_states,
+                            n_times: 1,
+                            threads: kernel.threads(),
+                            kernel_variant: kernel.variant().name().to_string(),
+                            error_bound,
+                            error_bounds: error_bounds.clone(),
+                            poisson: poisson_accounting(&[t], windows, g_limit),
+                        }),
+                        pool: kernel.pool_stats().map(pool_section),
+                        health: health.map(|h| h.finish(rec)),
+                        mem: self.mem.as_ref().map(|l| l.section()),
+                        metrics: rec.snapshot().unwrap_or_default(),
+                    })
+                });
+                (per_state, report)
+            },
+        );
         let weighted = (0..=order)
             .map(|j| {
                 per_state[j]
@@ -949,36 +744,9 @@ impl SolvePlan {
                     .sum()
             })
             .collect();
-        drop(_assemble);
-        let report = rec.enabled().then(|| {
-            Arc::new(SolveReport {
-                command: "terminal".to_string(),
-                solver: Some(SolverSection {
-                    q,
-                    d,
-                    qt,
-                    shift,
-                    g: g_limit,
-                    max_iterations: config.max_iterations,
-                    epsilon: config.epsilon,
-                    order,
-                    n_states,
-                    n_times: 1,
-                    threads: kernel.threads(),
-                    kernel_variant: variant.name().to_string(),
-                    error_bound,
-                    error_bounds: error_bounds.clone(),
-                    poisson: poisson_accounting(&[t], std::slice::from_ref(&window), g_limit),
-                }),
-                pool: kernel.pool_stats().map(pool_section),
-                health: health.take().map(|h| h.finish(rec)),
-                mem: self.mem.as_ref().map(|l| l.section()),
-                metrics: rec.snapshot().unwrap_or_default(),
-            })
-        });
         if ev.enabled() {
             ev.emit(&Event::Complete {
-                g: g_limit as u64,
+                g: g_limit,
                 error_bound,
             });
         }
@@ -996,6 +764,191 @@ impl SolvePlan {
             error_bounds,
             report,
         })
+    }
+
+    /// Emits `plan.resolved` for one execute (`d` as that execute uses
+    /// it).
+    fn emit_plan_resolved(&self, pk: &PlanKernel, d: f64) {
+        let ev = &self.config.events;
+        if ev.enabled() {
+            ev.emit(&Event::PlanResolved {
+                format: pk.matrix.format_name().to_string(),
+                n_states: self.n_states() as u64,
+                matrix_bytes: pk.matrix.footprint_bytes() as u64,
+                plan_bytes: ((pk.r_prime.len() + pk.s_half.len()) * std::mem::size_of::<f64>())
+                    as u64,
+                q: self.q,
+                d,
+                shift: self.shift,
+            });
+        }
+    }
+
+    /// Emits the `truncation` event and the solver gauges of one execute;
+    /// returns the worst per-order bound.
+    fn record_truncation(
+        &self,
+        pk: &PlanKernel,
+        d: f64,
+        qt: f64,
+        g: u64,
+        error_bounds: &[f64],
+    ) -> f64 {
+        let (rec, ev) = (&self.config.recorder, &self.config.events);
+        let error_bound = error_bounds.iter().copied().fold(0.0, f64::max);
+        if ev.enabled() {
+            ev.emit(&Event::Truncation {
+                qt,
+                g,
+                error_bounds: error_bounds.to_vec(),
+            });
+        }
+        if rec.enabled() {
+            rec.gauge_set("solver.q", self.q);
+            rec.gauge_set("solver.d", d);
+            rec.gauge_set("solver.qt", qt);
+            rec.gauge_set("solver.shift", self.shift);
+            rec.gauge_set("solver.g", g as f64);
+            rec.gauge_set("solver.error_bound", error_bound);
+            rec.gauge_set(
+                "solver.matrix_format",
+                match pk.matrix {
+                    IterationMatrix::Csr(_) => 0.0,
+                    IterationMatrix::Dia(_) => 1.0,
+                    IterationMatrix::Operator(_) => 2.0,
+                },
+            );
+            rec.gauge_set("solver.bandwidth", pk.bandwidth as f64);
+            rec.gauge_set(
+                "solver.kernel_variant",
+                if self.config.kernel.resolve() == ResolvedKernel::Simd {
+                    1.0
+                } else {
+                    0.0
+                },
+            );
+        }
+        error_bound
+    }
+
+    /// The recursion driver shared by [`SolvePlan::execute`] and
+    /// [`SolvePlan::execute_terminal`]: runs `k = 0..=g` through the fused
+    /// kernel from `U⁽⁰⁾(0) = u0`, accumulating `windows[ti].weight(k)`
+    /// for every time point, then hands the kernel and the health monitor
+    /// to `finish`.
+    ///
+    /// Each step's `(time, weight)` list goes into one reused
+    /// [`StepWeights`], and the kernel runs them in stretches that end at
+    /// every hook point — a health sample, an event-log progress record,
+    /// `G` — and after at most [`MAX_STRETCH_STEPS`] steps, where the
+    /// `--progress` heartbeat is checked. The hooks only read, and the
+    /// kernel's result does not depend on where stretches end, so
+    /// attaching any of them leaves every bit unchanged.
+    fn run_recursion<R>(
+        &self,
+        pk: &PlanKernel,
+        u0: &[f64],
+        order: usize,
+        windows: &[Option<PoissonWindow>],
+        g: u64,
+        finish: impl FnOnce(&FusedMomentKernel<'_>, Option<HealthMonitor>) -> R,
+    ) -> R {
+        let config = &self.config;
+        let (rec, ev) = (&config.recorder, &config.events);
+        let mut pool_guard = Self::lock_pool(pk);
+        let mut kernel = FusedMomentKernel::with_pool(
+            &pk.matrix,
+            pk.bandwidth,
+            &pk.r_prime,
+            &pk.s_half,
+            order,
+            windows.len(),
+            u0,
+            pool_guard.as_deref_mut(),
+        );
+        kernel.set_variant(config.kernel.resolve());
+        kernel.set_recorder(rec.clone());
+        if let Some(ledger) = &self.mem {
+            let kernel_bytes = kernel.footprint_bytes() as u64;
+            ledger.set(MemCategory::KernelBuffers, kernel_bytes);
+            rec.gauge_set(MemCategory::KernelBuffers.gauge_name(), kernel_bytes as f64);
+        }
+        // The monitor also feeds the event log's health records, so it
+        // runs whenever either sink is attached (it only reads).
+        let mut health = (rec.enabled() || ev.enabled()).then(|| HealthMonitor::new(g, order));
+        let mut meter = config
+            .progress
+            .then(|| ProgressMeter::new("solve.recursion", g));
+        // Progress events fire every ~5% of G (stride floor 1) plus the
+        // final iteration; the ETA is read off a wall clock only when a
+        // record is actually emitted.
+        let ev_progress = ev.enabled().then(|| (Instant::now(), (g / 20).max(1)));
+        {
+            let _recursion = rec.span("solve.recursion");
+            let mut steps = StepWeights::new();
+            let mut k0 = 0u64;
+            while k0 <= g {
+                let cap = (k0 + MAX_STRETCH_STEPS as u64 - 1).min(g);
+                let hook = |k: u64| {
+                    health.as_ref().is_some_and(|h| h.should_sample(k, g))
+                        || ev_progress.is_some_and(|(_, stride)| k.is_multiple_of(stride))
+                };
+                let k1 = (k0..cap).find(|&k| hook(k)).unwrap_or(cap);
+                steps.clear();
+                for k in k0..=k1 {
+                    steps.push_step(windows.iter().enumerate().filter_map(|(ti, w)| {
+                        let wk = w.as_ref().map_or(0.0, |w| w.weight(k));
+                        (wk > 0.0).then_some((ti, wk))
+                    }));
+                }
+                kernel.run(&steps, k1 < g);
+                if let Some(h) = health.as_mut() {
+                    if h.should_sample(k1, g) {
+                        for j in 0..=order {
+                            h.observe_order(j, kernel.u_order(j));
+                        }
+                        if ev.enabled() {
+                            ev.emit(&Event::Health {
+                                k: k1,
+                                g,
+                                u0_mass: h.u0_mass_last(),
+                                anomalies: h.anomalies(),
+                            });
+                        }
+                    }
+                }
+                if let Some((start, stride)) = &ev_progress {
+                    if k1 % stride == 0 || k1 == g {
+                        let elapsed = start.elapsed().as_secs_f64();
+                        let eta_s = (k1 > 0).then(|| elapsed * (g - k1) as f64 / k1 as f64);
+                        ev.emit(&Event::Progress {
+                            k: k1,
+                            g,
+                            percent: 100.0 * k1 as f64 / g.max(1) as f64,
+                            eta_s,
+                        });
+                    }
+                }
+                if let Some(m) = meter.as_mut() {
+                    m.tick(k1);
+                }
+                k0 = k1 + 1;
+            }
+        }
+        if let Some(ledger) = &self.mem {
+            ledger.observe_rss();
+        }
+        if let Some(h) = health.as_mut() {
+            for ti in 0..windows.len() {
+                for j in 0..=order {
+                    let acc = kernel.accumulated(ti, j);
+                    for (&sum, &comp) in acc.sums.iter().zip(acc.comps) {
+                        h.observe_compensation(sum, comp);
+                    }
+                }
+            }
+        }
+        finish(&kernel, health)
     }
 
     /// Exact resident bytes of the plan's owned solver state: the

@@ -7,39 +7,49 @@
 //! ```
 //!
 //! followed by the Poisson-weighted accumulation of `U⁽ʲ⁾(k)` for every
-//! requested time point, was previously executed as `(order + 1)`
-//! independent parallel mat-vec calls plus a serial accumulate loop —
-//! each mat-vec paying its own thread spawns and its own sweep over the
-//! iteration vectors. [`FusedMomentKernel`] fuses the whole step into
-//! **one** parallel pass over contiguous row chunks: each chunk streams
-//! its rows once, doing the sparse dot product, the `R'`/`½S'` diagonal
-//! combine, and the weighted [`NeumaierSum`] accumulation for all orders
-//! and all time points while the data is hot in cache.
+//! requested time point, is one *pass* of [`FusedMomentKernel`]: each
+//! row is visited once per pass, doing the sparse dot product, the
+//! `R'`/`½S'` diagonal combine, and the weighted Neumaier accumulation
+//! for all orders and all time points while its data is hot in cache.
 //!
-//! The recursion reads iteration-`k` values while writing iteration
-//! `k+1`, so the kernel double-buffers the `U` block (`u_cur`/`u_next`)
-//! and chunks only ever *read* shared state and *write* their own row
-//! range — no synchronization inside a pass beyond the pool's
-//! start/finish handshake.
+//! # Stretches and the time-skewed wavefront
+//!
+//! The kernel runs a *stretch* of consecutive passes per call
+//! ([`FusedMomentKernel::run`], with one `(time, weight)` list per step
+//! in a [`StepWeights`]; [`FusedMomentKernel::step`] is a one-step
+//! stretch). Without a worker pool it schedules the stretch as a
+//! time-skewed wavefront (Wonnacott, IPDPS 2000): the rows are cut into
+//! blocks whose working set — `U` rows, accumulators, matrix rows and
+//! `r'`/`½s'` — is about 1 MiB, and each block advances
+//! through every step of the stretch before the next block starts, so a
+//! paper-scale model streams its vectors from memory once per stretch
+//! instead of once per pass. Block `i` covers rows
+//! `[lo_i − t·b, lo_{i+1} − t·b)` at step `t` (clipped to `[0, n)`, the
+//! first block always from row 0 and the last always to `n`), where `b`
+//! is the matrix bandwidth; see `Wavefront` for why two `U` buffers
+//! suffice and every row reads exactly the values the pass-by-pass order
+//! gives it. With a pool attached, or when the band is too wide for the
+//! skew to fit a block (Kronecker sums), the same scheduler runs with
+//! depth 1: one pass at a time over fixed row chunks.
 //!
 //! # Determinism
 //!
-//! Results are **bit-identical** to the serial reference loop for every
-//! thread count: chunk boundaries are fixed by `(n, chunks)`
-//! ([`chunk_range`]), each row's dot product accumulates its terms in
+//! Results are **bit-identical** for every schedule and thread count:
+//! chunk and block boundaries only decide *when* a row is computed,
+//! never its arithmetic. Each row's dot product accumulates its terms in
 //! ascending-column order (CSR storage order, or ascending diagonal
 //! offsets for DIA — the same order, see `crate::dia`), the diagonal
 //! combine uses the exact expression
 //! `dot + r'[i]·u⁽ʲ⁻¹⁾[i] + ½s'[i]·u⁽ʲ⁻²⁾[i]` (left-associated), and
 //! each accumulator cell receives its terms in ascending-`k` order from
-//! a single thread. The kernel dispatches over [`IterationMatrix`] once
-//! per pass, so the CSR and DIA backends share every other line of the
-//! pass and inherit the same determinism contract. The matrix-free
-//! operator backend (`crate::operator`) joins the same classes: its
-//! scalar rows use the identical ascending-column `+=` chain (dots are
-//! stored, then combined with the same left-associated expression —
-//! stores are exact), and its fma rows the identical canonical
-//! `mul_add` chain with the combine applied via [`simd::axpy_fma`].
+//! a single thread. The kernel resolves the [`IterationMatrix`] once, so
+//! the CSR and DIA backends share every other line of the pass and
+//! inherit the same determinism contract. The matrix-free operator
+//! backend (`crate::operator`) joins the same classes: its scalar rows
+//! use the identical ascending-column `+=` chain (dots are stored, then
+//! combined with the same left-associated expression — stores are
+//! exact), and its fma rows the identical canonical `mul_add` chain with
+//! the combine applied via [`simd::axpy_fma`].
 //!
 //! # Kernel variants
 //!
@@ -60,22 +70,38 @@
 //!   by rounding reassociation (bounded far below the Theorem-4
 //!   truncation tolerance; the verify oracle checks this).
 //!
-//! The simd pass additionally tiles each chunk into row blocks with the
-//! order/time loops *inside* the block (multi-order register blocking),
-//! so every `U_k` block is streamed through cache once per pass while
-//! all accumulator updates and all orders' advances consume it.
+//! The simd DIA interior is a single-pass row loop over groups of four
+//! rows (`simd::Lanes`): it reads each `U` row from memory once and does
+//! every order's dot, combine and Neumaier update in registers,
+//! specialized at compile time for orders 0–3 and three diagonals. The
+//! accumulators live in two planes (running sums, compensations), so
+//! the vector Neumaier update needs no shuffles.
 
 use crate::dia::{DiaMatrix, IterationMatrix};
+use crate::footprint::FootprintBytes;
 use crate::operator::MatVec;
 use crate::pool::{chunk_range, PoolStats, SyncMutPtr, WorkerPool};
-use crate::simd::{self, ResolvedKernel};
-use somrm_num::sum::NeumaierSum;
+use crate::simd::{self, Lanes, ResolvedKernel};
+use somrm_num::sum::neumaier_add;
 use somrm_obs::RecorderHandle;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
+/// Target working set of one wavefront block: half of a 2 MiB L2, so
+/// the block's rows stay cache-resident across every step of a sweep
+/// with room for the skew, the halo rows and the prefetcher.
+const WAVE_BLOCK_BYTES: usize = 1 << 20;
+
+/// Most steps one wavefront sweep advances each block through, and the
+/// longest stretch a caller should hand [`FusedMomentKernel::run`]: at
+/// 64 the streaming from memory is 1/64 of the pass-by-pass traffic,
+/// while the per-step weight list and the skew stay small.
+pub const MAX_STRETCH_STEPS: usize = 64;
 
 /// The borrowed raw storage of the iteration matrix, resolved once per
-/// pass so the chunk closure dispatches without touching the enum.
-#[derive(Clone, Copy)]
+/// kernel so the row bodies dispatch without touching the enum.
+#[derive(Debug, Clone, Copy)]
 enum MatrixParts<'b> {
     /// `(row_ptr, col_idx, values)`.
     Csr(&'b [usize], &'b [usize], &'b [f64]),
@@ -100,13 +126,149 @@ enum KernelPool<'a> {
     Borrowed(&'a mut WorkerPool),
 }
 
+impl KernelPool<'_> {
+    fn get(&mut self) -> Option<&mut WorkerPool> {
+        match self {
+            KernelPool::Inline => None,
+            KernelPool::Owned(p) => Some(p),
+            KernelPool::Borrowed(p) => Some(p),
+        }
+    }
+}
+
+/// The `(time index, weight)` lists of a stretch of consecutive passes,
+/// one list per step, in one reusable buffer: the recursion driver
+/// clears it, pushes each step's active Poisson weights, and hands it to
+/// [`FusedMomentKernel::run`].
+#[derive(Debug, Clone, Default)]
+pub struct StepWeights {
+    pairs: Vec<(usize, f64)>,
+    /// Exclusive end of each step's slice of `pairs`.
+    ends: Vec<usize>,
+}
+
+impl StepWeights {
+    /// An empty list (no steps).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Removes every step, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.pairs.clear();
+        self.ends.clear();
+    }
+
+    /// Appends one step with the given `(time index, weight)` pairs.
+    pub fn push_step(&mut self, active: impl IntoIterator<Item = (usize, f64)>) {
+        self.pairs.extend(active);
+        self.ends.push(self.pairs.len());
+    }
+}
+
+/// One `(time, order)` row of the kernel's compensated accumulators: the
+/// Neumaier running sums and compensations of `Σ_k wk·U⁽ʲ⁾(k)[i]`, as
+/// two planes.
+#[derive(Debug, Clone, Copy)]
+pub struct Accumulated<'k> {
+    /// Running sums, without the compensation applied.
+    pub sums: &'k [f64],
+    /// Running compensations (the rounding error the sums have lost).
+    pub comps: &'k [f64],
+}
+
+impl Accumulated<'_> {
+    /// The compensated values `sum + compensation`, row by row — the
+    /// same `f64` as `NeumaierSum::value`.
+    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
+        self.sums.iter().zip(self.comps).map(|(&s, &c)| s + c)
+    }
+}
+
+/// The time-skewed wavefront schedule of one sweep: `steps` consecutive
+/// passes over rows `0..n` of a matrix with bandwidth `band`, cut into
+/// blocks of `block_rows` rows, each block running every step before the
+/// next block starts.
+///
+/// Block `i` covers rows `[i·B − t·b, (i+1)·B − t·b)` at step `t`,
+/// clipped to `[0, n)`; block 0 always starts at row 0 and the last
+/// block always ends at `n`, so every step covers each row exactly once.
+/// With `B ≥ b` two `U` buffers suffice and every row reads the values a
+/// pass-by-pass run would give it:
+///
+/// * the left halo block `i` reads at step `t` (`b` rows below its
+///   start) was written at step `t−1` by earlier blocks, which next
+///   write that buffer at step `t+1`, and only below
+///   `i·B − (t+1)·b` — the halo's first row;
+/// * its right halo (`b` rows above its end) was written at step `t−1`
+///   by block `i` itself, whose range then reached `b` rows further
+///   right and started at most `B − b` rows below its new end;
+/// * the rows it overwrites at step `t` (the buffer held step `t−1`)
+///   are no longer read: block `i+1` reads step `t−1` only from
+///   `(i+1)·B − t·b` up.
+///
+/// Each accumulator row receives its steps in ascending order, since a
+/// row only ever moves to later blocks as `t` grows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Wavefront {
+    n: usize,
+    band: usize,
+    block_rows: usize,
+    steps: usize,
+}
+
+impl Wavefront {
+    /// # Panics
+    ///
+    /// Panics if `block_rows` is 0, or smaller than `band` for a
+    /// multi-step sweep (the halo would reach a block not yet run).
+    pub(crate) fn new(n: usize, band: usize, block_rows: usize, steps: usize) -> Self {
+        assert!(block_rows > 0, "wavefront blocks need at least one row");
+        assert!(
+            steps <= 1 || band <= block_rows,
+            "wavefront block of {block_rows} rows is narrower than the band {band}"
+        );
+        Wavefront {
+            n,
+            band,
+            block_rows,
+            steps,
+        }
+    }
+
+    /// Number of blocks: enough that the last starts at or below `n` at
+    /// the last step.
+    pub(crate) fn blocks(&self) -> usize {
+        let skew = self.steps.saturating_sub(1) * self.band;
+        (self.n + skew).div_ceil(self.block_rows).max(1)
+    }
+
+    /// Rows block `block` computes at step `t` (`t < steps`).
+    pub(crate) fn rows(&self, block: usize, t: usize) -> Range<usize> {
+        let edge = |i: usize| {
+            if i == 0 {
+                0
+            } else if i >= self.blocks() {
+                self.n
+            } else {
+                (i * self.block_rows)
+                    .saturating_sub(t * self.band)
+                    .min(self.n)
+            }
+        };
+        edge(block)..edge(block + 1)
+    }
+}
+
 /// Fused recursion + accumulation kernel over a persistent worker pool.
 ///
-/// Layout: `U` vectors are flattened as `u[j·n + i]`; accumulators as
-/// `acc[(ti·(order+1) + j)·n + i]`.
+/// Layout: `U` vectors are flattened as `u[j·n + i]`; the accumulator
+/// planes as `acc[(ti·(order+1) + j)·n + i]`.
 #[derive(Debug)]
 pub struct FusedMomentKernel<'a> {
-    matrix: &'a IterationMatrix,
+    parts: MatrixParts<'a>,
+    /// DIA rows where every stored diagonal is in band.
+    interior: Range<usize>,
     r_prime: &'a [f64],
     s_half: &'a [f64],
     order: usize,
@@ -115,9 +277,18 @@ pub struct FusedMomentKernel<'a> {
     chunks: usize,
     pool: KernelPool<'a>,
     variant: ResolvedKernel,
+    band: usize,
+    block_rows: usize,
+    /// Steps per wavefront sweep (1: pass by pass).
+    depth: usize,
     u_cur: Vec<f64>,
     u_next: Vec<f64>,
-    acc: Vec<NeumaierSum>,
+    acc_sum: Vec<f64>,
+    acc_comp: Vec<f64>,
+    /// Per-chunk kernel time within the current stretch (pooled kernels
+    /// with a recorder), so each lane emits one `kernel.chunk` span per
+    /// stretch.
+    lane_ns: Vec<AtomicU64>,
     recorder: RecorderHandle,
 }
 
@@ -127,7 +298,10 @@ impl<'a> FusedMomentKernel<'a> {
     ///
     /// `threads` is the number of row chunks (and OS threads engaged);
     /// the worker pool is created here — once per solve — and torn down
-    /// when the kernel is dropped. `threads ≤ 1` runs fully inline.
+    /// when the kernel is dropped. `threads ≤ 1` runs fully inline. The
+    /// matrix bandwidth is scanned here (`O(nnz)` for CSR); plans that
+    /// build many kernels over one matrix pass it to
+    /// [`FusedMomentKernel::with_pool`] instead.
     ///
     /// # Panics
     ///
@@ -142,33 +316,38 @@ impl<'a> FusedMomentKernel<'a> {
         threads: usize,
     ) -> Self {
         let n = matrix.rows();
-        assert_eq!(matrix.cols(), n, "fused kernel needs a square matrix");
-        assert_eq!(r_prime.len(), n, "r_prime length mismatch");
-        assert_eq!(s_half.len(), n, "s_half length mismatch");
-        assert_eq!(u0.len(), n, "u0 length mismatch");
         let chunks = threads.clamp(1, n.max(1));
         let pool = if chunks > 1 {
             KernelPool::Owned(WorkerPool::new(chunks))
         } else {
             KernelPool::Inline
         };
-        Self::assemble(matrix, r_prime, s_half, order, n_times, u0, chunks, pool)
+        let band = matrix.bandwidth();
+        Self::assemble(
+            matrix, band, r_prime, s_half, order, n_times, u0, chunks, pool,
+        )
     }
 
     /// Like [`FusedMomentKernel::new`], but running passes on a
-    /// caller-owned [`WorkerPool`] instead of spawning one. The pool's
-    /// thread count decides the chunk count (`None` runs inline), so a
-    /// plan that keeps one pool alive executes any number of solves
-    /// without paying thread creation again — with the same fixed chunk
-    /// boundaries, hence bit-identical results.
+    /// caller-owned [`WorkerPool`] instead of spawning one, with the
+    /// matrix `bandwidth` computed once by the caller. It must be at
+    /// least `matrix.bandwidth()` — the wavefront skews each step by it,
+    /// so a smaller value would read stale rows (a larger one only
+    /// shortens the sweeps). The pool's thread count decides the chunk
+    /// count (`None` runs inline), so a plan that keeps one pool alive
+    /// executes any number of solves without paying thread creation
+    /// again — with the same fixed chunk boundaries, hence bit-identical
+    /// results.
     ///
     /// # Panics
     ///
     /// Panics if `matrix` is not square, the vector lengths disagree, or
     /// the pool has more threads than the matrix has rows (an owned pool
     /// is clamped at construction; a borrowed one must already fit).
+    #[allow(clippy::too_many_arguments)]
     pub fn with_pool(
         matrix: &'a IterationMatrix,
+        bandwidth: usize,
         r_prime: &'a [f64],
         s_half: &'a [f64],
         order: usize,
@@ -176,6 +355,10 @@ impl<'a> FusedMomentKernel<'a> {
         u0: &[f64],
         pool: Option<&'a mut WorkerPool>,
     ) -> Self {
+        debug_assert!(
+            bandwidth >= matrix.bandwidth(),
+            "bandwidth below the matrix's"
+        );
         let n = matrix.rows();
         let (chunks, pool) = match pool {
             Some(p) => {
@@ -189,12 +372,15 @@ impl<'a> FusedMomentKernel<'a> {
             }
             None => (1, KernelPool::Inline),
         };
-        Self::assemble(matrix, r_prime, s_half, order, n_times, u0, chunks, pool)
+        Self::assemble(
+            matrix, bandwidth, r_prime, s_half, order, n_times, u0, chunks, pool,
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         matrix: &'a IterationMatrix,
+        band: usize,
         r_prime: &'a [f64],
         s_half: &'a [f64],
         order: usize,
@@ -208,10 +394,33 @@ impl<'a> FusedMomentKernel<'a> {
         assert_eq!(r_prime.len(), n, "r_prime length mismatch");
         assert_eq!(s_half.len(), n, "s_half length mismatch");
         assert_eq!(u0.len(), n, "u0 length mismatch");
-        let mut u_cur = vec![0.0; (order + 1) * n];
+        let (parts, interior) = match matrix {
+            IterationMatrix::Csr(m) => {
+                let (row_ptr, col_idx, values) = m.csr_parts();
+                (MatrixParts::Csr(row_ptr, col_idx, values), 0..n)
+            }
+            IterationMatrix::Dia(m) => {
+                let (mut lo, mut hi) = (0, n);
+                for &o in m.offsets() {
+                    let rows = DiaMatrix::diag_rows(n, o);
+                    lo = lo.max(rows.start);
+                    hi = hi.min(rows.end);
+                }
+                (MatrixParts::Dia(m.offsets(), m.data()), lo..hi.max(lo))
+            }
+            IterationMatrix::Operator(m) => (MatrixParts::Op(m.as_matvec()), 0..n),
+        };
+        let order1 = order + 1;
+        // Bytes a block keeps per row: both U buffers, both accumulator
+        // planes, r'/½s' and the row's share of the matrix.
+        let row_bytes = std::mem::size_of::<f64>() * (2 * order1 * (1 + n_times) + 2)
+            + matrix.footprint_bytes().div_ceil(n.max(1));
+        let block_rows = (WAVE_BLOCK_BYTES / row_bytes).max(1);
+        let mut u_cur = vec![0.0; order1 * n];
         u_cur[..n].copy_from_slice(u0);
-        FusedMomentKernel {
-            matrix,
+        let mut kernel = FusedMomentKernel {
+            parts,
+            interior,
             r_prime,
             s_half,
             order,
@@ -220,18 +429,38 @@ impl<'a> FusedMomentKernel<'a> {
             chunks,
             pool,
             variant: ResolvedKernel::Scalar,
+            band,
+            block_rows,
+            depth: 1,
             u_cur,
-            u_next: vec![0.0; (order + 1) * n],
-            acc: vec![NeumaierSum::new(); n_times * (order + 1) * n],
+            u_next: vec![0.0; order1 * n],
+            acc_sum: vec![0.0; n_times * order1 * n],
+            acc_comp: vec![0.0; n_times * order1 * n],
+            lane_ns: (0..chunks).map(|_| AtomicU64::new(0)).collect(),
             recorder: RecorderHandle::disabled(),
-        }
+        };
+        kernel.set_block_rows(block_rows);
+        kernel
+    }
+
+    /// Sets the wavefront block size and derives the sweep depth from
+    /// it: as many steps as keep the skew (`depth · band`) within an
+    /// eighth of a block, capped at [`MAX_STRETCH_STEPS`]; 1 with a
+    /// worker pool, whose chunks cannot run ahead of each other.
+    fn set_block_rows(&mut self, block_rows: usize) {
+        self.block_rows = block_rows.max(1);
+        self.depth = if self.chunks > 1 {
+            1
+        } else {
+            (self.block_rows / (8 * self.band.max(1))).clamp(1, MAX_STRETCH_STEPS)
+        };
     }
 
     /// Selects the arithmetic variant of the pass body. Defaults to
     /// [`ResolvedKernel::Scalar`] (the strict reference); solvers set
     /// this from the resolved [`crate::simd::KernelVariant`] of their
     /// config. Switching mid-recursion is allowed but pointless — set
-    /// it once before the first [`FusedMomentKernel::step`].
+    /// it once before the first pass.
     pub fn set_variant(&mut self, variant: ResolvedKernel) {
         self.variant = variant;
     }
@@ -241,9 +470,10 @@ impl<'a> FusedMomentKernel<'a> {
         self.variant
     }
 
-    /// Attaches a telemetry recorder; each pass is then timed under
-    /// `"kernel.pass"` and counted under `"kernel.passes"`. Disabled by
-    /// default (zero instrumentation cost).
+    /// Attaches a telemetry recorder; each stretch is then timed under
+    /// `"kernel.pass"` and its steps counted under `"kernel.passes"`, so
+    /// the time per pass is `kernel.pass` total over `kernel.passes`.
+    /// Disabled by default (zero instrumentation cost).
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
         self.recorder = recorder;
     }
@@ -266,70 +496,138 @@ impl<'a> FusedMomentKernel<'a> {
     /// One fused pass at iteration `k`: adds `wk·U⁽ʲ⁾(k)` into the
     /// accumulators of every `(ti, wk)` in `active`, and, if `advance`,
     /// computes `U⁽ʲ⁾(k+1)` for all `j` in the same sweep (skipped on the
-    /// final iteration `k = G`).
+    /// final iteration `k = G`). A one-step [`FusedMomentKernel::run`].
     ///
     /// # Panics
     ///
     /// Panics if an `active` time index is out of range.
     pub fn step(&mut self, active: &[(usize, f64)], advance: bool) {
-        for &(ti, _) in active {
+        self.run_stretch(active, &[active.len()], advance);
+    }
+
+    /// Runs the passes of `steps` in order — step `t` accumulates the
+    /// pairs pushed `t`-th — advancing the iterate after every step
+    /// but the last, and after the last too if `advance_last`. Bitwise
+    /// the same as calling [`FusedMomentKernel::step`] once per step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a time index is out of range.
+    pub fn run(&mut self, steps: &StepWeights, advance_last: bool) {
+        self.run_stretch(&steps.pairs, &steps.ends, advance_last);
+    }
+
+    fn run_stretch(&mut self, pairs: &[(usize, f64)], ends: &[usize], advance_last: bool) {
+        let variant = self.variant;
+        self.run_stretch_with(pairs, ends, advance_last, |ctx, rows| match variant {
+            ResolvedKernel::Scalar => scalar_rows(ctx, rows),
+            ResolvedKernel::Simd => simd_rows(ctx, rows),
+        });
+    }
+
+    /// The scheduler: runs `body` over every (rows, step) of the stretch.
+    fn run_stretch_with(
+        &mut self,
+        pairs: &[(usize, f64)],
+        ends: &[usize],
+        advance_last: bool,
+        body: impl Fn(&PassCtx, Range<usize>) + Sync,
+    ) {
+        for &(ti, _) in pairs {
             assert!(ti < self.n_times, "time index {ti} out of range");
         }
+        let steps = ends.len();
+        if steps == 0 {
+            return;
+        }
         let n = self.n;
-        let order1 = self.order + 1;
         let chunks = self.chunks;
-        let parts = match self.matrix {
-            IterationMatrix::Csr(m) => {
-                let (row_ptr, col_idx, values) = m.csr_parts();
-                MatrixParts::Csr(row_ptr, col_idx, values)
-            }
-            IterationMatrix::Dia(m) => MatrixParts::Dia(m.offsets(), m.data()),
-            IterationMatrix::Operator(m) => MatrixParts::Op(m.as_matvec()),
-        };
-        let ctx = PassCtx {
+        let stretch = Stretch {
             n,
-            order1,
-            parts,
+            order1: self.order + 1,
+            parts: self.parts,
+            interior: self.interior.clone(),
             r_prime: self.r_prime,
             s_half: self.s_half,
-            u_cur: &self.u_cur,
-            u_next: SyncMutPtr::new(self.u_next.as_mut_ptr()),
-            acc: SyncMutPtr::new(self.acc.as_mut_ptr()),
-            active,
-            advance,
+            u: [
+                SyncMutPtr::new(self.u_cur.as_mut_ptr()),
+                SyncMutPtr::new(self.u_next.as_mut_ptr()),
+            ],
+            u_len: self.u_cur.len(),
+            acc_sum: SyncMutPtr::new(self.acc_sum.as_mut_ptr()),
+            acc_comp: SyncMutPtr::new(self.acc_comp.as_mut_ptr()),
+            pairs,
+            ends,
+            advance_last,
         };
-        let ctx = &ctx;
-        let variant = self.variant;
         let rec = &self.recorder;
-        let task = |c: usize| {
-            let range = chunk_range(n, chunks, c);
-            if range.is_empty() {
-                return;
+        let pass_span = rec.span("kernel.pass");
+        // Timeline-only per-lane events (one per stretch and lane, from
+        // the thread that ran the rows, so the Chrome trace shows one
+        // lane per worker). They do not feed the duration aggregates;
+        // those stay at kernel.pass granularity.
+        let stretch_start = rec.enabled().then(Instant::now);
+        match self.pool.get() {
+            None => {
+                let mut s0 = 0;
+                while s0 < steps {
+                    let s1 = (s0 + self.depth).min(steps);
+                    let block_rows = if s1 - s0 > 1 {
+                        self.block_rows
+                    } else {
+                        n.max(1)
+                    };
+                    let wave = Wavefront::new(n, self.band, block_rows, s1 - s0);
+                    for block in 0..wave.blocks() {
+                        for t in s0..s1 {
+                            let rows = wave.rows(block, t - s0);
+                            if !rows.is_empty() {
+                                // SAFETY: rows run one at a time here,
+                                // and `Wavefront` guarantees every read
+                                // of step `t`'s buffer sees step `t`.
+                                body(&unsafe { stretch.pass(t) }, rows);
+                            }
+                        }
+                    }
+                    s0 = s1;
+                }
+                if let Some(start) = stretch_start {
+                    rec.span_complete("kernel.chunk", start, elapsed_ns(start));
+                }
             }
-            // Timeline-only per-chunk event, emitted from the thread
-            // that ran the chunk so the Chrome trace shows one lane per
-            // worker. Does not feed the duration aggregates (that stays
-            // at kernel.pass granularity).
-            let chunk_start = rec.enabled().then(std::time::Instant::now);
-            match variant {
-                ResolvedKernel::Scalar => scalar_chunk(ctx, range),
-                ResolvedKernel::Simd => simd_chunk(ctx, range),
-            }
-            if let Some(start) = chunk_start {
-                let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                rec.span_complete("kernel.chunk", start, nanos);
-            }
-        };
-        {
-            let _pass = self.recorder.span("kernel.pass");
-            match &mut self.pool {
-                KernelPool::Inline => task(0),
-                KernelPool::Owned(pool) => pool.run(&task),
-                KernelPool::Borrowed(pool) => pool.run(&task),
+            Some(pool) => {
+                let lane_ns = &self.lane_ns;
+                for t in 0..steps {
+                    // SAFETY: every chunk of step `t` reads buffer `t % 2`
+                    // and writes only its own rows of the other buffer
+                    // and of the accumulators.
+                    let ctx = unsafe { stretch.pass(t) };
+                    let task = |c: usize| {
+                        let rows = chunk_range(n, chunks, c);
+                        if rows.is_empty() {
+                            return;
+                        }
+                        let start = stretch_start.map(|_| Instant::now());
+                        body(&ctx, rows);
+                        if let (Some(first), Some(start)) = (stretch_start, start) {
+                            // A statistic only: the pool's run handshake
+                            // orders the steps, so Relaxed suffices.
+                            let ns = elapsed_ns(start);
+                            let busy = lane_ns[c].fetch_add(ns, Ordering::Relaxed) + ns;
+                            if t + 1 == steps {
+                                lane_ns[c].store(0, Ordering::Relaxed);
+                                rec.span_complete("kernel.chunk", first, busy);
+                            }
+                        }
+                    };
+                    pool.run(&task);
+                }
             }
         }
-        self.recorder.counter_add("kernel.passes", 1);
-        if advance {
+        drop(pass_span);
+        rec.counter_add("kernel.passes", steps as u64);
+        let advances = steps - usize::from(!advance_last);
+        if advances % 2 == 1 {
             std::mem::swap(&mut self.u_cur, &mut self.u_next);
         }
     }
@@ -340,16 +638,22 @@ impl<'a> FusedMomentKernel<'a> {
     /// # Panics
     ///
     /// Panics if `ti` or `j` is out of range.
-    pub fn accumulated(&self, ti: usize, j: usize) -> &[NeumaierSum] {
-        assert!(ti < self.n_times && j <= self.order, "accumulator index out of range");
+    pub fn accumulated(&self, ti: usize, j: usize) -> Accumulated<'_> {
+        assert!(
+            ti < self.n_times && j <= self.order,
+            "accumulator index out of range"
+        );
         let base = (ti * (self.order + 1) + j) * self.n;
-        &self.acc[base..base + self.n]
+        Accumulated {
+            sums: &self.acc_sum[base..base + self.n],
+            comps: &self.acc_comp[base..base + self.n],
+        }
     }
 
     /// Read-only view of the order-`j` block of the *current* iterate —
-    /// `U⁽ʲ⁾(k+1)` right after a `step(..., true)` at iteration `k`
+    /// `U⁽ʲ⁾(k+1)` right after an advancing pass at iteration `k`
     /// (`U⁽ʲ⁾(G)` after the final non-advancing step). Health probes
-    /// scan this between passes; it never aliases in-flight writes.
+    /// scan this between stretches; it never aliases in-flight writes.
     ///
     /// # Panics
     ///
@@ -360,43 +664,114 @@ impl<'a> FusedMomentKernel<'a> {
     }
 }
 
-impl crate::footprint::FootprintBytes for FusedMomentKernel<'_> {
+fn elapsed_ns(start: Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+impl FootprintBytes for FusedMomentKernel<'_> {
     /// The kernel's owned working set: the `U` ping-pong pair
-    /// (`2·(order+1)·n` doubles) plus the compensated accumulators
-    /// (`n_times·(order+1)·n` [`NeumaierSum`]s). The matrix and the
+    /// (`2·(order+1)·n` doubles) plus the two compensated-accumulator
+    /// planes (`2·n_times·(order+1)·n` doubles). The matrix and the
     /// `R'`/`½S'` strips are borrowed, not owned, and are accounted by
-    /// their own [`FootprintBytes`](crate::footprint::FootprintBytes)
-    /// impls.
+    /// their own [`FootprintBytes`] impls.
     fn footprint_bytes(&self) -> usize {
-        (self.u_cur.len() + self.u_next.len()) * std::mem::size_of::<f64>()
-            + self.acc.len() * std::mem::size_of::<NeumaierSum>()
+        (self.u_cur.len() + self.u_next.len() + self.acc_sum.len() + self.acc_comp.len())
+            * std::mem::size_of::<f64>()
     }
 }
 
-/// Shared read-only context of one fused pass, handed to the per-chunk
-/// kernel bodies. The two raw write targets are only touched inside the
-/// chunk's own row range.
+/// What every pass of one stretch shares; [`Stretch::pass`] narrows it
+/// to one step.
+struct Stretch<'c> {
+    n: usize,
+    order1: usize,
+    parts: MatrixParts<'c>,
+    interior: Range<usize>,
+    r_prime: &'c [f64],
+    s_half: &'c [f64],
+    /// The `U` ping-pong pair: step `t` reads `u[t % 2]`, writes the
+    /// other.
+    u: [SyncMutPtr<f64>; 2],
+    u_len: usize,
+    acc_sum: SyncMutPtr<f64>,
+    acc_comp: SyncMutPtr<f64>,
+    pairs: &'c [(usize, f64)],
+    ends: &'c [usize],
+    advance_last: bool,
+}
+
+impl Stretch<'_> {
+    /// The context of step `t`.
+    ///
+    /// # Safety
+    ///
+    /// While the returned context lives, nothing may write buffer
+    /// `u[t % 2]`, and the rows a pass body writes (in `u[(t+1) % 2]`
+    /// and the accumulators) must not be accessed by anyone else.
+    unsafe fn pass(&self, t: usize) -> PassCtx<'_> {
+        let start = if t == 0 { 0 } else { self.ends[t - 1] };
+        PassCtx {
+            n: self.n,
+            order1: self.order1,
+            parts: self.parts,
+            interior: self.interior.clone(),
+            r_prime: self.r_prime,
+            s_half: self.s_half,
+            u_cur: std::slice::from_raw_parts(self.u[t % 2].add(0), self.u_len),
+            u_next: self.u[(t + 1) % 2],
+            acc_sum: self.acc_sum,
+            acc_comp: self.acc_comp,
+            active: &self.pairs[start..self.ends[t]],
+            advance: t + 1 < self.ends.len() || self.advance_last,
+        }
+    }
+}
+
+/// Context of one pass, handed to the row bodies. The raw write targets
+/// are only touched inside the rows a body is given.
 struct PassCtx<'c> {
     n: usize,
     order1: usize,
     parts: MatrixParts<'c>,
+    interior: Range<usize>,
     r_prime: &'c [f64],
     s_half: &'c [f64],
     u_cur: &'c [f64],
     u_next: SyncMutPtr<f64>,
-    acc: SyncMutPtr<NeumaierSum>,
+    acc_sum: SyncMutPtr<f64>,
+    acc_comp: SyncMutPtr<f64>,
     active: &'c [(usize, f64)],
     advance: bool,
 }
 
-/// The strict-f64 reference chunk body — the historical kernel,
-/// bit-for-bit. Plain `*`/`+` in source order; no fused multiply-add.
-fn scalar_chunk(ctx: &PassCtx, range: Range<usize>) {
+impl PassCtx<'_> {
+    /// Neumaier-adds `wk·U⁽ʲ⁾[i]` for every active pair and order.
+    #[inline(always)]
+    fn accumulate_row(&self, i: usize) {
+        for &(ti, wk) in self.active {
+            for j in 0..self.order1 {
+                let cell = (ti * self.order1 + j) * self.n + i;
+                // SAFETY: bodies write disjoint rows; `ti < n_times` was
+                // checked when the stretch started.
+                unsafe {
+                    neumaier_add(
+                        &mut *self.acc_sum.add(cell),
+                        &mut *self.acc_comp.add(cell),
+                        wk * self.u_cur[j * self.n + i],
+                    )
+                };
+            }
+        }
+    }
+}
+
+/// The strict-f64 reference body — the historical kernel, bit for bit.
+/// Plain `*`/`+` in source order; no fused multiply-add.
+fn scalar_rows(ctx: &PassCtx, range: Range<usize>) {
     let n = ctx.n;
     let order1 = ctx.order1;
     let u_cur = ctx.u_cur;
     let u_next = &ctx.u_next;
-    let acc = &ctx.acc;
     let r_prime = ctx.r_prime;
     let s_half = ctx.s_half;
     for &(ti, wk) in ctx.active {
@@ -404,63 +779,28 @@ fn scalar_chunk(ctx: &PassCtx, range: Range<usize>) {
             let uj = &u_cur[j * n..(j + 1) * n];
             let base = (ti * order1 + j) * n;
             for i in range.clone() {
-                // SAFETY: chunks write disjoint row ranges.
-                unsafe { (*acc.add(base + i)).add(wk * uj[i]) };
+                // SAFETY: bodies write disjoint rows.
+                unsafe {
+                    neumaier_add(
+                        &mut *ctx.acc_sum.add(base + i),
+                        &mut *ctx.acc_comp.add(base + i),
+                        wk * uj[i],
+                    )
+                };
             }
         }
     }
-    if ctx.advance {
-        match ctx.parts {
-            MatrixParts::Csr(row_ptr, col_idx, values) => {
-                for j in 0..order1 {
-                    let uj = &u_cur[j * n..(j + 1) * n];
-                    for i in range.clone() {
-                        let mut dot = 0.0;
-                        for k in row_ptr[i]..row_ptr[i + 1] {
-                            dot += values[k] * uj[col_idx[k]];
-                        }
-                        let v = if j >= 2 {
-                            dot + r_prime[i] * u_cur[(j - 1) * n + i]
-                                + s_half[i] * u_cur[(j - 2) * n + i]
-                        } else if j == 1 {
-                            dot + r_prime[i] * u_cur[i]
-                        } else {
-                            dot
-                        };
-                        // SAFETY: chunks write disjoint row ranges.
-                        unsafe { *u_next.add(j * n + i) = v };
-                    }
-                }
-            }
-            MatrixParts::Dia(offsets, data) => {
-                // Single pass per row, like the CSR branch:
-                // interior rows — where every diagonal is in
-                // band — run branch-free, and the handful of
-                // edge rows near the matrix border guard each
-                // diagonal individually. Per-row terms
-                // accumulate in ascending-offset order
-                // (= ascending columns, the CSR dot's term
-                // order) into the same left-associated combine,
-                // so both backends stay bit-identical.
-                let diags: Vec<&[f64]> = data.chunks_exact(n).collect();
-                let (int_lo, int_hi) = {
-                    let mut lo = range.start;
-                    let mut hi = range.end;
-                    for &o in offsets {
-                        let rows = DiaMatrix::diag_rows(n, o);
-                        lo = lo.max(rows.start);
-                        hi = hi.min(rows.end);
-                    }
-                    let lo = lo.min(range.end);
-                    (lo, hi.max(lo))
-                };
-                let edge_row = |j: usize, i: usize| {
-                    let uj = &u_cur[j * n..(j + 1) * n];
+    if !ctx.advance {
+        return;
+    }
+    match ctx.parts {
+        MatrixParts::Csr(row_ptr, col_idx, values) => {
+            for j in 0..order1 {
+                let uj = &u_cur[j * n..(j + 1) * n];
+                for i in range.clone() {
                     let mut dot = 0.0;
-                    for (&o, diag) in offsets.iter().zip(&diags) {
-                        if DiaMatrix::diag_rows(n, o).contains(&i) {
-                            dot += diag[i] * uj[(i as isize + o) as usize];
-                        }
+                    for k in row_ptr[i]..row_ptr[i + 1] {
+                        dot += values[k] * uj[col_idx[k]];
                     }
                     let v = if j >= 2 {
                         dot + r_prime[i] * u_cur[(j - 1) * n + i]
@@ -470,128 +810,141 @@ fn scalar_chunk(ctx: &PassCtx, range: Range<usize>) {
                     } else {
                         dot
                     };
-                    // SAFETY: chunks write disjoint row ranges.
+                    // SAFETY: bodies write disjoint rows.
                     unsafe { *u_next.add(j * n + i) = v };
-                };
-                for j in 0..order1 {
-                    for i in (range.start..int_lo).chain(int_hi..range.end) {
-                        edge_row(j, i);
-                    }
                 }
-                if matches!(offsets, [-1, 0, 1]) {
-                    // The paper-scale shape (birth–death
-                    // chains). The interior is tiled into row
-                    // blocks with the order loop *inside* the
-                    // block, so the three diagonals and the
-                    // `r'`/`½s'` streams are re-read from cache
-                    // instead of memory for the higher orders.
-                    // Within a block every stream is pre-sliced
-                    // and the order-`j` combine is unswitched,
-                    // so the row loop is branch- and
-                    // bounds-check-free and vectorizes. The +=
-                    // chain keeps the exact ascending-column
-                    // association of the CSR dot; tiling only
-                    // reorders *which rows* are computed when,
-                    // never a row's own term order, so the
-                    // result stays bit-identical.
-                    const BLOCK: usize = 4096;
-                    let mut blo = int_lo;
-                    while blo < int_hi {
-                        let bhi = (blo + BLOCK).min(int_hi);
-                        let len = bhi - blo;
-                        let dm1 = &diags[0][blo..bhi];
-                        let d0 = &diags[1][blo..bhi];
-                        let dp1 = &diags[2][blo..bhi];
-                        let rp = &r_prime[blo..bhi];
-                        let sh = &s_half[blo..bhi];
-                        for j in 0..order1 {
-                            let uj = &u_cur[j * n..(j + 1) * n];
-                            let um1 = &uj[blo - 1..bhi - 1];
-                            let u00 = &uj[blo..bhi];
-                            let up1 = &uj[blo + 1..bhi + 1];
-                            // SAFETY: chunks write disjoint row ranges.
-                            let out = unsafe {
-                                std::slice::from_raw_parts_mut(u_next.add(j * n + blo), len)
-                            };
-                            let tri = |idx: usize| {
-                                let mut dot = 0.0;
-                                dot += dm1[idx] * um1[idx];
-                                dot += d0[idx] * u00[idx];
-                                dot += dp1[idx] * up1[idx];
-                                dot
-                            };
-                            if j >= 2 {
-                                let w1 = &u_cur[(j - 1) * n + blo..(j - 1) * n + bhi];
-                                let w2 = &u_cur[(j - 2) * n + blo..(j - 2) * n + bhi];
-                                for idx in 0..len {
-                                    out[idx] = tri(idx) + rp[idx] * w1[idx] + sh[idx] * w2[idx];
-                                }
-                            } else if j == 1 {
-                                let w1 = &u_cur[blo..bhi];
-                                for idx in 0..len {
-                                    out[idx] = tri(idx) + rp[idx] * w1[idx];
-                                }
-                            } else {
-                                for idx in 0..len {
-                                    out[idx] = tri(idx);
-                                }
-                            }
-                        }
-                        blo = bhi;
-                    }
+            }
+        }
+        MatrixParts::Dia(offsets, data) => {
+            // Single pass per row, like the CSR branch: interior rows —
+            // where every diagonal is in band — run branch-free, and the
+            // handful of edge rows near the matrix border guard each
+            // diagonal individually. Per-row terms accumulate in
+            // ascending-offset order (= ascending columns, the CSR dot's
+            // term order) into the same left-associated combine, so both
+            // backends stay bit-identical.
+            let int_lo = range.start.max(ctx.interior.start).min(range.end);
+            let int_hi = range.end.min(ctx.interior.end).max(int_lo);
+            let diag = |d: usize| &data[d * n..(d + 1) * n];
+            let combine = |j: usize, i: usize, dot: f64| {
+                if j >= 2 {
+                    dot + r_prime[i] * u_cur[(j - 1) * n + i] + s_half[i] * u_cur[(j - 2) * n + i]
+                } else if j == 1 {
+                    dot + r_prime[i] * u_cur[i]
                 } else {
+                    dot
+                }
+            };
+            for j in 0..order1 {
+                let uj = &u_cur[j * n..(j + 1) * n];
+                for i in (range.start..int_lo).chain(int_hi..range.end) {
+                    let mut dot = 0.0;
+                    for (&o, diag) in offsets.iter().zip(data.chunks_exact(n)) {
+                        if DiaMatrix::diag_rows(n, o).contains(&i) {
+                            dot += diag[i] * uj[(i as isize + o) as usize];
+                        }
+                    }
+                    // SAFETY: bodies write disjoint rows.
+                    unsafe { *u_next.add(j * n + i) = combine(j, i, dot) };
+                }
+            }
+            if matches!(offsets, [-1, 0, 1]) {
+                // The paper-scale shape (birth–death chains). The
+                // interior is tiled into row blocks with the order loop
+                // *inside* the block, so the three diagonals and the
+                // `r'`/`½s'` streams are re-read from cache for the
+                // higher orders. Within a block every stream is
+                // pre-sliced and the order-`j` combine is unswitched, so
+                // the row loop is branch- and bounds-check-free and
+                // vectorizes. The += chain keeps the exact
+                // ascending-column association of the CSR dot; tiling
+                // only reorders *which rows* are computed when, never a
+                // row's own term order, so the result stays
+                // bit-identical.
+                const BLOCK: usize = 4096;
+                let mut blo = int_lo;
+                while blo < int_hi {
+                    let bhi = (blo + BLOCK).min(int_hi);
+                    let len = bhi - blo;
+                    let dm1 = &diag(0)[blo..bhi];
+                    let d0 = &diag(1)[blo..bhi];
+                    let dp1 = &diag(2)[blo..bhi];
+                    let rp = &r_prime[blo..bhi];
+                    let sh = &s_half[blo..bhi];
                     for j in 0..order1 {
                         let uj = &u_cur[j * n..(j + 1) * n];
-                        let combine = |i: usize, dot: f64| {
-                            if j >= 2 {
-                                dot + r_prime[i] * u_cur[(j - 1) * n + i]
-                                    + s_half[i] * u_cur[(j - 2) * n + i]
-                            } else if j == 1 {
-                                dot + r_prime[i] * u_cur[i]
-                            } else {
-                                dot
-                            }
-                        };
-                        for i in int_lo..int_hi {
+                        let um1 = &uj[blo - 1..bhi - 1];
+                        let u00 = &uj[blo..bhi];
+                        let up1 = &uj[blo + 1..bhi + 1];
+                        // SAFETY: bodies write disjoint rows.
+                        let out =
+                            unsafe { std::slice::from_raw_parts_mut(u_next.add(j * n + blo), len) };
+                        let tri = |idx: usize| {
                             let mut dot = 0.0;
-                            for (&o, diag) in offsets.iter().zip(&diags) {
-                                dot += diag[i] * uj[(i as isize + o) as usize];
+                            dot += dm1[idx] * um1[idx];
+                            dot += d0[idx] * u00[idx];
+                            dot += dp1[idx] * up1[idx];
+                            dot
+                        };
+                        if j >= 2 {
+                            let w1 = &u_cur[(j - 1) * n + blo..(j - 1) * n + bhi];
+                            let w2 = &u_cur[(j - 2) * n + blo..(j - 2) * n + bhi];
+                            for idx in 0..len {
+                                out[idx] = tri(idx) + rp[idx] * w1[idx] + sh[idx] * w2[idx];
                             }
-                            // SAFETY: chunks write disjoint row ranges.
-                            unsafe { *u_next.add(j * n + i) = combine(i, dot) };
+                        } else if j == 1 {
+                            let w1 = &u_cur[blo..bhi];
+                            for idx in 0..len {
+                                out[idx] = tri(idx) + rp[idx] * w1[idx];
+                            }
+                        } else {
+                            for idx in 0..len {
+                                out[idx] = tri(idx);
+                            }
                         }
+                    }
+                    blo = bhi;
+                }
+            } else {
+                for j in 0..order1 {
+                    let uj = &u_cur[j * n..(j + 1) * n];
+                    for i in int_lo..int_hi {
+                        let mut dot = 0.0;
+                        for (&o, diag) in offsets.iter().zip(data.chunks_exact(n)) {
+                            dot += diag[i] * uj[(i as isize + o) as usize];
+                        }
+                        // SAFETY: bodies write disjoint rows.
+                        unsafe { *u_next.add(j * n + i) = combine(j, i, dot) };
                     }
                 }
             }
-            MatrixParts::Op(op) => {
-                // The operator computes this chunk's dots straight into
-                // `u_next` (the store is exact), then the diagonal
-                // combine rewrites each cell with the canonical
-                // left-associated `dot + r'·w₁ + ½s'·w₂` expression —
-                // bitwise the same chain as the CSR branch above.
-                let len = range.len();
-                let lo = range.start;
-                for j in 0..order1 {
-                    let uj = &u_cur[j * n..(j + 1) * n];
-                    // SAFETY: chunks write disjoint row ranges.
-                    let out = unsafe {
-                        std::slice::from_raw_parts_mut(u_next.add(j * n + lo), len)
-                    };
-                    op.matvec_range_scalar(uj, out, range.clone());
-                    if j >= 2 {
-                        let w1 = &u_cur[(j - 1) * n + lo..(j - 1) * n + range.end];
-                        let w2 = &u_cur[(j - 2) * n + lo..(j - 2) * n + range.end];
-                        let rp = &r_prime[range.clone()];
-                        let sh = &s_half[range.clone()];
-                        for idx in 0..len {
-                            out[idx] = out[idx] + rp[idx] * w1[idx] + sh[idx] * w2[idx];
-                        }
-                    } else if j == 1 {
-                        let w1 = &u_cur[lo..range.end];
-                        let rp = &r_prime[range.clone()];
-                        for idx in 0..len {
-                            out[idx] += rp[idx] * w1[idx];
-                        }
+        }
+        MatrixParts::Op(op) => {
+            // The operator computes these rows' dots straight into
+            // `u_next` (the store is exact), then the diagonal combine
+            // rewrites each cell with the canonical left-associated
+            // `dot + r'·w₁ + ½s'·w₂` expression — bitwise the same chain
+            // as the CSR branch above.
+            let len = range.len();
+            let lo = range.start;
+            for j in 0..order1 {
+                let uj = &u_cur[j * n..(j + 1) * n];
+                // SAFETY: bodies write disjoint rows.
+                let out = unsafe { std::slice::from_raw_parts_mut(u_next.add(j * n + lo), len) };
+                op.matvec_range_scalar(uj, out, range.clone());
+                if j >= 2 {
+                    let w1 = &u_cur[(j - 1) * n + lo..(j - 1) * n + range.end];
+                    let w2 = &u_cur[(j - 2) * n + lo..(j - 2) * n + range.end];
+                    let rp = &r_prime[range.clone()];
+                    let sh = &s_half[range.clone()];
+                    for idx in 0..len {
+                        out[idx] = out[idx] + rp[idx] * w1[idx] + sh[idx] * w2[idx];
+                    }
+                } else if j == 1 {
+                    let w1 = &u_cur[lo..range.end];
+                    let rp = &r_prime[range.clone()];
+                    for idx in 0..len {
+                        out[idx] += rp[idx] * w1[idx];
                     }
                 }
             }
@@ -600,9 +953,10 @@ fn scalar_chunk(ctx: &PassCtx, range: Range<usize>) {
 }
 
 /// The canonical-FMA combine shared by the simd CSR rows and the simd
-/// DIA edge rows: `fma(½s'[i], w₂, fma(r'[i], w₁, dot))`. The strict
-/// interior uses [`simd::axpy_fma`] to apply the identical two terms
-/// lane-wise, so every simd row agrees bitwise regardless of path.
+/// DIA edge rows: `fma(½s'[i], w₂, fma(r'[i], w₁, dot))`. The DIA
+/// interior applies the identical two terms lane-wise, and the operator
+/// rows via [`simd::axpy_fma`], so every simd row agrees bitwise
+/// regardless of path.
 #[inline(always)]
 fn fma_combine(ctx: &PassCtx, j: usize, i: usize, dot: f64) -> f64 {
     let n = ctx.n;
@@ -618,10 +972,10 @@ fn fma_combine(ctx: &PassCtx, j: usize, i: usize, dot: f64) -> f64 {
     }
 }
 
-/// Row-block size of the simd pass: 2048 rows = 16 KiB per order
-/// stream, sized so a block of every order's `U_k` plus the diagonal
-/// and combine streams stays cache-resident while all time points and
-/// orders consume it.
+/// Row-block size of the simd CSR and operator bodies: 2048 rows =
+/// 16 KiB per order stream, sized so a block of every order's `U_k`
+/// plus the matrix and combine streams stays in L1/L2 while all time
+/// points and orders consume it.
 const SIMD_BLOCK: usize = 2048;
 
 /// Lookahead distance (in rows) of the software prefetch issued ahead
@@ -634,63 +988,76 @@ const CSR_PREFETCH_ROWS: usize = 8;
 /// lookahead row's indices costs more than the stall it would hide.
 const CSR_PREFETCH_MIN_NNZ_PER_ROW: usize = 8;
 
-/// The canonical-FMA chunk body. Tiles the chunk into [`SIMD_BLOCK`]
-/// row blocks; within a block the Poisson-weighted accumulate runs for
-/// every `(time, order)` pair while the `U_k` rows are cache-hot
-/// (vectorized Neumaier, bitwise-equal to the scalar update), then the
-/// advance re-reads the same rows as dot input for order `j` and as
-/// combine input for orders `j+1`/`j+2`. The DIA interior runs 4-wide
-/// ([`simd::dot_strips`] + [`simd::axpy_fma`]); the CSR gather is
-/// software-prefetched [`CSR_PREFETCH_ROWS`] rows ahead.
+/// The canonical-FMA body. The DIA interior runs the single-pass row
+/// loop [`dia_groups`]; CSR and operator rows are tiled into
+/// [`SIMD_BLOCK`] row blocks where the Poisson-weighted accumulate runs
+/// for every `(time, order)` pair while the `U_k` rows are cache-hot,
+/// then the advance re-reads the same rows (the CSR gather is
+/// software-prefetched [`CSR_PREFETCH_ROWS`] rows ahead).
 ///
 /// Dispatch: with AVX2+FMA detected the body runs inside a
-/// `#[target_feature]` wrapper so every `mul_add` in the row loops
-/// compiles to a single `vfmadd` — without it (portable builds, or
-/// `--kernel simd` forced on older CPUs) the same body runs as-is and
-/// `mul_add` falls back to the correctly-rounded libm fma, producing
-/// identical bits at lower speed.
-fn simd_chunk(ctx: &PassCtx, range: Range<usize>) {
+/// `#[target_feature]` wrapper so every `mul_add` compiles to a single
+/// `vfmadd` and the DIA interior runs four rows per register — without
+/// it (portable builds, or `--kernel simd` forced on older CPUs) the same
+/// body runs one row at a time and `mul_add` falls back to the
+/// correctly-rounded libm fma, producing identical bits at lower speed.
+fn simd_rows(ctx: &PassCtx, range: Range<usize>) {
     #[cfg(target_arch = "x86_64")]
     if simd::fma_available() {
         // SAFETY: AVX2+FMA presence was just checked at runtime.
-        unsafe { simd_chunk_avx2(ctx, range) };
+        unsafe { simd_rows_avx2(ctx, range) };
         return;
     }
-    simd_chunk_impl(ctx, range);
+    // SAFETY: plain `f64` lanes run on every CPU.
+    unsafe { simd_rows_impl::<f64>(ctx, range) };
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn simd_chunk_avx2(ctx: &PassCtx, range: Range<usize>) {
-    simd_chunk_impl(ctx, range);
+unsafe fn simd_rows_avx2(ctx: &PassCtx, range: Range<usize>) {
+    simd_rows_impl::<simd::Avx2Lanes>(ctx, range);
 }
 
+/// The simd body with the DIA interior in groups of `V::WIDTH` rows.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instructions.
 #[inline(always)]
-fn simd_chunk_impl(ctx: &PassCtx, range: Range<usize>) {
+unsafe fn simd_rows_impl<V: Lanes>(ctx: &PassCtx, range: Range<usize>) {
     let n = ctx.n;
     let order1 = ctx.order1;
     let u_cur = ctx.u_cur;
-    // DIA-only precomputation: per-diagonal views and this chunk's
-    // interior rows (where every diagonal is in band). For CSR the
-    // whole chunk counts as interior.
-    let (dia_offsets, dia_diags, int_lo, int_hi) = match ctx.parts {
-        MatrixParts::Dia(offsets, data) => {
-            let diags: Vec<&[f64]> = data.chunks_exact(n).collect();
-            let mut lo = range.start;
-            let mut hi = range.end;
-            for &o in offsets {
-                let rows = DiaMatrix::diag_rows(n, o);
-                lo = lo.max(rows.start);
-                hi = hi.min(rows.end);
+    if let MatrixParts::Dia(offsets, data) = ctx.parts {
+        let ilo = range.start.max(ctx.interior.start).min(range.end);
+        let ihi = range.end.min(ctx.interior.end).max(ilo);
+        // Edge rows near the matrix border guard each diagonal.
+        for i in (range.start..ilo).chain(ihi..range.end) {
+            ctx.accumulate_row(i);
+            if ctx.advance {
+                for j in 0..order1 {
+                    let mut dot = 0.0;
+                    for (&o, diag) in offsets.iter().zip(data.chunks_exact(n)) {
+                        if DiaMatrix::diag_rows(n, o).contains(&i) {
+                            dot = diag[i].mul_add(u_cur[j * n + (i as isize + o) as usize], dot);
+                        }
+                    }
+                    // SAFETY: bodies write disjoint rows.
+                    unsafe { *ctx.u_next.add(j * n + i) = fma_combine(ctx, j, i, dot) };
+                }
             }
-            let lo = lo.min(range.end);
-            (offsets, diags, lo, hi.max(lo))
         }
-        MatrixParts::Csr(..) | MatrixParts::Op(..) => {
-            (&[][..], Vec::new(), range.start, range.end)
+        // SAFETY: `ilo..ihi` lies in the DIA interior and inside this
+        // body's rows; our caller guarantees the CPU supports `V`.
+        unsafe {
+            let rest = dia_interior::<V>(ctx, offsets, data, ilo, ihi);
+            dia_groups::<f64, 0, 0>(ctx, offsets, data, rest, ihi);
         }
-    };
-    let mut strips: Vec<(&[f64], &[f64])> = Vec::with_capacity(dia_diags.len());
+        return;
+    }
     let mut blo = range.start;
     while blo < range.end {
         let bhi = (blo + SIMD_BLOCK).min(range.end);
@@ -699,18 +1066,22 @@ fn simd_chunk_impl(ctx: &PassCtx, range: Range<usize>) {
             let uj = &u_cur[j * n + blo..j * n + bhi];
             for &(ti, wk) in ctx.active {
                 let base = (ti * order1 + j) * n + blo;
-                // SAFETY: chunks write disjoint row ranges.
-                let accs =
-                    unsafe { std::slice::from_raw_parts_mut(ctx.acc.add(base), len) };
-                simd::accumulate_scaled(accs, uj, wk);
+                // SAFETY: bodies write disjoint rows.
+                let (sums, comps) = unsafe {
+                    (
+                        std::slice::from_raw_parts_mut(ctx.acc_sum.add(base), len),
+                        std::slice::from_raw_parts_mut(ctx.acc_comp.add(base), len),
+                    )
+                };
+                simd::accumulate_planes(sums, comps, uj, wk);
             }
         }
         if ctx.advance {
             match ctx.parts {
                 MatrixParts::Csr(row_ptr, col_idx, values) => {
                     // Prefetch pays for itself only on gather-heavy
-                    // rows: on narrow-band matrices stored as CSR
-                    // (few, adjacent targets per row) the extra index
+                    // rows: on narrow-band matrices stored as CSR (few,
+                    // adjacent targets per row) the extra index
                     // traversal costs as much as the dot it hides.
                     let prefetch = row_ptr[n] >= CSR_PREFETCH_MIN_NNZ_PER_ROW * n;
                     for j in 0..order1 {
@@ -727,19 +1098,19 @@ fn simd_chunk_impl(ctx: &PassCtx, range: Range<usize>) {
                                 dot = values[k].mul_add(uj[col_idx[k]], dot);
                             }
                             let v = fma_combine(ctx, j, i, dot);
-                            // SAFETY: chunks write disjoint row ranges.
+                            // SAFETY: bodies write disjoint rows.
                             unsafe { *ctx.u_next.add(j * n + i) = v };
                         }
                     }
                 }
                 MatrixParts::Op(op) => {
-                    // Mirrors the DIA strict interior: the operator's
-                    // canonical-FMA rows land in `u_next`, then
-                    // `axpy_fma` applies the identical `r'`/`½s'`
-                    // terms lane-wise (same chain as `fma_combine`).
+                    // The operator's canonical-FMA rows land in
+                    // `u_next`, then `axpy_fma` applies the identical
+                    // `r'`/`½s'` terms lane-wise (same chain as
+                    // `fma_combine`).
                     for j in 0..order1 {
                         let uj = &u_cur[j * n..(j + 1) * n];
-                        // SAFETY: chunks write disjoint row ranges.
+                        // SAFETY: bodies write disjoint rows.
                         let out = unsafe {
                             std::slice::from_raw_parts_mut(ctx.u_next.add(j * n + blo), len)
                         };
@@ -754,61 +1125,132 @@ fn simd_chunk_impl(ctx: &PassCtx, range: Range<usize>) {
                         }
                     }
                 }
-                MatrixParts::Dia(..) => {
-                    // This block's slice of the chunk interior; rows
-                    // outside it are edge rows handled per-diagonal.
-                    let ilo = blo.max(int_lo).min(bhi);
-                    let ihi = bhi.min(int_hi).max(ilo);
-                    for j in 0..order1 {
-                        let uj = &u_cur[j * n..(j + 1) * n];
-                        for i in (blo..ilo).chain(ihi..bhi) {
-                            let mut dot = 0.0;
-                            for (&o, &diag) in dia_offsets.iter().zip(&dia_diags) {
-                                if DiaMatrix::diag_rows(n, o).contains(&i) {
-                                    dot = diag[i].mul_add(uj[(i as isize + o) as usize], dot);
-                                }
-                            }
-                            let v = fma_combine(ctx, j, i, dot);
-                            // SAFETY: chunks write disjoint row ranges.
-                            unsafe { *ctx.u_next.add(j * n + i) = v };
-                        }
-                        if ihi > ilo {
-                            strips.clear();
-                            for (&o, &diag) in dia_offsets.iter().zip(&dia_diags) {
-                                let x_lo = (ilo as isize + o) as usize;
-                                let x_hi = (ihi as isize + o) as usize;
-                                strips.push((&diag[ilo..ihi], &uj[x_lo..x_hi]));
-                            }
-                            // SAFETY: chunks write disjoint row ranges.
-                            let out = unsafe {
-                                std::slice::from_raw_parts_mut(
-                                    ctx.u_next.add(j * n + ilo),
-                                    ihi - ilo,
-                                )
-                            };
-                            simd::dot_strips(out, &strips);
-                            if j >= 1 {
-                                let w1 = &u_cur[(j - 1) * n + ilo..(j - 1) * n + ihi];
-                                simd::axpy_fma(out, &ctx.r_prime[ilo..ihi], w1);
-                            }
-                            if j >= 2 {
-                                let w2 = &u_cur[(j - 2) * n + ilo..(j - 2) * n + ihi];
-                                simd::axpy_fma(out, &ctx.s_half[ilo..ihi], w2);
-                            }
-                        }
-                    }
-                }
+                MatrixParts::Dia(..) => unreachable!("DIA rows returned above"),
             }
         }
         blo = bhi;
     }
 }
 
+/// Runs [`dia_groups`] over `lo..hi` specialized for the common shapes
+/// (orders 0–3; three diagonals), returning the first row left over.
+///
+/// # Safety
+///
+/// As [`dia_groups`].
+#[inline(always)]
+unsafe fn dia_interior<V: Lanes>(
+    ctx: &PassCtx,
+    offsets: &[isize],
+    data: &[f64],
+    lo: usize,
+    hi: usize,
+) -> usize {
+    match (ctx.order1, offsets.len()) {
+        (1, 3) => dia_groups::<V, 1, 3>(ctx, offsets, data, lo, hi),
+        (2, 3) => dia_groups::<V, 2, 3>(ctx, offsets, data, lo, hi),
+        (3, 3) => dia_groups::<V, 3, 3>(ctx, offsets, data, lo, hi),
+        (4, 3) => dia_groups::<V, 4, 3>(ctx, offsets, data, lo, hi),
+        (1, _) => dia_groups::<V, 1, 0>(ctx, offsets, data, lo, hi),
+        (2, _) => dia_groups::<V, 2, 0>(ctx, offsets, data, lo, hi),
+        (3, _) => dia_groups::<V, 3, 0>(ctx, offsets, data, lo, hi),
+        (4, _) => dia_groups::<V, 4, 0>(ctx, offsets, data, lo, hi),
+        _ => dia_groups::<V, 0, 0>(ctx, offsets, data, lo, hi),
+    }
+}
+
+/// The single-pass DIA interior: rows `lo..hi` in groups of `V::WIDTH`.
+/// Each group loads its diagonals, `r'` and `½s'` once; computes per
+/// order the canonical-FMA dot over ascending offsets (`d₀·x₀`, then one
+/// `mul_add` per further diagonal, as a strip dot would) and the
+/// combine `fma(½s', w₂, fma(r', w₁, dot))`, carrying the lower orders'
+/// `U` values in registers; then, per active time point, the Neumaier
+/// update of every order's accumulators — so each `U` row comes from
+/// memory once per pass, and the per-time loop runs once per group
+/// rather than once per order. `O1` (= order + 1) and `ND` (the diagonal
+/// count) fix the loop bounds at compile time; 0 reads them from
+/// `ctx`/`offsets`. Returns the first row not covered by a whole group.
+///
+/// # Safety
+///
+/// `lo..hi` must lie inside the DIA interior (every diagonal in band)
+/// and inside the rows the calling body owns, and the CPU must support
+/// `V`.
+#[inline(always)]
+unsafe fn dia_groups<V: Lanes, const O1: usize, const ND: usize>(
+    ctx: &PassCtx,
+    offsets: &[isize],
+    data: &[f64],
+    lo: usize,
+    hi: usize,
+) -> usize {
+    let n = ctx.n;
+    let order1 = if O1 > 0 { O1 } else { ctx.order1 };
+    let nd = if ND > 0 { ND } else { offsets.len() };
+    assert!(order1 == ctx.order1 && nd == offsets.len());
+    assert!(lo >= hi || (ctx.interior.start <= lo && hi <= ctx.interior.end));
+    let u = ctx.u_cur.as_ptr();
+    let (rp, sh, dp) = (ctx.r_prime.as_ptr(), ctx.s_half.as_ptr(), data.as_ptr());
+    let mut i = lo;
+    while i + V::WIDTH <= hi {
+        // The three-diagonal shape keeps its coefficients in registers
+        // for every order; other shapes re-load them (from L1).
+        let coeffs: [V; ND] = std::array::from_fn(|d| V::load(dp.add(d * n + i)));
+        let coeff = |d: usize| match coeffs.get(d) {
+            Some(&c) => c,
+            None => V::load(dp.add(d * n + i)),
+        };
+        let r = V::load(rp.add(i));
+        let s = V::load(sh.add(i));
+        if ctx.advance {
+            // Centre values of orders j−1 and j−2 (read only once set).
+            let (mut w1, mut w2) = (r, r);
+            for j in 0..order1 {
+                let uj = u.add(j * n + i);
+                let mut dot = match nd {
+                    0 => V::splat(0.0),
+                    _ => coeff(0).mul(V::load(uj.offset(offsets[0]))),
+                };
+                for d in 1..nd {
+                    dot = coeff(d).mul_add(V::load(uj.offset(offsets[d])), dot);
+                }
+                if j >= 1 {
+                    dot = r.mul_add(w1, dot);
+                }
+                if j >= 2 {
+                    dot = s.mul_add(w2, dot);
+                }
+                dot.store(ctx.u_next.add(j * n + i));
+                w2 = w1;
+                w1 = V::load(uj);
+            }
+        }
+        for &(ti, wk) in ctx.active {
+            let w = V::splat(wk);
+            let cell = ti * order1 * n + i;
+            for j in 0..order1 {
+                let at = cell + j * n;
+                V::neumaier(
+                    ctx.acc_sum.add(at),
+                    ctx.acc_comp.add(at),
+                    w.mul(V::load(u.add(j * n + i))),
+                );
+            }
+        }
+        i += V::WIDTH;
+    }
+    i
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::Mat;
     use crate::dia::MatrixFormat;
+    use crate::operator::{KroneckerSum, OperatorMatrix, UniformizedBirthDeath};
     use crate::sparse::{CsrMatrix, TripletBuilder};
+    use proptest::prelude::*;
+    use somrm_num::sum::NeumaierSum;
 
     /// Straightforward single-threaded reference implementing the same
     /// recursion as the pre-fusion solver loop.
@@ -871,6 +1313,10 @@ mod tests {
         }
     }
 
+    fn values(k: &FusedMomentKernel, ti: usize, j: usize) -> Vec<f64> {
+        k.accumulated(ti, j).values().collect()
+    }
+
     fn test_matrix(n: usize) -> CsrMatrix<f64> {
         let mut b = TripletBuilder::with_capacity(n, n, 4 * n);
         for i in 0..n {
@@ -913,11 +1359,12 @@ mod tests {
                 }
                 for ti in 0..2 {
                     for j in 0..=order {
-                        let f: Vec<f64> =
-                            fused.accumulated(ti, j).iter().map(|a| a.value()).collect();
-                        let r: Vec<f64> =
-                            reference.acc[ti][j].iter().map(|a| a.value()).collect();
-                        assert_eq!(f, r, "format {format}, threads {threads}, ti {ti}, j {j}");
+                        let r: Vec<f64> = reference.acc[ti][j].iter().map(|a| a.value()).collect();
+                        assert_eq!(
+                            values(&fused, ti, j),
+                            r,
+                            "format {format}, threads {threads}, ti {ti}, j {j}"
+                        );
                     }
                 }
             }
@@ -947,18 +1394,24 @@ mod tests {
         let r_prime: Vec<f64> = (0..n).map(|i| (i % 7) as f64 / 10.0).collect();
         let s_half: Vec<f64> = (0..n).map(|i| (i % 3) as f64 / 20.0).collect();
         let u0 = vec![1.0; n];
-        for threads in [1usize, 3, 8] {
-            let mut a = FusedMomentKernel::new(&csr, &r_prime, &s_half, order, 1, &u0, threads);
-            let mut d = FusedMomentKernel::new(&dia, &r_prime, &s_half, order, 1, &u0, threads);
-            for k in 0..25 {
-                let active = [(0usize, 0.5f64 / (k + 1) as f64)];
-                a.step(&active, k < 24);
-                d.step(&active, k < 24);
-            }
-            for j in 0..=order {
-                let va: Vec<f64> = a.accumulated(0, j).iter().map(|s| s.value()).collect();
-                let vd: Vec<f64> = d.accumulated(0, j).iter().map(|s| s.value()).collect();
-                assert_eq!(va, vd, "threads {threads}, j {j}");
+        for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
+            for threads in [1usize, 3, 8] {
+                let mut a = FusedMomentKernel::new(&csr, &r_prime, &s_half, order, 1, &u0, threads);
+                let mut d = FusedMomentKernel::new(&dia, &r_prime, &s_half, order, 1, &u0, threads);
+                a.set_variant(variant);
+                d.set_variant(variant);
+                for k in 0..25 {
+                    let active = [(0usize, 0.5f64 / (k + 1) as f64)];
+                    a.step(&active, k < 24);
+                    d.step(&active, k < 24);
+                }
+                for j in 0..=order {
+                    assert_eq!(
+                        values(&a, 0, j),
+                        values(&d, 0, j),
+                        "{variant:?}, threads {threads}, j {j}"
+                    );
+                }
             }
         }
     }
@@ -990,7 +1443,7 @@ mod tests {
         let mut out = Vec::new();
         for ti in 0..2 {
             for j in 0..=order {
-                out.extend(k.accumulated(ti, j).iter().map(|a| a.value()));
+                out.extend(values(&k, ti, j));
             }
         }
         out
@@ -1013,37 +1466,34 @@ mod tests {
         b.build()
     }
 
+    fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what} diverged at {i}: {x} vs {y}"
+            );
+        }
+    }
+
     #[test]
     fn operator_kernel_bitwise_matches_csr_kernel_scalar() {
-        let n = 131;
-        let m = tridiag_matrix(n);
+        let m = tridiag_matrix(131);
         for threads in [1usize, 2, 4, 8] {
             let a = run_variant(&m, MatrixFormat::Csr, threads, ResolvedKernel::Scalar);
             let b = run_variant(&m, MatrixFormat::Operator, threads, ResolvedKernel::Scalar);
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "scalar operator x{threads} diverged at {i}: {x} vs {y}"
-                );
-            }
+            assert_bits(&a, &b, &format!("scalar operator x{threads}"));
         }
     }
 
     #[test]
     fn operator_kernel_bitwise_matches_csr_kernel_simd() {
-        let n = 131;
-        let m = tridiag_matrix(n);
+        let m = tridiag_matrix(131);
         let baseline = run_variant(&m, MatrixFormat::Csr, 1, ResolvedKernel::Simd);
         for threads in [1usize, 2, 4, 8] {
             let got = run_variant(&m, MatrixFormat::Operator, threads, ResolvedKernel::Simd);
-            for (i, (x, y)) in baseline.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "simd operator x{threads} diverged at {i}: {x} vs {y}"
-                );
-            }
+            assert_bits(&baseline, &got, &format!("simd operator x{threads}"));
         }
     }
 
@@ -1057,14 +1507,7 @@ mod tests {
         for format in [MatrixFormat::Csr, MatrixFormat::Dia] {
             for threads in [1usize, 2, 4, 8] {
                 let got = run_variant(&m, format, threads, ResolvedKernel::Simd);
-                assert_eq!(baseline.len(), got.len());
-                for (i, (a, b)) in baseline.iter().zip(&got).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "simd {format} x{threads} diverged at {i}: {a} vs {b}"
-                    );
-                }
+                assert_bits(&baseline, &got, &format!("simd {format} x{threads}"));
             }
         }
     }
@@ -1086,6 +1529,246 @@ mod tests {
     }
 
     #[test]
+    fn portable_lanes_match_the_dispatched_simd_body_bitwise() {
+        // The one-row `f64` lanes are the simd body on CPUs without
+        // AVX2+FMA; on CPUs with it they must still give the very bits of
+        // the four-row lanes, for every specialized order and shape.
+        let n = 37;
+        for offsets in [&[-1isize, 0, 1][..], &[-2, -1, 0, 1, 2][..]] {
+            let mut b = TripletBuilder::with_capacity(n, n, offsets.len() * n);
+            for i in 0..n {
+                for &o in offsets {
+                    let j = i as isize + o;
+                    if (0..n as isize).contains(&j) {
+                        b.push(
+                            i,
+                            j as usize,
+                            0.15 + ((i + 3 * j as usize) % 7) as f64 * 0.02,
+                        );
+                    }
+                }
+            }
+            let dia = IterationMatrix::with_format(b.build(), MatrixFormat::Dia);
+            let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0 - 0.4).collect();
+            let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
+            let u0: Vec<f64> = (0..n).map(|i| 1.0 - (i % 5) as f64 * 0.3).collect();
+            for order in 0..=5 {
+                let run = |portable: bool| {
+                    let mut k = FusedMomentKernel::new(&dia, &r_prime, &s_half, order, 2, &u0, 1);
+                    k.set_variant(ResolvedKernel::Simd);
+                    for step in 0..12 {
+                        let active = [(0usize, 0.25 / (step + 1) as f64), (1, 0.125)];
+                        let (pairs, ends) = (&active[..step % 3], [step % 3]);
+                        if portable {
+                            k.run_stretch_with(pairs, &ends, step < 11, |ctx, rows| {
+                                // SAFETY: `f64` lanes run on every CPU.
+                                unsafe { simd_rows_impl::<f64>(ctx, rows) }
+                            });
+                        } else {
+                            k.run_stretch(pairs, &ends, step < 11);
+                        }
+                    }
+                    kernel_state(&k, 2, order)
+                };
+                assert_bits(
+                    &run(false),
+                    &run(true),
+                    &format!("{offsets:?} order {order}"),
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The schedule on its own: every step covers each row exactly
+        /// once, every row reads (its own and `band` neighbours on each
+        /// side) only values of the step it computes, in the buffer that
+        /// step reads, and accumulates its steps in ascending order —
+        /// simulated with version stamps in two buffers.
+        #[test]
+        fn wavefront_schedule_reads_only_current_values(
+            n in 1usize..300,
+            band in 0usize..9,
+            block_rows in 8usize..65,
+            steps in 1usize..20,
+        ) {
+            let wave = Wavefront::new(n, band, block_rows, steps);
+            let mut version = [vec![0usize; n], vec![usize::MAX; n]];
+            let mut last_step = vec![None::<usize>; n];
+            let mut covered = vec![0usize; n * steps];
+            for block in 0..wave.blocks() {
+                for t in 0..steps {
+                    for i in wave.rows(block, t) {
+                        covered[t * n + i] += 1;
+                        prop_assert_eq!(last_step[i], t.checked_sub(1), "row {} step {}", i, t);
+                        last_step[i] = Some(t);
+                        for r in i.saturating_sub(band)..(i + band + 1).min(n) {
+                            prop_assert_eq!(
+                                version[t % 2][r], t, "row {} reads {} at step {}", i, r, t
+                            );
+                        }
+                        version[(t + 1) % 2][i] = t + 1;
+                    }
+                }
+            }
+            prop_assert!(covered.iter().all(|&c| c == 1), "each row once per step");
+        }
+    }
+
+    /// The iteration matrices the schedule test runs: DIA with three and
+    /// five diagonals, banded CSR, the birth–death operator, and a
+    /// Kronecker sum whose band is too wide for a skewed sweep.
+    fn schedule_matrices(n: usize) -> Vec<(&'static str, IterationMatrix)> {
+        let banded = |offsets: &[isize]| {
+            let mut b = TripletBuilder::with_capacity(n, n, offsets.len() * n);
+            for i in 0..n {
+                for &o in offsets {
+                    let j = i as isize + o;
+                    if (0..n as isize).contains(&j) {
+                        b.push(
+                            i,
+                            j as usize,
+                            0.2 + ((i * 7 + o.unsigned_abs()) % 11) as f64 * 0.01,
+                        );
+                    }
+                }
+            }
+            b.build()
+        };
+        let tri = banded(&[-1, 0, 1]);
+        let penta = banded(&[-2, -1, 0, 1, 2]);
+        let wide = banded(&[-3, 0, 2]);
+        let bd = UniformizedBirthDeath::from_rates(
+            n,
+            7.0,
+            |i| 1.0 + (i % 3) as f64,
+            |i| 2.0 + (i % 5) as f64 * 0.5,
+        )
+        .unwrap();
+        let f = |k: usize| {
+            Mat::from_fn(k, k, |r, c| {
+                if r != c {
+                    0.25 + ((r + 2 * c) % 4) as f64 * 0.5
+                } else {
+                    0.0
+                }
+            })
+        };
+        let kron = KroneckerSum::new(vec![f(4), f(3), f(4)], 20.0).unwrap();
+        assert_eq!(kron.rows(), 48);
+        vec![
+            ("dia3", IterationMatrix::with_format(tri, MatrixFormat::Dia)),
+            (
+                "dia5",
+                IterationMatrix::with_format(penta, MatrixFormat::Dia),
+            ),
+            ("csr", IterationMatrix::with_format(wide, MatrixFormat::Csr)),
+            (
+                "bd",
+                IterationMatrix::Operator(OperatorMatrix::birth_death(bd)),
+            ),
+            (
+                "kron",
+                IterationMatrix::Operator(OperatorMatrix::kronecker(kron)),
+            ),
+        ]
+    }
+
+    /// Poisson-like windows of `n_times` time points over `g + 1` steps,
+    /// overlapping only in part, so some steps accumulate nothing.
+    fn window_weights(n_times: usize, g: usize) -> Vec<Vec<(usize, f64)>> {
+        let windows = [(0usize, 9usize), (6, 21), (25, g)];
+        (0..=g)
+            .map(|k| {
+                windows[..n_times]
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &(lo, hi))| (lo..=hi).contains(&k))
+                    .map(|(ti, _)| (ti, 1.0 / (k + ti + 2) as f64))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Everything a kernel computed, for bitwise comparison.
+    fn kernel_state(k: &FusedMomentKernel, n_times: usize, order: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        for ti in 0..n_times {
+            for j in 0..=order {
+                let acc = k.accumulated(ti, j);
+                out.extend(acc.sums.iter().chain(acc.comps));
+            }
+        }
+        for j in 0..=order {
+            out.extend(k.u_order(j));
+        }
+        out
+    }
+
+    #[test]
+    fn stretch_runs_are_bitwise_identical_to_pass_by_pass_runs() {
+        let g = 40;
+        let mut case = 0usize;
+        for (name, matrix) in schedule_matrices(150) {
+            let n = matrix.rows();
+            let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
+            let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
+            let u0: Vec<f64> = (0..n).map(|i| 1.0 - (i % 3) as f64 * 0.25).collect();
+            for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
+                for order in 0..=5 {
+                    case += 1;
+                    let n_times = 1 + case % 3;
+                    let block_rows = [8usize, 13, 32, 64][case % 4];
+                    let depth = [2usize, 5, 16, 64][(case / 4) % 4];
+                    let weights = window_weights(n_times, g);
+                    let what = format!(
+                        "{name} {variant:?} order {order}, {n_times} times, \
+                         {block_rows}-row blocks, depth {depth}"
+                    );
+
+                    let mut by_pass =
+                        FusedMomentKernel::new(&matrix, &r_prime, &s_half, order, n_times, &u0, 1);
+                    by_pass.set_variant(variant);
+                    for (k, active) in weights.iter().enumerate() {
+                        by_pass.step(active, k < g);
+                    }
+
+                    let mut skewed =
+                        FusedMomentKernel::new(&matrix, &r_prime, &s_half, order, n_times, &u0, 1);
+                    skewed.set_variant(variant);
+                    skewed.set_block_rows(block_rows);
+                    if name == "kron" {
+                        assert_eq!(skewed.depth, 1, "Kronecker band is too wide to skew");
+                    } else {
+                        skewed.depth = depth;
+                    }
+                    let mut steps = StepWeights::new();
+                    let mut k0 = 0;
+                    for len in [1usize, 7, 3, 19].iter().cycle() {
+                        let k1 = (k0 + len - 1).min(g);
+                        steps.clear();
+                        for active in &weights[k0..=k1] {
+                            steps.push_step(active.iter().copied());
+                        }
+                        skewed.run(&steps, k1 < g);
+                        k0 = k1 + 1;
+                        if k0 > g {
+                            break;
+                        }
+                    }
+                    assert_bits(
+                        &kernel_state(&by_pass, n_times, order),
+                        &kernel_state(&skewed, n_times, order),
+                        &what,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn order_zero_and_empty_active_work() {
         let n = 16;
         let m = test_matrix(n);
@@ -1097,8 +1780,7 @@ mod tests {
         k.step(&[(0, 1.0)], false);
         let mut expect = vec![0.0; n];
         m.matvec_into(&u0, &mut expect);
-        let got: Vec<f64> = k.accumulated(0, 0).iter().map(|a| a.value()).collect();
-        assert_eq!(got, expect);
+        assert_eq!(values(&k, 0, 0), expect);
     }
 
     #[test]
@@ -1116,19 +1798,25 @@ mod tests {
         for _ in 0..5 {
             k.step(&[(0, 0.1)], true);
         }
+        let mut steps = StepWeights::new();
+        for _ in 0..4 {
+            steps.push_step([(0, 0.1)]);
+        }
+        k.run(&steps, true);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("kernel.passes"), Some(5));
-        assert_eq!(snap.timing("kernel.pass").unwrap().count, 5);
+        // One span per stretch, one count per step.
+        assert_eq!(snap.counter("kernel.passes"), Some(9));
+        assert_eq!(snap.timing("kernel.pass").unwrap().count, 6);
         let stats = k.pool_stats().expect("2-chunk kernel runs a pool");
         assert_eq!(stats.threads, 2);
-        assert_eq!(stats.epochs, 5);
+        assert_eq!(stats.epochs, 9);
 
         let serial = FusedMomentKernel::new(&im, &zeros, &zeros, 1, 1, &u0, 1);
         assert!(serial.pool_stats().is_none());
     }
 
     #[test]
-    fn chunk_timeline_events_come_from_each_worker_lane() {
+    fn chunk_timeline_events_come_once_per_stretch_from_each_worker_lane() {
         use somrm_obs::ChromeTraceRecorder;
         use std::sync::Arc;
 
@@ -1142,23 +1830,33 @@ mod tests {
         for _ in 0..3 {
             k.step(&[(0, 0.1)], true);
         }
-        // 3 passes × 2 chunks + 3 kernel.pass spans.
+        let mut steps = StepWeights::new();
+        for _ in 0..5 {
+            steps.push_step([(0, 0.1)]);
+        }
+        k.run(&steps, false);
+        // 4 stretches × 2 lanes + 4 kernel.pass spans.
         let v = somrm_obs::json::parse(&chrome.to_json()).unwrap();
         let events = v.get("traceEvents").unwrap().as_array().unwrap();
-        let chunk_tids: Vec<f64> = events
+        let named = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("name").unwrap().as_str() == Some(name))
+                .collect::<Vec<_>>()
+        };
+        let chunk_tids: Vec<f64> = named("kernel.chunk")
             .iter()
-            .filter(|e| e.get("name").unwrap().as_str() == Some("kernel.chunk"))
             .map(|e| e.get("tid").unwrap().as_f64().unwrap())
             .collect();
-        assert_eq!(chunk_tids.len(), 6);
+        assert_eq!(chunk_tids.len(), 8);
         let distinct: std::collections::BTreeSet<u64> =
             chunk_tids.iter().map(|&t| t as u64).collect();
-        assert_eq!(distinct.len(), 2, "one lane per chunk owner: {chunk_tids:?}");
-        let passes = events
-            .iter()
-            .filter(|e| e.get("name").unwrap().as_str() == Some("kernel.pass"))
-            .count();
-        assert_eq!(passes, 3);
+        assert_eq!(
+            distinct.len(),
+            2,
+            "one lane per chunk owner: {chunk_tids:?}"
+        );
+        assert_eq!(named("kernel.pass").len(), 4);
     }
 
     #[test]
@@ -1187,7 +1885,7 @@ mod tests {
         assert!(k.threads() <= n);
         k.step(&[(0, 1.0)], true);
         k.step(&[(0, 0.5)], false);
-        let got: Vec<f64> = k.accumulated(0, 0).iter().map(|a| a.value()).collect();
+        let got = values(&k, 0, 0);
         let mut au0 = vec![0.0; n];
         m.matvec_into(&u0, &mut au0);
         for i in 0..n {

@@ -24,13 +24,15 @@
 //! * [`pool`] — a persistent worker pool (threads spawned once per
 //!   solve, parked between passes) with statically-assigned chunks, so
 //!   parallel reductions stay deterministic;
-//! * [`fused`] — the fused randomization-recursion kernel: one parallel
-//!   pass per iteration covering the sparse mat-vec, the `R'`/`½S'`
-//!   diagonal combine, and the Poisson-weighted moment accumulation;
+//! * [`fused`] — the fused randomization-recursion kernel: one pass per
+//!   iteration covering the sparse mat-vec, the `R'`/`½S'` diagonal
+//!   combine, and the Poisson-weighted moment accumulation, run in
+//!   stretches of passes as a time-skewed wavefront over cache-sized
+//!   row blocks (or chunk by chunk on the worker pool);
 //! * [`simd`] — the kernel-variant selector (`scalar` reference vs
 //!   canonical-FMA `simd`) with runtime AVX2/FMA dispatch and the
-//!   vectorized strip/combine/accumulate primitives the fused kernel
-//!   blocks over;
+//!   vectorized lane, combine and accumulate primitives the fused kernel
+//!   is written over;
 //! * [`expm`] — matrix exponential by scaling-and-squaring with Padé(13),
 //!   generic over the scalar, used to evaluate `exp((Q − vR + v²S/2)t)`;
 //! * [`tridiag`] — symmetric tridiagonal eigensolver (implicit-shift QL)
@@ -71,7 +73,7 @@ pub use dense::Mat;
 pub use dia::{DiaMatrix, IterationMatrix, MatrixFormat, FORCED_DIA_MAX_BYTES};
 pub use error::LinalgError;
 pub use footprint::FootprintBytes;
-pub use fused::FusedMomentKernel;
+pub use fused::{Accumulated, FusedMomentKernel, StepWeights, MAX_STRETCH_STEPS};
 pub use operator::{
     KroneckerSum, MatVec, ModelStructure, OperatorMatrix, UniformizedBirthDeath,
 };

@@ -12,9 +12,9 @@
 //!   the `R'`/`½S'` combine is applied as two further fused terms.
 //!   Because `f64::mul_add` and the AVX2 `vfmadd` instruction are both
 //!   correctly rounded, the same bits come out of the 4-wide AVX2
-//!   lanes, the scalar remainder rows, and the portable
-//!   manually-unrolled fallback — on every CPU, at every thread count,
-//!   and on both the CSR and DIA storage layouts. Only *scalar vs simd*
+//!   lanes, the scalar remainder rows, and the portable one-row
+//!   fallback — on every CPU, at every thread count, and on both the
+//!   CSR and DIA storage layouts. Only *scalar vs simd*
 //!   differ, by the usual rounding reassociation, which stays well
 //!   inside the Theorem-4 truncation tolerance the verify oracle
 //!   checks.
@@ -26,7 +26,7 @@
 //! fallback is correct everywhere but `f64::mul_add` goes through libm
 //! without an FMA unit, so auto never picks it for speed).
 
-use somrm_num::sum::NeumaierSum;
+use somrm_num::sum::neumaier_add;
 
 /// Which fused-kernel implementation a solve should use.
 ///
@@ -40,7 +40,7 @@ pub enum KernelVariant {
     Auto,
     /// The strict-f64 reference path; bitwise-stable across releases.
     Scalar,
-    /// The canonical-FMA path (AVX2 lanes or the portable unrolled
+    /// The canonical-FMA path (AVX2 lanes or the portable one-row
     /// fallback — same bits either way).
     Simd,
 }
@@ -187,100 +187,6 @@ pub fn prefetch_read(p: *const f64) {
 }
 
 // ---------------------------------------------------------------------------
-// dot_strips: out[i] = Σ_d fma(diag_d[i], x_d[i]) in strip order
-// ---------------------------------------------------------------------------
-
-/// Computes, for each row of a block, the canonical-FMA dot product over
-/// a set of diagonal strips: `out[i] = fma(dN, xN, … fma(d1, x1, d0·x0))`.
-///
-/// Each strip is a `(coefficients, shifted input)` pair of equal-length
-/// slices; strips must be supplied in ascending diagonal-offset order so
-/// the chain visits columns left to right (the canonical association).
-pub fn dot_strips(out: &mut [f64], strips: &[(&[f64], &[f64])]) {
-    if strips.is_empty() {
-        out.fill(0.0);
-        return;
-    }
-    debug_assert!(strips.iter().all(|(d, x)| d.len() == out.len() && x.len() == out.len()));
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: gated on runtime AVX2+FMA detection.
-        unsafe { dot_strips_avx2(out, strips) };
-        return;
-    }
-    dot_strips_portable(out, strips);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_strips_avx2(out: &mut [f64], strips: &[(&[f64], &[f64])]) {
-    use core::arch::x86_64::*;
-    let len = out.len();
-    let po = out.as_mut_ptr();
-    let (d0, x0) = strips[0];
-    let mut i = 0usize;
-    while i + 4 <= len {
-        let mut acc = _mm256_mul_pd(
-            _mm256_loadu_pd(d0.as_ptr().add(i)),
-            _mm256_loadu_pd(x0.as_ptr().add(i)),
-        );
-        for &(d, x) in &strips[1..] {
-            acc = _mm256_fmadd_pd(
-                _mm256_loadu_pd(d.as_ptr().add(i)),
-                _mm256_loadu_pd(x.as_ptr().add(i)),
-                acc,
-            );
-        }
-        _mm256_storeu_pd(po.add(i), acc);
-        i += 4;
-    }
-    // Remainder rows: f64::mul_add compiles to scalar vfmadd inside this
-    // target_feature fn — identical bits to the vector lanes above.
-    while i < len {
-        let mut dot = d0[i] * x0[i];
-        for &(d, x) in &strips[1..] {
-            dot = d[i].mul_add(x[i], dot);
-        }
-        *out.get_unchecked_mut(i) = dot;
-        i += 1;
-    }
-}
-
-/// Portable 4-wide manually-unrolled fallback; same canonical FMA
-/// association via `f64::mul_add`, so bitwise-identical to the AVX2
-/// path (slower without an FMA unit — `Auto` avoids it).
-fn dot_strips_portable(out: &mut [f64], strips: &[(&[f64], &[f64])]) {
-    let len = out.len();
-    let (d0, x0) = strips[0];
-    let mut i = 0usize;
-    while i + 4 <= len {
-        let mut a0 = d0[i] * x0[i];
-        let mut a1 = d0[i + 1] * x0[i + 1];
-        let mut a2 = d0[i + 2] * x0[i + 2];
-        let mut a3 = d0[i + 3] * x0[i + 3];
-        for &(d, x) in &strips[1..] {
-            a0 = d[i].mul_add(x[i], a0);
-            a1 = d[i + 1].mul_add(x[i + 1], a1);
-            a2 = d[i + 2].mul_add(x[i + 2], a2);
-            a3 = d[i + 3].mul_add(x[i + 3], a3);
-        }
-        out[i] = a0;
-        out[i + 1] = a1;
-        out[i + 2] = a2;
-        out[i + 3] = a3;
-        i += 4;
-    }
-    while i < len {
-        let mut dot = d0[i] * x0[i];
-        for &(d, x) in &strips[1..] {
-            dot = d[i].mul_add(x[i], dot);
-        }
-        out[i] = dot;
-        i += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // axpy_fma: out[i] = fma(a[i], x[i], out[i])
 // ---------------------------------------------------------------------------
 
@@ -288,123 +194,267 @@ fn dot_strips_portable(out: &mut [f64], strips: &[(&[f64], &[f64])]) {
 /// (single rounding). Called once for the `R'` term and once for the
 /// `½S'` term, preserving the canonical association
 /// `fma(s_half, w2, fma(r_prime, w1, dot))`.
+///
+/// # Panics
+///
+/// Panics if the three slices differ in length.
 pub fn axpy_fma(out: &mut [f64], a: &[f64], x: &[f64]) {
-    debug_assert!(a.len() == out.len() && x.len() == out.len());
+    assert!(
+        a.len() == out.len() && x.len() == out.len(),
+        "axpy_fma: length mismatch"
+    );
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
-        // SAFETY: gated on runtime AVX2+FMA detection.
+        // SAFETY: gated on runtime AVX2+FMA detection; lengths checked.
         unsafe { axpy_fma_avx2(out, a, x) };
         return;
     }
-    axpy_fma_portable(out, a, x);
+    // SAFETY: lengths checked above.
+    unsafe { axpy_fma_from::<f64>(out, a, x, 0) };
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, and the slices must have equal
+/// lengths.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn axpy_fma_avx2(out: &mut [f64], a: &[f64], x: &[f64]) {
-    use core::arch::x86_64::*;
-    let len = out.len();
-    let po = out.as_mut_ptr();
-    let pa = a.as_ptr();
-    let px = x.as_ptr();
-    let mut i = 0usize;
-    while i + 4 <= len {
-        let acc = _mm256_fmadd_pd(
-            _mm256_loadu_pd(pa.add(i)),
-            _mm256_loadu_pd(px.add(i)),
-            _mm256_loadu_pd(po.add(i)),
-        );
-        _mm256_storeu_pd(po.add(i), acc);
-        i += 4;
+    let i = axpy_fma_from::<Avx2Lanes>(out, a, x, 0);
+    axpy_fma_from::<f64>(out, a, x, i);
+}
+
+/// Rows `from..` in whole groups of `V::WIDTH`; returns the first row
+/// left over.
+///
+/// # Safety
+///
+/// The slices have equal lengths and the CPU supports `V`.
+#[inline(always)]
+unsafe fn axpy_fma_from<V: Lanes>(out: &mut [f64], a: &[f64], x: &[f64], from: usize) -> usize {
+    let (po, pa, px) = (out.as_mut_ptr(), a.as_ptr(), x.as_ptr());
+    let mut i = from;
+    while i + V::WIDTH <= out.len() {
+        V::load(pa.add(i))
+            .mul_add(V::load(px.add(i)), V::load(po.add(i)))
+            .store(po.add(i));
+        i += V::WIDTH;
     }
-    while i < len {
-        *out.get_unchecked_mut(i) = a[i].mul_add(x[i], *out.get_unchecked(i));
-        i += 1;
+    i
+}
+
+// ---------------------------------------------------------------------------
+// Lanes: the register type of the fused row loops
+// ---------------------------------------------------------------------------
+
+/// A group of [`Lanes::WIDTH`] consecutive rows held in registers: the
+/// unit the fused kernel's banded row loop and [`accumulate_planes`]
+/// are written over once, for the AVX2 `__m256d` (4 rows) and for a
+/// plain `f64` (1 row — the portable path and the remainder rows).
+/// Every operation is correctly rounded lane by lane, so both widths
+/// give identical bits on the same rows.
+pub(crate) trait Lanes: Copy {
+    /// Rows per group.
+    const WIDTH: usize;
+
+    /// Loads `WIDTH` consecutive values.
+    ///
+    /// # Safety
+    ///
+    /// `p..p + WIDTH` must be readable, and the CPU must support the
+    /// type's instructions (AVX2 for `Avx2Lanes`).
+    unsafe fn load(p: *const f64) -> Self;
+
+    /// Every lane set to `x`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the type's instructions.
+    unsafe fn splat(x: f64) -> Self;
+
+    /// Stores the lanes to `p..p + WIDTH`.
+    ///
+    /// # Safety
+    ///
+    /// `p..p + WIDTH` must be writable and not aliased by a live
+    /// reference.
+    unsafe fn store(self, p: *mut f64);
+
+    /// Lane-wise plain product `self·b`.
+    fn mul(self, b: Self) -> Self;
+
+    /// Lane-wise fused `self·b + c` (one rounding).
+    fn mul_add(self, b: Self, c: Self) -> Self;
+
+    /// Neumaier update of the accumulator cells whose sums start at `sum`
+    /// and compensations at `comp`: per lane, bitwise
+    /// [`somrm_num::sum::neumaier_add`].
+    ///
+    /// # Safety
+    ///
+    /// Both ranges must be readable and writable for `WIDTH` values and
+    /// not aliased by a live reference.
+    unsafe fn neumaier(sum: *mut f64, comp: *mut f64, x: Self);
+}
+
+impl Lanes for f64 {
+    const WIDTH: usize = 1;
+
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        *p
+    }
+
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        x
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        *p = self;
+    }
+
+    #[inline(always)]
+    fn mul(self, b: Self) -> Self {
+        self * b
+    }
+
+    #[inline(always)]
+    fn mul_add(self, b: Self, c: Self) -> Self {
+        f64::mul_add(self, b, c)
+    }
+
+    #[inline(always)]
+    unsafe fn neumaier(sum: *mut f64, comp: *mut f64, x: Self) {
+        neumaier_add(&mut *sum, &mut *comp, x);
     }
 }
 
-fn axpy_fma_portable(out: &mut [f64], a: &[f64], x: &[f64]) {
-    let len = out.len();
-    let mut i = 0usize;
-    while i + 4 <= len {
-        out[i] = a[i].mul_add(x[i], out[i]);
-        out[i + 1] = a[i + 1].mul_add(x[i + 1], out[i + 1]);
-        out[i + 2] = a[i + 2].mul_add(x[i + 2], out[i + 2]);
-        out[i + 3] = a[i + 3].mul_add(x[i + 3], out[i + 3]);
-        i += 4;
+/// Four rows in one AVX2 register. Values only come from the unsafe
+/// [`Lanes::load`]/[`Lanes::splat`], whose callers guarantee AVX2+FMA,
+/// so the safe arithmetic on an existing value is sound.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct Avx2Lanes(core::arch::x86_64::__m256d);
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx2Lanes {
+    const WIDTH: usize = 4;
+
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        Avx2Lanes(core::arch::x86_64::_mm256_loadu_pd(p))
     }
-    while i < len {
-        out[i] = a[i].mul_add(x[i], out[i]);
-        i += 1;
+
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        Avx2Lanes(core::arch::x86_64::_mm256_set1_pd(x))
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        core::arch::x86_64::_mm256_storeu_pd(p, self.0);
+    }
+
+    #[inline(always)]
+    fn mul(self, b: Self) -> Self {
+        // SAFETY: an `Avx2Lanes` exists only on AVX2+FMA hardware.
+        Avx2Lanes(unsafe { core::arch::x86_64::_mm256_mul_pd(self.0, b.0) })
+    }
+
+    #[inline(always)]
+    fn mul_add(self, b: Self, c: Self) -> Self {
+        // SAFETY: as in `mul`.
+        Avx2Lanes(unsafe { core::arch::x86_64::_mm256_fmadd_pd(self.0, b.0, c.0) })
+    }
+
+    #[inline(always)]
+    unsafe fn neumaier(sum: *mut f64, comp: *mut f64, x: Self) {
+        use core::arch::x86_64::*;
+        // The `|sum| ≥ |x|` branch of the scalar update becomes a
+        // compare and two blends selecting the same operands; with the
+        // sums and compensations in separate planes no shuffles are
+        // needed.
+        let x = x.0;
+        let s = _mm256_loadu_pd(sum);
+        let c = _mm256_loadu_pd(comp);
+        let t = _mm256_add_pd(s, x);
+        let sign = _mm256_set1_pd(-0.0);
+        let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_andnot_pd(sign, s), _mm256_andnot_pd(sign, x));
+        let big = _mm256_blendv_pd(x, s, ge);
+        let small = _mm256_blendv_pd(s, x, ge);
+        _mm256_storeu_pd(sum, t);
+        _mm256_storeu_pd(
+            comp,
+            _mm256_add_pd(c, _mm256_add_pd(_mm256_sub_pd(big, t), small)),
+        );
     }
 }
 
 // ---------------------------------------------------------------------------
-// accumulate_scaled: acc[i].add(wk * u[i]) with vectorized Neumaier
+// accumulate_planes: Neumaier-add wk·u[i] into (sums[i], comps[i])
 // ---------------------------------------------------------------------------
 
 /// Folds one Poisson-weighted term into a strip of compensated
-/// accumulators: `acc[i] ← acc[i] ⊕ wk·u[i]` (Neumaier update).
+/// accumulators stored as two planes: `(sums[i], comps[i]) ⊕ wk·u[i]`.
 ///
-/// The vector path computes the exact same sequence of f64 operations as
-/// [`NeumaierSum::add`] — the `|sum| ≥ |x|` branch becomes a branchless
-/// compare/blend selecting the same operands — so the result is bitwise
-/// identical to the scalar loop. The product `wk·u[i]` is a plain
-/// (non-fused) multiply in both paths, matching the scalar kernel, which
-/// keeps the accumulate phase bitwise identical *across variants* too.
-pub fn accumulate_scaled(acc: &mut [NeumaierSum], u: &[f64], wk: f64) {
-    debug_assert_eq!(acc.len(), u.len());
+/// Bitwise identical to [`neumaier_add`] per cell on every path. The
+/// product `wk·u[i]` is a plain (non-fused) multiply, matching the
+/// scalar kernel, so the accumulate is bitwise identical *across kernel
+/// variants* too.
+///
+/// # Panics
+///
+/// Panics if the three slices differ in length.
+pub(crate) fn accumulate_planes(sums: &mut [f64], comps: &mut [f64], u: &[f64], wk: f64) {
+    assert!(
+        sums.len() == u.len() && comps.len() == u.len(),
+        "accumulate_planes: length mismatch"
+    );
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
-        // SAFETY: gated on runtime AVX2+FMA detection.
-        unsafe { accumulate_scaled_avx2(acc, u, wk) };
+        // SAFETY: gated on runtime AVX2+FMA detection; lengths checked.
+        unsafe { accumulate_planes_avx2(sums, comps, u, wk) };
         return;
     }
-    for (a, &x) in acc.iter_mut().zip(u) {
-        a.add(wk * x);
-    }
+    // SAFETY: lengths checked above.
+    unsafe { accumulate_planes_from::<f64>(sums, comps, u, wk, 0) };
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, and the slices must have equal
+/// lengths.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn accumulate_scaled_avx2(acc: &mut [NeumaierSum], u: &[f64], wk: f64) {
-    use core::arch::x86_64::*;
-    let len = acc.len();
-    let vec_len = len & !3;
-    let (head, tail) = acc.split_at_mut(vec_len);
-    // SAFETY: NeumaierSum is repr(C) { sum: f64, compensation: f64 }, so
-    // a slice of it is exactly interleaved f64 pairs [s0 c0 s1 c1 …].
-    let flat: &mut [f64] =
-        core::slice::from_raw_parts_mut(head.as_mut_ptr() as *mut f64, vec_len * 2);
-    let pf = flat.as_mut_ptr();
-    let pu = u.as_ptr();
-    let vw = _mm256_set1_pd(wk);
-    let sign = _mm256_set1_pd(-0.0);
-    let mut i = 0usize;
-    while i < vec_len {
-        let va = _mm256_loadu_pd(pf.add(2 * i)); // s0 c0 s1 c1
-        let vb = _mm256_loadu_pd(pf.add(2 * i + 4)); // s2 c2 s3 c3
-        let s = _mm256_unpacklo_pd(va, vb); // s0 s2 s1 s3
-        let c = _mm256_unpackhi_pd(va, vb); // c0 c2 c1 c3
-        // Load u and permute into the same (0 2 1 3) row order.
-        let xu = _mm256_loadu_pd(pu.add(i));
-        let x = _mm256_mul_pd(vw, _mm256_permute4x64_pd::<0b1101_1000>(xu));
-        let t = _mm256_add_pd(s, x);
-        let abs_s = _mm256_andnot_pd(sign, s);
-        let abs_x = _mm256_andnot_pd(sign, x);
-        let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(abs_s, abs_x);
-        let big = _mm256_blendv_pd(x, s, ge);
-        let small = _mm256_blendv_pd(s, x, ge);
-        let comp = _mm256_add_pd(_mm256_sub_pd(big, t), small);
-        let c = _mm256_add_pd(c, comp);
-        // Re-interleave (t, c) back to [s c s c] pairs and store.
-        _mm256_storeu_pd(pf.add(2 * i), _mm256_unpacklo_pd(t, c));
-        _mm256_storeu_pd(pf.add(2 * i + 4), _mm256_unpackhi_pd(t, c));
-        i += 4;
+#[target_feature(enable = "avx2,fma")]
+unsafe fn accumulate_planes_avx2(sums: &mut [f64], comps: &mut [f64], u: &[f64], wk: f64) {
+    let i = accumulate_planes_from::<Avx2Lanes>(sums, comps, u, wk, 0);
+    accumulate_planes_from::<f64>(sums, comps, u, wk, i);
+}
+
+/// Rows `from..` in whole groups of `V::WIDTH`; returns the first row
+/// left over.
+///
+/// # Safety
+///
+/// The slices have equal lengths and the CPU supports `V`.
+#[inline(always)]
+unsafe fn accumulate_planes_from<V: Lanes>(
+    sums: &mut [f64],
+    comps: &mut [f64],
+    u: &[f64],
+    wk: f64,
+    from: usize,
+) -> usize {
+    let (ps, pc, pu) = (sums.as_mut_ptr(), comps.as_mut_ptr(), u.as_ptr());
+    let w = V::splat(wk);
+    let mut i = from;
+    while i + V::WIDTH <= u.len() {
+        V::neumaier(ps.add(i), pc.add(i), w.mul(V::load(pu.add(i))));
+        i += V::WIDTH;
     }
-    for (a, &x) in tail.iter_mut().zip(&u[vec_len..]) {
-        a.add(wk * x);
-    }
+    i
 }
 
 #[cfg(test)]
@@ -443,49 +493,6 @@ mod tests {
         }
     }
 
-    fn ref_dot(strips: &[(&[f64], &[f64])], i: usize) -> f64 {
-        let (d0, x0) = strips[0];
-        let mut dot = d0[i] * x0[i];
-        for &(d, x) in &strips[1..] {
-            dot = d[i].mul_add(x[i], dot);
-        }
-        dot
-    }
-
-    #[test]
-    fn dot_strips_matches_scalar_fma_chain() {
-        // Awkward length (not a multiple of 4) exercises the remainder.
-        let n = 11;
-        let mk = |seed: u64| -> Vec<f64> {
-            (0..n)
-                .map(|i| {
-                    let h = seed.wrapping_mul(6364136223846793005).wrapping_add(i as u64 * 1442695040888963407);
-                    ((h >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 0.5
-                })
-                .collect()
-        };
-        let d: Vec<Vec<f64>> = (0..3).map(|k| mk(k + 1)).collect();
-        let x: Vec<Vec<f64>> = (0..3).map(|k| mk(k + 10)).collect();
-        let strips: Vec<(&[f64], &[f64])> =
-            d.iter().zip(&x).map(|(a, b)| (a.as_slice(), b.as_slice())).collect();
-        let mut out = vec![f64::NAN; n];
-        dot_strips(&mut out, &strips);
-        let mut out_portable = vec![f64::NAN; n];
-        dot_strips_portable(&mut out_portable, &strips);
-        for i in 0..n {
-            let want = ref_dot(&strips, i);
-            assert_eq!(out[i].to_bits(), want.to_bits(), "lane {i}");
-            assert_eq!(out_portable[i].to_bits(), want.to_bits(), "portable lane {i}");
-        }
-    }
-
-    #[test]
-    fn dot_strips_empty_zeroes() {
-        let mut out = vec![1.0; 5];
-        dot_strips(&mut out, &[]);
-        assert!(out.iter().all(|&v| v == 0.0));
-    }
-
     #[test]
     fn axpy_fma_matches_mul_add() {
         let n = 9;
@@ -495,7 +502,8 @@ mod tests {
         let mut out = base.clone();
         axpy_fma(&mut out, &a, &x);
         let mut out_portable = base.clone();
-        axpy_fma_portable(&mut out_portable, &a, &x);
+        // SAFETY: equal lengths; plain `f64` lanes run on any CPU.
+        unsafe { axpy_fma_from::<f64>(&mut out_portable, &a, &x, 0) };
         for i in 0..n {
             let want = a[i].mul_add(x[i], base[i]);
             assert_eq!(out[i].to_bits(), want.to_bits(), "lane {i}");
@@ -504,33 +512,24 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_scaled_bitwise_matches_scalar_neumaier() {
+    fn accumulate_planes_bitwise_matches_scalar_neumaier() {
         // Mix magnitudes so the |sum| >= |x| branch goes both ways and
-        // compensation terms are non-trivial.
+        // compensation terms are non-trivial; 13 rows leave a remainder.
         let n = 13;
         let wk = 0.3330000000000001;
-        let mut acc: Vec<NeumaierSum> = (0..n)
-            .map(|i| {
-                let mut s = NeumaierSum::with_value(1.0e15 * ((i % 3) as f64 - 1.0));
-                s.add(0.125 * i as f64);
-                s
-            })
+        let mut sums: Vec<f64> = (0..n).map(|i| 1.0e15 * ((i % 3) as f64 - 1.0)).collect();
+        let mut comps: Vec<f64> = (0..n).map(|i| 0.125 * i as f64).collect();
+        let (mut ref_sums, mut ref_comps) = (sums.clone(), comps.clone());
+        let u: Vec<f64> = (0..n)
+            .map(|i| 1.0e15_f64.powi((i % 2) as i32) * 0.7 + i as f64)
             .collect();
-        let mut reference = acc.clone();
-        let u: Vec<f64> = (0..n).map(|i| 1.0e15_f64.powi((i % 2) as i32) * 0.7 + i as f64).collect();
-        accumulate_scaled(&mut acc, &u, wk);
-        for (a, &x) in reference.iter_mut().zip(&u) {
-            a.add(wk * x);
-        }
+        accumulate_planes(&mut sums, &mut comps, &u, wk);
         for i in 0..n {
+            neumaier_add(&mut ref_sums[i], &mut ref_comps[i], wk * u[i]);
+            assert_eq!(sums[i].to_bits(), ref_sums[i].to_bits(), "sum lane {i}");
             assert_eq!(
-                acc[i].raw_sum().to_bits(),
-                reference[i].raw_sum().to_bits(),
-                "sum lane {i}"
-            );
-            assert_eq!(
-                acc[i].compensation().to_bits(),
-                reference[i].compensation().to_bits(),
+                comps[i].to_bits(),
+                ref_comps[i].to_bits(),
                 "compensation lane {i}"
             );
         }

@@ -19,12 +19,13 @@
 /// }
 /// assert!((acc.value() - 1.0).abs() < 1e-15);
 /// ```
-/// The layout is `repr(C)` — `sum` then `compensation`, two `f64`s —
-/// so vectorized accumulation kernels can view a `[NeumaierSum]` slice
-/// as interleaved `f64` pairs (the SIMD accumulate path in
-/// `somrm-linalg` relies on this).
+///
+/// Kernels that keep many accumulators side by side (the fused
+/// recursion kernel in `somrm-linalg`) store the sums and the
+/// compensations as two separate `f64` planes instead and update a
+/// cell with [`neumaier_add`], the same arithmetic as
+/// [`NeumaierSum::add`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[repr(C)]
 pub struct NeumaierSum {
     sum: f64,
     compensation: f64,
@@ -46,13 +47,7 @@ impl NeumaierSum {
 
     /// Adds one term.
     pub fn add(&mut self, x: f64) {
-        let t = self.sum + x;
-        if self.sum.abs() >= x.abs() {
-            self.compensation += (self.sum - t) + x;
-        } else {
-            self.compensation += (x - t) + self.sum;
-        }
-        self.sum = t;
+        neumaier_add(&mut self.sum, &mut self.compensation, x);
     }
 
     /// The compensated value of the sum so far.
@@ -88,6 +83,20 @@ impl FromIterator<f64> for NeumaierSum {
         acc.extend(iter);
         acc
     }
+}
+
+/// Adds `x` to the compensated accumulator held as a separate running
+/// `sum` and `compensation` — one step of Neumaier's summation, bitwise
+/// what [`NeumaierSum::add`] does to its two fields.
+#[inline(always)]
+pub fn neumaier_add(sum: &mut f64, compensation: &mut f64, x: f64) {
+    let t = *sum + x;
+    if sum.abs() >= x.abs() {
+        *compensation += (*sum - t) + x;
+    } else {
+        *compensation += (x - t) + *sum;
+    }
+    *sum = t;
 }
 
 /// Sums a slice with Neumaier compensation.

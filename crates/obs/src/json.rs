@@ -223,6 +223,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run of plain bytes up to the next quote, backslash or
+        // control byte in one step, so a long string costs one pass. The
+        // input came from a `&str` and a run ends at an ASCII byte, so
+        // every run is whole UTF-8.
+        let start = *pos;
+        while matches!(bytes.get(*pos), Some(&b) if b != b'"' && b != b'\\' && b >= 0x20) {
+            *pos += 1;
+        }
+        if *pos > start {
+            let run = std::str::from_utf8(&bytes[start..*pos])
+                .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+            out.push_str(run);
+        }
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
@@ -241,36 +254,40 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
-                        // Surrogate pairs are not needed by our reports;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let code = parse_hex4(bytes, *pos + 1)?;
                         *pos += 4;
+                        // A high surrogate directly followed by a low one
+                        // encodes one scalar above U+FFFF; a lone half of
+                        // a pair maps to the replacement character.
+                        let mut c = char::from_u32(code);
+                        if (0xd800..0xdc00).contains(&code)
+                            && bytes.get(*pos + 1..*pos + 3) == Some(&b"\\u"[..])
+                        {
+                            if let Ok(low @ 0xdc00..=0xdfff) = parse_hex4(bytes, *pos + 3) {
+                                c = char::from_u32(
+                                    0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00),
+                                );
+                                *pos += 6;
+                            }
+                        }
+                        out.push(c.unwrap_or('\u{fffd}'));
                     }
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
             }
-            Some(&b) if b < 0x20 => {
-                return Err(format!("raw control character at byte {}", *pos))
-            }
-            Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = s.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err(format!("raw control character at byte {}", *pos)),
         }
     }
+}
+
+/// The four hex digits of a `\u` escape starting at byte `at`.
+fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let hex = bytes
+        .get(at..at + 4)
+        .ok_or_else(|| "truncated \\u escape".to_string())?;
+    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())
 }
 
 fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
@@ -369,6 +386,38 @@ mod tests {
         let mut out = String::new();
         write_value(&mut out, &v);
         assert_eq!(parse(&out).unwrap(), v);
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        let v = parse(r#""a\ud83d\ude00b""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\u{1f600}b"));
+        // Lone halves (and a high half followed by a non-low escape)
+        // become U+FFFD; the escape after them still decodes.
+        let v = parse(r#""\ud83dx\ude00\ud83d\u0041""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{fffd}x\u{fffd}\u{fffd}A"));
+        assert!(parse(r#""\ud83d\uzzzz""#).is_err());
+        assert!(parse(r#""\ud8""#).is_err());
+    }
+
+    #[test]
+    fn long_string_member_parses_in_linear_time() {
+        // 1 MiB of mixed ASCII, multi-byte UTF-8 and escapes: a scan that
+        // re-validated the rest of the line per character would take
+        // minutes on this input.
+        let chunk = "plain text é ✓ \\n \\\" \\u00e9 ";
+        let body = chunk.repeat((1 << 20) / chunk.len() + 1);
+        let doc = format!("{{\"model\": \"{body}\"}}");
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        let s = v.get("model").unwrap().as_str().unwrap();
+        assert!(
+            s.starts_with("plain text é ✓ \n \" é "),
+            "{:?}",
+            s.get(..32)
+        );
+        assert!(elapsed.as_secs_f64() < 0.5, "1 MiB string took {elapsed:?}");
     }
 
     #[test]

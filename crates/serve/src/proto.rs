@@ -232,6 +232,22 @@ mod tests {
     }
 
     #[test]
+    fn escaped_ids_echo_back_as_the_same_value() {
+        for (raw, want) in [
+            (r#""\ud83d\ude00""#, "\u{1f600}"),
+            (r#""qé\"\n""#, "q\u{e9}\"\n"),
+            (r#""\udead""#, "\u{fffd}"),
+        ] {
+            let line = format!(r#"{{"id":{raw},"model":"states 1\n","t":1}}"#);
+            let r = parse_request(&line).unwrap();
+            assert_eq!(r.id, Value::Str(want.to_string()), "{raw}");
+            let ok = render_ok(&r.id, false, 1, 2, &[]);
+            let v = somrm_obs::json::parse(&ok).unwrap();
+            assert_eq!(v.get("id"), Some(&r.id), "{raw} -> {ok}");
+        }
+    }
+
+    #[test]
     fn responses_are_valid_json() {
         let err = render_err(&Value::Num(7.0), "bad \"thing\"\nline two");
         let v = somrm_obs::json::parse(&err).unwrap();

@@ -173,6 +173,67 @@ fn regenerate_scalar_golden() {
     std::fs::write(path, out).unwrap();
 }
 
+/// The paper-scale schedule on a model that spans several wavefront
+/// blocks (20,001 states at order 2 with two time points is four 1 MiB
+/// blocks): the kernel's stretches end wherever the health probe samples
+/// when a recorder is attached, and a worker pool runs it pass by pass,
+/// yet every bit must match the plain single-threaded solve.
+/// Terminal-weighted executes share the recursion driver. Runs the
+/// default kernel variant; the kernel's own tests cross both variants
+/// with small blocks.
+#[test]
+fn multiplexer_spanning_several_blocks_keeps_its_bits_under_every_schedule() {
+    use somrm::obs::{MetricsRegistry, Recorder, RecorderHandle};
+    use somrm::solver::SolvePlan;
+    use std::sync::Arc;
+
+    let model = OnOffMultiplexer::table2_scaled(20_000)
+        .model_steady_start()
+        .unwrap();
+    let n = model.n_states();
+    assert!(n >= 20_000);
+    let q = model.generator().uniformization_rate();
+    let times = [20.0 / q, 60.0 / q];
+    let weights: Vec<f64> = (0..n).map(|i| (i % 3) as f64 * 0.5).collect();
+    let bits = |cfg: &SolverConfig, terminal: bool| {
+        let plan = SolvePlan::build(&model, 2, cfg).unwrap();
+        let mut sols = plan.execute(&times, 2).unwrap();
+        if terminal {
+            sols.push(plan.execute_terminal(times[1], &weights, 2).unwrap());
+        }
+        let bits: Vec<u64> = sols
+            .iter()
+            .flat_map(|s| s.per_state.iter().flatten().chain(&s.weighted))
+            .map(|v| v.to_bits())
+            .collect();
+        (sols[1].stats.iterations, bits)
+    };
+    let plain = SolverConfig::default();
+    let (g, want) = bits(&plain, true);
+
+    let registry = Arc::new(MetricsRegistry::new());
+    let recorded = plain.clone().with_recorder(RecorderHandle::new(
+        Arc::clone(&registry) as Arc<dyn Recorder>
+    ));
+    assert_eq!(bits(&recorded, true), (g, want.clone()), "recorder on");
+    let snap = registry.snapshot();
+    let passes = snap.counter("kernel.passes").unwrap();
+    let stretches = snap.timing("kernel.pass").unwrap().count;
+    assert!(
+        stretches > 2 && stretches < passes,
+        "{passes} passes should run in health-limited stretches, got {stretches}"
+    );
+
+    let pooled = SolverConfig {
+        threads: 2,
+        parallel_threshold: 2,
+        ..plain
+    };
+    let (g2, pooled_bits) = bits(&pooled, false);
+    assert_eq!(g2, g);
+    assert_eq!(pooled_bits[..], want[..pooled_bits.len()], "2 threads");
+}
+
 /// Strategy: a small banded (birth-death-with-bandwidth-2) or scattered
 /// model, so the solver exercises both the DIA strip kernel and the CSR
 /// gather kernel under both variants.
