@@ -5,10 +5,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use somrm_bounds::cms::cdf_bounds_recorded;
 use somrm_bounds::reconstruct::gauss_mixture_cdf;
-use somrm_core::impulse::moments_with_impulse;
 use somrm_core::moments::summarize;
-use somrm_core::uniformization::{moments, MomentSolution, SolverConfig};
-use somrm_ctmc::stationary::stationary_gth;
+use somrm_core::uniformization::{MomentSolution, SolverConfig};
+use somrm_core::SolvePlan;
+use somrm_ctmc::stationary::{stationary_birth_death, stationary_gth};
 use somrm_linalg::{KernelVariant, MatrixFormat};
 use somrm_num::Dd;
 use somrm_obs::{
@@ -188,6 +188,21 @@ pub fn normalize_grid(label: &str, grid: &mut Vec<f64>) -> Option<String> {
     Some(format!("note: {label} grid {}", parts.join(", ")))
 }
 
+/// The solve plan of a parsed model for moments up to `order`; impulse
+/// models plan their coupling too.
+fn build_plan(parsed: &ParsedModel, order: usize, cfg: &SolverConfig) -> Result<SolvePlan, String> {
+    if parsed.has_impulses() {
+        let m = parsed
+            .clone()
+            .into_impulse_mrm()
+            .map_err(|e| e.to_string())?;
+        SolvePlan::build_impulse(&m, order, cfg)
+    } else {
+        SolvePlan::build(&parsed.model, order, cfg)
+    }
+    .map_err(|e| e.to_string())
+}
+
 fn solve(
     parsed: &ParsedModel,
     order: usize,
@@ -195,12 +210,10 @@ fn solve(
     rec: &RecorderHandle,
 ) -> Result<MomentSolution, String> {
     let cfg = opts.solver_config(rec)?;
-    if parsed.has_impulses() {
-        let m = parsed.clone().into_impulse_mrm().map_err(|e| e.to_string())?;
-        moments_with_impulse(&m, order, opts.t, &cfg).map_err(|e| e.to_string())
-    } else {
-        moments(&parsed.model, order, opts.t, &cfg).map_err(|e| e.to_string())
-    }
+    let mut sols = build_plan(parsed, order, &cfg)?
+        .execute(&[opts.t], order)
+        .map_err(|e| e.to_string())?;
+    Ok(sols.pop().expect("one time point requested"))
 }
 
 /// Routes a finished command's output according to `--trace-out` and
@@ -271,16 +284,52 @@ pub fn cmd_check(parsed: &ParsedModel, opts: &CommonOpts) -> Result<String, Stri
         m.rates().iter().copied().fold(f64::INFINITY, f64::min),
         m.rates().iter().copied().fold(f64::NEG_INFINITY, f64::max)
     );
-    match stationary_gth(m.generator()) {
+    match long_run_distribution(m.generator()) {
         Ok(pi) => {
             let growth: f64 = pi.iter().zip(m.rates()).map(|(&p, &r)| p * r).sum();
             let _ = writeln!(out, "long-run rate     : {growth}");
         }
-        Err(_) => {
-            let _ = writeln!(out, "long-run rate     : (chain not irreducible)");
+        Err(reason) => {
+            let _ = writeln!(out, "long-run rate     : ({reason})");
         }
     }
     emit(opts, &tel, "check", None, out)
+}
+
+/// Largest non-tridiagonal generator `check` hands to dense GTH, which
+/// stores the full `n × n` matrix (32 MiB here) and costs `O(n³)`.
+const DENSE_GTH_MAX_STATES: usize = 2048;
+
+/// The stationary distribution `check` reports the long-run rate with:
+/// the `O(n)` product form for a tridiagonal (birth–death) generator, so
+/// the paper's 200,001-state models need no dense matrix, and dense GTH
+/// up to [`DENSE_GTH_MAX_STATES`] otherwise. The error says why there is
+/// none, without allocating anything dense.
+fn long_run_distribution(gen: &somrm_ctmc::generator::Generator) -> Result<Vec<f64>, String> {
+    const NOT_IRREDUCIBLE: &str = "chain not irreducible";
+    let n = gen.n_states();
+    let csr = gen.as_csr();
+    let mut birth = vec![0.0; n.saturating_sub(1)];
+    let mut death = vec![0.0; n.saturating_sub(1)];
+    let tridiagonal = (0..n).all(|i| {
+        csr.row(i).all(|(j, v)| {
+            if j == i + 1 {
+                birth[i] = v;
+            } else if j + 1 == i {
+                death[j] = v;
+            }
+            j + 1 >= i && j <= i + 1
+        })
+    });
+    if tridiagonal {
+        return stationary_birth_death(&birth, &death).map_err(|_| NOT_IRREDUCIBLE.to_string());
+    }
+    if n > DENSE_GTH_MAX_STATES {
+        return Err(format!(
+            "too large for dense GTH: {n} states > {DENSE_GTH_MAX_STATES}, not tridiagonal"
+        ));
+    }
+    stationary_gth(gen).map_err(|_| NOT_IRREDUCIBLE.to_string())
 }
 
 /// `somrm moments`: raw moments and summary statistics at time `t`.
@@ -460,24 +509,15 @@ pub fn cmd_sweep(
     let tel = opts.telemetry();
     let rec = tel.rec().clone();
     let cfg = opts.solver_config(&rec)?;
+    let sweep = build_plan(parsed, 2, &cfg)?
+        .execute(&times, 2)
+        .map_err(|e| e.to_string())?;
     let mut out = String::new();
-    let mut report = None;
     let _ = writeln!(out, "t,mean,stddev");
-    if parsed.has_impulses() {
-        let m = parsed.clone().into_impulse_mrm().map_err(|e| e.to_string())?;
-        for &t in &times {
-            let sol = moments_with_impulse(&m, 2, t, &cfg).map_err(|e| e.to_string())?;
-            let _ = writeln!(out, "{t},{},{}", sol.mean(), sol.variance().max(0.0).sqrt());
-            report = sol.report;
-        }
-    } else {
-        let sweep = somrm_core::uniformization::moments_sweep(&parsed.model, 2, &times, &cfg)
-            .map_err(|e| e.to_string())?;
-        for sol in &sweep {
-            let _ = writeln!(out, "{},{},{}", sol.t, sol.mean(), sol.variance().max(0.0).sqrt());
-        }
-        report = sweep.last().and_then(|s| s.report.clone());
+    for sol in &sweep {
+        let _ = writeln!(out, "{},{},{}", sol.t, sol.mean(), sol.variance().max(0.0).sqrt());
     }
+    let report = sweep.last().and_then(|s| s.report.clone());
     emit(opts, &tel, "sweep", report.as_ref(), out)
 }
 
@@ -586,8 +626,10 @@ pub fn cmd_verify(
 
 /// The `somrm-tool serve` model resolver: inline text is parsed
 /// directly, `model_file` paths are read relative to the server's
-/// working directory. Impulse models are rejected — the plan/execute
-/// split serves the rate-reward solver only.
+/// working directory. Impulse models are rejected: a plan can solve
+/// them ([`SolvePlan::build_impulse`]), but serve's `ModelResolver`
+/// hands the plan cache a bare `SecondOrderMrm`, which has no place for
+/// the impulse matrix.
 ///
 /// # Errors
 ///
@@ -602,7 +644,10 @@ pub fn resolve_model_spec(spec: &somrm_serve::ModelSpec) -> Result<somrm_core::m
     };
     let parsed = parse_model(&text).map_err(|e| e.to_string())?;
     if parsed.has_impulses() {
-        return Err("impulse models are not served (rate rewards only)".to_string());
+        return Err(
+            "impulse models are not served (the serve resolver carries rate rewards only)"
+                .to_string(),
+        );
     }
     Ok(parsed.model)
 }
@@ -1126,6 +1171,94 @@ mod tests {
         let p = parse_model("states 2\nrate 0 1 2.0\nrate 1 0 2.0\nimpulse 0 1 1.0\n").unwrap();
         let out = cmd_sweep(&p, 5, None, &CommonOpts::default()).unwrap();
         assert_eq!(out.lines().count(), 6);
+    }
+
+    #[test]
+    fn impulse_sweep_points_agree_with_moments_within_both_bounds() {
+        // One plan execute covers the whole grid (G of the last point);
+        // each row must match a separate solve at its own t to within
+        // the two reported order-1 truncation bounds.
+        let p = parse_model(
+            "states 2\nrate 0 1 2.0\nrate 1 0 3.0\nreward 0 1.0 0.5\nreward 1 -2.0 1.0\n\
+             impulse 0 1 1.5\nimpulse 1 0 0.5\n",
+        )
+        .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("somrm-impulse-sweep-{}.json", std::process::id()));
+        let opts = CommonOpts {
+            t: 3.0,
+            metrics: Some(path.display().to_string()),
+            ..CommonOpts::default()
+        };
+        let out = cmd_sweep(&p, 6, None, &opts).unwrap();
+        let report = somrm_obs::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            report.get("command").and_then(|c| c.as_str()),
+            Some("impulse")
+        );
+        let sweep_bound = report
+            .get("error_bounds")
+            .and_then(|b| b.as_array())
+            .unwrap()[1]
+            .as_f64()
+            .unwrap();
+        assert_eq!(out.lines().count(), 7, "{out}");
+        for row in out.lines().skip(1) {
+            let cols: Vec<f64> = row.split(',').map(|c| c.parse().unwrap()).collect();
+            let (t, mean) = (cols[0], cols[1]);
+            let at_t = CommonOpts {
+                t,
+                ..CommonOpts::default()
+            };
+            let sol = solve(&p, 2, &at_t, &RecorderHandle::disabled()).unwrap();
+            assert!(
+                (mean - sol.mean()).abs() <= sweep_bound + sol.error_bound(1),
+                "t = {t}: sweep {mean} vs moments {} (bounds {sweep_bound:e} + {:e})",
+                sol.mean(),
+                sol.error_bound(1)
+            );
+        }
+    }
+
+    #[test]
+    fn check_reports_the_long_run_rate_of_a_large_birth_death_chain() {
+        // 100,001 states: dense GTH would allocate 80 GB; the tridiagonal
+        // generator takes the O(n) product form instead.
+        let n = 100_001;
+        let mut text = format!("states {n}\nreward 0 1.0 0.0\n");
+        for i in 0..n - 1 {
+            let _ = writeln!(text, "rate {i} {} 1.0\nrate {} {i} 2.0", i + 1, i + 1);
+        }
+        let out = cmd_check(&parse_model(&text).unwrap(), &CommonOpts::default()).unwrap();
+        let rate: f64 = out
+            .lines()
+            .find_map(|l| l.strip_prefix("long-run rate     : "))
+            .unwrap()
+            .parse()
+            .unwrap();
+        // Only state 0 earns: the rate is π₀ = (1 − ρ)/(1 − ρⁿ), ρ = ½.
+        assert!((rate - 0.5).abs() < 1e-12, "{out}");
+    }
+
+    #[test]
+    fn check_refuses_dense_gth_past_its_cap_with_its_own_message() {
+        // A ring is irreducible but not tridiagonal.
+        let n = DENSE_GTH_MAX_STATES + 1;
+        let mut text = format!("states {n}\n");
+        for i in 0..n {
+            let _ = writeln!(text, "rate {i} {} 1.0", (i + 1) % n);
+        }
+        let out = cmd_check(&parse_model(&text).unwrap(), &CommonOpts::default()).unwrap();
+        assert!(out.contains("too large for dense GTH"), "{out}");
+        assert!(!out.contains("not irreducible"), "{out}");
+        // Reducible chains keep their own message.
+        let out = cmd_check(
+            &parse_model("states 3\nrate 0 1 1.0\nrate 1 2 1.0\n").unwrap(),
+            &CommonOpts::default(),
+        )
+        .unwrap();
+        assert!(out.contains("(chain not irreducible)"), "{out}");
     }
 
     #[test]

@@ -12,9 +12,13 @@
 
 use crate::error::MrmError;
 use crate::model::SecondOrderMrm;
-use crate::uniformization::{poisson_accounting, MomentSolution, SolverConfig, SolverStats};
+use crate::moments::unshift_moments;
+use crate::uniformization::{
+    poisson_accounting, truncation_point, validate_times, weighted_moments, MomentSolution,
+    SolverConfig, SolverStats,
+};
 use somrm_linalg::IterationMatrix;
-use somrm_num::poisson::{self, PoissonWindow};
+use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::ln_factorial;
 use somrm_num::sum::NeumaierSum;
 use somrm_obs::{HealthMonitor, ProgressMeter, SolveReport, SolverSection};
@@ -27,7 +31,9 @@ use std::sync::Arc;
 ///
 /// * [`MrmError::InvalidParameter`] if the model has any non-zero
 ///   variance (use [`crate::uniformization::moments`] instead), or for
-///   invalid `t`/`ε`.
+///   an invalid `t` or configuration.
+/// * [`MrmError::TruncationCapExceeded`] if the Theorem-4 truncation
+///   point exceeds `max_iterations`.
 ///
 /// # Example
 ///
@@ -57,20 +63,9 @@ pub fn moments_first_order(
             reason: "model has non-zero variances; use the second-order solver".to_string(),
         });
     }
-    if !(t >= 0.0) || !t.is_finite() {
-        return Err(MrmError::InvalidParameter {
-            name: "t",
-            reason: format!("time must be finite and non-negative, got {t}"),
-        });
-    }
-    if !(config.epsilon > 0.0) || config.epsilon >= 1.0 {
-        return Err(MrmError::InvalidParameter {
-            name: "epsilon",
-            reason: format!("must lie in (0,1), got {}", config.epsilon),
-        });
-    }
-
     let n_states = model.n_states();
+    validate_times(&[t])?;
+    config.validate(n_states)?;
     let q = model.generator().uniformization_rate();
     let shift = model.min_rate().min(0.0);
     let shifted: Vec<f64> = model.rates().iter().map(|&r| r - shift).collect();
@@ -97,8 +92,13 @@ pub fn moments_first_order(
     });
 
     let qt = q * t;
-    let (g_limit, error_bounds) =
-        rec.time("solve.truncation", || first_order_truncation(qt, d, order, config))?;
+    // Front factor 2, as for second order: without the `S` term the
+    // coefficient bound is `U⁽ⁿ⁾(k) ≤ k!/(k−n)!` (no factor 2), but the
+    // shared bound makes first- and second-order runs truncate
+    // identically, which keeps the cost comparison like for like.
+    let (g_limit, error_bounds) = rec.time("solve.truncation", || {
+        truncation_point(qt, d, order, |_| std::f64::consts::LN_2, 0, config)
+    })?;
     let error_bound = error_bounds.iter().copied().fold(0.0, f64::max);
     if rec.enabled() {
         rec.gauge_set("solver.q", q);
@@ -178,16 +178,8 @@ pub fn moments_first_order(
             acc[j].iter().map(|a| scale * a.value()).collect()
         })
         .collect();
-    let per_state = unshift(&shifted_moments, shift, t);
-    let weighted: Vec<f64> = (0..=order)
-        .map(|j| {
-            per_state[j]
-                .iter()
-                .zip(model.initial())
-                .map(|(&v, &p)| v * p)
-                .sum()
-        })
-        .collect();
+    let per_state = unshift_moments(&shifted_moments, shift, t);
+    let weighted = weighted_moments(&per_state, model.initial());
     drop(assemble);
 
     let report = rec.enabled().then(|| {
@@ -233,87 +225,6 @@ pub fn moments_first_order(
         error_bounds,
         report,
     })
-}
-
-/// First-order Theorem-4 analogue: without the `S` term the coefficient
-/// bound is `U⁽ⁿ⁾(k) ≤ k!/(k−n)!` (no factor 2), but we keep the paper's
-/// common bound so first- and second-order runs truncate identically —
-/// that is what makes the cost comparison apples-to-apples.
-fn first_order_truncation(
-    qt: f64,
-    d: f64,
-    order: usize,
-    config: &SolverConfig,
-) -> Result<(u64, Vec<f64>), MrmError> {
-    let ln_front: Vec<f64> = (0..=order)
-        .map(|j| {
-            std::f64::consts::LN_2
-                + j as f64 * d.ln()
-                + ln_factorial(j as u64)
-                + j as f64 * qt.ln()
-        })
-        .collect();
-    let ln_eps = config.epsilon.ln();
-    let ln_bound_order = |g: u64, j: usize| {
-        let tail = if g >= j as u64 {
-            poisson::ln_tail_above(qt, g - j as u64)
-        } else {
-            0.0 // P[Pois > negative] = 1
-        };
-        ln_front[j] + tail
-    };
-    let ln_bound = |g: u64| {
-        (0..=order)
-            .map(|j| ln_bound_order(g, j))
-            .fold(f64::NEG_INFINITY, f64::max)
-    };
-    let mut hi = (qt as u64).max(16);
-    let mut guard = 0;
-    while ln_bound(hi) >= ln_eps {
-        hi = hi.saturating_mul(2);
-        guard += 1;
-        if guard > 64 || hi > config.max_iterations {
-            return Err(MrmError::InvalidParameter {
-                name: "max_iterations",
-                reason: format!("truncation point exceeds cap (qt = {qt})"),
-            });
-        }
-    }
-    let mut lo = 0u64;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if ln_bound(mid) < ln_eps {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let per_order = (0..=order).map(|j| ln_bound_order(hi, j).exp()).collect();
-    Ok((hi, per_order))
-}
-
-fn unshift(shifted: &[Vec<f64>], shift: f64, t: f64) -> Vec<Vec<f64>> {
-    if shift == 0.0 {
-        return shifted.to_vec();
-    }
-    let order = shifted.len() - 1;
-    let n_states = shifted[0].len();
-    let c = shift * t;
-    (0..=order)
-        .map(|n| {
-            (0..n_states)
-                .map(|i| {
-                    (0..=n)
-                        .map(|j| {
-                            somrm_num::special::binomial(n as u32, j as u32)
-                                * c.powi((n - j) as i32)
-                                * shifted[j][i]
-                        })
-                        .sum()
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -37,14 +37,9 @@
 
 use crate::error::MrmError;
 use crate::model::SecondOrderMrm;
-use crate::uniformization::{poisson_accounting, MomentSolution, SolverConfig, SolverStats};
+use crate::plan::SolvePlan;
+use crate::uniformization::{MomentSolution, SolverConfig};
 use somrm_linalg::sparse::{CsrMatrix, TripletBuilder};
-use somrm_linalg::IterationMatrix;
-use somrm_num::poisson::{self, PoissonWindow};
-use somrm_num::special::ln_factorial;
-use somrm_num::sum::NeumaierSum;
-use somrm_obs::{HealthMonitor, ProgressMeter, SolveReport, SolverSection};
-use std::sync::Arc;
 
 /// A second-order Markov reward model extended with deterministic
 /// impulse rewards at transitions.
@@ -144,6 +139,11 @@ impl ImpulseMrm {
 /// impulse-extended model at time `t` by the extended randomization
 /// recursion (see module docs).
 ///
+/// A thin wrapper over the plan/execute split: builds a one-shot
+/// [`SolvePlan::build_impulse`] plan and executes it once. Repeated
+/// queries on the same model — a time grid, say — should keep the plan;
+/// results are bit-identical either way.
+///
 /// # Errors
 ///
 /// Same conditions as [`crate::uniformization::moments`].
@@ -153,315 +153,8 @@ pub fn moments_with_impulse(
     t: f64,
     config: &SolverConfig,
 ) -> Result<MomentSolution, MrmError> {
-    if !(t >= 0.0) || !t.is_finite() {
-        return Err(MrmError::InvalidParameter {
-            name: "t",
-            reason: format!("time must be finite and non-negative, got {t}"),
-        });
-    }
-    if !(config.epsilon > 0.0) || config.epsilon >= 1.0 {
-        return Err(MrmError::InvalidParameter {
-            name: "epsilon",
-            reason: format!("must lie in (0,1), got {}", config.epsilon),
-        });
-    }
-    // No impulses: delegate to the plain solver.
-    if model.max_impulse == 0.0 {
-        return crate::uniformization::moments(model.base(), order, t, config);
-    }
-
-    let base = model.base();
-    let n_states = base.n_states();
-    let q = base.generator().uniformization_rate();
-    if q == 0.0 {
-        // Impulses require transitions; with none the base solver's
-        // frozen-chain path applies.
-        return crate::uniformization::moments(base, order, t, config);
-    }
-    let shift = base.min_rate().min(0.0);
-    let shifted_rates: Vec<f64> = base.rates().iter().map(|&r| r - shift).collect();
-    let max_rate = shifted_rates.iter().copied().fold(0.0, f64::max);
-    let max_sigma = base.variances().iter().map(|&s| s.sqrt()).fold(0.0, f64::max);
-    // d additionally dominates the impulses (see module docs).
-    let d = (max_rate / q)
-        .max(max_sigma / q.sqrt())
-        .max(model.max_impulse);
-
-    let rec = &config.recorder;
-    let setup = rec.span("solve.setup");
-    let q_prime = IterationMatrix::with_format(
-        base.generator()
-            .uniformized_kernel(q)
-            .expect("q > 0 checked above"),
-        config.format,
-    );
-    let r_prime: Vec<f64> = shifted_rates.iter().map(|&r| r / (q * d)).collect();
-    let s_half: Vec<f64> = base
-        .variances()
-        .iter()
-        .map(|&s| 0.5 * s / (q * d * d))
-        .collect();
-
-    // Impulse moment matrices Q'_l = {q_ij c_ij^l} / (q d^l l!), l = 1..=order.
-    let mut q_l: Vec<CsrMatrix<f64>> = Vec::with_capacity(order);
-    for l in 1..=order {
-        let mut b = TripletBuilder::with_capacity(n_states, n_states, model.impulses.nnz());
-        let scale = (ln_factorial(l as u64) + l as f64 * d.ln() + q.ln()).exp();
-        for i in 0..n_states {
-            for (j, c) in model.impulses.row(i) {
-                let rate = base.generator().as_csr().get(i, j);
-                b.push(i, j, rate * c.powi(l as i32) / scale);
-            }
-        }
-        q_l.push(b.build());
-    }
-    drop(setup);
-
-    let qt = q * t;
-    let (g_limit, error_bounds) =
-        rec.time("solve.truncation", || impulse_truncation(qt, d, order, config))?;
-    let error_bound = error_bounds.iter().copied().fold(0.0, f64::max);
-    if rec.enabled() {
-        rec.gauge_set("solver.q", q);
-        rec.gauge_set("solver.d", d);
-        rec.gauge_set("solver.qt", qt);
-        rec.gauge_set("solver.shift", shift);
-        rec.gauge_set("solver.g", g_limit as f64);
-        rec.gauge_set("solver.error_bound", error_bound);
-        rec.gauge_set(
-            "solver.matrix_format",
-            if q_prime.is_dia() { 1.0 } else { 0.0 },
-        );
-        rec.gauge_set("solver.bandwidth", q_prime.bandwidth() as f64);
-    }
-    let window = rec.time("solve.poisson", || {
-        (t > 0.0).then(|| PoissonWindow::exact(qt, g_limit))
-    });
-
-    let mut u: Vec<Vec<f64>> = (0..=order)
-        .map(|j| vec![if j == 0 { 1.0 } else { 0.0 }; n_states])
-        .collect();
-    let mut acc: Vec<Vec<NeumaierSum>> = vec![vec![NeumaierSum::new(); n_states]; order + 1];
-    let mut scratch = vec![0.0f64; n_states];
-    let mut scratch2 = vec![0.0f64; n_states];
-
-    let mut health = rec.enabled().then(|| HealthMonitor::new(g_limit, order));
-    let mut meter = config
-        .progress
-        .then(|| ProgressMeter::new("solve.recursion", g_limit));
-    let recursion = rec.span("solve.recursion");
-    for k in 0..=g_limit {
-        let wk = window.as_ref().map_or(0.0, |w| w.weight(k));
-        if wk > 0.0 {
-            for j in 0..=order {
-                for i in 0..n_states {
-                    acc[j][i].add(wk * u[j][i]);
-                }
-            }
-        }
-        if let Some(h) = health.as_mut() {
-            if h.should_sample(k, g_limit) {
-                for (j, uj) in u.iter().enumerate() {
-                    h.observe_order(j, uj);
-                }
-            }
-        }
-        if let Some(m) = meter.as_mut() {
-            m.tick(k);
-        }
-        if k == g_limit {
-            break;
-        }
-        for j in (0..=order).rev() {
-            q_prime.matvec_into(&u[j], &mut scratch);
-            // Impulse contributions Σ_{l=1}^{j} Q'_l · U^{(j−l)}.
-            for l in 1..=j {
-                q_l[l - 1].matvec_into(&u[j - l], &mut scratch2);
-                for i in 0..n_states {
-                    scratch[i] += scratch2[i];
-                }
-            }
-            if j >= 1 {
-                let (lo, hi) = u.split_at_mut(j);
-                let uj = &mut hi[0];
-                let ujm1 = &lo[j - 1];
-                if j >= 2 {
-                    let ujm2 = &lo[j - 2];
-                    for i in 0..n_states {
-                        uj[i] = scratch[i] + r_prime[i] * ujm1[i] + s_half[i] * ujm2[i];
-                    }
-                } else {
-                    for i in 0..n_states {
-                        uj[i] = scratch[i] + r_prime[i] * ujm1[i];
-                    }
-                }
-            } else {
-                u[0].copy_from_slice(&scratch);
-            }
-        }
-    }
-
-    drop(recursion);
-    if let Some(h) = health.as_mut() {
-        for row in &acc {
-            for a in row {
-                h.observe_compensation(a.raw_sum(), a.compensation());
-            }
-        }
-    }
-
-    let assemble = rec.span("solve.assemble");
-    let shifted_moments: Vec<Vec<f64>> = if t == 0.0 {
-        (0..=order)
-            .map(|j| vec![if j == 0 { 1.0 } else { 0.0 }; n_states])
-            .collect()
-    } else {
-        (0..=order)
-            .map(|j| {
-                let scale = (ln_factorial(j as u64) + j as f64 * d.ln()).exp();
-                acc[j].iter().map(|a| scale * a.value()).collect()
-            })
-            .collect()
-    };
-    let per_state = unshift(&shifted_moments, shift, t);
-    let weighted = (0..=order)
-        .map(|j| {
-            per_state[j]
-                .iter()
-                .zip(base.initial())
-                .map(|(&v, &p)| v * p)
-                .sum()
-        })
-        .collect();
-    drop(assemble);
-    let report = rec.enabled().then(|| {
-        Arc::new(SolveReport {
-            command: "impulse".to_string(),
-            solver: Some(SolverSection {
-                q,
-                d,
-                qt,
-                shift,
-                g: g_limit,
-                max_iterations: config.max_iterations,
-                epsilon: config.epsilon,
-                order,
-                n_states,
-                n_times: 1,
-                threads: 1,
-                // The impulse recursion runs serial matvecs, not the
-                // fused kernel — always strict scalar arithmetic.
-                kernel_variant: "scalar".to_string(),
-                error_bound,
-                error_bounds: error_bounds.clone(),
-                poisson: poisson_accounting(&[t], std::slice::from_ref(&window), g_limit),
-            }),
-            pool: None,
-            health: health.take().map(|h| h.finish(rec)),
-            mem: None,
-            metrics: rec.snapshot().unwrap_or_default(),
-        })
-    });
-    Ok(MomentSolution {
-        t,
-        per_state,
-        weighted,
-        stats: SolverStats {
-            q,
-            d,
-            shift,
-            iterations: g_limit,
-            error_bound,
-        },
-        error_bounds,
-        report,
-    })
-}
-
-/// Impulse-extended truncation: `4ʲ` front factor instead of `2` (see
-/// module docs), worst order wins, `G ≥ 2·order` enforced so the bound
-/// derivation applies.
-fn impulse_truncation(
-    qt: f64,
-    d: f64,
-    order: usize,
-    config: &SolverConfig,
-) -> Result<(u64, Vec<f64>), MrmError> {
-    if qt == 0.0 {
-        return Ok((0, vec![0.0; order + 1]));
-    }
-    let ln_front: Vec<f64> = (0..=order)
-        .map(|j| {
-            (j as f64) * 4.0f64.ln()
-                + j as f64 * d.ln()
-                + ln_factorial(j as u64)
-                + j as f64 * qt.ln()
-        })
-        .collect();
-    let ln_eps = config.epsilon.ln();
-    let ln_bound_order = |g: u64, j: usize| {
-        let tail = if g >= j as u64 {
-            poisson::ln_tail_above(qt, g - j as u64)
-        } else {
-            0.0
-        };
-        ln_front[j] + tail
-    };
-    let ln_bound = |g: u64| {
-        (0..=order)
-            .map(|j| ln_bound_order(g, j))
-            .fold(f64::NEG_INFINITY, f64::max)
-    };
-    let mut hi = (qt as u64).max(16);
-    let mut guard = 0;
-    while ln_bound(hi) >= ln_eps {
-        hi = hi.saturating_mul(2);
-        guard += 1;
-        if guard > 64 || hi > config.max_iterations {
-            return Err(MrmError::InvalidParameter {
-                name: "max_iterations",
-                reason: format!("truncation point exceeds cap (qt = {qt})"),
-            });
-        }
-    }
-    let mut lo = 0u64;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if ln_bound(mid) < ln_eps {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    // The bound derivation needs G ≥ 2·order; the per-order bounds are
-    // evaluated at the G actually used (raising G only tightens them).
-    let g = hi.max(2 * order as u64);
-    let per_order = (0..=order).map(|j| ln_bound_order(g, j).exp()).collect();
-    Ok((g, per_order))
-}
-
-fn unshift(shifted: &[Vec<f64>], shift: f64, t: f64) -> Vec<Vec<f64>> {
-    if shift == 0.0 {
-        return shifted.to_vec();
-    }
-    let order = shifted.len() - 1;
-    let n_states = shifted[0].len();
-    let c = shift * t;
-    (0..=order)
-        .map(|n| {
-            (0..n_states)
-                .map(|i| {
-                    (0..=n)
-                        .map(|j| {
-                            somrm_num::special::binomial(n as u32, j as u32)
-                                * c.powi((n - j) as i32)
-                                * shifted[j][i]
-                        })
-                        .sum()
-                })
-                .collect()
-        })
-        .collect()
+    let mut sweep = SolvePlan::build_impulse(model, order, config)?.execute(&[t], order)?;
+    Ok(sweep.pop().expect("one time point requested"))
 }
 
 #[cfg(test)]
@@ -592,6 +285,37 @@ mod tests {
         // 3-state cycle has no 0→2 rate.
         let base3 = cyclic_base(3, 1.0);
         assert!(ImpulseMrm::new(base3, &[(0, 2, 1.0)]).is_err());
+    }
+
+    #[test]
+    fn terminal_weights_on_an_impulse_plan_partition_its_moments() {
+        let mut b = GeneratorBuilder::new(2);
+        b.rate(0, 1, 2.0).unwrap();
+        b.rate(1, 0, 3.0).unwrap();
+        let base = SecondOrderMrm::new(
+            b.build().unwrap(),
+            vec![-1.0, 4.0],
+            vec![0.5, 1.0],
+            vec![0.3, 0.7],
+        )
+        .unwrap();
+        let model = ImpulseMrm::new(base, &[(0, 1, 1.5), (1, 0, 0.5)]).unwrap();
+        let plan = SolvePlan::build_impulse(&model, 3, &SolverConfig::default()).unwrap();
+        let t = 0.8;
+        let all = plan.execute(&[t], 3).unwrap().pop().unwrap();
+        // Unit weights are the plain query: same start, front and G.
+        let ones = plan.execute_terminal(t, &[1.0, 1.0], 3).unwrap();
+        assert_eq!(ones.weighted, all.weighted);
+        assert_eq!(ones.error_bounds, all.error_bounds);
+        let a = plan.execute_terminal(t, &[1.0, 0.0], 3).unwrap();
+        let b = plan.execute_terminal(t, &[0.0, 1.0], 3).unwrap();
+        for n in 0..=3 {
+            let scale = all.raw_moment(n).abs().max(1.0);
+            assert!(
+                (a.raw_moment(n) + b.raw_moment(n) - all.raw_moment(n)).abs() < 1e-9 * scale,
+                "order {n}"
+            );
+        }
     }
 
     #[test]

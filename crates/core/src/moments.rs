@@ -134,6 +134,35 @@ pub fn normal_raw_moments(mean: f64, var: f64, order: usize) -> Vec<f64> {
     m
 }
 
+/// Un-shifts raw moments: if `B = B̌ + ř·t`, then
+/// `E[Bⁿ] = Σ_j C(n,j)·(řt)^{n−j}·E[B̌ʲ]`, per state, with a compensated
+/// sum. Every solver path applies its drift shift through this one
+/// routine — also to defective (terminal-weighted) moments, where the
+/// same identity holds for `E[(B̌+c)ⁿ·w]`.
+pub(crate) fn unshift_moments(shifted: &[Vec<f64>], shift: f64, t: f64) -> Vec<Vec<f64>> {
+    if shift == 0.0 {
+        return shifted.to_vec();
+    }
+    let order = shifted.len() - 1;
+    let n_states = shifted[0].len();
+    let c = shift * t;
+    (0..=order)
+        .map(|n| {
+            (0..n_states)
+                .map(|i| {
+                    let mut acc = NeumaierSum::new();
+                    for j in 0..=n {
+                        acc.add(
+                            binomial(n as u32, j as u32) * c.powi((n - j) as i32) * shifted[j][i],
+                        );
+                    }
+                    acc.value()
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

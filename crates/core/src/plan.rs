@@ -12,6 +12,8 @@
 //! - `q`, the drift shift `ř`, and the normalization constant `d`,
 //! - the [`IterationMatrix`] (CSR or banded DIA, selected once),
 //! - the substochastic `R'` and `½S'` diagonals,
+//! - for an impulse model ([`SolvePlan::build_impulse`]), the coupling
+//!   matrices `Q'_l`,
 //! - the [`WorkerPool`], whose threads stay parked between executes,
 //! - a FNV-1a content digest for cache keying ([`model_digest`]).
 //!
@@ -27,23 +29,26 @@
 //! `SolvePlan::build(m, n, c)?.execute(ts, n)` returns results
 //! bit-identical to `moments_sweep(m, n, ts, c)` (which is nowadays a
 //! thin wrapper over exactly that), for every matrix format and thread
-//! count, on first and on repeated executes. The verify crate enforces
-//! this as an oracle arm.
+//! count, on first and on repeated executes; likewise for the terminal
+//! and impulse wrappers. The verify crate enforces this as an oracle
+//! arm.
 
 use crate::error::MrmError;
+use crate::impulse::ImpulseMrm;
 use crate::model::SecondOrderMrm;
-use crate::terminal::terminal_truncation;
+use crate::moments::unshift_moments;
 use crate::uniformization::{
-    attach_degenerate_report, deterministic_solution, frozen_chain_solution, pool_section,
-    poisson_accounting, truncation_point, unshift_moments, validate_times, MomentSolution,
-    SolverConfig, SolverStats,
+    attach_degenerate_report, deterministic_solution, frozen_chain_solution, poisson_accounting,
+    pool_section, truncation_point, validate_times, weighted_moments, MomentSolution, SolverConfig,
+    SolverStats,
 };
+use somrm_linalg::sparse::{CsrMatrix, TripletBuilder};
 use somrm_linalg::{
     FootprintBytes, FusedMomentKernel, IterationMatrix, LinalgError, MatrixFormat, OperatorMatrix,
     ResolvedKernel, StepWeights, UniformizedBirthDeath, WorkerPool, MAX_STRETCH_STEPS,
 };
 use somrm_num::poisson::PoissonWindow;
-use somrm_num::special::{binomial, ln_factorial};
+use somrm_num::special::ln_factorial;
 use somrm_obs::{
     Event, HealthMonitor, MemCategory, MemLedger, PoissonStat, ProgressMeter, SolveReport,
     SolverSection,
@@ -51,11 +56,6 @@ use somrm_obs::{
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// FNV-1a content digest of a model: structure and every parameter, via
-/// the exact bit patterns of the floats. Two models share a digest iff
-/// they solve identically (modulo an astronomically unlikely collision),
-/// which is what a plan cache needs: a mutated model — one rate nudged,
-/// one variance added — changes the digest and misses the cache.
 /// State count above which [`MatrixFormat::Auto`] switches a model
 /// that advertises a structure descriptor to the matrix-free operator
 /// backend. Below it the materialized formats win (DIA's branch-free
@@ -88,36 +88,87 @@ fn format_error(e: LinalgError) -> MrmError {
     }
 }
 
-pub fn model_digest(model: &SecondOrderMrm) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// Folds 64-bit words into an FNV-1a hash state, byte by byte.
+fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
+    for v in words {
         for b in v.to_le_bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(PRIME);
         }
-    };
-    eat(model.n_states() as u64);
-    let (row_ptr, col_idx, values) = model.generator().as_csr().csr_parts();
-    for &p in row_ptr {
-        eat(p as u64);
-    }
-    for &c in col_idx {
-        eat(c as u64);
-    }
-    for &v in values {
-        eat(v.to_bits());
-    }
-    for &r in model.rates() {
-        eat(r.to_bits());
-    }
-    for &s in model.variances() {
-        eat(s.to_bits());
-    }
-    for &p in model.initial() {
-        eat(p.to_bits());
     }
     h
+}
+
+/// Floats as digest words: their exact bit patterns.
+fn f64_words(v: &[f64]) -> impl Iterator<Item = u64> + '_ {
+    v.iter().map(|x| x.to_bits())
+}
+
+/// A CSR matrix as digest words: row pointers, column indices, values.
+fn csr_words(m: &CsrMatrix<f64>) -> impl Iterator<Item = u64> + '_ {
+    let (row_ptr, col_idx, values) = m.csr_parts();
+    row_ptr
+        .iter()
+        .chain(col_idx)
+        .map(|&p| p as u64)
+        .chain(f64_words(values))
+}
+
+/// FNV-1a content digest of a model: structure and every parameter, via
+/// the exact bit patterns of the floats. Two models share a digest iff
+/// they solve identically (modulo an astronomically unlikely collision),
+/// which is what a plan cache needs: a mutated model — one rate nudged,
+/// one variance added — changes the digest and misses the cache.
+pub fn model_digest(model: &SecondOrderMrm) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a(
+        OFFSET,
+        std::iter::once(model.n_states() as u64)
+            .chain(csr_words(model.generator().as_csr()))
+            .chain(f64_words(model.rates()))
+            .chain(f64_words(model.variances()))
+            .chain(f64_words(model.initial())),
+    )
+}
+
+/// Impulse coupling matrices `Q'_l = {q_ij·c_ijˡ}/(q·dˡ·l!)` for
+/// `l = 1..=max_order` (DESIGN.md §7); each is substochastic because
+/// `d ≥ max c_ij`.
+fn coupling_matrices(model: &ImpulseMrm, q: f64, d: f64, max_order: usize) -> Vec<CsrMatrix<f64>> {
+    let n = model.base().n_states();
+    let rates = model.base().generator().as_csr();
+    let impulses = model.impulse_matrix();
+    (1..=max_order)
+        .map(|l| {
+            let scale = (ln_factorial(l as u64) + l as f64 * d.ln() + q.ln()).exp();
+            let mut b = TripletBuilder::with_capacity(n, n, impulses.nnz());
+            for i in 0..n {
+                for (j, c) in impulses.row(i) {
+                    b.push(i, j, rates.get(i, j) * c.powi(l as i32) / scale);
+                }
+            }
+            b.build()
+        })
+        .collect()
+}
+
+/// Adds the impulse terms `Σ_{l=1}^{j} Q'_l·U⁽ʲ⁻ˡ⁾(k)` into `U⁽ʲ⁾(k+1)`
+/// for every order `j ≤ coupling.len()`: per row, the terms are summed in
+/// ascending `l` and column order and then added once. `next` and `prev`
+/// are the kernel's flattened iterates (`u[j·n + i]`).
+fn add_coupling(coupling: &[CsrMatrix<f64>], n: usize, next: &mut [f64], prev: &[f64]) {
+    for j in 1..=coupling.len() {
+        for i in 0..n {
+            let mut sum = 0.0;
+            for l in 1..=j {
+                let u = &prev[(j - l) * n..(j - l + 1) * n];
+                for (col, v) in coupling[l - 1].row(i) {
+                    sum += v * u[col];
+                }
+            }
+            next[j * n + i] += sum;
+        }
+    }
 }
 
 /// Model- and config-dependent solver state reusable across executes.
@@ -135,15 +186,32 @@ struct PlanKernel {
     bandwidth: usize,
     r_prime: Vec<f64>,
     s_half: Vec<f64>,
+    /// Impulse coupling `Q'_1 ..= Q'_max_order`; empty for rate-reward
+    /// plans.
+    coupling: Vec<CsrMatrix<f64>>,
     /// Parked worker threads, spawned once at plan build. `None` for
     /// serial plans. Behind a mutex so `execute(&self)` can hand the
     /// kernel exclusive access while the plan itself is shared (`Arc`).
     pool: Option<Mutex<WorkerPool>>,
 }
 
+impl PlanKernel {
+    /// Exact owned bytes beyond the iteration matrix: the `R'`/`½S'`
+    /// diagonals and the coupling matrices.
+    fn plan_bytes(&self) -> usize {
+        (self.r_prime.len() + self.s_half.len()) * std::mem::size_of::<f64>()
+            + self
+                .coupling
+                .iter()
+                .map(FootprintBytes::footprint_bytes)
+                .sum::<usize>()
+    }
+}
+
 /// A prepared solve: everything derived from `(model, config)` alone,
-/// built once by [`SolvePlan::build`] and executed many times by
-/// [`SolvePlan::execute`] / [`SolvePlan::execute_terminal`].
+/// built once by [`SolvePlan::build`] (or [`SolvePlan::build_impulse`])
+/// and executed many times by [`SolvePlan::execute`] /
+/// [`SolvePlan::execute_terminal`].
 #[derive(Debug)]
 pub struct SolvePlan {
     model: SecondOrderMrm,
@@ -153,6 +221,10 @@ pub struct SolvePlan {
     q: f64,
     d: f64,
     shift: f64,
+    /// Built from an [`ImpulseMrm`] with at least one impulse: `d`
+    /// dominates the impulses and the truncation uses the impulse front
+    /// factor.
+    impulse: bool,
     kernel: Option<PlanKernel>,
     /// Memory ledger: exact per-category bytes + peak RSS. Present only
     /// when the config carries a recorder (disabled-by-default, like
@@ -174,9 +246,39 @@ impl SolvePlan {
         max_order: usize,
         config: &SolverConfig,
     ) -> Result<SolvePlan, MrmError> {
+        Self::build_with(model, None, max_order, config)
+    }
+
+    /// Builds a plan for an impulse-extended model: `d` is widened to
+    /// dominate every impulse, and the coupling matrices `Q'_l` for
+    /// `l ≤ max_order` are built once, so every execute runs the extended
+    /// recursion (`crate::impulse`) on the fused kernel. A model without
+    /// impulses plans exactly like its base model.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SolvePlan::build`].
+    pub fn build_impulse(
+        model: &ImpulseMrm,
+        max_order: usize,
+        config: &SolverConfig,
+    ) -> Result<SolvePlan, MrmError> {
+        let impulses = (model.max_impulse() > 0.0).then_some(model);
+        Self::build_with(model.base(), impulses, max_order, config)
+    }
+
+    fn build_with(
+        model: &SecondOrderMrm,
+        impulses: Option<&ImpulseMrm>,
+        max_order: usize,
+        config: &SolverConfig,
+    ) -> Result<SolvePlan, MrmError> {
         let n_states = model.n_states();
         config.validate(n_states)?;
-        let digest = model_digest(model);
+        let digest = match impulses {
+            Some(m) => fnv1a(model_digest(model), csr_words(m.impulse_matrix())),
+            None => model_digest(model),
+        };
         let q = model.generator().uniformization_rate();
         let shift = model.min_rate().min(0.0);
         let shifted_rates: Vec<f64> = model.rates().iter().map(|&r| r - shift).collect();
@@ -190,10 +292,13 @@ impl SolvePlan {
                 .iter()
                 .map(|&s| s.sqrt())
                 .fold(0.0, f64::max);
-            let d = (max_rate / q).max(max_sigma / q.sqrt());
+            let mut d = (max_rate / q).max(max_sigma / q.sqrt());
+            if let Some(m) = impulses {
+                d = d.max(m.max_impulse());
+            }
             let dk = if d > 0.0 { d } else { f64::MIN_POSITIVE };
             let rec = &config.recorder;
-            let (matrix, r_prime, s_half) = rec.time("solve.setup", || {
+            let (matrix, r_prime, s_half, coupling) = rec.time("solve.setup", || {
                 let matrix = Self::resolve_matrix(model, q, config.format)?;
                 let r_prime: Vec<f64> = shifted_rates.iter().map(|&r| r / (q * dk)).collect();
                 let s_half: Vec<f64> = model
@@ -201,7 +306,9 @@ impl SolvePlan {
                     .iter()
                     .map(|&s| 0.5 * s / (q * dk * dk))
                     .collect();
-                Ok::<_, MrmError>((matrix, r_prime, s_half))
+                let coupling =
+                    impulses.map_or_else(Vec::new, |m| coupling_matrices(m, q, d, max_order));
+                Ok::<_, MrmError>((matrix, r_prime, s_half, coupling))
             })?;
             // Same clamp the fused kernel applies internally, so the
             // pool thread count *is* the chunk count — fixed chunk
@@ -215,6 +322,7 @@ impl SolvePlan {
                     matrix,
                     r_prime,
                     s_half,
+                    coupling,
                     pool,
                 }),
             )
@@ -226,8 +334,7 @@ impl SolvePlan {
                 let ledger = MemLedger::new();
                 let cat = Self::matrix_category(&pk.matrix);
                 let matrix_bytes = pk.matrix.footprint_bytes() as u64;
-                let plan_bytes =
-                    ((pk.r_prime.len() + pk.s_half.len()) * std::mem::size_of::<f64>()) as u64;
+                let plan_bytes = pk.plan_bytes() as u64;
                 ledger.set(cat, matrix_bytes);
                 ledger.set(MemCategory::Plan, plan_bytes);
                 ledger.observe_rss();
@@ -246,6 +353,7 @@ impl SolvePlan {
             q,
             d,
             shift,
+            impulse: impulses.is_some(),
             kernel,
             mem,
         })
@@ -343,7 +451,7 @@ impl SolvePlan {
         self.shift
     }
 
-    /// The planned model.
+    /// The planned model (the base model of an impulse plan).
     pub fn model(&self) -> &SecondOrderMrm {
         &self.model
     }
@@ -377,13 +485,16 @@ impl SolvePlan {
     }
 
     /// Moments at several time points in one pass of the `U`-recursion —
-    /// the per-query half of [`crate::uniformization::moments_sweep`],
+    /// the per-query half of [`crate::uniformization::moments_sweep`]
+    /// (or, on an impulse plan, of [`crate::impulse::moments_with_impulse`]),
     /// bit-identical to a cold call.
     ///
     /// # Errors
     ///
     /// Returns [`MrmError::InvalidParameter`] for a negative/non-finite
-    /// time, `order > max_order`, or if the iteration cap is exceeded.
+    /// time or `order > max_order`, and
+    /// [`MrmError::TruncationCapExceeded`] if the truncation point exceeds
+    /// the iteration cap.
     pub fn execute(&self, times: &[f64], order: usize) -> Result<Vec<MomentSolution>, MrmError> {
         self.check_order(order)?;
         validate_times(times)?;
@@ -398,65 +509,144 @@ impl SolvePlan {
         // per-query wall time, not just the recursion.
         let _execute = rec.span("plan.execute");
         rec.counter_add("plan.executes", 1);
-        let n_states = model.n_states();
+        self.emit_solve_start(order, times.len());
         let (q, d, shift) = (self.q, self.d, self.shift);
-        let ev = &config.events;
-        if ev.enabled() {
-            ev.emit(&Event::SolveStart {
-                order: order as u64,
-                n_states: n_states as u64,
-                n_times: times.len() as u64,
+        // Exact closed forms, no recursion: a frozen chain (q = 0) or a
+        // deterministic drift (d = 0).
+        if q == 0.0 || d == 0.0 {
+            let mut solutions: Vec<MomentSolution> = times
+                .iter()
+                .map(|&t| {
+                    if q == 0.0 {
+                        frozen_chain_solution(model, order, t)
+                    } else {
+                        deterministic_solution(model, order, t, shift)
+                    }
+                })
+                .collect();
+            let shift = if q == 0.0 { 0.0 } else { shift };
+            attach_degenerate_report(&mut solutions, model, config, order, q, 0.0, shift);
+            let ev = &config.events;
+            if ev.enabled() {
+                ev.emit(&Event::Complete {
+                    g: 0,
+                    error_bound: 0.0,
+                });
+            }
+            return Ok(solutions);
+        }
+        let command = if self.impulse { "impulse" } else { "moments" };
+        self.drive(times, order, &vec![1.0; model.n_states()], d, command)
+    }
+
+    /// Terminal-weighted moments — the per-query half of
+    /// [`crate::terminal::moments_terminal_weighted`], bit-identical to
+    /// a cold call. On an impulse plan the impulses count too.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SolvePlan::execute`], plus the length/validity checks
+    /// on `terminal_weights`.
+    pub fn execute_terminal(
+        &self,
+        t: f64,
+        terminal_weights: &[f64],
+        order: usize,
+    ) -> Result<MomentSolution, MrmError> {
+        self.check_order(order)?;
+        let model = &self.model;
+        let n_states = model.n_states();
+        if terminal_weights.len() != n_states {
+            return Err(MrmError::DimensionMismatch {
+                what: "terminal weight vector",
+                expected: n_states,
+                actual: terminal_weights.len(),
+            });
+        }
+        for (i, &w) in terminal_weights.iter().enumerate() {
+            if !(w >= 0.0) || !w.is_finite() {
+                return Err(MrmError::InvalidParameter {
+                    name: "terminal_weights",
+                    reason: format!("weight of state {i} is {w}"),
+                });
+            }
+        }
+        validate_times(std::slice::from_ref(&t))?;
+
+        if self.q == 0.0 || t == 0.0 {
+            // Frozen chain / zero horizon: w_{Z(t)} = w_{Z(0)}.
+            let plain = self
+                .execute(&[t], order)?
+                .pop()
+                .expect("one time point requested");
+            let per_state: Vec<Vec<f64>> = (0..=order)
+                .map(|n| {
+                    (0..n_states)
+                        .map(|i| plain.per_state[n][i] * terminal_weights[i])
+                        .collect()
+                })
+                .collect();
+            return Ok(MomentSolution {
+                t,
+                weighted: weighted_moments(&per_state, model.initial()),
+                per_state,
+                ..plain
             });
         }
 
-        if q == 0.0 {
-            let mut solutions: Vec<MomentSolution> = times
-                .iter()
-                .map(|&t| frozen_chain_solution(model, order, t))
-                .collect();
-            attach_degenerate_report(&mut solutions, model, config, order, 0.0, 0.0, 0.0);
-            if ev.enabled() {
-                ev.emit(&Event::Complete {
-                    g: 0,
-                    error_bound: 0.0,
-                });
-            }
-            return Ok(solutions);
-        }
-        if d == 0.0 {
-            let mut solutions: Vec<MomentSolution> = times
-                .iter()
-                .map(|&t| deterministic_solution(model, order, t, shift))
-                .collect();
-            attach_degenerate_report(&mut solutions, model, config, order, q, 0.0, shift);
-            if ev.enabled() {
-                ev.emit(&Event::Complete {
-                    g: 0,
-                    error_bound: 0.0,
-                });
-            }
-            return Ok(solutions);
-        }
+        let rec = &self.config.recorder;
+        // Mirrors `execute`'s outer span (the q = 0 / t = 0 paths above
+        // delegate to `execute` and are covered by its span).
+        let _execute = rec.span("plan.execute_terminal");
+        rec.counter_add("plan.executes", 1);
+        self.emit_solve_start(order, 1);
+        // The terminal solver floors d at the smallest positive double
+        // (it has no exact d = 0 path); the plan's normalized vectors
+        // were computed with the same floor.
+        let d = self.d.max(f64::MIN_POSITIVE);
+        let mut solutions = self.drive(&[t], order, terminal_weights, d, "terminal")?;
+        Ok(solutions.pop().expect("one time point requested"))
+    }
+
+    /// The execution core every recursive query shares: Theorem-4
+    /// truncation → Poisson windows → fused recursion (plus the impulse
+    /// coupling, on impulse plans) → assembly → report → `complete`
+    /// event. Queries differ only in the start vector `u0` (all ones, or
+    /// terminal weights — Lemma 2 adds `max(1, ‖u0‖∞)` to the truncation
+    /// front) and in the normalization `d` they assemble with.
+    fn drive(
+        &self,
+        times: &[f64],
+        order: usize,
+        u0: &[f64],
+        d: f64,
+        command: &str,
+    ) -> Result<Vec<MomentSolution>, MrmError> {
+        let config = &self.config;
+        let (rec, ev) = (&config.recorder, &config.events);
+        let (q, shift) = (self.q, self.shift);
+        let model = &self.model;
+        let n_states = model.n_states();
         let pk = self.kernel.as_ref().expect("kernel built whenever q > 0");
         self.emit_plan_resolved(pk, d);
 
         let t_max = times.iter().copied().fold(0.0, f64::max);
         let qt = q * t_max;
+        let ln_w = u0.iter().copied().fold(0.0, f64::max).max(1.0).ln();
+        let (ln_front, min_g): (fn(usize) -> f64, u64) = if self.impulse {
+            (|j| j as f64 * 4.0f64.ln(), 2 * order as u64)
+        } else {
+            (|_| std::f64::consts::LN_2, 0)
+        };
         let (g_limit, error_bounds) = rec.time("solve.truncation", || {
-            truncation_point(qt, d, order, config)
+            truncation_point(qt, d, order, |j| ln_front(j) + ln_w, min_g, config)
         })?;
         let error_bound = self.record_truncation(pk, d, qt, g_limit, &error_bounds);
 
         let windows: Vec<Option<PoissonWindow>> = rec.time("solve.poisson", || {
             times
                 .iter()
-                .map(|&t| {
-                    if t == 0.0 {
-                        None
-                    } else {
-                        Some(PoissonWindow::exact(q * t, g_limit))
-                    }
-                })
+                .map(|&t| (t > 0.0).then(|| PoissonWindow::exact(q * t, g_limit)))
                 .collect()
         });
         let poisson_stats: Vec<PoissonStat> = if rec.enabled() {
@@ -479,9 +669,8 @@ impl SolvePlan {
             iterations: g_limit,
             error_bound,
         };
-        let u0 = vec![1.0; n_states];
         let (mut solutions, report) =
-            self.run_recursion(pk, &u0, order, &windows, g_limit, |kernel, health| {
+            self.run_recursion(pk, u0, order, &windows, g_limit, |kernel, health| {
                 let solutions: Vec<MomentSolution> = rec.time("solve.assemble", || {
                     times
                         .iter()
@@ -505,19 +694,10 @@ impl SolvePlan {
                                     .collect()
                             };
                             let per_state = unshift_moments(&shifted_moments, shift, t);
-                            let weighted = (0..=order)
-                                .map(|j| {
-                                    per_state[j]
-                                        .iter()
-                                        .zip(model.initial())
-                                        .map(|(&v, &p)| v * p)
-                                        .sum()
-                                })
-                                .collect();
                             MomentSolution {
                                 t,
+                                weighted: weighted_moments(&per_state, model.initial()),
                                 per_state,
-                                weighted,
                                 stats,
                                 error_bounds: error_bounds.clone(),
                                 report: None,
@@ -527,7 +707,7 @@ impl SolvePlan {
                 });
                 let report = rec.enabled().then(|| {
                     Arc::new(SolveReport {
-                        command: "moments".to_string(),
+                        command: command.to_string(),
                         solver: Some(SolverSection {
                             q,
                             d,
@@ -567,203 +747,16 @@ impl SolvePlan {
         Ok(solutions)
     }
 
-    /// Terminal-weighted moments — the per-query half of
-    /// [`crate::terminal::moments_terminal_weighted`], bit-identical to
-    /// a cold call.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SolvePlan::execute`], plus the length/validity checks
-    /// on `terminal_weights`.
-    pub fn execute_terminal(
-        &self,
-        t: f64,
-        terminal_weights: &[f64],
-        order: usize,
-    ) -> Result<MomentSolution, MrmError> {
-        self.check_order(order)?;
-        let model = &self.model;
-        let n_states = model.n_states();
-        if terminal_weights.len() != n_states {
-            return Err(MrmError::DimensionMismatch {
-                what: "terminal weight vector",
-                expected: n_states,
-                actual: terminal_weights.len(),
-            });
-        }
-        for (i, &w) in terminal_weights.iter().enumerate() {
-            if !(w >= 0.0) || !w.is_finite() {
-                return Err(MrmError::InvalidParameter {
-                    name: "terminal_weights",
-                    reason: format!("weight of state {i} is {w}"),
-                });
-            }
-        }
-        validate_times(std::slice::from_ref(&t))?;
-
-        let (q, shift) = (self.q, self.shift);
-        let w_max = terminal_weights.iter().cloned().fold(0.0, f64::max);
-
-        if q == 0.0 || t == 0.0 {
-            // Frozen chain / zero horizon: w_{Z(t)} = w_{Z(0)}.
-            let plain = self
-                .execute(&[t], order)?
-                .pop()
-                .expect("one time point requested");
-            let per_state: Vec<Vec<f64>> = (0..=order)
-                .map(|n| {
-                    (0..n_states)
-                        .map(|i| plain.per_state[n][i] * terminal_weights[i])
-                        .collect()
-                })
-                .collect();
-            let weighted = (0..=order)
-                .map(|n| {
-                    per_state[n]
-                        .iter()
-                        .zip(model.initial())
-                        .map(|(&v, &p)| v * p)
-                        .sum()
-                })
-                .collect();
-            return Ok(MomentSolution {
-                t,
-                per_state,
-                weighted,
-                stats: plain.stats,
-                error_bounds: plain.error_bounds.clone(),
-                report: plain.report.clone(),
-            });
-        }
-
-        let config = &self.config;
-        let rec = &config.recorder;
-        // Mirrors `execute`'s outer span (the q = 0 / t = 0 paths above
-        // delegate to `execute` and are covered by its span).
-        let _execute = rec.span("plan.execute_terminal");
-        rec.counter_add("plan.executes", 1);
-        let ev = &config.events;
+    /// Emits `solve.start` for one execute.
+    fn emit_solve_start(&self, order: usize, n_times: usize) {
+        let ev = &self.config.events;
         if ev.enabled() {
             ev.emit(&Event::SolveStart {
                 order: order as u64,
-                n_states: n_states as u64,
-                n_times: 1,
+                n_states: self.n_states() as u64,
+                n_times: n_times as u64,
             });
         }
-        // The terminal solver floors d at the smallest positive double
-        // (it has no exact d = 0 path); the plan's normalized vectors
-        // were computed with the same floor.
-        let d = self.d.max(f64::MIN_POSITIVE);
-        let pk = self.kernel.as_ref().expect("kernel built whenever q > 0");
-        self.emit_plan_resolved(pk, d);
-
-        let qt = q * t;
-        let (g_limit, error_bounds) = rec.time("solve.truncation", || {
-            terminal_truncation(qt, d, order, w_max, config)
-        })?;
-        let error_bound = self.record_truncation(pk, d, qt, g_limit, &error_bounds);
-        let window = rec.time("solve.poisson", || Some(PoissonWindow::exact(qt, g_limit)));
-        let windows = std::slice::from_ref(&window);
-
-        let (per_state, report) = self.run_recursion(
-            pk,
-            terminal_weights,
-            order,
-            windows,
-            g_limit,
-            |kernel, health| {
-                let _assemble = rec.span("solve.assemble");
-                let shifted_moments: Vec<Vec<f64>> = (0..=order)
-                    .map(|j| {
-                        let scale = (ln_factorial(j as u64) + j as f64 * d.ln()).exp();
-                        kernel
-                            .accumulated(0, j)
-                            .values()
-                            .map(|v| scale * v)
-                            .collect()
-                    })
-                    .collect();
-                // Un-shift the *defective* moments:
-                // E[(B̌+c)ⁿ w] = Σ C(n,j)c^{n−j}E[B̌ʲ w].
-                let per_state: Vec<Vec<f64>> = if shift == 0.0 {
-                    shifted_moments
-                } else {
-                    let c = shift * t;
-                    (0..=order)
-                        .map(|n| {
-                            (0..n_states)
-                                .map(|i| {
-                                    (0..=n)
-                                        .map(|j| {
-                                            binomial(n as u32, j as u32)
-                                                * c.powi((n - j) as i32)
-                                                * shifted_moments[j][i]
-                                        })
-                                        .sum()
-                                })
-                                .collect()
-                        })
-                        .collect()
-                };
-                drop(_assemble);
-                let report = rec.enabled().then(|| {
-                    Arc::new(SolveReport {
-                        command: "terminal".to_string(),
-                        solver: Some(SolverSection {
-                            q,
-                            d,
-                            qt,
-                            shift,
-                            g: g_limit,
-                            max_iterations: config.max_iterations,
-                            epsilon: config.epsilon,
-                            order,
-                            n_states,
-                            n_times: 1,
-                            threads: kernel.threads(),
-                            kernel_variant: kernel.variant().name().to_string(),
-                            error_bound,
-                            error_bounds: error_bounds.clone(),
-                            poisson: poisson_accounting(&[t], windows, g_limit),
-                        }),
-                        pool: kernel.pool_stats().map(pool_section),
-                        health: health.map(|h| h.finish(rec)),
-                        mem: self.mem.as_ref().map(|l| l.section()),
-                        metrics: rec.snapshot().unwrap_or_default(),
-                    })
-                });
-                (per_state, report)
-            },
-        );
-        let weighted = (0..=order)
-            .map(|j| {
-                per_state[j]
-                    .iter()
-                    .zip(model.initial())
-                    .map(|(&v, &p)| v * p)
-                    .sum()
-            })
-            .collect();
-        if ev.enabled() {
-            ev.emit(&Event::Complete {
-                g: g_limit,
-                error_bound,
-            });
-        }
-        Ok(MomentSolution {
-            t,
-            per_state,
-            weighted,
-            stats: SolverStats {
-                q,
-                d,
-                shift,
-                iterations: g_limit,
-                error_bound,
-            },
-            error_bounds,
-            report,
-        })
     }
 
     /// Emits `plan.resolved` for one execute (`d` as that execute uses
@@ -775,8 +768,7 @@ impl SolvePlan {
                 format: pk.matrix.format_name().to_string(),
                 n_states: self.n_states() as u64,
                 matrix_bytes: pk.matrix.footprint_bytes() as u64,
-                plan_bytes: ((pk.r_prime.len() + pk.s_half.len()) * std::mem::size_of::<f64>())
-                    as u64,
+                plan_bytes: pk.plan_bytes() as u64,
                 q: self.q,
                 d,
                 shift: self.shift,
@@ -831,11 +823,10 @@ impl SolvePlan {
         error_bound
     }
 
-    /// The recursion driver shared by [`SolvePlan::execute`] and
-    /// [`SolvePlan::execute_terminal`]: runs `k = 0..=g` through the fused
-    /// kernel from `U⁽⁰⁾(0) = u0`, accumulating `windows[ti].weight(k)`
-    /// for every time point, then hands the kernel and the health monitor
-    /// to `finish`.
+    /// The recursion driver behind [`SolvePlan::drive`]: runs `k = 0..=g`
+    /// through the fused kernel from `U⁽⁰⁾(0) = u0`, accumulating
+    /// `windows[ti].weight(k)` for every time point, then hands the
+    /// kernel and the health monitor to `finish`.
     ///
     /// Each step's `(time, weight)` list goes into one reused
     /// [`StepWeights`], and the kernel runs them in stretches that end at
@@ -843,7 +834,9 @@ impl SolvePlan {
     /// `G` — and after at most [`MAX_STRETCH_STEPS`] steps, where the
     /// `--progress` heartbeat is checked. The hooks only read, and the
     /// kernel's result does not depend on where stretches end, so
-    /// attaching any of them leaves every bit unchanged.
+    /// attaching any of them leaves every bit unchanged. On an impulse
+    /// plan every stretch is one step, after which the coupling terms are
+    /// added into the new iterate before any hook sees it.
     fn run_recursion<R>(
         &self,
         pk: &PlanKernel,
@@ -855,6 +848,8 @@ impl SolvePlan {
     ) -> R {
         let config = &self.config;
         let (rec, ev) = (&config.recorder, &config.events);
+        let coupling = &pk.coupling[..order.min(pk.coupling.len())];
+        let n = u0.len();
         let mut pool_guard = Self::lock_pool(pk);
         let mut kernel = FusedMomentKernel::with_pool(
             &pk.matrix,
@@ -883,12 +878,17 @@ impl SolvePlan {
         // final iteration; the ETA is read off a wall clock only when a
         // record is actually emitted.
         let ev_progress = ev.enabled().then(|| (Instant::now(), (g / 20).max(1)));
+        let stretch = if coupling.is_empty() {
+            MAX_STRETCH_STEPS as u64
+        } else {
+            1
+        };
         {
             let _recursion = rec.span("solve.recursion");
             let mut steps = StepWeights::new();
             let mut k0 = 0u64;
             while k0 <= g {
-                let cap = (k0 + MAX_STRETCH_STEPS as u64 - 1).min(g);
+                let cap = (k0 + stretch - 1).min(g);
                 let hook = |k: u64| {
                     health.as_ref().is_some_and(|h| h.should_sample(k, g))
                         || ev_progress.is_some_and(|(_, stride)| k.is_multiple_of(stride))
@@ -902,6 +902,10 @@ impl SolvePlan {
                     }));
                 }
                 kernel.run(&steps, k1 < g);
+                if !coupling.is_empty() && k1 < g {
+                    let (next, prev) = kernel.iterates_mut();
+                    add_coupling(coupling, n, next, prev);
+                }
                 if let Some(h) = health.as_mut() {
                     if h.should_sample(k1, g) {
                         for j in 0..=order {
@@ -953,14 +957,14 @@ impl SolvePlan {
 
     /// Exact resident bytes of the plan's owned solver state: the
     /// iteration matrix (via `FootprintBytes`) plus the normalized
-    /// `R'`/`½S'` diagonals. Frozen-chain plans (no kernel) report 0 —
-    /// they hold no solver allocations beyond the model itself. This is
-    /// the number the byte-aware serve `PlanCache` budgets against.
+    /// `R'`/`½S'` diagonals and any impulse coupling matrices.
+    /// Frozen-chain plans (no kernel) report 0 — they hold no solver
+    /// allocations beyond the model itself. This is the number the
+    /// byte-aware serve `PlanCache` budgets against.
     pub fn footprint_bytes(&self) -> usize {
-        self.kernel.as_ref().map_or(0, |k| {
-            k.matrix.footprint_bytes()
-                + (k.r_prime.len() + k.s_half.len()) * std::mem::size_of::<f64>()
-        })
+        self.kernel
+            .as_ref()
+            .map_or(0, |k| k.matrix.footprint_bytes() + k.plan_bytes())
     }
 
     /// Exact owned bytes of just the iteration matrix (0 for frozen

@@ -21,8 +21,6 @@
 use crate::error::MrmError;
 use crate::model::SecondOrderMrm;
 use crate::uniformization::{MomentSolution, SolverConfig};
-use somrm_num::poisson;
-use somrm_num::special::ln_factorial;
 
 /// Computes terminal-weighted raw moments
 /// `E[Bⁿ(t)·w_{Z(t)} | Z(0) = i]` for `n = 0 ..= order`.
@@ -67,67 +65,6 @@ pub fn moments_terminal_weighted(
     config: &SolverConfig,
 ) -> Result<MomentSolution, MrmError> {
     crate::plan::SolvePlan::build(model, order, config)?.execute_terminal(t, terminal_weights, order)
-}
-
-/// Theorem-4 truncation with the extra `max(1, ‖w‖_∞)` factor from the
-/// weighted initial condition.
-pub(crate) fn terminal_truncation(
-    qt: f64,
-    d: f64,
-    order: usize,
-    w_max: f64,
-    config: &SolverConfig,
-) -> Result<(u64, Vec<f64>), MrmError> {
-    if qt == 0.0 {
-        return Ok((0, vec![0.0; order + 1]));
-    }
-    let ln_w = w_max.max(1.0).ln();
-    let ln_front: Vec<f64> = (0..=order)
-        .map(|j| {
-            std::f64::consts::LN_2
-                + ln_w
-                + j as f64 * d.ln()
-                + ln_factorial(j as u64)
-                + j as f64 * qt.ln()
-        })
-        .collect();
-    let ln_eps = config.epsilon.ln();
-    let ln_bound_order = |g: u64, j: usize| {
-        let tail = if g >= j as u64 {
-            poisson::ln_tail_above(qt, g - j as u64)
-        } else {
-            0.0
-        };
-        ln_front[j] + tail
-    };
-    let ln_bound = |g: u64| {
-        (0..=order)
-            .map(|j| ln_bound_order(g, j))
-            .fold(f64::NEG_INFINITY, f64::max)
-    };
-    let mut hi = (qt as u64).max(16);
-    let mut guard = 0;
-    while ln_bound(hi) >= ln_eps {
-        hi = hi.saturating_mul(2);
-        guard += 1;
-        if guard > 64 || hi > config.max_iterations {
-            return Err(MrmError::InvalidParameter {
-                name: "max_iterations",
-                reason: format!("truncation point exceeds cap (qt = {qt})"),
-            });
-        }
-    }
-    let mut lo = 0u64;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if ln_bound(mid) < ln_eps {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let per_order = (0..=order).map(|j| ln_bound_order(hi, j).exp()).collect();
-    Ok((hi, per_order))
 }
 
 #[cfg(test)]

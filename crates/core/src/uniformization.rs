@@ -40,10 +40,10 @@
 
 use crate::error::MrmError;
 use crate::model::SecondOrderMrm;
+use crate::moments::normal_raw_moments;
 use somrm_linalg::{KernelVariant, MatrixFormat};
 use somrm_num::poisson::{self, PoissonWindow};
-use somrm_num::special::{binomial, ln_factorial};
-use somrm_num::sum::NeumaierSum;
+use somrm_num::special::ln_factorial;
 use somrm_obs::{
     EventLogHandle, PoissonStat, PoolSection, RecorderHandle, SolveReport, SolverSection,
 };
@@ -495,9 +495,12 @@ pub(crate) fn validate_times(times: &[f64]) -> Result<(), MrmError> {
     Ok(())
 }
 
-/// Theorem 4 (with two corrections): the smallest `G` with
-/// `2·dʲ·j!·(qt)ʲ · P[Pois(qt) > G − j] < ε` for every requested order
-/// `j ≤ n`.
+/// Theorem 4 (with two corrections), for every solver path: the
+/// smallest `G ≥ min_g` with
+/// `c_j·dʲ·j!·(qt)ʲ · P[Pois(qt) > G − j] < ε` for every requested order
+/// `j ≤ n`, where `ln_front(j) = ln c_j` is the path's front factor
+/// (DESIGN.md §2a): `2` for rate rewards, `2·max(1, ‖w‖∞)` for a terminal
+/// weight vector `w` (Lemma 2), `4ʲ` with `G ≥ 2n` for impulse rewards.
 ///
 /// Corrections relative to the paper's eq. (11), documented in
 /// DESIGN.md §2:
@@ -518,18 +521,15 @@ pub(crate) fn truncation_point(
     qt: f64,
     d: f64,
     order: usize,
+    ln_front: impl Fn(usize) -> f64,
+    min_g: u64,
     config: &SolverConfig,
 ) -> Result<(u64, Vec<f64>), MrmError> {
     if qt == 0.0 {
         return Ok((0, vec![0.0; order + 1]));
     }
     let ln_front: Vec<f64> = (0..=order)
-        .map(|j| {
-            std::f64::consts::LN_2
-                + j as f64 * d.ln()
-                + ln_factorial(j as u64)
-                + j as f64 * qt.ln()
-        })
+        .map(|j| ln_front(j) + j as f64 * d.ln() + ln_factorial(j as u64) + j as f64 * qt.ln())
         .collect();
     let ln_eps = config.epsilon.ln();
     let ln_bound_order = |g: u64, j: usize| {
@@ -545,6 +545,10 @@ pub(crate) fn truncation_point(
             .map(|j| ln_bound_order(g, j))
             .fold(f64::NEG_INFINITY, f64::max)
     };
+    let cap_exceeded = || MrmError::TruncationCapExceeded {
+        qt,
+        cap: config.max_iterations,
+    };
 
     // Exponential search for an upper bracket, then bisection. The cap
     // must be checked *before* the first bound evaluation: for any
@@ -554,20 +558,14 @@ pub(crate) fn truncation_point(
     // (hours of CDF summation) where a typed error is owed instead.
     let mut hi = (qt as u64).max(16);
     if hi > config.max_iterations && config.epsilon < 1.0 {
-        return Err(MrmError::TruncationCapExceeded {
-            qt,
-            cap: config.max_iterations,
-        });
+        return Err(cap_exceeded());
     }
     let mut guard = 0;
     while ln_bound(hi) >= ln_eps {
         hi = hi.saturating_mul(2);
         guard += 1;
         if guard > 64 || hi > config.max_iterations {
-            return Err(MrmError::TruncationCapExceeded {
-                qt,
-                cap: config.max_iterations,
-            });
+            return Err(cap_exceeded());
         }
     }
     let mut lo = 0u64;
@@ -581,15 +579,14 @@ pub(crate) fn truncation_point(
     }
     // The exponential search starts at max(qt, 16), so a small cap can
     // be exceeded without the doubling loop ever noticing; re-check the
-    // final G explicitly.
-    if hi > config.max_iterations {
-        return Err(MrmError::TruncationCapExceeded {
-            qt,
-            cap: config.max_iterations,
-        });
+    // final G explicitly. The per-order bounds are evaluated at the G
+    // actually used (raising it to `min_g` only tightens them).
+    let g = hi.max(min_g);
+    if g > config.max_iterations {
+        return Err(cap_exceeded());
     }
-    let per_order = (0..=order).map(|j| ln_bound_order(hi, j).exp()).collect();
-    Ok((hi, per_order))
+    let per_order = (0..=order).map(|j| ln_bound_order(g, j).exp()).collect();
+    Ok((g, per_order))
 }
 
 /// Moments when the chain never leaves its initial state: per state `i`,
@@ -603,33 +600,15 @@ pub(crate) fn frozen_chain_solution(
     let n_states = model.n_states();
     let mut per_state: Vec<Vec<f64>> = vec![vec![0.0; n_states]; order + 1];
     for i in 0..n_states {
-        let mu = model.rates()[i] * t;
-        let var = model.variances()[i] * t;
-        let mut m = vec![0.0; order + 1];
-        m[0] = 1.0;
-        if order >= 1 {
-            m[1] = mu;
-        }
-        for n in 2..=order {
-            m[n] = mu * m[n - 1] + (n - 1) as f64 * var * m[n - 2];
-        }
+        let m = normal_raw_moments(model.rates()[i] * t, model.variances()[i] * t, order);
         for n in 0..=order {
             per_state[n][i] = m[n];
         }
     }
-    let weighted = (0..=order)
-        .map(|n| {
-            per_state[n]
-                .iter()
-                .zip(model.initial())
-                .map(|(&v, &p)| v * p)
-                .sum()
-        })
-        .collect();
     MomentSolution {
         t,
+        weighted: weighted_moments(&per_state, model.initial()),
         per_state,
-        weighted,
         stats: SolverStats {
             q: 0.0,
             d: 0.0,
@@ -640,6 +619,15 @@ pub(crate) fn frozen_chain_solution(
         error_bounds: vec![0.0; order + 1],
         report: None,
     }
+}
+
+/// `π·V⁽ⁿ⁾` for every order `n`: the moments from the initial
+/// distribution `initial`, summed in state order.
+pub(crate) fn weighted_moments(per_state: &[Vec<f64>], initial: &[f64]) -> Vec<f64> {
+    per_state
+        .iter()
+        .map(|v| v.iter().zip(initial).map(|(&v, &p)| v * p).sum())
+        .collect()
 }
 
 /// Moments when `B(t) = shift·t` deterministically.
@@ -668,34 +656,6 @@ pub(crate) fn deterministic_solution(
         error_bounds: vec![0.0; order + 1],
         report: None,
     }
-}
-
-/// Un-shifts raw moments: if `B = B̌ + ř·t`, then
-/// `E[Bⁿ] = Σ_j C(n,j)·(řt)^{n−j}·E[B̌ʲ]`.
-pub(crate) fn unshift_moments(shifted: &[Vec<f64>], shift: f64, t: f64) -> Vec<Vec<f64>> {
-    if shift == 0.0 {
-        return shifted.to_vec();
-    }
-    let order = shifted.len() - 1;
-    let n_states = shifted[0].len();
-    let c = shift * t;
-    (0..=order)
-        .map(|n| {
-            (0..n_states)
-                .map(|i| {
-                    let mut acc = NeumaierSum::new();
-                    for j in 0..=n {
-                        acc.add(
-                            binomial(n as u32, j as u32)
-                                * c.powi((n - j) as i32)
-                                * shifted[j][i],
-                        );
-                    }
-                    acc.value()
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1104,20 +1064,39 @@ mod tests {
         // Theorem-4 bound at the initial bracket hi = qt before looking
         // at the cap, and left of the Poisson mode that evaluation sums
         // an O(qt)-term CDF — an effective hang. The cap check must come
-        // first so this returns the typed error in microseconds.
+        // first so every entry point returns the typed error at once.
+        use crate::first_order::moments_first_order;
+        use crate::impulse::{moments_with_impulse, ImpulseMrm};
+        use crate::terminal::moments_terminal_weighted;
         let m = two_state_model([1.0, 1.0], [1.0, 1.0]);
-        let start = std::time::Instant::now();
-        match moments(&m, 2, 1e9, &SolverConfig::default()) {
-            Err(MrmError::TruncationCapExceeded { qt, cap }) => {
-                assert!(qt > 1e9);
-                assert_eq!(cap, SolverConfig::default().max_iterations);
+        let first_order = two_state_model([1.0, 2.0], [0.0, 0.0]);
+        let impulse = ImpulseMrm::new(m.clone(), &[(0, 1, 1.5)]).unwrap();
+        let cfg = SolverConfig::default();
+        type Solve<'a> = &'a dyn Fn() -> Result<MomentSolution, MrmError>;
+        let entry_points: [(&str, Solve); 4] = [
+            ("plain", &|| moments(&m, 2, 1e9, &cfg)),
+            ("terminal", &|| {
+                moments_terminal_weighted(&m, 2, 1e9, &[1.0, 3.0], &cfg)
+            }),
+            ("first-order", &|| {
+                moments_first_order(&first_order, 2, 1e9, &cfg)
+            }),
+            ("impulse", &|| moments_with_impulse(&impulse, 2, 1e9, &cfg)),
+        ];
+        for (name, solve) in entry_points {
+            let start = std::time::Instant::now();
+            match solve() {
+                Err(MrmError::TruncationCapExceeded { qt, cap }) => {
+                    assert!(qt > 1e9, "{name}");
+                    assert_eq!(cap, cfg.max_iterations, "{name}");
+                }
+                other => panic!("{name}: expected TruncationCapExceeded, got {other:?}"),
             }
-            other => panic!("expected TruncationCapExceeded, got {other:?}"),
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(1),
+                "{name}: cap check ran after the expensive bound evaluation"
+            );
         }
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(5),
-            "cap check ran after the expensive bound evaluation"
-        );
     }
 
     #[test]

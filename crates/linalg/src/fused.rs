@@ -662,6 +662,15 @@ impl<'a> FusedMomentKernel<'a> {
         assert!(j <= self.order, "order index out of range");
         &self.u_cur[j * self.n..(j + 1) * self.n]
     }
+
+    /// The iterates around the last advance, flattened as `u[j·n + i]`:
+    /// the current one `U(k+1)`, writable, and the previous one `U(k)`
+    /// it was computed from. Valid between stretches that advanced; a
+    /// caller adds recursion terms the pass does not know (impulse
+    /// coupling) here before the next stretch reads `U(k+1)`.
+    pub fn iterates_mut(&mut self) -> (&mut [f64], &[f64]) {
+        (&mut self.u_cur, &self.u_next)
+    }
 }
 
 fn elapsed_ns(start: Instant) -> u64 {

@@ -58,7 +58,8 @@ pub use chrome::ChromeTraceRecorder;
 pub use events::{Event, EventLogHandle, EventLogRecorder, VecSink};
 pub use health::{HealthMonitor, HealthSection, ProgressMeter};
 pub use mem::{
-    current_rss_bytes, peak_rss_bytes, MemCategory, MemEntry, MemLedger, MemSection,
+    current_rss_bytes, peak_rss_bytes, rss_sample, MemCategory, MemEntry, MemLedger, MemSection,
+    RssSample,
 };
 pub use prom::write_prometheus;
 pub use recorder::{thread_lane, NoopRecorder, Recorder, RecorderHandle, Span};

@@ -16,9 +16,9 @@
 //! `SolveReport` JSON (`"mem"` key), `mem.*` gauges on the recorder
 //! (which flow into the Prometheus export as `somrm_mem_*`), and the
 //! serve stats sideband (`mem.cache.resident`). An OS sampler
-//! ([`peak_rss_bytes`]/[`current_rss_bytes`]) reads `/proc/self/status`
-//! so span boundaries can record the process high-water mark next to
-//! the exact per-category numbers.
+//! ([`rss_sample`], or [`peak_rss_bytes`]/[`current_rss_bytes`]) reads
+//! `/proc/self/status` so span boundaries can record the process
+//! high-water mark next to the exact per-category numbers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -196,43 +196,49 @@ pub struct MemSection {
     pub peak_rss_bytes: Option<u64>,
 }
 
-/// Reads a `kB` line from `/proc/self/status` (Linux). Returns bytes.
-#[cfg(target_os = "linux")]
-fn proc_status_kb(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix(field) {
-            let kb: u64 = rest.trim().trim_end_matches(" kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
+/// One reading of the process resident-set size, both figures from the
+/// same snapshot — so `peak >= current` always holds, which two separate
+/// reads cannot promise while another thread allocates in between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RssSample {
+    /// Current resident-set size in bytes (`VmRSS`).
+    pub current: u64,
+    /// Peak resident-set size in bytes (`VmHWM`).
+    pub peak: u64,
+}
+
+/// Samples `VmRSS` and `VmHWM` from a single read of `/proc/self/status`;
+/// `None` where the platform exposes no cheap sampler.
+pub fn rss_sample() -> Option<RssSample> {
+    #[cfg(target_os = "linux")]
+    {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let kb = |field: &str| -> Option<u64> {
+            let line = status.lines().find_map(|l| l.strip_prefix(field))?;
+            let kb: u64 = line.trim().trim_end_matches(" kB").trim().parse().ok()?;
+            Some(kb * 1024)
+        };
+        Some(RssSample {
+            current: kb("VmRSS:")?,
+            peak: kb("VmHWM:")?,
+        })
     }
-    None
+    #[cfg(not(target_os = "linux"))]
+    {
+        None
+    }
 }
 
 /// Process peak resident-set size in bytes (`VmHWM`), `None` where the
 /// platform exposes no cheap sampler.
 pub fn peak_rss_bytes() -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        proc_status_kb("VmHWM:")
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
-    }
+    rss_sample().map(|s| s.peak)
 }
 
 /// Process current resident-set size in bytes (`VmRSS`), `None` where
 /// the platform exposes no cheap sampler.
 pub fn current_rss_bytes() -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        proc_status_kb("VmRSS:")
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
-    }
+    rss_sample().map(|s| s.current)
 }
 
 #[cfg(test)]
@@ -285,9 +291,9 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn rss_sampler_reads_something_plausible() {
-        let peak = peak_rss_bytes().expect("linux exposes VmHWM");
-        let cur = current_rss_bytes().expect("linux exposes VmRSS");
+        let RssSample { current: cur, peak } = rss_sample().expect("linux exposes VmRSS/VmHWM");
         assert!(peak >= cur, "high-water mark below current RSS");
+        assert!(peak_rss_bytes().is_some() && current_rss_bytes().is_some());
         assert!(cur > 0);
         let l = MemLedger::new();
         assert_eq!(l.peak_rss(), None);

@@ -6,8 +6,14 @@
 use somrm::linalg::MatrixFormat;
 use somrm::model::SecondOrderMrm;
 use somrm::models::OnOffMultiplexer;
+use somrm::obs::{
+    Event, EventLogHandle, EventLogRecorder, MetricsRegistry, RecorderHandle, VecSink,
+};
 use somrm::prelude::*;
-use somrm::solver::{moments_sweep, moments_terminal_weighted, SolvePlan};
+use somrm::solver::{
+    moments_sweep, moments_terminal_weighted, moments_with_impulse, ImpulseMrm, SolvePlan,
+};
+use std::sync::Arc;
 
 fn asymmetric_model() -> SecondOrderMrm {
     let mut b = GeneratorBuilder::new(4);
@@ -22,6 +28,14 @@ fn asymmetric_model() -> SecondOrderMrm {
         vec![-1.0, 2.0, 5.0, 0.0],
         vec![0.5, 1.0, 4.0, 0.0],
         vec![0.6, 0.3, 0.1, 0.0],
+    )
+    .unwrap()
+}
+
+fn impulse_model() -> ImpulseMrm {
+    ImpulseMrm::new(
+        asymmetric_model(),
+        &[(0, 1, 1.5), (1, 2, 0.5), (2, 3, 2.0), (3, 0, 0.25)],
     )
     .unwrap()
 }
@@ -118,4 +132,64 @@ fn plan_survives_interleaved_grids_and_orders() {
             );
         }
     }
+}
+
+#[test]
+fn plan_execute_impulse_is_bitwise_identical_to_cold_impulse_solves() {
+    // The one-shot wrapper, warm executes of one plan, every format and
+    // thread count, and telemetry on or off: all the same bits.
+    let model = impulse_model();
+    let times = [0.45, 2.0];
+    let mut reference: Option<Vec<Vec<f64>>> = None;
+    for (label, cfg) in configs() {
+        let plan = SolvePlan::build_impulse(&model, 3, &cfg).unwrap();
+        let mut weighted = Vec::new();
+        for t in times {
+            let cold = moments_with_impulse(&model, 3, t, &cfg).unwrap();
+            for pass in 0..2 {
+                let warm = plan.execute(&[t], 3).unwrap().pop().unwrap();
+                let at = format!("{label} pass {pass} t={t}");
+                assert_bitwise(&at, &cold.weighted, &warm.weighted);
+                assert_bitwise(
+                    &format!("{at} bounds"),
+                    &cold.error_bounds,
+                    &warm.error_bounds,
+                );
+                for (j, (c, w)) in cold.per_state.iter().zip(&warm.per_state).enumerate() {
+                    assert_bitwise(&format!("{at} per-state order {j}"), c, w);
+                }
+            }
+            weighted.push(cold.weighted);
+        }
+        match &reference {
+            None => reference = Some(weighted),
+            Some(first) => {
+                for (a, b) in first.iter().zip(&weighted) {
+                    assert_bitwise(&format!("{label} vs {}", configs()[0].0), a, b);
+                }
+            }
+        }
+    }
+    let reference = reference.unwrap();
+
+    let sink = VecSink::new();
+    let log = EventLogRecorder::new();
+    log.add_sink(Box::new(sink.clone()));
+    let observed = SolverConfig {
+        recorder: RecorderHandle::new(Arc::new(MetricsRegistry::new())),
+        events: EventLogHandle::new(log),
+        ..configs()[0].1.clone()
+    };
+    let sol = moments_with_impulse(&model, 3, times[1], &observed).unwrap();
+    assert_bitwise("recorder + event log on", &reference[1], &sol.weighted);
+    let report = sol.report.as_ref().expect("recorder attaches a report");
+    assert_eq!(report.command, "impulse");
+    assert_eq!(report.solver.as_ref().unwrap().g, sol.stats.iterations);
+    let events = Event::parse_lines(&sink.contents()).expect("strict parse");
+    assert!(matches!(events.first(), Some(Event::SolveStart { .. })));
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, Event::PlanResolved { .. })));
+    assert!(events.iter().any(|e| matches!(e, Event::Truncation { .. })));
+    assert!(matches!(events.last(), Some(Event::Complete { g, .. }) if *g == sol.stats.iterations));
 }
