@@ -970,6 +970,27 @@ fn render_report_human(report: &somrm_obs::json::Value) -> Option<String> {
     if let (Some(n), Some(threads)) = (num("n_states"), num("threads")) {
         let _ = writeln!(out, "model      : {n:.0} states, {threads:.0} threads");
     }
+    // One line per horizon: where its Poisson window sits in 0..=G and
+    // what the left edge adds to the truncation bound.
+    for p in report.get("poisson").and_then(Value::as_array).unwrap_or(&[]) {
+        let get = |key: &str| p.get(key).and_then(Value::as_f64);
+        if let (Some(t), Some(kept), Some(left), Some(trimmed)) = (
+            get("t"),
+            get("weights_kept"),
+            get("weights_left_skipped"),
+            get("weights_trimmed"),
+        ) {
+            let _ = write!(
+                out,
+                "poisson    : t = {t}: {kept:.0} weights kept, {left:.0} left of the window, \
+                 {trimmed:.0} trimmed"
+            );
+            if let Some(bound) = get("left_error_bound") {
+                let _ = write!(out, ", left bound {bound:.2e}");
+            }
+            out.push('\n');
+        }
+    }
     match report.get("mem") {
         Some(mem) if !matches!(mem, Value::Null) => out.push_str(&render_mem_section(mem)),
         _ => {
@@ -1502,6 +1523,8 @@ mod tests {
         assert!(out.contains("command    : moments"), "{out}");
         assert!(out.contains("memory     :"), "{out}");
         assert!(out.contains("kernel.buffers"), "{out}");
+        assert!(out.contains("poisson    : t = "), "{out}");
+        assert!(out.contains(", left bound "), "{out}");
         assert!(!out.contains("warning:"), "all report sections known: {out}");
     }
 

@@ -14,8 +14,8 @@ use crate::error::MrmError;
 use crate::model::SecondOrderMrm;
 use crate::moments::unshift_moments;
 use crate::uniformization::{
-    poisson_accounting, truncation_point, validate_times, weighted_moments, MomentSolution,
-    SolverConfig, SolverStats,
+    bound_fronts, poisson_accounting, truncation_point, validate_times, weighted_moments,
+    MomentSolution, SolverConfig, SolverStats,
 };
 use somrm_linalg::IterationMatrix;
 use somrm_num::poisson::PoissonWindow;
@@ -97,7 +97,12 @@ pub fn moments_first_order(
     // shared bound makes first- and second-order runs truncate
     // identically, which keeps the cost comparison like for like.
     let (g_limit, error_bounds) = rec.time("solve.truncation", || {
-        truncation_point(qt, d, order, |_| std::f64::consts::LN_2, 0, config)
+        truncation_point(
+            qt,
+            &bound_fronts(d, order, |_| std::f64::consts::LN_2),
+            0,
+            config,
+        )
     })?;
     let error_bound = error_bounds.iter().copied().fold(0.0, f64::max);
     if rec.enabled() {
@@ -202,7 +207,8 @@ pub fn moments_first_order(
                 kernel_variant: "scalar".to_string(),
                 error_bound,
                 error_bounds: error_bounds.clone(),
-                poisson: poisson_accounting(&[t], std::slice::from_ref(&window), g_limit),
+                // The reference keeps the whole exact window: no left cut.
+                poisson: poisson_accounting(&[t], std::slice::from_ref(&window), &[0.0], g_limit),
             }),
             pool: None,
             health: health.take().map(|h| h.finish(rec)),

@@ -38,9 +38,9 @@ use crate::impulse::ImpulseMrm;
 use crate::model::SecondOrderMrm;
 use crate::moments::unshift_moments;
 use crate::uniformization::{
-    attach_degenerate_report, deterministic_solution, frozen_chain_solution, poisson_accounting,
-    pool_section, truncation_point, validate_times, weighted_moments, MomentSolution, SolverConfig,
-    SolverStats,
+    attach_degenerate_report, bound_fronts, deterministic_solution, frozen_chain_solution,
+    left_error_bounds, left_truncation_point, poisson_accounting, pool_section, truncation_point,
+    validate_times, weighted_moments, MomentSolution, SolverConfig, SolverStats,
 };
 use somrm_linalg::sparse::{CsrMatrix, TripletBuilder};
 use somrm_linalg::{
@@ -536,7 +536,7 @@ impl SolvePlan {
             return Ok(solutions);
         }
         let command = if self.impulse { "impulse" } else { "moments" };
-        self.drive(times, order, &vec![1.0; model.n_states()], d, command)
+        self.drive(times, order, &vec![1.0; model.n_states()], d, self.left_budget(), command)
     }
 
     /// Terminal-weighted moments — the per-query half of
@@ -604,22 +604,32 @@ impl SolvePlan {
         // (it has no exact d = 0 path); the plan's normalized vectors
         // were computed with the same floor.
         let d = self.d.max(f64::MIN_POSITIVE);
-        let mut solutions = self.drive(&[t], order, terminal_weights, d, "terminal")?;
+        let mut solutions =
+            self.drive(&[t], order, terminal_weights, d, self.left_budget(), "terminal")?;
         Ok(solutions.pop().expect("one time point requested"))
     }
 
+    /// The share of ε each horizon's left Poisson edge may spend:
+    /// `ε·2⁻⁵²`, small enough that no result bit moves (DESIGN.md §2a).
+    fn left_budget(&self) -> f64 {
+        self.config.epsilon * f64::EPSILON
+    }
+
     /// The execution core every recursive query shares: Theorem-4
-    /// truncation → Poisson windows → fused recursion (plus the impulse
-    /// coupling, on impulse plans) → assembly → report → `complete`
-    /// event. Queries differ only in the start vector `u0` (all ones, or
-    /// terminal weights — Lemma 2 adds `max(1, ‖u0‖∞)` to the truncation
-    /// front) and in the normalization `d` they assemble with.
+    /// truncation (`G`, then each horizon's left edge within
+    /// `left_budget`) → Poisson windows → fused recursion (plus the
+    /// impulse coupling, on impulse plans) → assembly → report →
+    /// `complete` event. Queries differ only in the start vector `u0`
+    /// (all ones, or terminal weights — Lemma 2 adds `max(1, ‖u0‖∞)` to
+    /// the truncation front) and in the normalization `d` they assemble
+    /// with.
     fn drive(
         &self,
         times: &[f64],
         order: usize,
         u0: &[f64],
         d: f64,
+        left_budget: f64,
         command: &str,
     ) -> Result<Vec<MomentSolution>, MrmError> {
         let config = &self.config;
@@ -633,24 +643,51 @@ impl SolvePlan {
         let t_max = times.iter().copied().fold(0.0, f64::max);
         let qt = q * t_max;
         let ln_w = u0.iter().copied().fold(0.0, f64::max).max(1.0).ln();
-        let (ln_front, min_g): (fn(usize) -> f64, u64) = if self.impulse {
+        let (ln_c, min_g): (fn(usize) -> f64, u64) = if self.impulse {
             (|j| j as f64 * 4.0f64.ln(), 2 * order as u64)
         } else {
             (|_| std::f64::consts::LN_2, 0)
         };
-        let (g_limit, error_bounds) = rec.time("solve.truncation", || {
-            truncation_point(qt, d, order, |j| ln_front(j) + ln_w, min_g, config)
+        let (g_limit, right_bounds, fronts) = rec.time("solve.truncation", || {
+            let fronts = bound_fronts(d, order, |j| ln_c(j) + ln_w);
+            truncation_point(qt, &fronts, min_g, config).map(|(g, bounds)| (g, bounds, fronts))
         })?;
-        let error_bound = self.record_truncation(pk, d, qt, g_limit, &error_bounds);
 
+        // Each horizon's window starts at its own left edge, where the
+        // dropped terms spend at most `left_budget`; the bound is taken
+        // at the edge the window realizes.
         let windows: Vec<Option<PoissonWindow>> = rec.time("solve.poisson", || {
             times
                 .iter()
-                .map(|&t| (t > 0.0).then(|| PoissonWindow::exact(q * t, g_limit)))
+                .map(|&t| {
+                    (t > 0.0).then(|| {
+                        let floor = left_truncation_point(q * t, &fronts, left_budget);
+                        PoissonWindow::exact_from(q * t, floor, g_limit)
+                    })
+                })
                 .collect()
         });
+        let left_bounds: Vec<Vec<f64>> = times
+            .iter()
+            .zip(&windows)
+            .map(|(&t, w)| match w {
+                Some(w) => left_error_bounds(q * t, &fronts, w.left()).collect(),
+                None => vec![0.0; order + 1],
+            })
+            .collect();
+        let error_bounds: Vec<f64> = right_bounds
+            .iter()
+            .enumerate()
+            .map(|(j, &right)| right + left_bounds.iter().map(|b| b[j]).fold(0.0, f64::max))
+            .collect();
+        let error_bound = self.record_truncation(pk, d, qt, g_limit, &error_bounds);
+
         let poisson_stats: Vec<PoissonStat> = if rec.enabled() {
-            let stats = poisson_accounting(times, &windows, g_limit);
+            let worst_left: Vec<f64> = left_bounds
+                .iter()
+                .map(|b| b.iter().copied().fold(0.0, f64::max))
+                .collect();
+            let stats = poisson_accounting(times, &windows, &worst_left, g_limit);
             let kept: u64 = stats.iter().map(|p| p.weights_kept).sum();
             let trimmed: u64 = stats.iter().map(|p| p.weights_trimmed).sum();
             let left_skipped: u64 = stats.iter().map(|p| p.weights_left_skipped).sum();
@@ -1383,6 +1420,123 @@ mod tests {
         assert!(mem.entries.iter().any(|e| e.key == "kernel.buffers" && e.current == kb));
         if cfg!(target_os = "linux") {
             assert!(mem.peak_rss_bytes.unwrap() > 0);
+        }
+    }
+
+    /// One horizon of `plan` through [`SolvePlan::drive`] with the given
+    /// left budget (`0` keeps every weight here: nothing underflows at
+    /// these rates), with the horizon's weight accounting.
+    fn drive_once(
+        plan: &SolvePlan,
+        t: f64,
+        u0: &[f64],
+        budget: f64,
+    ) -> (MomentSolution, PoissonStat) {
+        let order = plan.max_order();
+        let sol = plan
+            .drive(&[t], order, u0, plan.d(), budget, "moments")
+            .unwrap()
+            .pop()
+            .unwrap();
+        let report = sol.report.clone().expect("plans here record");
+        let stat = report.solver.as_ref().unwrap().poisson[0];
+        (sol, stat)
+    }
+
+    #[test]
+    fn left_edge_moves_no_value_by_more_than_its_reported_bound() {
+        use somrm_obs::{MetricsRegistry, RecorderHandle};
+        let m = chain(6);
+        let cfg = SolverConfig::default()
+            .with_recorder(RecorderHandle::new(Arc::new(MetricsRegistry::new())));
+        let plain = SolvePlan::build(&m, 3, &cfg).unwrap();
+        let impulses = ImpulseMrm::new(m.clone(), &[(0, 1, 0.5), (3, 2, 1.0)]).unwrap();
+        let impulse = SolvePlan::build_impulse(&impulses, 3, &cfg).unwrap();
+        let t = 400.0 / plain.q();
+        let ones = [1.0; 6];
+        let weights = [1.0, 0.0, 2.5, 0.0, 1.0, 0.5];
+        let cases: [(&str, &SolvePlan, &[f64]); 3] = [
+            ("plain", &plain, &ones),
+            ("terminal", &plain, &weights),
+            ("impulse", &impulse, &ones),
+        ];
+        for (name, plan, u0) in cases {
+            let (full, full_stat) = drive_once(plan, t, u0, 0.0);
+            assert_eq!(full_stat.weights_left_skipped, 0, "{name}: uncut reference");
+            assert_eq!(full_stat.left_error_bound, 0.0, "{name}");
+            // The production budget ε·2⁻⁵², and one loose enough that the
+            // cut visibly moves values (the bound is far from tight).
+            let mut moved = false;
+            for budget in [plan.left_budget(), 1e-3] {
+                let (cut, stat) = drive_once(plan, t, u0, budget);
+                assert!(stat.weights_left_skipped > 0, "{name}: nothing cut");
+                assert!(stat.left_error_bound <= budget, "{name}: {stat:?}");
+                for j in 0..=3 {
+                    for i in 0..6 {
+                        let (a, b) = (full.per_state[j][i], cut.per_state[j][i]);
+                        assert!(
+                            (a - b).abs() <= stat.left_error_bound,
+                            "{name}, budget {budget:e}, order {j}, state {i}: {a} vs {b}, \
+                             bound {:e}",
+                            stat.left_error_bound
+                        );
+                        moved |= a != b;
+                    }
+                }
+                if budget == plan.left_budget() {
+                    let eps = cfg.epsilon;
+                    assert!(cut.error_bounds.iter().all(|&b| b <= eps), "{name}");
+                    if name == "plain" {
+                        assert_eq!(cut.per_state, full.per_state, "same bits at ε·2⁻⁵²");
+                        assert_eq!(cut.weighted, full.weighted);
+                    }
+                }
+            }
+            assert!(moved, "{name}: a cut at 1e-3 must move some value");
+        }
+    }
+
+    #[test]
+    fn each_horizon_gets_its_own_left_edge_and_the_event_carries_the_full_bound() {
+        use somrm_obs::{
+            Event, EventLogHandle, EventLogRecorder, MetricsRegistry, RecorderHandle, VecSink,
+        };
+        let m = chain(5);
+        let sink = VecSink::new();
+        let log = EventLogRecorder::new();
+        log.add_sink(Box::new(sink.clone()));
+        let cfg = SolverConfig {
+            events: EventLogHandle::new(log),
+            ..SolverConfig::default()
+        }
+        .with_recorder(RecorderHandle::new(Arc::new(MetricsRegistry::new())));
+        let plan = SolvePlan::build(&m, 2, &cfg).unwrap();
+        let times = [150.0, 300.0, 600.0].map(|qt| qt / plan.q());
+        let sols = plan.execute(&times, 2).unwrap();
+        let report = sols[0].report.clone().unwrap();
+        let stats = &report.solver.as_ref().unwrap().poisson;
+        let cuts: Vec<u64> = stats.iter().map(|p| p.weights_left_skipped).collect();
+        assert!(cuts[0] > 0 && cuts.windows(2).all(|w| w[0] <= w[1]), "{cuts:?}");
+        for (stat, &t) in stats.iter().zip(&times) {
+            assert!(stat.left_error_bound > 0.0, "{stat:?}");
+            assert!(stat.left_error_bound <= plan.left_budget(), "{stat:?}");
+            // The edge depends on the horizon alone, not on the grid's G.
+            let alone = plan.execute(&[t], 2).unwrap();
+            let own = alone[0].report.as_ref().unwrap().solver.as_ref().unwrap().poisson[0];
+            assert_eq!(own.weights_left_skipped, stat.weights_left_skipped);
+            assert_eq!(own.left_error_bound, stat.left_error_bound);
+        }
+        let events = Event::parse_lines(&sink.contents()).unwrap();
+        let logged = events
+            .iter()
+            .find_map(|e| match e {
+                Event::Truncation { error_bounds, .. } => Some(error_bounds.clone()),
+                _ => None,
+            })
+            .expect("truncation record");
+        for s in &sols {
+            assert_eq!(s.error_bounds, logged);
+            assert!(s.error_bounds.iter().all(|&b| b <= cfg.epsilon));
         }
     }
 

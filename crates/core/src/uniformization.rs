@@ -203,11 +203,12 @@ pub struct MomentSolution {
     pub weighted: Vec<f64>,
     /// Diagnostics of the run.
     pub stats: SolverStats,
-    /// Realized Theorem-4 truncation bound per order `0..=order()`.
-    /// In a sweep the truncation point belongs to the largest requested
-    /// time, so each entry is the worst bound over the sweep's time
-    /// points. All-zero on the exact degenerate paths (`q = 0`, `d = 0`,
-    /// `t = 0`).
+    /// Realized Theorem-4 truncation bound per order `0..=order()`: the
+    /// right tail beyond `G` plus the left Poisson edge's share (at most
+    /// `ε·2⁻⁵²`, DESIGN.md §2a). In a sweep the truncation point belongs
+    /// to the largest requested time, so each entry is the worst bound
+    /// over the sweep's time points. All-zero on the exact degenerate
+    /// paths (`q = 0`, `d = 0`, `t = 0`).
     pub error_bounds: Vec<f64>,
     /// Telemetry report of the producing solve; present iff the config
     /// carried an enabled recorder. Shared (`Arc`) across all solutions
@@ -324,7 +325,8 @@ pub struct SolverStats {
     /// Truncation point `G` of Theorem 4 for the largest requested
     /// time/order.
     pub iterations: u64,
-    /// The absolute error bound that `G` guarantees.
+    /// The absolute error bound of the truncated series, both edges
+    /// included: the worst entry of [`MomentSolution::error_bounds`].
     pub error_bound: f64,
 }
 
@@ -396,16 +398,20 @@ pub fn moments_sweep(
 
 /// Per-time-point weight accounting for the report: how many series
 /// terms carried non-zero Poisson weight, how many were skipped below
-/// the window's left edge, and how much mass the kept ones retain.
+/// the window's left edge, how much mass the kept ones retain, and the
+/// worst order's bound on what the left edge dropped (`left_bounds`, one
+/// per time point).
 pub(crate) fn poisson_accounting(
     times: &[f64],
     windows: &[Option<PoissonWindow>],
+    left_bounds: &[f64],
     g_limit: u64,
 ) -> Vec<PoissonStat> {
     times
         .iter()
         .zip(windows)
-        .map(|(&t, w)| match w {
+        .zip(left_bounds)
+        .map(|((&t, w), &left_error_bound)| match w {
             Some(w) => {
                 let kept = w.weights().len() as u64;
                 let left_skipped = w.left();
@@ -415,6 +421,7 @@ pub(crate) fn poisson_accounting(
                     weights_left_skipped: left_skipped,
                     weights_trimmed: (g_limit + 1).saturating_sub(kept + left_skipped),
                     retained_mass: w.weights().iter().sum(),
+                    left_error_bound,
                 }
             }
             // t = 0: no window; every term of the series is trimmed.
@@ -424,6 +431,7 @@ pub(crate) fn poisson_accounting(
                 weights_left_skipped: 0,
                 weights_trimmed: g_limit + 1,
                 retained_mass: 0.0,
+                left_error_bound,
             },
         })
         .collect()
@@ -495,12 +503,22 @@ pub(crate) fn validate_times(times: &[f64]) -> Result<(), MrmError> {
     Ok(())
 }
 
+/// `ln(c_j·dʲ·j!)` for every order `j ≤ order`: the horizon-free front of
+/// the Theorem-4 bound on either end of the series, where
+/// `ln_c(j) = ln c_j` is the path's front factor (DESIGN.md §2a): `2` for
+/// rate rewards, `2·max(1, ‖w‖∞)` for a terminal weight vector `w`
+/// (Lemma 2), `4ʲ` for impulse rewards.
+pub(crate) fn bound_fronts(d: f64, order: usize, ln_c: impl Fn(usize) -> f64) -> Vec<f64> {
+    (0..=order)
+        .map(|j| ln_c(j) + j as f64 * d.ln() + ln_factorial(j as u64))
+        .collect()
+}
+
 /// Theorem 4 (with two corrections), for every solver path: the
 /// smallest `G ≥ min_g` with
 /// `c_j·dʲ·j!·(qt)ʲ · P[Pois(qt) > G − j] < ε` for every requested order
-/// `j ≤ n`, where `ln_front(j) = ln c_j` is the path's front factor
-/// (DESIGN.md §2a): `2` for rate rewards, `2·max(1, ‖w‖∞)` for a terminal
-/// weight vector `w` (Lemma 2), `4ʲ` with `G ≥ 2n` for impulse rewards.
+/// `j ≤ n`, where `fronts[j] = ln(c_j·dʲ·j!)` comes from [`bound_fronts`]
+/// (impulse paths pass `min_g = 2n`).
 ///
 /// Corrections relative to the paper's eq. (11), documented in
 /// DESIGN.md §2:
@@ -519,17 +537,18 @@ pub(crate) fn validate_times(times: &[f64]) -> Result<(), MrmError> {
 /// guarantees for the whole solve is the maximum entry.
 pub(crate) fn truncation_point(
     qt: f64,
-    d: f64,
-    order: usize,
-    ln_front: impl Fn(usize) -> f64,
+    fronts: &[f64],
     min_g: u64,
     config: &SolverConfig,
 ) -> Result<(u64, Vec<f64>), MrmError> {
+    let order = fronts.len() - 1;
     if qt == 0.0 {
         return Ok((0, vec![0.0; order + 1]));
     }
-    let ln_front: Vec<f64> = (0..=order)
-        .map(|j| ln_front(j) + j as f64 * d.ln() + ln_factorial(j as u64) + j as f64 * qt.ln())
+    let ln_front: Vec<f64> = fronts
+        .iter()
+        .enumerate()
+        .map(|(j, &f)| f + j as f64 * qt.ln())
         .collect();
     let ln_eps = config.epsilon.ln();
     let ln_bound_order = |g: u64, j: usize| {
@@ -587,6 +606,36 @@ pub(crate) fn truncation_point(
     }
     let per_order = (0..=order).map(|j| ln_bound_order(g, j).exp()).collect();
     Ok((g, per_order))
+}
+
+/// Per-order bounds on the series terms `k < l` that a Poisson window
+/// starting at `l` drops: `c_j·dʲ·j!·lʲ·P[Pois(qt) < l]`, with `fronts`
+/// from [`bound_fronts`] (DESIGN.md §2a). All zero at `l = 0`.
+pub(crate) fn left_error_bounds(qt: f64, fronts: &[f64], l: u64) -> impl Iterator<Item = f64> + '_ {
+    let ln_tail = poisson::ln_tail_below(qt, l);
+    let ln_l = (l.max(1) as f64).ln();
+    fronts
+        .iter()
+        .enumerate()
+        .map(move |(j, &f)| (f + j as f64 * ln_l + ln_tail).exp())
+}
+
+/// The left edge of one horizon's Poisson window: the largest
+/// `L ≤ ⌊qt⌋` whose [`left_error_bounds`] all stay within `budget`.
+/// The bounds rise with `L`, so bisection finds it, as in
+/// [`truncation_point`]; `L = 0` drops nothing and always fits.
+pub(crate) fn left_truncation_point(qt: f64, fronts: &[f64], budget: f64) -> u64 {
+    let fits = |l| left_error_bounds(qt, fronts, l).all(|b| b <= budget);
+    let (mut lo, mut hi) = (0u64, qt as u64 + 1);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Moments when the chain never leaves its initial state: per state `i`,

@@ -123,6 +123,37 @@ pub fn tail_above(lambda: f64, g: u64) -> f64 {
     ln_tail_above(lambda, g).exp()
 }
 
+/// Natural log of the lower tail `P[Pois(λ) < l]`; `−∞` at `l = 0`.
+///
+/// The mirror of [`ln_tail_above`] for the left edge of the series:
+/// left of the mean the tail is summed directly downward from `l − 1`
+/// (terms decay geometrically), so it stays accurate where the linear
+/// value would underflow — `P[Pois(2000) < 1000]` is about `e^{−300}`.
+pub fn ln_tail_below(lambda: f64, l: u64) -> f64 {
+    if l == 0 {
+        return f64::NEG_INFINITY;
+    }
+    if (l - 1) as f64 > lambda {
+        // Tail is O(1): sum the CDF directly.
+        return cdf(lambda, l - 1).ln();
+    }
+    // Sum t_j = pmf(l−1−j) relative to the first term:
+    //   t_{j+1}/t_j = (l−1−j)/λ < 1.
+    let first_ln = ln_pmf(lambda, l - 1);
+    let mut rel = 1.0f64;
+    let mut acc = NeumaierSum::with_value(1.0);
+    let mut k = l - 1;
+    while k > 0 {
+        rel *= k as f64 / lambda;
+        acc.add(rel);
+        if rel < 1e-18 * acc.value() {
+            break;
+        }
+        k -= 1;
+    }
+    first_ln + acc.value().ln()
+}
+
 /// A contiguous window `[left, right]` of Poisson weights covering all
 /// but at most `eps` of the probability mass.
 ///
@@ -192,11 +223,13 @@ impl PoissonWindow {
     /// **bit-identical** results to one iterating the full `0..=gmax`
     /// range (the skipped terms are multiplications by exact zero).
     ///
-    /// This is the window the randomization solvers iterate with: at the
-    /// paper's `qt = 40,000` the left edge sits near `k ≈ 32,000` —
-    /// about ⅘ of the [`weights_trimmed`] vector is exact zeros that
-    /// [`weights_upto`] would compute, store, and the accumulation loop
-    /// would then filter out one by one.
+    /// At the paper's `qt = 40,000` the left edge sits near
+    /// `k ≈ 32,000` — about ⅘ of the [`weights_trimmed`] vector is exact
+    /// zeros that [`weights_upto`] would compute, store, and an
+    /// accumulation loop would then filter out one by one. The
+    /// randomization solvers start further right, at an ε-budgeted
+    /// floor ([`PoissonWindow::exact_from`]); the first-order reference
+    /// solver iterates this window.
     ///
     /// Both edges are found by bisection (`O(log gmax)` pmf
     /// evaluations): the pmf is unimodal, so "pmf > 0" is monotone on
@@ -208,18 +241,33 @@ impl PoissonWindow {
     ///
     /// Panics if `lambda <= 0` or `lambda` is not finite.
     pub fn exact(lambda: f64, gmax: u64) -> Self {
+        Self::exact_from(lambda, 0, gmax)
+    }
+
+    /// [`PoissonWindow::exact`] with a left floor: the window starts at
+    /// `max(floor, first non-zero weight)` and keeps the exact window's
+    /// right edge. Every stored weight equals the exact window's bit for
+    /// bit; below the floor [`PoissonWindow::weight`] reads `0.0`. The
+    /// floor is clamped to the mode (`⌊λ⌋`, or `gmax` below it), so the
+    /// window is never empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lambda <= 0` or `lambda` is not finite.
+    pub fn exact_from(lambda: f64, floor: u64, gmax: u64) -> Self {
         assert!(
             lambda > 0.0 && lambda.is_finite(),
             "Poisson rate must be positive and finite, got {lambda}"
         );
         let mode = (lambda.floor() as u64).min(gmax);
         debug_assert!(pmf(lambda, mode) > 0.0, "mode weight cannot underflow");
+        let floor = floor.min(mode);
 
-        // Left edge: smallest k with pmf(k) > 0.
-        let mut left = if pmf(lambda, 0) > 0.0 {
-            0
+        // Left edge: smallest k ≥ floor with pmf(k) > 0.
+        let mut left = if pmf(lambda, floor) > 0.0 {
+            floor
         } else {
-            let mut lo = 0u64; // pmf == 0 here
+            let mut lo = floor; // pmf == 0 here
             let mut hi = mode; // pmf > 0 here
             while hi - lo > 1 {
                 let mid = lo + (hi - lo) / 2;
@@ -231,7 +279,7 @@ impl PoissonWindow {
             }
             hi
         };
-        while left > 0 && pmf(lambda, left - 1) > 0.0 {
+        while left > floor && pmf(lambda, left - 1) > 0.0 {
             left -= 1;
         }
 
@@ -394,6 +442,62 @@ mod tests {
         // P[Pois(64) > 300] is astronomically small but finite in log space.
         let lt = ln_tail_above(64.0, 300);
         assert!(lt.is_finite() && lt < -200.0);
+    }
+
+    #[test]
+    fn lower_tail_matches_cdf_in_bulk() {
+        let lambda = 100.0;
+        for l in [60u64, 80, 100] {
+            let direct = cdf(lambda, l - 1);
+            let tail = ln_tail_below(lambda, l).exp();
+            assert!(
+                (tail - direct).abs() <= 1e-13 * direct,
+                "l = {l}: {tail} vs {direct}"
+            );
+        }
+    }
+
+    #[test]
+    fn ln_lower_tail_deep_is_finite_and_increasing() {
+        // P[Pois(2000) < 1000] ≈ e^{−300}: far below what 1 − tail or a
+        // linear-space CDF could resolve.
+        let lambda = 2_000.0;
+        let mut prev = f64::NEG_INFINITY;
+        for l in (1_000..=1_900).step_by(25) {
+            let lt = ln_tail_below(lambda, l);
+            assert!(lt.is_finite(), "l = {l}");
+            assert!(lt > prev, "tail must increase, l = {l}");
+            prev = lt;
+        }
+        assert!(ln_tail_below(lambda, 1_000) < -250.0);
+        assert_eq!(ln_tail_below(lambda, 0), f64::NEG_INFINITY);
+        assert_eq!(ln_tail_below(3.0, 0), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn floored_window_is_the_exact_window_above_its_floor() {
+        for &(lambda, floor, gmax) in &[
+            (400.0f64, 250u64, 520u64),
+            (2_000.0, 1_486, 2_378),
+            (2_000.0, 100, 2_378), // floor below the underflow edge
+            (5.0, 50, 40),         // floor past the mode: clamped
+        ] {
+            let exact = PoissonWindow::exact(lambda, gmax);
+            let cut = PoissonWindow::exact_from(lambda, floor, gmax);
+            assert_eq!(cut.left(), floor.min(lambda as u64).max(exact.left()));
+            assert_eq!(cut.right(), exact.right());
+            for k in 0..=gmax {
+                if k < cut.left() {
+                    assert_eq!(cut.weight(k), 0.0, "lambda = {lambda}, k = {k}");
+                } else {
+                    assert_eq!(
+                        cut.weight(k).to_bits(),
+                        exact.weight(k).to_bits(),
+                        "lambda = {lambda}, k = {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,13 +63,14 @@ pub enum Event {
         /// Reward shift applied before uniformization.
         shift: f64,
     },
-    /// Truncation search finished.
+    /// Truncation search finished: `G` and every horizon's left edge.
     Truncation {
         /// Largest Poisson argument `q·t` over the time grid.
         qt: f64,
         /// Truncation point `G` (recursion runs `k = 0..=G`).
         g: u64,
-        /// Realized Theorem-4 bound per order (`bounds[j]` for order `j`).
+        /// Realized Theorem-4 bound per order (`bounds[j]` for order
+        /// `j`), both edges included: what the solutions report.
         error_bounds: Vec<f64>,
     },
     /// A numerical-health sample (cadence of the `HealthMonitor`).

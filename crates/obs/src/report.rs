@@ -10,14 +10,16 @@ use std::fmt::Write as _;
 ///
 /// The recursion truncates at the global `G` of the largest requested
 /// time; each individual time point's weight window is additionally
-/// trimmed where its right tail underflows to exact zero, and skipped
-/// below the left edge where the pmf underflows on the way up (large
-/// `qt` pushes the window far right of `k = 0`). `weights_kept +
-/// weights_left_skipped + weights_trimmed = G + 1` always holds, and
-/// `retained_mass` is the sum of the kept weights — how much of
-/// `P[Pois(qt_i)]` the truncated series actually covers
+/// trimmed where its right tail underflows to exact zero, and starts at
+/// a left edge: the largest `L` whose bound on the dropped terms `k < L`
+/// spends at most `ε·2⁻⁵²`, or the first weight that does not underflow
+/// if that lies further right (large `qt` pushes the window far right of
+/// `k = 0`). `weights_kept + weights_left_skipped + weights_trimmed =
+/// G + 1` always holds, `retained_mass` is the sum of the kept weights —
+/// how much of `P[Pois(qt_i)]` the truncated series actually covers
 /// (`1 − retained_mass` is Poisson mass assigned to iterations beyond
-/// `G` or below underflow).
+/// `G` or below the left edge) — and `left_error_bound` is what the left
+/// edge adds to the worst order's truncation bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoissonStat {
     /// The time point.
@@ -25,15 +27,20 @@ pub struct PoissonStat {
     /// Number of non-trimmed Poisson weights (series terms evaluated
     /// with a non-zero weight).
     pub weights_kept: u64,
-    /// Number of weight slots below the window's left edge skipped as
-    /// exact zeros (the recursion still advances through them, but no
-    /// accumulation happens there).
+    /// Number of weight slots below the window's left edge: weights
+    /// under the ε-budgeted cut or underflowed to exact zeros (the
+    /// recursion still advances through them, but no accumulation
+    /// happens there).
     pub weights_left_skipped: u64,
     /// Number of weight slots up to `G` trimmed away as exact zeros
     /// past the window's right edge.
     pub weights_trimmed: u64,
     /// Total Poisson mass of the kept weights.
     pub retained_mass: f64,
+    /// Bound on the terms below the left edge, for the worst order
+    /// (`0` when nothing was cut; at most `ε·2⁻⁵²` unless the edge sits
+    /// at the first non-underflowing weight).
+    pub left_error_bound: f64,
 }
 
 /// Worker-pool behaviour over one solve.
@@ -192,6 +199,7 @@ impl SolveReport {
                         p.weights_kept, p.weights_left_skipped, p.weights_trimmed
                     );
                     json::write_f64(&mut out, p.retained_mass);
+                    push_num(&mut out, "left_error_bound", p.left_error_bound);
                     out.push('}');
                 }
                 out.push(']');
@@ -384,6 +392,7 @@ mod tests {
                     weights_left_skipped: 0,
                     weights_trimmed: 2,
                     retained_mass: 0.999999,
+                    left_error_bound: 2.5e-26,
                 }],
             }),
             pool: Some(PoolSection {
@@ -425,6 +434,7 @@ mod tests {
         assert_eq!(v.get("error_bounds").unwrap().as_array().unwrap().len(), 4);
         let p = &v.get("poisson").unwrap().as_array().unwrap()[0];
         assert_eq!(p.get("weights_trimmed").unwrap().as_f64(), Some(2.0));
+        assert_eq!(p.get("left_error_bound").unwrap().as_f64(), Some(2.5e-26));
         assert_eq!(v.get("pool").unwrap().get("parks").unwrap().as_f64(), Some(130.0));
         let stage = v.get("stages").unwrap().get("solve.recursion").unwrap();
         assert_eq!(stage.get("count").unwrap().as_f64(), Some(1.0));
