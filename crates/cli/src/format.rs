@@ -60,13 +60,21 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// Largest `states` count [`parse_model`] accepts: 2²⁵, about 16× the
+/// 2,000,001 states of the largest model the solver has been run on.
+/// The parser allocates per-state vectors from this count before any
+/// other line is checked, and a failed allocation aborts the process
+/// (no error can be returned), so an absurd count is refused first.
+pub const MAX_STATES: usize = 1 << 25;
+
 /// Parses the model format described in the crate docs.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] pinpointing the offending line for syntax
-/// problems, missing/duplicate declarations, out-of-range states,
-/// invalid numbers, or a model that fails semantic validation.
+/// problems, missing/duplicate declarations, a state count above
+/// [`MAX_STATES`], out-of-range states, invalid numbers, or a model that
+/// fails semantic validation.
 pub fn parse_model(text: &str) -> Result<ParsedModel, ParseError> {
     let mut n_states: Option<usize> = None;
     let mut rates: Vec<(usize, usize, f64, usize)> = Vec::new();
@@ -89,6 +97,12 @@ pub fn parse_model(text: &str) -> Result<ParsedModel, ParseError> {
                 let n = parse_token::<usize>(&tokens, 1, lineno, "state count")?;
                 if n == 0 {
                     return Err(err(lineno, "state count must be positive"));
+                }
+                if n > MAX_STATES {
+                    return Err(err(
+                        lineno,
+                        format!("state count {n} exceeds the limit of {MAX_STATES}"),
+                    ));
                 }
                 expect_len(&tokens, 2, lineno)?;
                 n_states = Some(n);
@@ -278,6 +292,28 @@ mod tests {
         let e = parse_model("states 3\nrate 0 1 1.0\nrate 1 2 1.0\nrate 2 0 1.0\nimpulse 0 2 1.0\n")
             .unwrap_err();
         assert!(e.message.contains("rate is zero"));
+    }
+
+    #[test]
+    fn absurd_state_counts_are_refused_before_allocating() {
+        // 10^13 states would ask for 80 TB per state vector: a typed
+        // error, not an aborted process.
+        let e = parse_model(
+            "states 10000000000000
+",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("exceeds the limit"), "{e}");
+        let e = parse_model(&format!(
+            "states {}
+",
+            MAX_STATES + 1
+        ))
+        .unwrap_err();
+        assert!(e.message.contains("limit"));
+        // The largest model the solver has been run on still parses.
+        const { assert!(MAX_STATES > 2_000_001) };
     }
 
     #[test]

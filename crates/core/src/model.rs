@@ -183,6 +183,15 @@ impl SecondOrderMrm {
         Ok(m)
     }
 
+    /// Whether `other` is the same chain — equal generator, drifts and
+    /// variances — possibly started from another initial distribution.
+    /// A [`crate::SolvePlan`] of one serves the other.
+    pub fn same_chain(&self, other: &SecondOrderMrm) -> bool {
+        self.generator == other.generator
+            && self.rates == other.rates
+            && self.variances == other.variances
+    }
+
     /// Attaches a structure descriptor advertising how the generator
     /// was assembled (builder API — the descriptor must describe this
     /// generator; solvers cross-check dimensions before trusting it).

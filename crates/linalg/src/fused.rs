@@ -76,12 +76,27 @@
 //! specialized at compile time for orders 0–3 and three diagonals. The
 //! accumulators live in two planes (running sums, compensations), so
 //! the vector Neumaier update needs no shuffles.
+//!
+//! # Weighted runs
+//!
+//! A kernel switched to a weighted run ([`FusedMomentKernel::set_projection`])
+//! keeps no accumulator planes. Each pass instead records the projection
+//! `aⱼ(k) = πᵀU⁽ʲ⁾(k)` of the iterate it reads, one scalar per order and
+//! step ([`FusedMomentKernel::projected`]), in the same row bodies, next
+//! to the accumulate it replaces. Row `i` adds `π[i]·U⁽ʲ⁾[i]` (plain
+//! multiply, plain add) into lane `i % PROJ_LANES` of its step's partial
+//! sums; the lanes of a step are reduced as `(l₀+l₁)+(l₂+l₃)` after the
+//! stretch. Every lane receives its rows in ascending order on every
+//! schedule, so `aⱼ(k)` is bit-identical across wavefront blocks,
+//! stretch lengths and matrix backends (within one arithmetic variant);
+//! a pooled kernel reduces its chunks' partial sums in chunk order, which
+//! agrees with a serial run only up to rounding.
 
 use crate::dia::{DiaMatrix, IterationMatrix};
 use crate::footprint::FootprintBytes;
 use crate::operator::MatVec;
 use crate::pool::{chunk_range, PoolStats, SyncMutPtr, WorkerPool};
-use crate::simd::{self, Lanes, ResolvedKernel};
+use crate::simd::{self, lanes_fit, load_lanes, store_lanes, Lanes, ResolvedKernel, PROJ_LANES};
 use somrm_num::sum::neumaier_add;
 use somrm_obs::RecorderHandle;
 use std::ops::Range;
@@ -285,6 +300,16 @@ pub struct FusedMomentKernel<'a> {
     u_next: Vec<f64>,
     acc_sum: Vec<f64>,
     acc_comp: Vec<f64>,
+    /// π of a weighted run ([`FusedMomentKernel::set_projection`]);
+    /// empty otherwise.
+    pi: &'a [f64],
+    /// Projection lanes of the current stretch, one lane set per
+    /// `(chunk, step, order)`.
+    proj_lanes: Vec<[f64; PROJ_LANES]>,
+    /// `aⱼ(k)` of the last stretch's steps, `[t·(order+1) + j]`.
+    projected: Vec<f64>,
+    /// The matrix's owned bytes per row, for sizing wavefront blocks.
+    matrix_row_bytes: usize,
     /// Per-chunk kernel time within the current stretch (pooled kernels
     /// with a recorder), so each lane emits one `kernel.chunk` span per
     /// stretch.
@@ -413,8 +438,9 @@ impl<'a> FusedMomentKernel<'a> {
         let order1 = order + 1;
         // Bytes a block keeps per row: both U buffers, both accumulator
         // planes, r'/½s' and the row's share of the matrix.
-        let row_bytes = std::mem::size_of::<f64>() * (2 * order1 * (1 + n_times) + 2)
-            + matrix.footprint_bytes().div_ceil(n.max(1));
+        let matrix_row_bytes = matrix.footprint_bytes().div_ceil(n.max(1));
+        let row_bytes =
+            std::mem::size_of::<f64>() * (2 * order1 * (1 + n_times) + 2) + matrix_row_bytes;
         let block_rows = (WAVE_BLOCK_BYTES / row_bytes).max(1);
         let mut u_cur = vec![0.0; order1 * n];
         u_cur[..n].copy_from_slice(u0);
@@ -436,6 +462,10 @@ impl<'a> FusedMomentKernel<'a> {
             u_next: vec![0.0; order1 * n],
             acc_sum: vec![0.0; n_times * order1 * n],
             acc_comp: vec![0.0; n_times * order1 * n],
+            pi: &[],
+            proj_lanes: Vec::new(),
+            projected: Vec::new(),
+            matrix_row_bytes,
             lane_ns: (0..chunks).map(|_| AtomicU64::new(0)).collect(),
             recorder: RecorderHandle::disabled(),
         };
@@ -454,6 +484,45 @@ impl<'a> FusedMomentKernel<'a> {
         } else {
             (self.block_rows / (8 * self.band.max(1))).clamp(1, MAX_STRETCH_STEPS)
         };
+    }
+
+    /// Switches the kernel to a weighted run: from the next pass on, each
+    /// step records `aⱼ(k) = πᵀU⁽ʲ⁾(k)` for every order (read back with
+    /// [`FusedMomentKernel::projected`]). Meant for a kernel built with
+    /// no time points, whose passes then do no per-state accumulation;
+    /// the wavefront blocks are resized for the lighter rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pi` does not have one entry per row.
+    pub fn set_projection(&mut self, pi: &'a [f64]) {
+        assert_eq!(pi.len(), self.n, "projection vector length mismatch");
+        self.pi = pi;
+        let order1 = self.order + 1;
+        let row_bytes = std::mem::size_of::<f64>() * (2 * order1 * (1 + self.n_times) + 3)
+            + self.matrix_row_bytes;
+        self.set_block_rows((WAVE_BLOCK_BYTES / row_bytes).max(1));
+    }
+
+    /// `aⱼ(k) = πᵀU⁽ʲ⁾(k)` of every step of the last stretch of a
+    /// weighted run, flattened as `[t·(order+1) + j]` (empty otherwise).
+    pub fn projected(&self) -> &[f64] {
+        &self.projected
+    }
+
+    /// The current iterate, flattened as `u[j·n + i]`.
+    pub fn iterate(&self) -> &[f64] {
+        &self.u_cur
+    }
+
+    /// Replaces the current iterate (flattened as `u[j·n + i]`), so a
+    /// recursion resumes where an earlier kernel stopped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` has the wrong length.
+    pub fn set_iterate(&mut self, u: &[f64]) {
+        self.u_cur.copy_from_slice(u);
     }
 
     /// Selects the arithmetic variant of the pass body. Defaults to
@@ -519,10 +588,36 @@ impl<'a> FusedMomentKernel<'a> {
 
     fn run_stretch(&mut self, pairs: &[(usize, f64)], ends: &[usize], advance_last: bool) {
         let variant = self.variant;
-        self.run_stretch_with(pairs, ends, advance_last, |ctx, rows| match variant {
-            ResolvedKernel::Scalar => scalar_rows(ctx, rows),
-            ResolvedKernel::Simd => simd_rows(ctx, rows),
-        });
+        if self.pi.is_empty() {
+            self.run_stretch_with(pairs, ends, advance_last, |ctx, rows| match variant {
+                ResolvedKernel::Scalar => scalar_rows::<false>(ctx, rows),
+                ResolvedKernel::Simd => simd_rows::<false>(ctx, rows),
+            });
+        } else {
+            self.run_stretch_with(pairs, ends, advance_last, |ctx, rows| match variant {
+                ResolvedKernel::Scalar => scalar_rows::<true>(ctx, rows),
+                ResolvedKernel::Simd => simd_rows::<true>(ctx, rows),
+            });
+            self.reduce_projection(ends.len());
+        }
+    }
+
+    /// Folds each step's projection lanes into `aⱼ(k)`: per chunk
+    /// `(l₀+l₁)+(l₂+l₃)`, then the chunks in ascending order.
+    fn reduce_projection(&mut self, steps: usize) {
+        let order1 = self.order + 1;
+        self.projected.clear();
+        for t in 0..steps {
+            for j in 0..order1 {
+                let mut v = 0.0;
+                for c in 0..self.chunks {
+                    let l = self.proj_lanes[(c * steps + t) * order1 + j];
+                    let part = (l[0] + l[1]) + (l[2] + l[3]);
+                    v = if c == 0 { part } else { v + part };
+                }
+                self.projected.push(v);
+            }
+        }
     }
 
     /// The scheduler: runs `body` over every (rows, step) of the stretch.
@@ -542,6 +637,12 @@ impl<'a> FusedMomentKernel<'a> {
         }
         let n = self.n;
         let chunks = self.chunks;
+        let project = !self.pi.is_empty();
+        if project {
+            self.proj_lanes.clear();
+            self.proj_lanes
+                .resize(chunks * steps * (self.order + 1), [0.0; PROJ_LANES]);
+        }
         let stretch = Stretch {
             n,
             order1: self.order + 1,
@@ -556,6 +657,8 @@ impl<'a> FusedMomentKernel<'a> {
             u_len: self.u_cur.len(),
             acc_sum: SyncMutPtr::new(self.acc_sum.as_mut_ptr()),
             acc_comp: SyncMutPtr::new(self.acc_comp.as_mut_ptr()),
+            pi: self.pi,
+            proj: project.then(|| SyncMutPtr::new(self.proj_lanes.as_mut_ptr())),
             pairs,
             ends,
             advance_last,
@@ -585,7 +688,7 @@ impl<'a> FusedMomentKernel<'a> {
                                 // SAFETY: rows run one at a time here,
                                 // and `Wavefront` guarantees every read
                                 // of step `t`'s buffer sees step `t`.
-                                body(&unsafe { stretch.pass(t) }, rows);
+                                body(&unsafe { stretch.pass(t, 0) }, rows);
                             }
                         }
                     }
@@ -598,15 +701,16 @@ impl<'a> FusedMomentKernel<'a> {
             Some(pool) => {
                 let lane_ns = &self.lane_ns;
                 for t in 0..steps {
-                    // SAFETY: every chunk of step `t` reads buffer `t % 2`
-                    // and writes only its own rows of the other buffer
-                    // and of the accumulators.
-                    let ctx = unsafe { stretch.pass(t) };
                     let task = |c: usize| {
                         let rows = chunk_range(n, chunks, c);
                         if rows.is_empty() {
                             return;
                         }
+                        // SAFETY: every chunk of step `t` reads buffer
+                        // `t % 2` and writes only its own rows of the
+                        // other buffer and of the accumulators, and its
+                        // own projection lanes.
+                        let ctx = unsafe { stretch.pass(t, c) };
                         let start = stretch_start.map(|_| Instant::now());
                         body(&ctx, rows);
                         if let (Some(first), Some(start)) = (stretch_start, start) {
@@ -679,12 +783,18 @@ fn elapsed_ns(start: Instant) -> u64 {
 
 impl FootprintBytes for FusedMomentKernel<'_> {
     /// The kernel's owned working set: the `U` ping-pong pair
-    /// (`2·(order+1)·n` doubles) plus the two compensated-accumulator
-    /// planes (`2·n_times·(order+1)·n` doubles). The matrix and the
-    /// `R'`/`½S'` strips are borrowed, not owned, and are accounted by
-    /// their own [`FootprintBytes`] impls.
+    /// (`2·(order+1)·n` doubles), the two compensated-accumulator planes
+    /// (`2·n_times·(order+1)·n` doubles) and, in a weighted run, the
+    /// projection lanes and values of one stretch. The matrix and the
+    /// `R'`/`½S'`/`π` strips are borrowed, not owned, and are accounted
+    /// by their own [`FootprintBytes`] impls.
     fn footprint_bytes(&self) -> usize {
-        (self.u_cur.len() + self.u_next.len() + self.acc_sum.len() + self.acc_comp.len())
+        (self.u_cur.len()
+            + self.u_next.len()
+            + self.acc_sum.len()
+            + self.acc_comp.len()
+            + self.proj_lanes.len() * PROJ_LANES
+            + self.projected.len())
             * std::mem::size_of::<f64>()
     }
 }
@@ -704,20 +814,26 @@ struct Stretch<'c> {
     u_len: usize,
     acc_sum: SyncMutPtr<f64>,
     acc_comp: SyncMutPtr<f64>,
+    pi: &'c [f64],
+    /// The projection lanes, laid out `[(chunk·steps + t)·order1 + j]`,
+    /// in a weighted run.
+    proj: Option<SyncMutPtr<[f64; PROJ_LANES]>>,
     pairs: &'c [(usize, f64)],
     ends: &'c [usize],
     advance_last: bool,
 }
 
 impl Stretch<'_> {
-    /// The context of step `t`.
+    /// The context of step `t` for the rows of chunk `chunk` (0 without
+    /// a pool).
     ///
     /// # Safety
     ///
     /// While the returned context lives, nothing may write buffer
     /// `u[t % 2]`, and the rows a pass body writes (in `u[(t+1) % 2]`
-    /// and the accumulators) must not be accessed by anyone else.
-    unsafe fn pass(&self, t: usize) -> PassCtx<'_> {
+    /// and the accumulators) and the chunk's projection lanes of step
+    /// `t` must not be accessed by anyone else.
+    unsafe fn pass(&self, t: usize, chunk: usize) -> PassCtx<'_> {
         let start = if t == 0 { 0 } else { self.ends[t - 1] };
         PassCtx {
             n: self.n,
@@ -730,6 +846,11 @@ impl Stretch<'_> {
             u_next: self.u[(t + 1) % 2],
             acc_sum: self.acc_sum,
             acc_comp: self.acc_comp,
+            pi: self.pi,
+            proj: self
+                .proj
+                .as_ref()
+                .map(|p| SyncMutPtr::new(p.add((chunk * self.ends.len() + t) * self.order1))),
             active: &self.pairs[start..self.ends[t]],
             advance: t + 1 < self.ends.len() || self.advance_last,
         }
@@ -749,11 +870,39 @@ struct PassCtx<'c> {
     u_next: SyncMutPtr<f64>,
     acc_sum: SyncMutPtr<f64>,
     acc_comp: SyncMutPtr<f64>,
+    /// π of a weighted run (empty otherwise).
+    pi: &'c [f64],
+    /// This step's and chunk's projection lanes, one set per order, in
+    /// a weighted run.
+    proj: Option<SyncMutPtr<[f64; PROJ_LANES]>>,
     active: &'c [(usize, f64)],
     advance: bool,
 }
 
 impl PassCtx<'_> {
+    /// The projection lanes of order `j` (weighted runs only).
+    ///
+    /// # Safety
+    ///
+    /// No other reference to these lanes may be live: only the body
+    /// running this chunk's rows of this step touches them, one order at
+    /// a time.
+    #[inline(always)]
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn lanes(&self, j: usize) -> &mut [f64; PROJ_LANES] {
+        let base = self.proj.as_ref().expect("a weighted run");
+        &mut *base.add(j)
+    }
+
+    /// Adds row `i`'s `π[i]·U⁽ʲ⁾[i]` into every order's lanes.
+    #[inline(always)]
+    fn project_row(&self, i: usize) {
+        for j in 0..self.order1 {
+            // SAFETY: only this body touches its chunk's lanes.
+            unsafe { self.lanes(j)[i % PROJ_LANES] += self.pi[i] * self.u_cur[j * self.n + i] };
+        }
+    }
+
     /// Neumaier-adds `wk·U⁽ʲ⁾[i]` for every active pair and order.
     #[inline(always)]
     fn accumulate_row(&self, i: usize) {
@@ -775,8 +924,9 @@ impl PassCtx<'_> {
 }
 
 /// The strict-f64 reference body — the historical kernel, bit for bit.
-/// Plain `*`/`+` in source order; no fused multiply-add.
-fn scalar_rows(ctx: &PassCtx, range: Range<usize>) {
+/// Plain `*`/`+` in source order; no fused multiply-add. `P`: a weighted
+/// run, adding each row's projection into its lanes.
+fn scalar_rows<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
     let n = ctx.n;
     let order1 = ctx.order1;
     let u_cur = ctx.u_cur;
@@ -796,6 +946,16 @@ fn scalar_rows(ctx: &PassCtx, range: Range<usize>) {
                         wk * uj[i],
                     )
                 };
+            }
+        }
+    }
+    if P {
+        for j in 0..order1 {
+            let uj = &u_cur[j * n..(j + 1) * n];
+            // SAFETY: only this body touches its chunk's lanes.
+            let lanes = unsafe { ctx.lanes(j) };
+            for i in range.clone() {
+                lanes[i % PROJ_LANES] += ctx.pi[i] * uj[i];
             }
         }
     }
@@ -981,6 +1141,10 @@ fn fma_combine(ctx: &PassCtx, j: usize, i: usize, dot: f64) -> f64 {
     }
 }
 
+/// Orders whose projection lanes the DIA interior keeps in registers
+/// (the orders its specialized loops cover).
+const PROJ_REG_ORDERS: usize = 4;
+
 /// Row-block size of the simd CSR and operator bodies: 2048 rows =
 /// 16 KiB per order stream, sized so a block of every order's `U_k`
 /// plus the matrix and combine streams stays in L1/L2 while all time
@@ -1010,15 +1174,15 @@ const CSR_PREFETCH_MIN_NNZ_PER_ROW: usize = 8;
 /// it (portable builds, or `--kernel simd` forced on older CPUs) the same
 /// body runs one row at a time and `mul_add` falls back to the
 /// correctly-rounded libm fma, producing identical bits at lower speed.
-fn simd_rows(ctx: &PassCtx, range: Range<usize>) {
+fn simd_rows<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
     #[cfg(target_arch = "x86_64")]
     if simd::fma_available() {
         // SAFETY: AVX2+FMA presence was just checked at runtime.
-        unsafe { simd_rows_avx2(ctx, range) };
+        unsafe { simd_rows_avx2::<P>(ctx, range) };
         return;
     }
     // SAFETY: plain `f64` lanes run on every CPU.
-    unsafe { simd_rows_impl::<f64>(ctx, range) };
+    unsafe { simd_rows_impl::<f64, P>(ctx, range) };
 }
 
 /// # Safety
@@ -1026,17 +1190,20 @@ fn simd_rows(ctx: &PassCtx, range: Range<usize>) {
 /// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn simd_rows_avx2(ctx: &PassCtx, range: Range<usize>) {
-    simd_rows_impl::<simd::Avx2Lanes>(ctx, range);
+unsafe fn simd_rows_avx2<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
+    simd_rows_impl::<simd::Avx2Lanes, P>(ctx, range);
 }
 
 /// The simd body with the DIA interior in groups of `V::WIDTH` rows.
+/// `P`: a weighted run, adding each row's projection into its lanes, in
+/// ascending row order around the interior so every lane sees its rows
+/// in order.
 ///
 /// # Safety
 ///
 /// The CPU must support `V`'s instructions.
 #[inline(always)]
-unsafe fn simd_rows_impl<V: Lanes>(ctx: &PassCtx, range: Range<usize>) {
+unsafe fn simd_rows_impl<V: Lanes, const P: bool>(ctx: &PassCtx, range: Range<usize>) {
     let n = ctx.n;
     let order1 = ctx.order1;
     let u_cur = ctx.u_cur;
@@ -1046,6 +1213,9 @@ unsafe fn simd_rows_impl<V: Lanes>(ctx: &PassCtx, range: Range<usize>) {
         // Edge rows near the matrix border guard each diagonal.
         for i in (range.start..ilo).chain(ihi..range.end) {
             ctx.accumulate_row(i);
+            if P && i < ilo {
+                ctx.project_row(i);
+            }
             if ctx.advance {
                 for j in 0..order1 {
                     let mut dot = 0.0;
@@ -1062,8 +1232,13 @@ unsafe fn simd_rows_impl<V: Lanes>(ctx: &PassCtx, range: Range<usize>) {
         // SAFETY: `ilo..ihi` lies in the DIA interior and inside this
         // body's rows; our caller guarantees the CPU supports `V`.
         unsafe {
-            let rest = dia_interior::<V>(ctx, offsets, data, ilo, ihi);
-            dia_groups::<f64, 0, 0>(ctx, offsets, data, rest, ihi);
+            let rest = dia_interior::<V, P>(ctx, offsets, data, ilo, ihi);
+            dia_groups::<f64, 0, 0, false>(ctx, offsets, data, rest, ihi);
+            // A weighted pass projects the rows past the interior's whole
+            // groups, then the upper edge, in ascending order.
+            if P {
+                (rest..range.end).for_each(|i| ctx.project_row(i));
+            }
         }
         return;
     }
@@ -1083,6 +1258,11 @@ unsafe fn simd_rows_impl<V: Lanes>(ctx: &PassCtx, range: Range<usize>) {
                     )
                 };
                 simd::accumulate_planes(sums, comps, uj, wk);
+            }
+            if P {
+                // SAFETY: only this body touches its chunk's lanes; our
+                // caller guarantees the CPU supports `V`.
+                unsafe { simd::project_strip::<V>(ctx.lanes(j), blo, &ctx.pi[blo..bhi], uj) };
             }
         }
         if ctx.advance {
@@ -1148,7 +1328,7 @@ unsafe fn simd_rows_impl<V: Lanes>(ctx: &PassCtx, range: Range<usize>) {
 ///
 /// As [`dia_groups`].
 #[inline(always)]
-unsafe fn dia_interior<V: Lanes>(
+unsafe fn dia_interior<V: Lanes, const P: bool>(
     ctx: &PassCtx,
     offsets: &[isize],
     data: &[f64],
@@ -1156,15 +1336,15 @@ unsafe fn dia_interior<V: Lanes>(
     hi: usize,
 ) -> usize {
     match (ctx.order1, offsets.len()) {
-        (1, 3) => dia_groups::<V, 1, 3>(ctx, offsets, data, lo, hi),
-        (2, 3) => dia_groups::<V, 2, 3>(ctx, offsets, data, lo, hi),
-        (3, 3) => dia_groups::<V, 3, 3>(ctx, offsets, data, lo, hi),
-        (4, 3) => dia_groups::<V, 4, 3>(ctx, offsets, data, lo, hi),
-        (1, _) => dia_groups::<V, 1, 0>(ctx, offsets, data, lo, hi),
-        (2, _) => dia_groups::<V, 2, 0>(ctx, offsets, data, lo, hi),
-        (3, _) => dia_groups::<V, 3, 0>(ctx, offsets, data, lo, hi),
-        (4, _) => dia_groups::<V, 4, 0>(ctx, offsets, data, lo, hi),
-        _ => dia_groups::<V, 0, 0>(ctx, offsets, data, lo, hi),
+        (1, 3) => dia_groups::<V, 1, 3, P>(ctx, offsets, data, lo, hi),
+        (2, 3) => dia_groups::<V, 2, 3, P>(ctx, offsets, data, lo, hi),
+        (3, 3) => dia_groups::<V, 3, 3, P>(ctx, offsets, data, lo, hi),
+        (4, 3) => dia_groups::<V, 4, 3, P>(ctx, offsets, data, lo, hi),
+        (1, _) => dia_groups::<V, 1, 0, P>(ctx, offsets, data, lo, hi),
+        (2, _) => dia_groups::<V, 2, 0, P>(ctx, offsets, data, lo, hi),
+        (3, _) => dia_groups::<V, 3, 0, P>(ctx, offsets, data, lo, hi),
+        (4, _) => dia_groups::<V, 4, 0, P>(ctx, offsets, data, lo, hi),
+        _ => dia_groups::<V, 0, 0, P>(ctx, offsets, data, lo, hi),
     }
 }
 
@@ -1178,7 +1358,10 @@ unsafe fn dia_interior<V: Lanes>(
 /// memory once per pass, and the per-time loop runs once per group
 /// rather than once per order. `O1` (= order + 1) and `ND` (the diagonal
 /// count) fix the loop bounds at compile time; 0 reads them from
-/// `ctx`/`offsets`. Returns the first row not covered by a whole group.
+/// `ctx`/`offsets`. With `P` (a weighted run) each group also adds
+/// `π·U⁽ʲ⁾` of its rows into the projection lanes, which stay in
+/// registers for orders below [`PROJ_REG_ORDERS`]. Returns the first row
+/// not covered by a whole group.
 ///
 /// # Safety
 ///
@@ -1186,7 +1369,7 @@ unsafe fn dia_interior<V: Lanes>(
 /// and inside the rows the calling body owns, and the CPU must support
 /// `V`.
 #[inline(always)]
-unsafe fn dia_groups<V: Lanes, const O1: usize, const ND: usize>(
+unsafe fn dia_groups<V: Lanes, const O1: usize, const ND: usize, const P: bool>(
     ctx: &PassCtx,
     offsets: &[isize],
     data: &[f64],
@@ -1200,6 +1383,29 @@ unsafe fn dia_groups<V: Lanes, const O1: usize, const ND: usize>(
     assert!(lo >= hi || (ctx.interior.start <= lo && hi <= ctx.interior.end));
     let u = ctx.u_cur.as_ptr();
     let (rp, sh, dp) = (ctx.r_prime.as_ptr(), ctx.s_half.as_ptr(), data.as_ptr());
+    // The projection registers of a weighted run, for the orders below
+    // PROJ_REG_ORDERS when `V` fits the lanes; otherwise (higher orders,
+    // the portable path) the lanes are added in memory.
+    let in_regs = P && lanes_fit::<V>();
+    let reg_orders = if in_regs {
+        order1.min(PROJ_REG_ORDERS)
+    } else {
+        0
+    };
+    let mut proj = [V::splat(0.0); PROJ_REG_ORDERS];
+    for (j, acc) in proj.iter_mut().enumerate().take(reg_orders) {
+        *acc = load_lanes(ctx.lanes(j), lo);
+    }
+    // Order `j`'s projection `π·U⁽ʲ⁾` of the group at row `i`.
+    macro_rules! project {
+        ($j:expr, $i:expr, $pi:expr, $u:expr) => {
+            if $j < reg_orders {
+                proj[$j] = proj[$j].add($pi.mul($u));
+            } else {
+                project_in_memory(ctx, $j, $i, $pi, $u);
+            }
+        };
+    }
     let mut i = lo;
     while i + V::WIDTH <= hi {
         // The three-diagonal shape keeps its coefficients in registers
@@ -1211,6 +1417,11 @@ unsafe fn dia_groups<V: Lanes, const O1: usize, const ND: usize>(
         };
         let r = V::load(rp.add(i));
         let s = V::load(sh.add(i));
+        let pi = if P {
+            V::load(ctx.pi.as_ptr().add(i))
+        } else {
+            r
+        };
         if ctx.advance {
             // Centre values of orders j−1 and j−2 (read only once set).
             let (mut w1, mut w2) = (r, r);
@@ -1232,6 +1443,13 @@ unsafe fn dia_groups<V: Lanes, const O1: usize, const ND: usize>(
                 dot.store(ctx.u_next.add(j * n + i));
                 w2 = w1;
                 w1 = V::load(uj);
+                if P {
+                    project!(j, i, pi, w1);
+                }
+            }
+        } else if P {
+            for j in 0..order1 {
+                project!(j, i, pi, V::load(u.add(j * n + i)));
             }
         }
         for &(ti, wk) in ctx.active {
@@ -1248,7 +1466,26 @@ unsafe fn dia_groups<V: Lanes, const O1: usize, const ND: usize>(
         }
         i += V::WIDTH;
     }
+    for (j, &acc) in proj.iter().enumerate().take(reg_orders) {
+        store_lanes(acc, ctx.lanes(j), lo);
+    }
     i
+}
+
+/// Adds order `j`'s projection `π·U⁽ʲ⁾` of the group at row `i` lane by
+/// lane in memory — the same products and sums as the registers.
+///
+/// # Safety
+///
+/// As [`PassCtx::lanes`], and the CPU must support `V`.
+#[inline(always)]
+unsafe fn project_in_memory<V: Lanes>(ctx: &PassCtx, j: usize, i: usize, pi: V, u: V) {
+    let mut terms = [0.0; PROJ_LANES];
+    pi.mul(u).store(terms.as_mut_ptr());
+    let lanes = ctx.lanes(j);
+    for (l, &x) in terms.iter().take(V::WIDTH).enumerate() {
+        lanes[(i + l) % PROJ_LANES] += x;
+    }
 }
 
 #[cfg(test)]
@@ -1571,7 +1808,7 @@ mod tests {
                         if portable {
                             k.run_stretch_with(pairs, &ends, step < 11, |ctx, rows| {
                                 // SAFETY: `f64` lanes run on every CPU.
-                                unsafe { simd_rows_impl::<f64>(ctx, rows) }
+                                unsafe { simd_rows_impl::<f64, false>(ctx, rows) }
                             });
                         } else {
                             k.run_stretch(pairs, &ends, step < 11);
@@ -1774,6 +2011,157 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Runs a weighted kernel from `u0` over steps `0..=g`, in
+    /// stretches of the given lengths (cycled), and returns every step's
+    /// `aⱼ(k)` followed by the final iterate.
+    #[allow(clippy::too_many_arguments)]
+    fn weighted_run(
+        matrix: &IterationMatrix,
+        r_prime: &[f64],
+        s_half: &[f64],
+        pi: &[f64],
+        order: usize,
+        u0: &[f64],
+        g: usize,
+        threads: usize,
+        variant: ResolvedKernel,
+        schedule: Option<(usize, usize)>,
+        lens: &[usize],
+    ) -> Vec<f64> {
+        let mut k = FusedMomentKernel::new(matrix, r_prime, s_half, order, 0, u0, threads);
+        k.set_variant(variant);
+        k.set_projection(pi);
+        if let Some((block_rows, depth)) = schedule {
+            k.set_block_rows(block_rows);
+            if k.band * depth <= block_rows {
+                k.depth = depth;
+            }
+        }
+        let mut out = Vec::new();
+        let mut steps = StepWeights::new();
+        let mut k0 = 0;
+        for len in lens.iter().cycle() {
+            let k1 = (k0 + len - 1).min(g);
+            steps.clear();
+            for _ in k0..=k1 {
+                steps.push_step(std::iter::empty());
+            }
+            k.run(&steps, k1 < g);
+            assert_eq!(k.projected().len(), (k1 - k0 + 1) * (order + 1));
+            out.extend_from_slice(k.projected());
+            k0 = k1 + 1;
+            if k0 > g {
+                break;
+            }
+        }
+        out.extend_from_slice(k.iterate());
+        out
+    }
+
+    #[test]
+    fn weighted_runs_project_bitwise_across_schedules_and_backends() {
+        let g = 40;
+        let mut case = 0usize;
+        for (name, matrix) in schedule_matrices(150) {
+            let n = matrix.rows();
+            let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
+            let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
+            let u0 = vec![1.0; n];
+            let pi: Vec<f64> = (0..n)
+                .map(|i| (1 + i % 7) as f64 / (4 * n) as f64)
+                .collect();
+            for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
+                for order in 0..=5 {
+                    case += 1;
+                    let what = format!("{name} {variant:?} order {order}");
+                    let run = |schedule, lens: &[usize]| {
+                        weighted_run(
+                            &matrix, &r_prime, &s_half, &pi, order, &u0, g, 1, variant, schedule,
+                            lens,
+                        )
+                    };
+                    let by_pass = run(None, &[1]);
+                    let schedule =
+                        Some(([8usize, 13, 32, 64][case % 4], [2, 5, 16, 64][case / 4 % 4]));
+                    let skewed = run(schedule, &[1, 7, 3, 19]);
+                    assert_bits(&by_pass, &skewed, &what);
+
+                    // Against πᵀU read off an accumulating kernel's
+                    // iterates: rounding only.
+                    let mut plain =
+                        FusedMomentKernel::new(&matrix, &r_prime, &s_half, order, 0, &u0, 1);
+                    plain.set_variant(variant);
+                    for k in 0..=g {
+                        for j in 0..=order {
+                            let want: f64 =
+                                plain.u_order(j).iter().zip(&pi).map(|(u, p)| u * p).sum();
+                            let got = by_pass[k * (order + 1) + j];
+                            assert!(
+                                (got - want).abs() <= 1e-13 * want.abs(),
+                                "{what} k {k} j {j}: {got} vs {want}"
+                            );
+                        }
+                        plain.step(&[], k < g);
+                    }
+
+                    // A pool sums its chunks' lanes in chunk order: within
+                    // rounding of the serial run, its iterate bitwise.
+                    let pooled = weighted_run(
+                        &matrix,
+                        &r_prime,
+                        &s_half,
+                        &pi,
+                        order,
+                        &u0,
+                        g,
+                        3,
+                        variant,
+                        None,
+                        &[1],
+                    );
+                    let split = (g + 1) * (order + 1);
+                    assert_bits(&by_pass[split..], &pooled[split..], &what);
+                    for (a, b) in by_pass[..split].iter().zip(&pooled[..split]) {
+                        assert!(
+                            (a - b).abs() <= 1e-13 * a.abs(),
+                            "{what} pooled: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+        }
+        // One tridiagonal matrix in every backend projects the same bits.
+        let n = 131;
+        let m = tridiag_matrix(n);
+        let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
+        let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
+        let pi = vec![1.0 / n as f64; n];
+        for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
+            let runs: Vec<Vec<f64>> =
+                [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator]
+                    .into_iter()
+                    .map(|f| {
+                        let im = IterationMatrix::with_format(m.clone(), f);
+                        weighted_run(
+                            &im,
+                            &r_prime,
+                            &s_half,
+                            &pi,
+                            3,
+                            &vec![1.0; n],
+                            g,
+                            1,
+                            variant,
+                            Some((32, 8)),
+                            &[5, 64],
+                        )
+                    })
+                    .collect();
+            assert_bits(&runs[0], &runs[1], &format!("{variant:?} csr vs dia"));
+            assert_bits(&runs[0], &runs[2], &format!("{variant:?} csr vs operator"));
         }
     }
 

@@ -283,6 +283,13 @@ pub(crate) trait Lanes: Copy {
     /// Lane-wise plain product `self·b`.
     fn mul(self, b: Self) -> Self;
 
+    /// Lane-wise plain sum `self + b`.
+    fn add(self, b: Self) -> Self;
+
+    /// The lanes rotated down by `r`: lane `l` takes lane
+    /// `(l + r) % WIDTH`.
+    fn rotate(self, r: usize) -> Self;
+
     /// Lane-wise fused `self·b + c` (one rounding).
     fn mul_add(self, b: Self, c: Self) -> Self;
 
@@ -318,6 +325,16 @@ impl Lanes for f64 {
     #[inline(always)]
     fn mul(self, b: Self) -> Self {
         self * b
+    }
+
+    #[inline(always)]
+    fn add(self, b: Self) -> Self {
+        self + b
+    }
+
+    #[inline(always)]
+    fn rotate(self, _: usize) -> Self {
+        self
     }
 
     #[inline(always)]
@@ -361,6 +378,26 @@ impl Lanes for Avx2Lanes {
     fn mul(self, b: Self) -> Self {
         // SAFETY: an `Avx2Lanes` exists only on AVX2+FMA hardware.
         Avx2Lanes(unsafe { core::arch::x86_64::_mm256_mul_pd(self.0, b.0) })
+    }
+
+    #[inline(always)]
+    fn add(self, b: Self) -> Self {
+        // SAFETY: as in `mul`.
+        Avx2Lanes(unsafe { core::arch::x86_64::_mm256_add_pd(self.0, b.0) })
+    }
+
+    #[inline(always)]
+    fn rotate(self, r: usize) -> Self {
+        use core::arch::x86_64::_mm256_permute4x64_pd as permute;
+        // SAFETY: as in `mul`.
+        Avx2Lanes(unsafe {
+            match r % 4 {
+                0 => self.0,
+                1 => permute::<0b00_11_10_01>(self.0),
+                2 => permute::<0b01_00_11_10>(self.0),
+                _ => permute::<0b10_01_00_11>(self.0),
+            }
+        })
     }
 
     #[inline(always)]
@@ -457,6 +494,81 @@ unsafe fn accumulate_planes_from<V: Lanes>(
     i
 }
 
+// ---------------------------------------------------------------------------
+// Projection lanes: the π-projection partial sums of the weighted kernel
+// ---------------------------------------------------------------------------
+
+/// Lanes of one `(step, order)` projection partial sum: row `i` adds
+/// `π[i]·u[i]` (plain multiply, then plain add) into lane
+/// `i % PROJ_LANES`, so each lane sees its rows in ascending order
+/// however a pass cuts its rows into blocks and chunks, and four
+/// independent lanes keep the add chain off the critical path.
+pub const PROJ_LANES: usize = 4;
+
+/// Whether a `V` holds exactly the [`PROJ_LANES`] projection lanes (one
+/// AVX2 register); narrower types add them row by row instead.
+pub(crate) const fn lanes_fit<V: Lanes>() -> bool {
+    V::WIDTH == PROJ_LANES
+}
+
+/// Loads projection `lanes` (indexed by row mod [`PROJ_LANES`]) into a
+/// register for groups of four rows starting at row `first`: vector
+/// lane `l` holds lane `(first + l) % PROJ_LANES`, so each group adds
+/// lane by lane.
+///
+/// # Safety
+///
+/// The CPU must support `V`, and `V` must fit the lanes
+/// ([`lanes_fit`]).
+#[inline(always)]
+pub(crate) unsafe fn load_lanes<V: Lanes>(lanes: &[f64; PROJ_LANES], first: usize) -> V {
+    debug_assert!(lanes_fit::<V>());
+    V::load(lanes.as_ptr()).rotate(first % PROJ_LANES)
+}
+
+/// Writes a register loaded by [`load_lanes`] with the same `first` back
+/// to the lanes, un-rotated.
+///
+/// # Safety
+///
+/// As [`load_lanes`].
+#[inline(always)]
+pub(crate) unsafe fn store_lanes<V: Lanes>(acc: V, lanes: &mut [f64; PROJ_LANES], first: usize) {
+    acc.rotate((PROJ_LANES - first % PROJ_LANES) % PROJ_LANES)
+        .store(lanes.as_mut_ptr());
+}
+
+/// Adds `π[m]·u[m]` into `lanes[(first + m) % PROJ_LANES]` for every
+/// `m`, bitwise as the row-by-row scalar loop would: whole groups of
+/// [`PROJ_LANES`] rows in a register when `V` fits the lanes, then the
+/// remainder row by row.
+///
+/// # Safety
+///
+/// `pi` and `u` have equal lengths, and the CPU supports `V`.
+#[inline(always)]
+pub(crate) unsafe fn project_strip<V: Lanes>(
+    lanes: &mut [f64; PROJ_LANES],
+    first: usize,
+    pi: &[f64],
+    u: &[f64],
+) {
+    let len = u.len();
+    let mut m = 0;
+    if lanes_fit::<V>() {
+        let (pp, pu) = (pi.as_ptr(), u.as_ptr());
+        let mut acc: V = load_lanes(lanes, first);
+        while m + PROJ_LANES <= len {
+            acc = acc.add(V::load(pp.add(m)).mul(V::load(pu.add(m))));
+            m += PROJ_LANES;
+        }
+        store_lanes(acc, lanes, first);
+    }
+    for m in m..len {
+        lanes[(first + m) % PROJ_LANES] += pi[m] * u[m];
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,6 +620,46 @@ mod tests {
             let want = a[i].mul_add(x[i], base[i]);
             assert_eq!(out[i].to_bits(), want.to_bits(), "lane {i}");
             assert_eq!(out_portable[i].to_bits(), want.to_bits(), "portable lane {i}");
+        }
+    }
+
+    #[test]
+    fn project_strip_matches_the_row_by_row_lane_sums() {
+        // 23 rows from an odd first row: rotation, whole groups and a
+        // remainder all take part.
+        let n = 23;
+        let pi: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 3.0)).collect();
+        let u: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).exp()).collect();
+        for first in [0, 1, 6, 7] {
+            let mut want = [0.5, 0.25, 0.125, 1.0];
+            for m in 0..n {
+                want[(first + m) % PROJ_LANES] += pi[m] * u[m];
+            }
+            let mut got = [0.5, 0.25, 0.125, 1.0];
+            if fma_available() {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    #[target_feature(enable = "avx2,fma")]
+                    unsafe fn avx2(l: &mut [f64; PROJ_LANES], f: usize, p: &[f64], u: &[f64]) {
+                        project_strip::<Avx2Lanes>(l, f, p, u);
+                    }
+                    // SAFETY: AVX2+FMA detected; equal lengths.
+                    unsafe { avx2(&mut got, first, &pi, &u) };
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "avx2 from {first}"
+                    );
+                }
+            }
+            let mut portable = [0.5, 0.25, 0.125, 1.0];
+            // SAFETY: equal lengths; plain `f64` lanes run on any CPU.
+            unsafe { project_strip::<f64>(&mut portable, first, &pi, &u) };
+            assert_eq!(
+                portable.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "portable from {first}"
+            );
         }
     }
 

@@ -65,5 +65,5 @@ pub use prom::write_prometheus;
 pub use recorder::{thread_lane, NoopRecorder, Recorder, RecorderHandle, Span};
 pub use registry::{MetricsRegistry, MetricsSnapshot, TimingStat};
 pub use report::{PoissonStat, PoolSection, SolveReport, SolverSection};
-pub use stats::{ModelStats, RequestLatency, ServeStats, ServeStatsSnapshot};
+pub use stats::{ModelStats, ProjectionCounts, RequestLatency, ServeStats, ServeStatsSnapshot};
 pub use trace::TraceRecorder;

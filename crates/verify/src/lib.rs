@@ -104,6 +104,8 @@ pub struct VerifySummary {
     /// See [`VerifySummary::dia_checked`].
     pub plan_checked: u64,
     /// See [`VerifySummary::dia_checked`].
+    pub weighted_checked: u64,
+    /// See [`VerifySummary::dia_checked`].
     pub simd_checked: u64,
     /// See [`VerifySummary::dia_checked`].
     pub first_order_checked: u64,
@@ -130,12 +132,13 @@ impl VerifySummary {
         }
         let _ = writeln!(
             out,
-            "checks: dia {} | op {} | kron {} | pool {} | plan {} | simd {} | first-order {} | ode {} | sim {}",
+            "checks: dia {} | op {} | kron {} | pool {} | plan {} | weighted {} | simd {} | first-order {} | ode {} | sim {}",
             self.dia_checked,
             self.op_checked,
             self.kron_checked,
             self.pool_checked,
             self.plan_checked,
+            self.weighted_checked,
             self.simd_checked,
             self.first_order_checked,
             self.ode_checked,
@@ -192,6 +195,7 @@ pub fn run_verification(opts: &VerifyOpts) -> VerifySummary {
                 summary.kron_checked += u64::from(stats.kron_checked);
                 summary.pool_checked += u64::from(stats.pool_checked);
                 summary.plan_checked += u64::from(stats.plan_checked);
+                summary.weighted_checked += u64::from(stats.weighted_checked);
                 summary.simd_checked += u64::from(stats.simd_checked);
                 summary.first_order_checked += u64::from(stats.first_order_checked);
                 summary.ode_checked += u64::from(stats.ode_checked);
@@ -257,6 +261,7 @@ mod tests {
         assert_eq!(summary.kron_checked, 16, "companion runs on every case");
         assert_eq!(summary.pool_checked, 16);
         assert_eq!(summary.plan_checked, 16);
+        assert_eq!(summary.weighted_checked, 16);
         assert_eq!(summary.simd_checked, 16);
         assert!(summary.first_order_checked >= 2, "first-order family ran");
         assert!(summary.render().contains("PASS"));

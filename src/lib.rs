@@ -75,7 +75,7 @@ pub mod solver {
     pub use somrm_core::first_order::moments_first_order;
     pub use somrm_core::impulse::{moments_with_impulse, ImpulseMrm};
     pub use somrm_core::terminal::moments_terminal_weighted;
-    pub use somrm_core::plan::{model_digest, SolvePlan};
+    pub use somrm_core::plan::{chain_digest, model_digest, ProjectedSeries, SeriesUse, SolvePlan};
     pub use somrm_core::uniformization::{
         moments, moments_sweep, MomentSolution, SolverConfig, SolverStats,
     };
