@@ -88,10 +88,11 @@ serve options (JSON-lines requests on stdin, responses on stdout,
 summary on stderr; see the somrm-serve crate docs for the protocol;
 lines with a top-level \"cmd\" member are sideband admin commands:
 {\"cmd\":\"stats\"}, {\"cmd\":\"reset\"}, {\"cmd\":\"health\"}):
-  --cache-size N    plan-cache capacity in entries (default 8)
-  --cache-bytes B   additional plan-cache byte budget: evict LRU plans
-                    while resident bytes exceed B (default unlimited;
-                    the newest plan is always retained)
+  --cache-size N    plan-cache capacity in entries (default 32)
+  --cache-bytes B   additional plan-cache byte budget: evict LRU plans,
+                    with their series, while resident bytes exceed B
+                    (default unlimited; the newest plan is always
+                    retained)
   --metrics PATH    write the JSON solve report on exit ('-' rejected:
                     stdout carries the response protocol)
   --stats-out PATH  write the final request-stats snapshot on exit
@@ -200,7 +201,7 @@ fn run() -> Result<String, String> {
             slow_ms: flag(&args, "--slow-ms", 250u64)?,
         };
         return cmd_serve(
-            flag(&args, "--cache-size", 8usize)?,
+            flag(&args, "--cache-size", 32usize)?,
             opt_parsed(&args, "--cache-bytes")?,
             &tel_opts,
             &opts,

@@ -640,9 +640,11 @@ pub(crate) fn left_truncation_point(qt: f64, fronts: &[f64], budget: f64) -> u64
 
 /// Moments when the chain never leaves its initial state: per state `i`,
 /// `B(t) ~ Normal(r_i t, σ_i² t)`, whose raw moments follow the
-/// recurrence `m_n = μ·m_{n−1} + (n−1)·σ²·m_{n−2}`.
+/// recurrence `m_n = μ·m_{n−1} + (n−1)·σ²·m_{n−2}`; weighted by the
+/// initial distribution `pi`.
 pub(crate) fn frozen_chain_solution(
     model: &SecondOrderMrm,
+    pi: &[f64],
     order: usize,
     t: f64,
 ) -> MomentSolution {
@@ -656,7 +658,7 @@ pub(crate) fn frozen_chain_solution(
     }
     MomentSolution {
         t,
-        weighted: weighted_moments(&per_state, model.initial()),
+        weighted: weighted_moments(&per_state, pi),
         per_state,
         stats: SolverStats {
             q: 0.0,
