@@ -9,8 +9,6 @@
 //! somrm-tool simulate <model-file> [--t T] [--order N] [--samples K] [--seed S]
 //! somrm-tool density  <model-file> [--t T] [--points K]
 //! somrm-tool verify   [--cases N] [--seed S] [--out-dir DIR] [--metrics DEST]
-//! somrm-tool bench    [--quick] [--out PATH] [--threads N] [--kernel K]
-//! somrm-tool bench    --compare OLD NEW [--threshold PCT] [--warn-only]
 //! somrm-tool serve    [--cache-size N] [--cache-bytes B] [--threads N] [--eps E] [--metrics PATH]
 //!                     [--stats-out PATH] [--stats-format json|prom]
 //!                     [--slow-trace-dir DIR] [--slow-ms T]
@@ -27,8 +25,6 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: somrm-tool <check|moments|bounds|simulate|density|sweep> <model-file> [options]
        somrm-tool verify [--cases N] [--seed S] [--out-dir DIR] [--metrics DEST]
-       somrm-tool bench [--quick] [--out PATH] [--threads N] [--kernel K]
-       somrm-tool bench --compare OLD NEW [--threshold PCT] [--warn-only]
        somrm-tool serve [--cache-size N] [--cache-bytes B] [--threads N] [--eps E]
                         [--metrics PATH]
                         [--stats-out PATH] [--stats-format json|prom]
@@ -49,8 +45,8 @@ options:
                   identical for any count)
   --format F      iteration-matrix storage: auto|csr|dia|operator
                   (default auto; results are identical for any choice;
-                  operator runs matrix-free and needs a birth-death or
-                  Kronecker-structured model)
+                  operator runs matrix-free and needs a model with a
+                  Kronecker structure, which model files do not carry)
   --kernel K      fused-kernel variant: auto|scalar|simd (default auto:
                   SIMD when the CPU has AVX2+FMA; scalar pins the
                   bit-exact reference; env SOMRM_KERNEL overrides the
@@ -74,15 +70,6 @@ verify options:
   --out-dir DIR   write shrunken reproducer JSON files here on failure
   --metrics DEST  emit per-case solve timings and check counters as a
                   JSON report ('-' or file path, as above)
-
-bench options:
-  --quick         drop the 100k- and 2M-state rungs (debug/CI tier)
-  --out PATH      bench document destination (default BENCH_solver.json)
-  --threads N     solver worker threads for the ladder (default 1)
-  --kernel K      kernel variant for the ladder: auto|scalar|simd
-  --compare A B   compare two bench documents instead of running
-  --threshold P   regression threshold, percent (default 10)
-  --warn-only     report regressions without failing the comparison
 
 serve options (JSON-lines requests on stdin, responses on stdout,
 summary on stderr; see the somrm-serve crate docs for the protocol;
@@ -160,26 +147,6 @@ fn run() -> Result<String, String> {
             flag(&args, "--seed", 0u64)?,
             opt_flag(&args, "--out-dir")?,
             opt_flag(&args, "--metrics")?,
-        );
-    }
-    // `bench` runs a fixed model ladder, so it takes no model file.
-    if args.first().map(String::as_str) == Some("bench") {
-        if let Some(i) = args.iter().position(|a| a == "--compare") {
-            let (Some(old), Some(new)) = (args.get(i + 1), args.get(i + 2)) else {
-                return Err("--compare needs two bench files: OLD NEW".to_string());
-            };
-            return somrm_cli::bench::cmd_bench_compare(
-                old,
-                new,
-                flag(&args, "--threshold", 10.0f64)?,
-                switch(&args, "--warn-only"),
-            );
-        }
-        return somrm_cli::bench::cmd_bench_run(
-            switch(&args, "--quick"),
-            &opt_flag(&args, "--out")?.unwrap_or_else(|| "BENCH_solver.json".to_string()),
-            flag(&args, "--threads", 1usize)?,
-            flag(&args, "--kernel", KernelVariant::from_env())?,
         );
     }
     // `serve` reads models from its request stream, not from argv.

@@ -13,11 +13,11 @@
 use crate::error::MrmError;
 use crate::model::SecondOrderMrm;
 use crate::moments::unshift_moments;
+use crate::plan::SolvePlan;
 use crate::uniformization::{
     bound_fronts, poisson_accounting, truncation_point, validate_times, weighted_moments,
     MomentSolution, SolverConfig, SolverStats,
 };
-use somrm_linalg::IterationMatrix;
 use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::ln_factorial;
 use somrm_num::sum::NeumaierSum;
@@ -34,6 +34,8 @@ use std::sync::Arc;
 ///   an invalid `t` or configuration.
 /// * [`MrmError::TruncationCapExceeded`] if the Theorem-4 truncation
 ///   point exceeds `max_iterations`.
+/// * [`MrmError::FormatUnsupported`] or [`MrmError::AllocationTooLarge`]
+///   if `config.format` cannot hold the model, as for a [`SolvePlan`].
 ///
 /// # Example
 ///
@@ -80,16 +82,10 @@ pub fn moments_first_order(
     let rec = &config.recorder;
     let d = max_rate / q;
     let (q_prime, r_prime) = rec.time("solve.setup", || {
-        let q_prime = IterationMatrix::with_format(
-            model
-                .generator()
-                .uniformized_kernel(q)
-                .expect("q > 0 checked above"),
-            config.format,
-        );
+        let q_prime = SolvePlan::resolve_matrix(model, q, config.format)?;
         let r_prime: Vec<f64> = shifted.iter().map(|&r| r / (q * d)).collect();
-        (q_prime, r_prime)
-    });
+        Ok::<_, MrmError>((q_prime, r_prime))
+    })?;
 
     let qt = q * t;
     // Front factor 2, as for second order: without the `S` term the

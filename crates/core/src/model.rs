@@ -40,8 +40,8 @@ pub struct SecondOrderMrm {
     rates: Vec<f64>,
     variances: Vec<f64>,
     initial: Vec<f64>,
-    /// Optional structure descriptor (birth–death strips, Kronecker
-    /// factors) advertised by the model builder, letting the solver use
+    /// Optional structure descriptor (Kronecker factors) advertised by
+    /// the model builder, letting the solver use
     /// a matrix-free operator backend. Purely derived metadata: it
     /// never changes the numbers a model produces, so it is excluded
     /// from equality.
@@ -316,13 +316,12 @@ mod tests {
         assert!(m.structure().is_none());
         let annotated = m
             .clone()
-            .with_structure(ModelStructure::BirthDeath {
-                birth: vec![1.0],
-                death: vec![2.0],
+            .with_structure(ModelStructure::KroneckerSum {
+                factors: vec![gen2().to_dense()],
             })
             .unwrap();
         let s = annotated.structure().expect("descriptor attached");
-        assert_eq!(s.kind(), "birth-death");
+        assert_eq!(s.kind(), "kronecker-sum");
         assert_eq!(s.n_states(), 2);
         // Equality ignores the annotation...
         assert_eq!(annotated, m);
@@ -330,9 +329,8 @@ mod tests {
         let moved = annotated.with_initial(vec![0.0, 1.0]).unwrap();
         assert!(moved.structure().is_some());
         // Wrong-sized descriptors are rejected.
-        let err = m.with_structure(ModelStructure::BirthDeath {
-            birth: vec![1.0, 1.0],
-            death: vec![1.0, 1.0],
+        let err = m.with_structure(ModelStructure::KroneckerSum {
+            factors: vec![gen2().to_dense(), gen2().to_dense()],
         });
         assert!(matches!(err, Err(MrmError::DimensionMismatch { .. })));
     }

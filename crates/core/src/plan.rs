@@ -64,7 +64,7 @@ use crate::uniformization::{
 use somrm_linalg::sparse::{CsrMatrix, TripletBuilder};
 use somrm_linalg::{
     FootprintBytes, FusedMomentKernel, IterationMatrix, LinalgError, MatrixFormat, OperatorMatrix,
-    ResolvedKernel, StepWeights, UniformizedBirthDeath, WorkerPool, MAX_STRETCH_STEPS,
+    ResolvedKernel, StepWeights, WorkerPool, MAX_STRETCH_STEPS,
 };
 use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::ln_factorial;
@@ -588,18 +588,17 @@ impl SolvePlan {
 
     /// Picks the iteration-matrix backend for this model/format pair.
     ///
-    /// * `Operator` (explicit): build from the model's structure
-    ///   descriptor when present — this skips materializing `Q'`
-    ///   entirely, which is the whole point of the matrix-free backend.
-    ///   Without a descriptor, a tridiagonal generator is still
-    ///   accepted; anything else is a typed [`MrmError::FormatUnsupported`].
+    /// * `Operator` (explicit): build the matrix-free operator from the
+    ///   model's Kronecker structure descriptor, which skips
+    ///   materializing `Q'` entirely; a model without one is a typed
+    ///   [`MrmError::FormatUnsupported`].
     /// * `Auto`: switch to the operator backend only when the model
     ///   advertises a structure descriptor *and* has at least
-    ///   [`OPERATOR_AUTO_THRESHOLD`] states; otherwise the historical
-    ///   CSR/DIA selection applies unchanged (bitwise-stable).
-    /// * `Csr`/`Dia`: materialized formats, with the forced-DIA path
-    ///   refusing past [`somrm_linalg::FORCED_DIA_MAX_BYTES`].
-    fn resolve_matrix(
+    ///   [`OPERATOR_AUTO_THRESHOLD`] states; otherwise DIA strips or
+    ///   CSR, as [`IterationMatrix::uniformized`] selects.
+    /// * `Csr`/`Dia`: that storage, with the forced-DIA path refusing
+    ///   past [`somrm_linalg::FORCED_DIA_MAX_BYTES`].
+    pub(crate) fn resolve_matrix(
         model: &SecondOrderMrm,
         q: f64,
         format: MatrixFormat,
@@ -608,27 +607,17 @@ impl SolvePlan {
             && model.structure().is_some()
             && model.n_states() >= OPERATOR_AUTO_THRESHOLD;
         if format == MatrixFormat::Operator || auto_operator {
-            if let Some(structure) = model.structure() {
-                let op = OperatorMatrix::from_structure(structure, model.generator().as_csr(), q)
-                    .map_err(format_error)?;
-                return Ok(IterationMatrix::Operator(op));
-            }
-            let op =
-                UniformizedBirthDeath::from_tridiagonal_generator(model.generator().as_csr(), q)
-                    .map_err(|e| MrmError::FormatUnsupported {
-                        format: "operator",
-                        reason: format!(
-                            "model advertises no structure descriptor and its generator \
-                             is not tridiagonal ({e})"
-                        ),
-                    })?;
-            return Ok(IterationMatrix::Operator(OperatorMatrix::birth_death(op)));
+            let structure = model
+                .structure()
+                .ok_or_else(|| MrmError::FormatUnsupported {
+                    format: "operator",
+                    reason: "the model advertises no Kronecker structure descriptor".to_string(),
+                })?;
+            let op = OperatorMatrix::from_structure(structure, model.generator().as_csr(), q)
+                .map_err(format_error)?;
+            return Ok(IterationMatrix::Operator(op));
         }
-        let q_prime = model
-            .generator()
-            .uniformized_kernel(q)
-            .expect("q > 0 checked by caller");
-        IterationMatrix::try_with_format(q_prime, format).map_err(format_error)
+        IterationMatrix::uniformized(model.generator().as_csr(), q, format).map_err(format_error)
     }
 
     /// FNV-1a content digest of the planned model (cache key material).
@@ -1580,17 +1569,60 @@ mod tests {
         assert_eq!(warm.per_state, cold.per_state);
     }
 
+    /// A 6-state Kronecker-sum chain (factors of 2 and 3 levels with
+    /// every off-diagonal rate positive) carrying its structure
+    /// descriptor; the flat generator lists each factor's entries
+    /// verbatim, so the operator owes the CSR path exact agreement.
+    fn kron_chain() -> SecondOrderMrm {
+        let factors = vec![
+            somrm_linalg::Mat::from_fn(2, 2, |r, c| if r != c { 1.5 + r as f64 } else { 0.0 }),
+            somrm_linalg::Mat::from_fn(3, 3, |r, c| {
+                if r != c {
+                    0.5 + ((r + 2 * c) % 3) as f64
+                } else {
+                    0.0
+                }
+            }),
+        ];
+        let mut b = GeneratorBuilder::new(6);
+        for i in 0..6 {
+            let (d0, d1) = (i / 3, i % 3);
+            for c in 0..2 {
+                if c != d0 {
+                    b.rate(i, c * 3 + d1, factors[0][(d0, c)]).unwrap();
+                }
+            }
+            for c in 0..3 {
+                if c != d1 {
+                    b.rate(i, d0 * 3 + c, factors[1][(d1, c)]).unwrap();
+                }
+            }
+        }
+        let rates: Vec<f64> = (0..6).map(|i| i as f64 / 6.0).collect();
+        let variances: Vec<f64> = (0..6).map(|i| 0.1 + i as f64 / 6.0).collect();
+        let mut init = vec![0.0; 6];
+        init[1] = 1.0;
+        SecondOrderMrm::new(b.build().unwrap(), rates, variances, init)
+            .unwrap()
+            .with_structure(crate::ModelStructure::KroneckerSum { factors })
+            .unwrap()
+    }
+
     #[test]
     fn operator_plans_match_csr_plans_bitwise() {
-        // `chain` is tridiagonal, so a forced operator plan works even
-        // without a structure descriptor, and its sweep and terminal
-        // results must be bit-identical to the CSR plan's.
-        let m = chain(6);
+        // A forced operator plan on a Kronecker-structured model: its
+        // sweep and terminal results must be bit-identical to the CSR
+        // plan's.
+        let m = kron_chain();
         let op_cfg = SolverConfig {
             format: MatrixFormat::Operator,
             ..SolverConfig::default()
         };
-        let csr = SolvePlan::build(&m, 3, &SolverConfig::default()).unwrap();
+        let csr_cfg = SolverConfig {
+            format: MatrixFormat::Csr,
+            ..SolverConfig::default()
+        };
+        let csr = SolvePlan::build(&m, 3, &csr_cfg).unwrap();
         let op = SolvePlan::build(&m, 3, &op_cfg).unwrap();
         assert_eq!(op.matrix_format_name(), "operator");
         let times = [0.3, 1.1];
@@ -1606,31 +1638,26 @@ mod tests {
         let tb = op.execute_terminal(0.7, &w, 3).unwrap();
         assert_eq!(ta.weighted, tb.weighted);
         assert_eq!(ta.per_state, tb.per_state);
-        // Operator plans account only the O(n) strips, and both report
-        // exact owned bytes: 6 states tridiagonal → the operator holds
-        // 16 strip doubles, while Auto picks DIA here (3 offsets plus
-        // 3 padded strips of n doubles).
-        assert_eq!(op.matrix_bytes(), 16 * 8);
-        assert_eq!(
-            csr.matrix_bytes(),
-            3 * std::mem::size_of::<isize>() + 3 * 6 * 8
-        );
-        assert!(op.footprint_bytes() < csr.footprint_bytes());
+        let pi = vec![1.0 / 6.0; 6];
+        let mut sa = ProjectedSeries::new(pi.clone());
+        let mut sb = ProjectedSeries::new(pi);
+        let (wa, _) = csr.execute_weighted(&mut sa, &[2.0], 3).unwrap();
+        let (wb, _) = op.execute_weighted(&mut sb, &[2.0], 3).unwrap();
+        assert_eq!(series_bits(&sa), series_bits(&sb));
+        assert_eq!(wa[0].weighted, wb[0].weighted);
+        // Operator plans account exact owned bytes: the factor blocks
+        // (4 + 9 doubles), sizes and strides (4 words) and the diagonal.
+        assert_eq!(op.matrix_bytes(), (4 + 9 + 6) * 8 + 4 * 8);
     }
 
     #[test]
     fn auto_keeps_small_structured_models_on_materialized_formats() {
-        let m = chain(6)
-            .with_structure(crate::ModelStructure::BirthDeath {
-                birth: vec![1.5; 5],
-                death: vec![2.0; 5],
-            })
-            .unwrap();
+        let m = kron_chain();
         let auto = SolvePlan::build(&m, 2, &SolverConfig::default()).unwrap();
         assert_ne!(
             auto.matrix_format_name(),
             "operator",
-            "below the threshold Auto must keep its historical selection"
+            "below the threshold Auto must keep its materialized selection"
         );
         // Forcing the operator uses the descriptor and stays bitwise.
         let op_cfg = SolverConfig {
@@ -1646,15 +1673,15 @@ mod tests {
 
     #[test]
     fn forced_operator_without_structure_errors_cleanly() {
-        // A 4-state model with a (0 -> 2) jump is not tridiagonal and
-        // carries no descriptor: a typed error, never a panic.
+        // Neither a tridiagonal chain nor one with a (0 -> 2) jump
+        // carries a descriptor: a typed error, never a panic.
         let mut b = GeneratorBuilder::new(4);
         b.rate(0, 2, 1.0).unwrap();
         b.rate(2, 0, 1.0).unwrap();
         b.rate(1, 2, 0.5).unwrap();
         b.rate(3, 2, 0.5).unwrap();
         b.rate(2, 3, 0.5).unwrap();
-        let m = SecondOrderMrm::first_order(
+        let jump = SecondOrderMrm::first_order(
             b.build().unwrap(),
             vec![1.0, 0.0, 2.0, 0.0],
             vec![1.0, 0.0, 0.0, 0.0],
@@ -1664,11 +1691,13 @@ mod tests {
             format: MatrixFormat::Operator,
             ..SolverConfig::default()
         };
-        let err = SolvePlan::build(&m, 2, &op_cfg).unwrap_err();
-        assert!(
-            matches!(err, MrmError::FormatUnsupported { format: "operator", .. }),
-            "got {err:?}"
-        );
+        for m in [jump, chain(6)] {
+            let err = SolvePlan::build(&m, 2, &op_cfg).unwrap_err();
+            assert!(
+                matches!(err, MrmError::FormatUnsupported { format: "operator", .. }),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -2075,15 +2104,6 @@ mod tests {
             },
         )
         .unwrap();
-        let op = SolvePlan::build(
-            &m,
-            3,
-            &SolverConfig {
-                format: MatrixFormat::Operator,
-                ..cfg.clone()
-            },
-        )
-        .unwrap();
         let log = EventLogRecorder::new();
         log.add_sink(Box::new(VecSink::new()));
         let traced_cfg = SolverConfig {
@@ -2100,7 +2120,7 @@ mod tests {
             (s, sols)
         };
         let (reference, ref_sols) = one_shot(&csr);
-        for (name, plan) in [("dia", &dia), ("operator", &op), ("recorded", &traced)] {
+        for (name, plan) in [("dia", &dia), ("recorded", &traced)] {
             let (s, sols) = one_shot(plan);
             assert_eq!(series_bits(&s), series_bits(&reference), "{name}");
             assert_eq!(sols[0].weighted, ref_sols[0].weighted, "{name}");
@@ -2218,22 +2238,29 @@ mod tests {
 
     #[test]
     fn auto_switches_to_operator_at_the_threshold_for_structured_models() {
-        // A birth-death chain exactly at the threshold, annotated by the
-        // builder: Auto must pick the matrix-free backend without ever
-        // materializing Q'.
-        let n = OPERATOR_AUTO_THRESHOLD;
-        let birth = vec![1.0; n - 1];
-        let death = vec![2.0; n - 1];
+        // Four 27-level factors, 531,441 states, annotated with their
+        // Kronecker structure: Auto must pick the matrix-free backend
+        // without ever materializing Q'. Each factor moves only from
+        // level 0 to level 1, which keeps the flat generator small.
+        let (k, levels) = (27, 4);
+        let step = somrm_linalg::Mat::from_fn(k, k, |r, c| if (r, c) == (0, 1) { 1.0 } else { 0.0 });
+        let n = k.pow(levels);
+        assert!(n >= OPERATOR_AUTO_THRESHOLD);
         let mut b = GeneratorBuilder::new(n);
-        for i in 0..n - 1 {
-            b.rate(i, i + 1, birth[i]).unwrap();
-            b.rate(i + 1, i, death[i]).unwrap();
+        for i in 0..n {
+            for stride in (0..levels).rev().map(|f| k.pow(f)) {
+                if i / stride % k == 0 {
+                    b.rate(i, i + stride, 1.0).unwrap();
+                }
+            }
         }
         let mut init = vec![0.0; n];
         init[0] = 1.0;
         let m = SecondOrderMrm::first_order(b.build().unwrap(), vec![0.0; n], init)
             .unwrap()
-            .with_structure(crate::ModelStructure::BirthDeath { birth, death })
+            .with_structure(crate::ModelStructure::KroneckerSum {
+                factors: vec![step; levels as usize],
+            })
             .unwrap();
         let plan = SolvePlan::build(&m, 1, &SolverConfig::default()).unwrap();
         assert_eq!(plan.matrix_format_name(), "operator");

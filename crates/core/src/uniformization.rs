@@ -47,6 +47,7 @@ use somrm_num::special::ln_factorial;
 use somrm_obs::{
     EventLogHandle, PoissonStat, PoolSection, RecorderHandle, SolveReport, SolverSection,
 };
+use std::f64::consts::LN_2;
 use std::sync::Arc;
 
 /// Configuration of the randomization moment solver.
@@ -532,9 +533,18 @@ pub(crate) fn bound_fronts(d: f64, order: usize, ln_c: impl Fn(usize) -> f64) ->
 /// 2. **All orders.** We return all orders `0..=n` from one pass, so `G`
 ///    must satisfy the per-order bound for each of them.
 ///
-/// Found by bisection on the monotone log-space bound. Returns `(G,
-/// realized per-order bounds at that G)`; the bound Theorem 4
-/// guarantees for the whole solve is the maximum entry.
+/// Found by bisection on the monotone log-space bound, bracketed by
+/// doubling up to the iteration cap, which is itself tested: the search
+/// refuses exactly when the smallest qualifying `G` exceeds the cap.
+/// Returns `(G, realized per-order bounds at that G)`; the bound
+/// Theorem 4 guarantees for the whole solve is the maximum entry.
+///
+/// Cost stays sublinear in `qt`. A bound left of the Poisson mode costs
+/// an O(qt) CDF sum, so those are skipped wherever the order-0 term
+/// `c₀·P[Pois(qt) > g]` alone proves them unqualified; right of the mode
+/// a tail sums O(√qt) terms. Skipping a `g` whose bound is known to
+/// miss ε takes the branch evaluating it would, so `G` and the bounds
+/// are those of the plain search.
 pub(crate) fn truncation_point(
     qt: f64,
     fronts: &[f64],
@@ -551,6 +561,7 @@ pub(crate) fn truncation_point(
         .map(|(j, &f)| f + j as f64 * qt.ln())
         .collect();
     let ln_eps = config.epsilon.ln();
+    let cap = config.max_iterations;
     let ln_bound_order = |g: u64, j: usize| {
         let tail = if g >= j as u64 {
             poisson::ln_tail_above(qt, g - j as u64)
@@ -564,44 +575,48 @@ pub(crate) fn truncation_point(
             .map(|j| ln_bound_order(g, j))
             .fold(f64::NEG_INFINITY, f64::max)
     };
-    let cap_exceeded = || MrmError::TruncationCapExceeded {
-        qt,
-        cap: config.max_iterations,
-    };
+    let cap_exceeded = || MrmError::TruncationCapExceeded { qt, cap };
 
-    // Exponential search for an upper bracket, then bisection. The cap
-    // must be checked *before* the first bound evaluation: for any
-    // meaningful ε the search cannot terminate below ~qt (the Poisson
-    // mass sits at the mode), and evaluating the bound left of the mode
-    // costs O(qt) — at qt beyond the cap that is an effective hang
-    // (hours of CDF summation) where a typed error is owed instead.
-    let mut hi = (qt as u64).max(16);
-    if hi > config.max_iterations && config.epsilon < 1.0 {
+    // Every g ≤ cap < qt − 1 lies below the Poisson median, which is at
+    // least qt − ln 2 (Choi 1994), so P[Pois(qt) > g] ≥ 1/2 and the
+    // order-0 term alone misses ε: refuse before any O(qt) evaluation.
+    if (cap as f64) + 1.0 < qt && fronts[0] + 0.49f64.ln() >= ln_eps {
         return Err(cap_exceeded());
     }
-    let mut guard = 0;
-    while ln_bound(hi) >= ln_eps {
-        hi = hi.saturating_mul(2);
-        guard += 1;
-        if guard > 64 || hi > config.max_iterations {
+    // The tail falls with g, so where the order-0 term still misses ε at
+    // m = ⌈qt⌉ + n (right of the mode for every order), it misses it at
+    // every g < m. The factor 2 and the 1/64 floor absorb the rounding of
+    // both tail branches up to qt = 10⁹.
+    let m = (qt.ceil() as u64).saturating_add(order as u64);
+    let ln_tail = if qt <= 1e9 {
+        poisson::ln_tail_above(qt, m)
+    } else {
+        f64::NEG_INFINITY
+    };
+    let misses_below_m = ln_tail >= -(64f64.ln()) && fronts[0] + ln_tail - LN_2 >= ln_eps;
+    let known_short = if misses_below_m { m } else { 0 };
+    let qualifies = |g: u64| g >= known_short && ln_bound(g) < ln_eps;
+
+    let mut hi = (qt as u64).max(16).min(cap);
+    while !qualifies(hi) {
+        if hi >= cap {
             return Err(cap_exceeded());
         }
+        hi = hi.saturating_mul(2).min(cap);
     }
     let mut lo = 0u64;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if ln_bound(mid) < ln_eps {
+        if qualifies(mid) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    // The exponential search starts at max(qt, 16), so a small cap can
-    // be exceeded without the doubling loop ever noticing; re-check the
-    // final G explicitly. The per-order bounds are evaluated at the G
-    // actually used (raising it to `min_g` only tightens them).
+    // The per-order bounds are evaluated at the G actually used (raising
+    // it to `min_g` only tightens them).
     let g = hi.max(min_g);
-    if g > config.max_iterations {
+    if g > cap {
         return Err(cap_exceeded());
     }
     let per_order = (0..=order).map(|j| ln_bound_order(g, j).exp()).collect();
@@ -991,6 +1006,51 @@ mod tests {
             .fold(0.0f64, f64::max)
             / q;
         assert!(300.0 / (q * d_paper * d_paper) > 1.0, "paper d would not be substochastic");
+    }
+
+    /// Theorem-4 fronts of a 2-state order-16 query at q = 10⁶ with unit
+    /// drift and variance in one state: d = 1/√q.
+    fn order16_fronts() -> Vec<f64> {
+        bound_fronts(1e-3, 16, |_| LN_2)
+    }
+
+    #[test]
+    fn truncation_at_qt_4_5e7_order_16_fits_under_the_cap() {
+        let config = SolverConfig::default();
+        let start = std::time::Instant::now();
+        let (g, bounds) = truncation_point(4.5e7, &order16_fronts(), 0, &config).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(g, 45_140_659);
+        assert!(g < config.max_iterations);
+        assert!(bounds.iter().all(|&b| b < config.epsilon), "{bounds:?}");
+        assert!(elapsed.as_secs_f64() < 1.0, "search took {elapsed:?}");
+    }
+
+    #[test]
+    fn a_g_just_above_the_cap_is_refused() {
+        let fits = SolverConfig {
+            max_iterations: 45_140_659,
+            ..SolverConfig::default()
+        };
+        let (g, _) = truncation_point(4.5e7, &order16_fronts(), 0, &fits).unwrap();
+        assert_eq!(g, 45_140_659);
+        let short = SolverConfig {
+            max_iterations: 45_140_658,
+            ..SolverConfig::default()
+        };
+        let start = std::time::Instant::now();
+        let err = truncation_point(4.5e7, &order16_fronts(), 0, &short).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(
+            matches!(err, MrmError::TruncationCapExceeded { .. }),
+            "{err:?}"
+        );
+        assert!(elapsed.as_secs_f64() < 1.0, "refusal took {elapsed:?}");
+        // A qt past the cap is refused before any bound is evaluated.
+        assert!(matches!(
+            truncation_point(1e12, &order16_fronts(), 0, &short),
+            Err(MrmError::TruncationCapExceeded { .. })
+        ));
     }
 
     #[test]

@@ -27,13 +27,14 @@
 //!   only possible difference is the sign of an exact zero (`-0.0` vs
 //!   `+0.0`), which `==` cannot observe.
 //!
-//! [`IterationMatrix`] is the dispatch point the solvers iterate over:
-//! built once per solve from the uniformized CSR matrix, auto-selecting
-//! DIA when the diagonal count makes it profitable ([`MatrixFormat::Auto`]),
-//! or forced either way for benchmarks and tests.
+//! [`IterationMatrix`] is the dispatch point the solvers iterate over.
+//! [`IterationMatrix::uniformized`] builds it once per solve straight
+//! from the generator's rows: DIA strips when the diagonal count makes
+//! them profitable ([`MatrixFormat::Auto`]), CSR otherwise, or either
+//! format forced for benchmarks and tests.
 
 use crate::error::LinalgError;
-use crate::operator::{OperatorMatrix, UniformizedBirthDeath};
+use crate::operator::OperatorMatrix;
 use crate::sparse::CsrMatrix;
 
 /// Hard cap on the padded storage a **forced** DIA conversion may
@@ -42,8 +43,8 @@ use crate::sparse::CsrMatrix;
 /// forced `--format dia` on a scattered matrix pads every populated
 /// diagonal to full length — up to `(2n−1)·n` doubles — which can dwarf
 /// the machine before the allocator ever gets to refuse politely.
-/// [`IterationMatrix::try_with_format`] estimates the allocation up
-/// front and returns [`LinalgError::AllocationTooLarge`] instead.
+/// [`IterationMatrix::uniformized`] estimates the allocation up front
+/// and returns [`LinalgError::AllocationTooLarge`] instead.
 pub const FORCED_DIA_MAX_BYTES: u64 = 1 << 31;
 
 /// A sparse matrix stored by diagonals (DIA format).
@@ -78,8 +79,69 @@ pub struct DiaMatrix {
     offsets: Vec<isize>,
     /// Flattened diagonals: `data[d·n + i] = A[i][i + offsets[d]]`.
     data: Vec<f64>,
-    /// Structural non-zeros of the CSR source (for reporting).
+    /// Structural non-zeros of the source rows (for reporting).
     nnz: usize,
+}
+
+/// A square matrix read row by row: [`Rows::row`] emits row `i`'s
+/// stored entries `(col, value)` in ascending column order.
+trait Rows {
+    fn n(&self) -> usize;
+    fn row(&self, i: usize, emit: impl FnMut(usize, f64));
+}
+
+impl Rows for CsrMatrix<f64> {
+    fn n(&self) -> usize {
+        self.rows()
+    }
+
+    #[inline]
+    fn row(&self, i: usize, mut emit: impl FnMut(usize, f64)) {
+        for (j, v) in CsrMatrix::row(self, i) {
+            emit(j, v);
+        }
+    }
+}
+
+/// The rows of `Q' = Q·(1/q) + I` read off the generator `Q`, entry for
+/// entry what `Q.scaled(1/q).add_scaled_identity(1.0)` stores: an
+/// off-diagonal `v·(1/q)`, kept only when non-zero (the triplet
+/// rebuild drops pushed zeros), and a diagonal that is always stored —
+/// `v·(1/q) + 1.0` where that product is non-zero, `1.0` otherwise.
+struct Uniformized<'a> {
+    q: &'a CsrMatrix<f64>,
+    inv: f64,
+}
+
+impl Rows for Uniformized<'_> {
+    fn n(&self) -> usize {
+        self.q.rows()
+    }
+
+    #[inline]
+    fn row(&self, i: usize, mut emit: impl FnMut(usize, f64)) {
+        let mut diag = Some(1.0);
+        for (j, v) in self.q.row(i) {
+            let s = v * self.inv;
+            if j == i {
+                if s != 0.0 {
+                    diag = Some(s + 1.0);
+                }
+                continue;
+            }
+            if j > i {
+                if let Some(d) = diag.take() {
+                    emit(i, d);
+                }
+            }
+            if s != 0.0 {
+                emit(j, s);
+            }
+        }
+        if let Some(d) = diag {
+            emit(i, d);
+        }
+    }
 }
 
 impl DiaMatrix {
@@ -90,39 +152,60 @@ impl DiaMatrix {
     /// Returns `None` for non-square matrices or when too many diagonals
     /// are populated (a scattered matrix would explode to `O(n²)` here).
     pub fn from_csr(csr: &CsrMatrix<f64>) -> Option<DiaMatrix> {
-        let offsets = distinct_offsets(csr)?;
-        if offsets.len().saturating_mul(csr.rows()) > 4 * csr.nnz() + 64 {
+        if csr.rows() != csr.cols() {
             return None;
         }
-        Some(Self::assemble(csr, offsets))
+        Self::from_rows(csr, false).ok().flatten()
     }
 
     /// Converts any square CSR matrix to DIA, regardless of how many
     /// diagonals are populated (benchmarks and format-forcing only —
     /// a scattered matrix stores up to `2n − 1` full diagonals).
     ///
-    /// Returns `None` only for non-square matrices.
+    /// Returns `None` for non-square matrices and past
+    /// [`FORCED_DIA_MAX_BYTES`].
     pub fn from_csr_forced(csr: &CsrMatrix<f64>) -> Option<DiaMatrix> {
-        let offsets = distinct_offsets(csr)?;
-        Some(Self::assemble(csr, offsets))
+        if csr.rows() != csr.cols() {
+            return None;
+        }
+        Self::from_rows(csr, true).ok().flatten()
     }
 
-    fn assemble(csr: &CsrMatrix<f64>, offsets: Vec<isize>) -> DiaMatrix {
-        let n = csr.rows();
+    /// Strips of `rows`, or `Ok(None)` where `Auto`'s profitability gate
+    /// (`!forced`) turns DIA down. Forced strips past
+    /// [`FORCED_DIA_MAX_BYTES`] are refused before anything is
+    /// allocated; a second pass over the rows writes the entries.
+    fn from_rows(rows: &impl Rows, forced: bool) -> Result<Option<DiaMatrix>, LinalgError> {
+        let n = rows.n();
+        let (offsets, nnz) = offsets_and_nnz(rows);
+        if !forced && offsets.len().saturating_mul(n) > 4 * nnz + 64 {
+            return Ok(None);
+        }
+        let estimated_bytes = (offsets.len() as u64)
+            .saturating_mul(n as u64)
+            .saturating_mul(std::mem::size_of::<f64>() as u64);
+        if forced && estimated_bytes > FORCED_DIA_MAX_BYTES {
+            return Err(LinalgError::AllocationTooLarge {
+                what: "forced DIA storage",
+                estimated_bytes,
+                cap_bytes: FORCED_DIA_MAX_BYTES,
+            });
+        }
         let mut data = vec![0.0f64; offsets.len() * n];
         for i in 0..n {
-            for (j, v) in csr.row(i) {
-                let o = j as isize - i as isize;
-                let d = offsets.binary_search(&o).expect("offset collected above");
+            rows.row(i, |j, v| {
+                let d = offsets
+                    .binary_search(&(j as isize - i as isize))
+                    .expect("offset collected above");
                 data[d * n + i] = v;
-            }
+            });
         }
-        DiaMatrix {
+        Ok(Some(DiaMatrix {
             n,
             offsets,
             data,
-            nnz: csr.nnz(),
-        }
+            nnz,
+        }))
     }
 
     /// Matrix dimension (the matrix is square by construction).
@@ -140,7 +223,7 @@ impl DiaMatrix {
         &self.data
     }
 
-    /// Structural non-zeros of the CSR matrix this was built from.
+    /// Structural non-zeros of the rows this was built from.
     pub fn nnz(&self) -> usize {
         self.nnz
     }
@@ -193,45 +276,36 @@ impl DiaMatrix {
     }
 }
 
-/// The distinct `col − row` offsets of a square CSR matrix, ascending;
-/// `None` if the matrix is not square.
-///
-/// Single pass over the CSR entries: a `2n − 1` occupancy bitmap
-/// indexed by `offset + (n − 1)` marks each diagonal seen, then one
-/// scan of the bitmap emits the offsets already sorted. `O(nnz + n)`
-/// time, no per-entry search or mid-vector insertion (the previous
-/// detector re-sorted by `binary_search` + `insert`, quadratic in the
-/// diagonal count on adversarial matrices).
-fn distinct_offsets(csr: &CsrMatrix<f64>) -> Option<Vec<isize>> {
-    if csr.rows() != csr.cols() {
-        return None;
-    }
-    let n = csr.rows();
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    let (row_ptr, col_idx, _) = csr.csr_parts();
-    let mut seen = vec![false; 2 * n - 1];
+/// The distinct `col − row` offsets of `rows`, ascending, and their
+/// entry count. One pass marks a `2n − 1` occupancy bitmap indexed by
+/// `offset + (n − 1)`, and one scan of it emits the offsets already
+/// sorted: `O(nnz + n)` whatever the diagonal count.
+fn offsets_and_nnz(rows: &impl Rows) -> (Vec<isize>, usize) {
+    let n = rows.n();
+    let mut seen = vec![false; (2 * n).saturating_sub(1)];
+    let mut nnz = 0usize;
     for i in 0..n {
-        for k in row_ptr[i]..row_ptr[i + 1] {
-            seen[col_idx[k] + (n - 1) - i] = true;
-        }
+        rows.row(i, |j, _| {
+            seen[j + (n - 1) - i] = true;
+            nnz += 1;
+        });
     }
-    let mut offsets: Vec<isize> = Vec::new();
-    for (slot, &present) in seen.iter().enumerate() {
-        if present {
-            offsets.push(slot as isize - (n as isize - 1));
-        }
-    }
-    Some(offsets)
+    let offsets = seen
+        .iter()
+        .enumerate()
+        .filter(|&(_, &present)| present)
+        .map(|(slot, _)| slot as isize - (n as isize - 1))
+        .collect();
+    (offsets, nnz)
 }
 
 /// Which storage the solver's iteration matrix should use.
 ///
-/// `Auto` (the default) converts to DIA when the bandwidth detector
-/// accepts the matrix and stays on CSR otherwise; `Csr`/`Dia` force the
-/// format (DIA on a scattered matrix stores every populated diagonal in
-/// full — benchmarks only).
+/// `Auto` (the default) stores DIA strips when the bandwidth detector
+/// accepts the matrix and CSR otherwise; `Csr`/`Dia` force the format
+/// (DIA on a scattered matrix stores every populated diagonal in full —
+/// benchmarks only); `Operator` asks for the matrix-free backend, which
+/// only a Kronecker-structured model can supply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatrixFormat {
     /// Pick per matrix: DIA when profitable, CSR otherwise.
@@ -276,7 +350,7 @@ impl std::str::FromStr for MatrixFormat {
 /// The matrix a solver iterates with, in whichever storage was selected
 /// at solve setup. [`FusedMomentKernel`](crate::fused::FusedMomentKernel)
 /// and the serial solver loops dispatch over this enum once per pass;
-/// both variants produce bit-identical mat-vec results (module docs).
+/// every variant produces bit-identical mat-vec results (module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum IterationMatrix {
     /// Generic compressed-sparse-row storage.
@@ -288,80 +362,73 @@ pub enum IterationMatrix {
 }
 
 impl IterationMatrix {
-    /// Selects the storage for `csr` according to `format`.
+    /// The uniformized matrix `Q' = Q·(1/rate) + I` of the generator
+    /// `q` (`rate > 0`), written straight from `q`'s rows in the storage
+    /// `format` selects. Every storage holds the entries
+    /// `Generator::uniformized_kernel` would — `v·(1/rate)` off the
+    /// diagonal, kept where non-zero, and `v·(1/rate) + 1.0` (`1.0`
+    /// where `q` stores no diagonal) on it — so each solves bit for bit
+    /// like that CSR, and DIA's `nnz` counts its entries:
     ///
-    /// `Auto` defers to the [`DiaMatrix::from_csr`] profitability check;
-    /// `Dia` forces conversion via [`DiaMatrix::from_csr_forced`] and
-    /// falls back to CSR only for non-square matrices; `Operator`
-    /// wraps the tridiagonal strips verbatim and falls back to CSR when
-    /// the matrix is not tridiagonal. Infallible — solvers that want
-    /// typed errors (forced-DIA allocation cap, operator on an
-    /// unsupported matrix) use [`IterationMatrix::try_with_format`].
-    pub fn with_format(csr: CsrMatrix<f64>, format: MatrixFormat) -> IterationMatrix {
-        match format {
-            MatrixFormat::Auto => match DiaMatrix::from_csr(&csr) {
-                Some(d) => IterationMatrix::Dia(d),
-                None => IterationMatrix::Csr(csr),
-            },
-            MatrixFormat::Csr => IterationMatrix::Csr(csr),
-            MatrixFormat::Dia => match DiaMatrix::from_csr_forced(&csr) {
-                Some(d) => IterationMatrix::Dia(d),
-                None => IterationMatrix::Csr(csr),
-            },
-            MatrixFormat::Operator => match UniformizedBirthDeath::from_uniformized_csr(&csr) {
-                Ok(op) => IterationMatrix::Operator(OperatorMatrix::birth_death(op)),
-                Err(_) => IterationMatrix::Csr(csr),
-            },
-        }
-    }
-
-    /// [`IterationMatrix::with_format`] with typed failures instead of
-    /// silent fallbacks:
+    /// * `Auto` stores DIA strips when [`DiaMatrix::from_csr`]'s
+    ///   profitability gate on nnz(Q′) accepts them, CSR otherwise;
+    /// * `Dia` forces the strips, refusing with
+    ///   [`LinalgError::AllocationTooLarge`] before allocating past
+    ///   [`FORCED_DIA_MAX_BYTES`];
+    /// * `Csr` forces CSR, the only storage that materializes `Q'` in
+    ///   that form;
+    /// * `Operator` is refused with [`LinalgError::FormatUnsupported`]:
+    ///   the matrix-free backend is built from a model's Kronecker
+    ///   structure ([`OperatorMatrix::from_structure`]), not from `q`.
     ///
-    /// * forced `Dia` estimates the padded allocation
-    ///   (`ndiag · n · 8` bytes) up front and refuses past
-    ///   [`FORCED_DIA_MAX_BYTES`] with
-    ///   [`LinalgError::AllocationTooLarge`] — the `Auto` gate is
-    ///   bypassed when forcing, and a scattered matrix pads to
-    ///   `O(n²)`;
-    /// * forced `Operator` on a matrix that is not tridiagonal (and
-    ///   arrived without a structure descriptor) returns
-    ///   [`LinalgError::FormatUnsupported`] instead of panicking or
-    ///   quietly solving with CSR.
-    pub fn try_with_format(
-        csr: CsrMatrix<f64>,
+    /// # Errors
+    ///
+    /// The two above, and [`LinalgError::DimensionMismatch`] if `q` is
+    /// not square.
+    pub fn uniformized(
+        q: &CsrMatrix<f64>,
+        rate: f64,
         format: MatrixFormat,
     ) -> Result<IterationMatrix, LinalgError> {
-        match format {
-            MatrixFormat::Auto | MatrixFormat::Csr => Ok(Self::with_format(csr, format)),
-            MatrixFormat::Dia => {
-                let offsets = match distinct_offsets(&csr) {
-                    Some(o) => o,
-                    None => return Ok(IterationMatrix::Csr(csr)),
-                };
-                let estimated_bytes = (offsets.len() as u64)
-                    .saturating_mul(csr.rows() as u64)
-                    .saturating_mul(std::mem::size_of::<f64>() as u64);
-                if estimated_bytes > FORCED_DIA_MAX_BYTES {
-                    return Err(LinalgError::AllocationTooLarge {
-                        what: "forced DIA storage",
-                        estimated_bytes,
-                        cap_bytes: FORCED_DIA_MAX_BYTES,
-                    });
-                }
-                Ok(IterationMatrix::Dia(
-                    DiaMatrix::from_csr_forced(&csr).expect("square checked by offset scan"),
-                ))
-            }
-            MatrixFormat::Operator => Ok(IterationMatrix::Operator(
-                OperatorMatrix::birth_death(UniformizedBirthDeath::from_uniformized_csr(&csr)?),
-            )),
+        let n = q.rows();
+        if q.cols() != n {
+            return Err(LinalgError::DimensionMismatch {
+                op: "uniformized",
+                lhs: (n, q.cols()),
+                rhs: (n, n),
+            });
         }
-    }
-
-    /// [`IterationMatrix::with_format`] with [`MatrixFormat::Auto`].
-    pub fn auto(csr: CsrMatrix<f64>) -> IterationMatrix {
-        Self::with_format(csr, MatrixFormat::Auto)
+        let rows = Uniformized { q, inv: 1.0 / rate };
+        let dia = match format {
+            MatrixFormat::Auto => DiaMatrix::from_rows(&rows, false)?,
+            MatrixFormat::Dia => DiaMatrix::from_rows(&rows, true)?,
+            MatrixFormat::Csr => None,
+            MatrixFormat::Operator => {
+                return Err(LinalgError::FormatUnsupported {
+                    format: "operator",
+                    reason: "the matrix-free operator is built from a model's Kronecker \
+                             structure, not from its generator matrix"
+                        .to_string(),
+                })
+            }
+        };
+        Ok(match dia {
+            Some(d) => IterationMatrix::Dia(d),
+            None => {
+                let mut row_ptr = Vec::with_capacity(n + 1);
+                let mut col_idx = Vec::with_capacity(q.nnz() + n);
+                let mut values = Vec::with_capacity(q.nnz() + n);
+                row_ptr.push(0);
+                for i in 0..n {
+                    rows.row(i, |j, v| {
+                        col_idx.push(j);
+                        values.push(v);
+                    });
+                    row_ptr.push(col_idx.len());
+                }
+                IterationMatrix::Csr(CsrMatrix::from_sorted_parts(n, n, row_ptr, col_idx, values))
+            }
+        })
     }
 
     /// Number of rows.
@@ -472,8 +539,81 @@ mod tests {
         b.build()
     }
 
+    /// A generator (rows sum to zero) with the given off-diagonal
+    /// `(row, col, rate)` entries; rows without any keep no diagonal.
+    fn generator(n: usize, rates: &[(usize, usize, f64)]) -> CsrMatrix<f64> {
+        let mut b = TripletBuilder::with_capacity(n, n, rates.len() + n);
+        let mut exit = vec![0.0; n];
+        for &(i, j, r) in rates {
+            b.push(i, j, r);
+            exit[i] += r;
+        }
+        for (i, &e) in exit.iter().enumerate() {
+            b.push(i, i, -e);
+        }
+        b.build()
+    }
+
+    /// Generator shapes with every corner of the entry rule: a
+    /// birth–death chain with absorbing ends (no stored diagonal), a
+    /// wrap-around jump, a rate whose scaled value underflows to zero,
+    /// a row whose scaled diagonal is exactly −1, and a scattered chain.
+    fn generators() -> Vec<(CsrMatrix<f64>, f64)> {
+        let n = 40;
+        let mut bd: Vec<(usize, usize, f64)> = Vec::new();
+        for i in 1..n - 2 {
+            bd.push((i, i + 1, 1.0 + (i % 4) as f64 * 0.5));
+            bd.push((i + 1, i, 0.75 + (i % 3) as f64));
+        }
+        let mut wrap = bd.clone();
+        wrap.push((n - 1, 0, 2.5));
+        let tiny = vec![(0, 1, 1e-310), (1, 0, 3.0), (1, 2, 1.0)];
+        let scattered: Vec<_> = (0..300).map(|i| (i, (i * 7 + 3) % 300, 0.25)).collect();
+        vec![
+            (generator(n, &bd), 9.0),
+            (generator(n, &wrap), 6.0),
+            (generator(3, &tiny), 1e20),
+            (generator(3, &tiny), 4.0),
+            (generator(300, &scattered), 0.5),
+        ]
+    }
+
     fn test_vector(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 29) % 13) as f64 / 7.0 - 0.8).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn generator_strips_equal_the_uniformized_csr_bit_for_bit() {
+        for (q, rate) in generators() {
+            let csr = q.scaled(1.0 / rate).add_scaled_identity(1.0).unwrap();
+            let want = DiaMatrix::from_csr_forced(&csr).unwrap();
+            let IterationMatrix::Dia(got) =
+                IterationMatrix::uniformized(&q, rate, MatrixFormat::Dia).unwrap()
+            else {
+                panic!("forced DIA");
+            };
+            assert_eq!(got.offsets(), want.offsets(), "rate {rate}");
+            assert_eq!(bits(got.data()), bits(want.data()), "rate {rate}");
+            assert_eq!(got.nnz(), want.nnz(), "rate {rate}");
+            let auto = IterationMatrix::uniformized(&q, rate, MatrixFormat::Auto).unwrap();
+            assert_eq!(
+                auto.is_dia(),
+                DiaMatrix::from_csr(&csr).is_some(),
+                "rate {rate}"
+            );
+            let IterationMatrix::Csr(got) =
+                IterationMatrix::uniformized(&q, rate, MatrixFormat::Csr).unwrap()
+            else {
+                panic!("forced CSR");
+            };
+            let ((gp, gc, gv), (wp, wc, wv)) = (got.csr_parts(), csr.csr_parts());
+            assert_eq!((gp, gc), (wp, wc), "rate {rate}");
+            assert_eq!(bits(gv), bits(wv), "rate {rate}");
+        }
     }
 
     #[test]
@@ -499,9 +639,10 @@ mod tests {
         }
         let csr = b.build();
         let start = std::time::Instant::now();
-        let offsets = distinct_offsets(&csr).expect("square matrix");
+        let (offsets, nnz) = offsets_and_nnz(&csr);
         let elapsed = start.elapsed();
         assert_eq!(offsets, band.to_vec());
+        assert_eq!(nnz, csr.nnz());
         assert!(
             elapsed < std::time::Duration::from_millis(100),
             "detector took {elapsed:?} on 200k rows"
@@ -513,19 +654,16 @@ mod tests {
         // Empty and 1×1 matrices, and a full anti-diagonal touching
         // both bitmap extremes (offsets n−1 and −(n−1)).
         let empty = TripletBuilder::with_capacity(0, 0, 0).build();
-        assert_eq!(distinct_offsets(&empty).unwrap(), Vec::<isize>::new());
+        assert_eq!(offsets_and_nnz(&empty), (Vec::new(), 0));
         let mut one = TripletBuilder::with_capacity(1, 1, 1);
         one.push(0, 0, 2.0);
-        assert_eq!(distinct_offsets(&one.build()).unwrap(), vec![0]);
+        assert_eq!(offsets_and_nnz(&one.build()), (vec![0], 1));
         let n = 5;
         let mut anti = TripletBuilder::with_capacity(n, n, n);
         for i in 0..n {
             anti.push(i, n - 1 - i, 1.0);
         }
-        assert_eq!(
-            distinct_offsets(&anti.build()).unwrap(),
-            vec![-4, -2, 0, 2, 4]
-        );
+        assert_eq!(offsets_and_nnz(&anti.build()), (vec![-4, -2, 0, 2, 4], n));
     }
 
     #[test]
@@ -560,7 +698,8 @@ mod tests {
         let csr = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]);
         assert!(DiaMatrix::from_csr(&csr).is_none());
         assert!(DiaMatrix::from_csr_forced(&csr).is_none());
-        assert!(!IterationMatrix::auto(csr).is_dia());
+        let err = IterationMatrix::uniformized(&csr, 1.0, MatrixFormat::Auto);
+        assert!(matches!(err, Err(LinalgError::DimensionMismatch { .. })));
     }
 
     #[test]
@@ -600,31 +739,38 @@ mod tests {
 
     #[test]
     fn format_selection_and_names() {
-        let auto = IterationMatrix::auto(tridiag(64));
+        let gens = generators();
+        let ((bd, rate), (spread, spread_rate)) = (&gens[0], &gens[4]);
+        let auto = IterationMatrix::uniformized(bd, *rate, MatrixFormat::Auto).unwrap();
         assert!(auto.is_dia());
         assert_eq!(auto.format_name(), "dia");
         assert_eq!(auto.bandwidth(), 1);
 
-        let auto_scattered = IterationMatrix::auto(scattered(257));
-        assert!(!auto_scattered.is_dia());
-        assert_eq!(auto_scattered.format_name(), "csr");
+        let auto_spread =
+            IterationMatrix::uniformized(spread, *spread_rate, MatrixFormat::Auto).unwrap();
+        assert!(!auto_spread.is_dia());
+        assert_eq!(auto_spread.format_name(), "csr");
 
-        let forced = IterationMatrix::with_format(scattered(257), MatrixFormat::Dia);
+        let forced = IterationMatrix::uniformized(spread, *spread_rate, MatrixFormat::Dia).unwrap();
         assert!(forced.is_dia());
 
-        let forced_csr = IterationMatrix::with_format(tridiag(64), MatrixFormat::Csr);
+        let forced_csr = IterationMatrix::uniformized(bd, *rate, MatrixFormat::Csr).unwrap();
         assert!(!forced_csr.is_dia());
         assert_eq!(forced_csr.bandwidth(), 1);
     }
 
     #[test]
     fn iteration_matrix_matvec_dispatches() {
-        let csr = tridiag(50);
-        let x = test_vector(50);
-        let expect = csr.matvec(&x);
+        let (q, rate) = generators().swap_remove(1);
+        let x = test_vector(q.rows());
+        let expect = q
+            .scaled(1.0 / rate)
+            .add_scaled_identity(1.0)
+            .unwrap()
+            .matvec(&x);
         for format in [MatrixFormat::Auto, MatrixFormat::Csr, MatrixFormat::Dia] {
-            let m = IterationMatrix::with_format(csr.clone(), format);
-            let mut y = vec![f64::NAN; 50];
+            let m = IterationMatrix::uniformized(&q, rate, format).unwrap();
+            let mut y = vec![f64::NAN; q.rows()];
             m.matvec_into(&x, &mut y);
             assert_eq!(y, expect, "format {format}");
         }
@@ -647,34 +793,10 @@ mod tests {
     }
 
     #[test]
-    fn operator_format_wraps_tridiagonal_and_falls_back() {
-        let m = IterationMatrix::with_format(tridiag(50), MatrixFormat::Operator);
-        assert!(m.is_operator());
-        assert_eq!(m.format_name(), "operator");
-        assert_eq!(m.bandwidth(), 1);
-        assert_eq!((m.rows(), m.cols()), (50, 50));
-        let x = test_vector(50).iter().map(|v| v.abs()).collect::<Vec<_>>();
-        let mut y = vec![f64::NAN; 50];
-        m.matvec_into(&x, &mut y);
-        assert_eq!(y, tridiag(50).matvec(&x));
-        // Non-tridiagonal input: infallible API falls back to CSR...
-        let fallback = IterationMatrix::with_format(scattered(64), MatrixFormat::Operator);
-        assert!(!fallback.is_operator());
-        assert_eq!(fallback.format_name(), "csr");
-        // ...while the typed API reports why.
-        let err = IterationMatrix::try_with_format(scattered(64), MatrixFormat::Operator);
+    fn operator_format_needs_a_model_structure() {
+        let (q, rate) = generators().swap_remove(0);
+        let err = IterationMatrix::uniformized(&q, rate, MatrixFormat::Operator);
         assert!(matches!(err, Err(LinalgError::FormatUnsupported { .. })));
-    }
-
-    #[test]
-    fn try_with_format_matches_infallible_selection_in_bounds() {
-        for format in [MatrixFormat::Auto, MatrixFormat::Csr, MatrixFormat::Dia] {
-            let a = IterationMatrix::try_with_format(scattered(257), format).unwrap();
-            let b = IterationMatrix::with_format(scattered(257), format);
-            assert_eq!(a.format_name(), b.format_name(), "format {format}");
-        }
-        let op = IterationMatrix::try_with_format(tridiag(40), MatrixFormat::Operator).unwrap();
-        assert!(op.is_operator());
     }
 
     #[test]
@@ -682,10 +804,17 @@ mod tests {
         // ~20k distinct diagonals over 20k rows pads to ≈ 3.2 GB —
         // the estimate must be rejected before anything is allocated.
         let n = 20_000;
-        let csr = scattered(n);
-        let ndiag = distinct_offsets(&csr).unwrap().len() as u64;
+        let rates: Vec<_> = (0..n).map(|i| (i, (i * 7 + 3) % n, 0.01)).collect();
+        let q = generator(n, &rates);
+        let csr = q.scaled(1.0).add_scaled_identity(1.0).unwrap();
+        let ndiag = 1
+            + (0..n)
+                .map(|i| ((i * 7 + 3) % n) as isize - i as isize)
+                .filter(|&o| o != 0)
+                .collect::<std::collections::BTreeSet<_>>()
+                .len() as u64;
         assert!(ndiag * n as u64 * 8 > FORCED_DIA_MAX_BYTES, "test premise");
-        match IterationMatrix::try_with_format(csr, MatrixFormat::Dia) {
+        match IterationMatrix::uniformized(&q, 1.0, MatrixFormat::Dia) {
             Err(LinalgError::AllocationTooLarge {
                 estimated_bytes,
                 cap_bytes,
@@ -696,9 +825,11 @@ mod tests {
             }
             other => panic!("expected AllocationTooLarge, got {other:?}"),
         }
-        // In-bounds forcing still works.
-        assert!(IterationMatrix::try_with_format(scattered(257), MatrixFormat::Dia)
+        assert!(DiaMatrix::from_csr_forced(&csr).is_none());
+        // Auto stays on CSR, and in-bounds forcing still works.
+        assert!(!IterationMatrix::uniformized(&q, 1.0, MatrixFormat::Auto)
             .unwrap()
             .is_dia());
+        assert!(DiaMatrix::from_csr_forced(&scattered(257)).is_some());
     }
 }

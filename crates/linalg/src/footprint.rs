@@ -48,7 +48,7 @@ impl FootprintBytes for DiaMatrix {
 
 impl FootprintBytes for OperatorMatrix {
     /// Delegates to the backend's [`MatVec::footprint_bytes`]
-    /// (`crate::operator::MatVec`): O(n) strips or factor blocks, never
+    /// (`crate::operator::MatVec`): factor blocks and one O(n) diagonal, never
     /// the materialized matrix.
     fn footprint_bytes(&self) -> usize {
         self.as_matvec().footprint_bytes()
@@ -68,7 +68,6 @@ impl FootprintBytes for IterationMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dia::MatrixFormat;
     use crate::sparse::TripletBuilder;
 
     /// Tridiagonal uniformized-style matrix on `n` states, the ladder
@@ -114,38 +113,12 @@ mod tests {
     fn iteration_matrix_dispatch_matches_inner_storage() {
         let csr = tridiag(64);
         let csr_bytes = csr.footprint_bytes();
-        let m = IterationMatrix::with_format(csr.clone(), MatrixFormat::Csr);
+        let m = IterationMatrix::Csr(csr.clone());
         assert_eq!(m.footprint_bytes(), csr_bytes);
-        let d = IterationMatrix::with_format(csr, MatrixFormat::Dia);
-        assert!(d.is_dia());
+        let d = IterationMatrix::Dia(DiaMatrix::from_csr(&csr).unwrap());
         assert_eq!(
             d.footprint_bytes(),
             3 * size_of::<isize>() + 3 * 64 * size_of::<f64>()
-        );
-    }
-
-    #[test]
-    fn operator_strips_are_far_below_the_materialized_pipeline_at_2m_states() {
-        // The point of the operator backend: at 2M states the CSR→DIA
-        // pipeline materializes ~(n+1+2nnz) usizes/doubles of CSR plus
-        // 3n doubles of DIA, while the birth-death strips hold 3n−2
-        // doubles total. Compare against the *pipeline* cost (source
-        // CSR + DIA coexist during conversion), not DIA alone.
-        let n = 2_000_001usize;
-        let op =
-            crate::operator::UniformizedBirthDeath::from_rates(n, 4.0, |_| 1.0, |_| 1.5)
-                .expect("valid rates");
-        let op_bytes = crate::operator::MatVec::footprint_bytes(&op);
-        assert_eq!(op_bytes, (3 * n - 2) * size_of::<f64>());
-
-        let nnz = 3 * n - 2;
-        let csr_bytes =
-            (n + 1) * size_of::<usize>() + nnz * size_of::<usize>() + nnz * size_of::<f64>();
-        let dia_bytes = 3 * size_of::<isize>() + 3 * n * size_of::<f64>();
-        let pipeline_bytes = csr_bytes + dia_bytes;
-        assert!(
-            2 * op_bytes <= pipeline_bytes,
-            "operator {op_bytes}B should be well under the {pipeline_bytes}B CSR+DIA pipeline"
         );
     }
 }

@@ -1492,8 +1492,8 @@ unsafe fn project_in_memory<V: Lanes>(ctx: &PassCtx, j: usize, i: usize, pi: V, 
 mod tests {
     use super::*;
     use crate::dense::Mat;
-    use crate::dia::MatrixFormat;
-    use crate::operator::{KroneckerSum, OperatorMatrix, UniformizedBirthDeath};
+    use crate::dia::{DiaMatrix, MatrixFormat};
+    use crate::operator::{KroneckerSum, OperatorMatrix};
     use crate::sparse::{CsrMatrix, TripletBuilder};
     use proptest::prelude::*;
     use somrm_num::sum::NeumaierSum;
@@ -1578,6 +1578,15 @@ mod tests {
         b.build()
     }
 
+    /// `m` in the given storage (DIA forced, whatever its band).
+    fn stored(m: &CsrMatrix<f64>, format: MatrixFormat) -> IterationMatrix {
+        match format {
+            MatrixFormat::Csr => IterationMatrix::Csr(m.clone()),
+            MatrixFormat::Dia => IterationMatrix::Dia(DiaMatrix::from_csr_forced(m).unwrap()),
+            other => panic!("no {other} storage for a bare matrix"),
+        }
+    }
+
     #[test]
     fn fused_kernel_bitwise_matches_reference() {
         let n = 257;
@@ -1592,7 +1601,7 @@ mod tests {
         // (forced — the scattered test matrix fails the auto check) at
         // every thread count must reproduce it bit for bit.
         for format in [MatrixFormat::Csr, MatrixFormat::Dia] {
-            let im = IterationMatrix::with_format(m.clone(), format);
+            let im = stored(&m, format);
             for threads in [1usize, 2, 4, 8] {
                 let mut fused =
                     FusedMomentKernel::new(&im, &r_prime, &s_half, order, 2, &u0, threads);
@@ -1634,9 +1643,8 @@ mod tests {
             }
         }
         let m = b.build();
-        let csr = IterationMatrix::with_format(m.clone(), MatrixFormat::Csr);
-        let dia = IterationMatrix::auto(m);
-        assert!(dia.is_dia(), "tridiagonal must auto-select DIA");
+        let csr = IterationMatrix::Csr(m.clone());
+        let dia = IterationMatrix::Dia(DiaMatrix::from_csr(&m).expect("tridiagonal is DIA"));
         let r_prime: Vec<f64> = (0..n).map(|i| (i % 7) as f64 / 10.0).collect();
         let s_half: Vec<f64> = (0..n).map(|i| (i % 3) as f64 / 20.0).collect();
         let u0 = vec![1.0; n];
@@ -1665,21 +1673,15 @@ mod tests {
     /// Runs 30 steps with the given variant and returns every
     /// accumulated value, flattened. Mixed-sign `r'` exercises the
     /// negative-intermediate paths of the canonical-FMA chain.
-    fn run_variant(
-        m: &CsrMatrix<f64>,
-        format: MatrixFormat,
-        threads: usize,
-        variant: ResolvedKernel,
-    ) -> Vec<f64> {
-        let n = m.rows();
+    fn run_variant(im: &IterationMatrix, threads: usize, variant: ResolvedKernel) -> Vec<f64> {
+        let n = im.rows();
         let order = 3;
         let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0 - 0.4).collect();
         let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
         let u0 = vec![1.0; n];
         let active0 = [(0usize, 0.25f64), (1, 0.5)];
         let active1 = [(1usize, 0.125f64)];
-        let im = IterationMatrix::with_format(m.clone(), format);
-        let mut k = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 2, &u0, threads);
+        let mut k = FusedMomentKernel::new(im, &r_prime, &s_half, order, 2, &u0, threads);
         k.set_variant(variant);
         assert_eq!(k.variant(), variant);
         for step in 0..30 {
@@ -1696,8 +1698,8 @@ mod tests {
     }
 
     /// Fully-populated tridiagonal matrix (no structural zeros), the
-    /// shape the operator backend shares with CSR bitwise for inputs of
-    /// any sign.
+    /// shape every storage shares with CSR bitwise for inputs of any
+    /// sign.
     fn tridiag_matrix(n: usize) -> CsrMatrix<f64> {
         let mut b = TripletBuilder::with_capacity(n, n, 3 * n);
         for i in 0..n {
@@ -1723,22 +1725,60 @@ mod tests {
         }
     }
 
+    /// Factor blocks with every off-diagonal rate positive.
+    fn kron_factor(k: usize) -> Mat<f64> {
+        Mat::from_fn(k, k, |r, c| {
+            if r != c {
+                0.25 + ((r + 2 * c) % 4) as f64 * 0.5
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// A 48-state Kronecker-sum operator and the uniformized CSR of its
+    /// materialized generator, which the operator owes bit for bit.
+    fn kronecker_pair() -> (IterationMatrix, IterationMatrix) {
+        let rate = 20.0;
+        let op =
+            KroneckerSum::new(vec![kron_factor(4), kron_factor(3), kron_factor(4)], rate).unwrap();
+        let n = op.rows();
+        let mut b = TripletBuilder::with_capacity(n, n, 10 * n);
+        let mut exit = vec![0.0; n];
+        for (i, j, a) in op.generator_triplets() {
+            b.push(i, j, a);
+            exit[i] += a;
+        }
+        for (i, &e) in exit.iter().enumerate() {
+            b.push(i, i, -e);
+        }
+        let csr = b
+            .build()
+            .scaled(1.0 / rate)
+            .add_scaled_identity(1.0)
+            .unwrap();
+        (
+            IterationMatrix::Csr(csr),
+            IterationMatrix::Operator(OperatorMatrix::kronecker(op)),
+        )
+    }
+
     #[test]
     fn operator_kernel_bitwise_matches_csr_kernel_scalar() {
-        let m = tridiag_matrix(131);
+        let (csr, op) = kronecker_pair();
         for threads in [1usize, 2, 4, 8] {
-            let a = run_variant(&m, MatrixFormat::Csr, threads, ResolvedKernel::Scalar);
-            let b = run_variant(&m, MatrixFormat::Operator, threads, ResolvedKernel::Scalar);
+            let a = run_variant(&csr, threads, ResolvedKernel::Scalar);
+            let b = run_variant(&op, threads, ResolvedKernel::Scalar);
             assert_bits(&a, &b, &format!("scalar operator x{threads}"));
         }
     }
 
     #[test]
     fn operator_kernel_bitwise_matches_csr_kernel_simd() {
-        let m = tridiag_matrix(131);
-        let baseline = run_variant(&m, MatrixFormat::Csr, 1, ResolvedKernel::Simd);
+        let (csr, op) = kronecker_pair();
+        let baseline = run_variant(&csr, 1, ResolvedKernel::Simd);
         for threads in [1usize, 2, 4, 8] {
-            let got = run_variant(&m, MatrixFormat::Operator, threads, ResolvedKernel::Simd);
+            let got = run_variant(&op, threads, ResolvedKernel::Simd);
             assert_bits(&baseline, &got, &format!("simd operator x{threads}"));
         }
     }
@@ -1749,10 +1789,10 @@ mod tests {
         // determinism class: CSR vs (forced) DIA, every thread count,
         // vector lanes vs remainder rows — all bit-identical.
         let m = test_matrix(257);
-        let baseline = run_variant(&m, MatrixFormat::Csr, 1, ResolvedKernel::Simd);
+        let baseline = run_variant(&stored(&m, MatrixFormat::Csr), 1, ResolvedKernel::Simd);
         for format in [MatrixFormat::Csr, MatrixFormat::Dia] {
             for threads in [1usize, 2, 4, 8] {
-                let got = run_variant(&m, format, threads, ResolvedKernel::Simd);
+                let got = run_variant(&stored(&m, format), threads, ResolvedKernel::Simd);
                 assert_bits(&baseline, &got, &format!("simd {format} x{threads}"));
             }
         }
@@ -1762,9 +1802,9 @@ mod tests {
     fn simd_variant_agrees_with_scalar_within_rounding() {
         // Scalar vs simd differ only by rounding reassociation: a few
         // ulps per step, nowhere near the solver's truncation bounds.
-        let m = test_matrix(257);
-        let scalar = run_variant(&m, MatrixFormat::Csr, 1, ResolvedKernel::Scalar);
-        let simd = run_variant(&m, MatrixFormat::Csr, 1, ResolvedKernel::Simd);
+        let m = IterationMatrix::Csr(test_matrix(257));
+        let scalar = run_variant(&m, 1, ResolvedKernel::Scalar);
+        let simd = run_variant(&m, 1, ResolvedKernel::Simd);
         let scale = scalar.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
         for (i, (a, b)) in scalar.iter().zip(&simd).enumerate() {
             assert!(
@@ -1794,7 +1834,7 @@ mod tests {
                     }
                 }
             }
-            let dia = IterationMatrix::with_format(b.build(), MatrixFormat::Dia);
+            let dia = stored(&b.build(), MatrixFormat::Dia);
             let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0 - 0.4).collect();
             let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
             let u0: Vec<f64> = (0..n).map(|i| 1.0 - (i % 5) as f64 * 0.3).collect();
@@ -1864,8 +1904,8 @@ mod tests {
     }
 
     /// The iteration matrices the schedule test runs: DIA with three and
-    /// five diagonals, banded CSR, the birth–death operator, and a
-    /// Kronecker sum whose band is too wide for a skewed sweep.
+    /// five diagonals, banded CSR, and a Kronecker sum whose band is too
+    /// wide for a skewed sweep.
     fn schedule_matrices(n: usize) -> Vec<(&'static str, IterationMatrix)> {
         let banded = |offsets: &[isize]| {
             let mut b = TripletBuilder::with_capacity(n, n, offsets.len() * n);
@@ -1886,39 +1926,13 @@ mod tests {
         let tri = banded(&[-1, 0, 1]);
         let penta = banded(&[-2, -1, 0, 1, 2]);
         let wide = banded(&[-3, 0, 2]);
-        let bd = UniformizedBirthDeath::from_rates(
-            n,
-            7.0,
-            |i| 1.0 + (i % 3) as f64,
-            |i| 2.0 + (i % 5) as f64 * 0.5,
-        )
-        .unwrap();
-        let f = |k: usize| {
-            Mat::from_fn(k, k, |r, c| {
-                if r != c {
-                    0.25 + ((r + 2 * c) % 4) as f64 * 0.5
-                } else {
-                    0.0
-                }
-            })
-        };
-        let kron = KroneckerSum::new(vec![f(4), f(3), f(4)], 20.0).unwrap();
+        let (_, kron) = kronecker_pair();
         assert_eq!(kron.rows(), 48);
         vec![
-            ("dia3", IterationMatrix::with_format(tri, MatrixFormat::Dia)),
-            (
-                "dia5",
-                IterationMatrix::with_format(penta, MatrixFormat::Dia),
-            ),
-            ("csr", IterationMatrix::with_format(wide, MatrixFormat::Csr)),
-            (
-                "bd",
-                IterationMatrix::Operator(OperatorMatrix::birth_death(bd)),
-            ),
-            (
-                "kron",
-                IterationMatrix::Operator(OperatorMatrix::kronecker(kron)),
-            ),
+            ("dia3", stored(&tri, MatrixFormat::Dia)),
+            ("dia5", stored(&penta, MatrixFormat::Dia)),
+            ("csr", IterationMatrix::Csr(wide)),
+            ("kron", kron),
         ]
     }
 
@@ -2133,35 +2147,45 @@ mod tests {
                 }
             }
         }
-        // One tridiagonal matrix in every backend projects the same bits.
-        let n = 131;
-        let m = tridiag_matrix(n);
-        let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
-        let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
-        let pi = vec![1.0 / n as f64; n];
-        for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
-            let runs: Vec<Vec<f64>> =
-                [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator]
-                    .into_iter()
-                    .map(|f| {
-                        let im = IterationMatrix::with_format(m.clone(), f);
-                        weighted_run(
-                            &im,
-                            &r_prime,
-                            &s_half,
-                            &pi,
-                            3,
-                            &vec![1.0; n],
-                            g,
-                            1,
-                            variant,
-                            Some((32, 8)),
-                            &[5, 64],
-                        )
-                    })
-                    .collect();
-            assert_bits(&runs[0], &runs[1], &format!("{variant:?} csr vs dia"));
-            assert_bits(&runs[0], &runs[2], &format!("{variant:?} csr vs operator"));
+        // One matrix in two backends projects the same bits: a
+        // tridiagonal one as CSR and DIA, a Kronecker sum as CSR and
+        // operator.
+        let m = tridiag_matrix(131);
+        let pairs = [
+            (
+                "dia",
+                stored(&m, MatrixFormat::Csr),
+                stored(&m, MatrixFormat::Dia),
+            ),
+            ("operator", kronecker_pair().0, kronecker_pair().1),
+        ];
+        for (name, csr, other) in &pairs {
+            let n = csr.rows();
+            let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
+            let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
+            let pi = vec![1.0 / n as f64; n];
+            for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
+                let run = |im| {
+                    weighted_run(
+                        im,
+                        &r_prime,
+                        &s_half,
+                        &pi,
+                        3,
+                        &vec![1.0; n],
+                        g,
+                        1,
+                        variant,
+                        Some((32, 8)),
+                        &[5, 64],
+                    )
+                };
+                assert_bits(
+                    &run(csr),
+                    &run(other),
+                    &format!("{variant:?} csr vs {name}"),
+                );
+            }
         }
     }
 
@@ -2169,7 +2193,7 @@ mod tests {
     fn order_zero_and_empty_active_work() {
         let n = 16;
         let m = test_matrix(n);
-        let im = IterationMatrix::with_format(m.clone(), MatrixFormat::Csr);
+        let im = IterationMatrix::Csr(m.clone());
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 0, 1, &u0, 2);
@@ -2186,7 +2210,7 @@ mod tests {
         use std::sync::Arc;
 
         let n = 64;
-        let im = IterationMatrix::with_format(test_matrix(n), MatrixFormat::Csr);
+        let im = IterationMatrix::Csr(test_matrix(n));
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 1, 1, &u0, 2);
@@ -2218,7 +2242,7 @@ mod tests {
         use std::sync::Arc;
 
         let n = 64;
-        let im = IterationMatrix::with_format(test_matrix(n), MatrixFormat::Csr);
+        let im = IterationMatrix::Csr(test_matrix(n));
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 1, 1, &u0, 2);
@@ -2260,7 +2284,7 @@ mod tests {
     fn u_order_exposes_the_current_iterate() {
         let n = 16;
         let m = test_matrix(n);
-        let im = IterationMatrix::with_format(m.clone(), MatrixFormat::Csr);
+        let im = IterationMatrix::Csr(m.clone());
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 0, 1, &u0, 1);
@@ -2275,7 +2299,7 @@ mod tests {
     fn more_threads_than_rows_is_fine() {
         let n = 3;
         let m = test_matrix(n);
-        let im = IterationMatrix::with_format(m.clone(), MatrixFormat::Csr);
+        let im = IterationMatrix::Csr(m.clone());
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 1, 1, &u0, 64);

@@ -11,13 +11,14 @@
 //! * [`sparse`] — CSR sparse matrices with a triplet builder; the
 //!   randomization solver's inner loop is one sparse mat-vec per step;
 //! * [`dia`] — diagonal (DIA) storage for banded matrices with a
-//!   branch-free unit-stride kernel, a CSR→DIA bandwidth detector, and
-//!   the [`dia::IterationMatrix`] dispatch the solvers select once per
-//!   solve (the paper's 200,001-state model is tridiagonal);
+//!   branch-free unit-stride kernel, and the [`dia::IterationMatrix`]
+//!   the solvers build once per solve, writing the uniformized
+//!   generator's strips straight from its rows (the paper's
+//!   200,001-state model is tridiagonal: three strips);
 //! * [`operator`] — matrix-free backends ([`operator::MatVec`]) that
-//!   compute the uniformized mat-vec on the fly from model structure
-//!   (birth–death strips, Kronecker sums of small factors) with O(1)
-//!   matrix memory per state, bitwise-faithful to the CSR pipeline;
+//!   compute the uniformized mat-vec on the fly from a model's
+//!   Kronecker structure with O(1) matrix memory per state,
+//!   bitwise-faithful to the CSR pipeline;
 //! * [`footprint`] — exact owned-bytes accounting
 //!   ([`footprint::FootprintBytes`]) for every matrix storage and the
 //!   fused kernel's working set, feeding the `somrm-obs` memory ledger;
@@ -74,9 +75,7 @@ pub use dia::{DiaMatrix, IterationMatrix, MatrixFormat, FORCED_DIA_MAX_BYTES};
 pub use error::LinalgError;
 pub use footprint::FootprintBytes;
 pub use fused::{Accumulated, FusedMomentKernel, StepWeights, MAX_STRETCH_STEPS};
-pub use operator::{
-    KroneckerSum, MatVec, ModelStructure, OperatorMatrix, UniformizedBirthDeath,
-};
+pub use operator::{KroneckerSum, MatVec, ModelStructure, OperatorMatrix};
 pub use pool::{PoolStats, WorkerPool};
 pub use scalar::{Cx, Scalar};
 pub use simd::{KernelVariant, ResolvedKernel};

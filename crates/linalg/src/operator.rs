@@ -1,37 +1,34 @@
 //! Matrix-free operator backend for structured iteration matrices.
 //!
-//! The paper's multiplexer generator is a Kronecker sum of N tiny ON-OFF
-//! factors, aggregated into a birth–death chain — yet the CSR/DIA
-//! backends materialize the uniformized matrix explicitly, capping the
-//! state count by memory. This module computes `y = P'·x` **on the
-//! fly** from the model structure: a [`UniformizedBirthDeath`] holds
-//! three O(n) strips (no column indices, no row pointers), and a
-//! [`KroneckerSum`] holds only the small factor blocks plus one O(n)
-//! diagonal — O(1) matrix memory per state beyond the unavoidable
-//! diagonal.
+//! A Kronecker-structured generator (`Q = A₀ ⊕ A₁ ⊕ …`, e.g. N
+//! independent sources kept apart instead of aggregated into a
+//! birth–death chain) has as many states as the product of its
+//! factors' sizes, so the CSR/DIA backends that materialize the
+//! uniformized matrix run out of memory long before the model is
+//! large. This module computes `y = P'·x` **on the fly** from the model
+//! structure: a [`KroneckerSum`] holds only the small factor blocks plus
+//! one O(n) diagonal — O(1) matrix memory per state beyond the
+//! unavoidable diagonal. (A birth–death chain needs no operator: its
+//! `Q'` is three DIA strips, written straight from the generator.)
 //!
 //! ## Bit-identity with the CSR kernel
 //!
-//! The operator backends replicate the *exact arithmetic* of the
-//! materialized pipeline (`Q.scaled(1/q).add_scaled_identity(1.0)`
-//! followed by the CSR row dot in ascending-column order):
+//! The operator replicates the *exact arithmetic* of the materialized
+//! pipeline (`Q.scaled(1/q).add_scaled_identity(1.0)` followed by the
+//! CSR row dot in ascending-column order):
 //!
-//! * every stored strip/entry value is computed as `raw · (1/q)` — the
-//!   same two-operation product the CSR scaling performs in place — and
-//!   the diagonal as `(raw_diag · (1/q)) + 1.0`, matching the
+//! * every off-diagonal entry is computed as `raw · (1/q)` — the same
+//!   two-operation product the CSR scaling performs in place — and the
+//!   diagonal as `(raw_diag · (1/q)) + 1.0`, matching the
 //!   duplicate-summing triplet rebuild of `add_scaled_identity`;
 //! * each row's dot accumulates terms in ascending-column order with
 //!   the same left-associated `dot += v·x` chain (scalar) or canonical
 //!   `mul_add` chain starting from `0.0` (fma), exactly as the fused
 //!   kernel's CSR branch does;
-//! * strip positions with no structural entry hold `+0.0` and
-//!   contribute `+0.0·x` terms the CSR dot skips. As with DIA padding
-//!   (see `crate::dia`), all solver vectors are non-negative, where
-//!   `acc + 0.0·x` is bitwise the identity; the Kronecker backend skips
-//!   structural zeros outright and needs no such caveat.
+//! * structural zeros are skipped outright, as CSR skips them.
 //!
 //! Scalar-kernel operator runs are therefore bitwise-identical to CSR
-//! runs of the same model; the `rnd-op` verify arm pins this.
+//! runs of the same model; the `rnd-op-kron` verify arm pins this.
 
 use crate::dense::Mat;
 use crate::error::LinalgError;
@@ -73,7 +70,7 @@ pub trait MatVec: Send + Sync + fmt::Debug {
     /// based contract as `crate::footprint::FootprintBytes`.
     fn footprint_bytes(&self) -> usize;
 
-    /// Report-friendly backend name (`"birth-death"`, `"kronecker-sum"`).
+    /// Report-friendly backend name (`"kronecker-sum"`).
     fn kind(&self) -> &'static str;
 
     /// Downcast support for [`MatVec::structural_eq`].
@@ -81,16 +78,6 @@ pub trait MatVec: Send + Sync + fmt::Debug {
 
     /// `true` if `other` is the same concrete backend with equal data.
     fn structural_eq(&self, other: &dyn MatVec) -> bool;
-}
-
-/// The uniformized matrix `P' = Q/q + I` of a birth–death chain, stored
-/// as three strips: `sub[i−1] = P'[i][i−1]`, `diag[i] = P'[i][i]`,
-/// `sup[i] = P'[i][i+1]`. 3n−2 doubles total — no index arrays.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UniformizedBirthDeath {
-    sub: Vec<f64>,
-    diag: Vec<f64>,
-    sup: Vec<f64>,
 }
 
 fn check_rate(rate: f64) -> Result<f64, LinalgError> {
@@ -101,229 +88,6 @@ fn check_rate(rate: f64) -> Result<f64, LinalgError> {
         });
     }
     Ok(1.0 / rate)
-}
-
-impl UniformizedBirthDeath {
-    /// Builds the strips from a **raw generator** `Q` stored as CSR,
-    /// replicating `Q.scaled(1/rate).add_scaled_identity(1.0)` entry by
-    /// entry: off-diagonal strip values are `v · (1/rate)`, the
-    /// diagonal `v · (1/rate) + 1.0` (`1.0` exactly where `Q` stores no
-    /// diagonal entry). Bitwise-identical to the materialized `P'`
-    /// regardless of how the generator was assembled.
-    ///
-    /// Fails with a typed error if `Q` is not square, empty, or has an
-    /// entry outside the tridiagonal band.
-    pub fn from_tridiagonal_generator(
-        q: &CsrMatrix<f64>,
-        rate: f64,
-    ) -> Result<UniformizedBirthDeath, LinalgError> {
-        let inv = check_rate(rate)?;
-        let n = q.rows();
-        if q.cols() != n || n == 0 {
-            return Err(LinalgError::FormatUnsupported {
-                format: "operator",
-                reason: format!("generator must be square and non-empty, got {}x{}", n, q.cols()),
-            });
-        }
-        let mut sub = vec![0.0; n - 1];
-        let mut diag = vec![1.0; n];
-        let mut sup = vec![0.0; n - 1];
-        for i in 0..n {
-            for (j, v) in q.row(i) {
-                if j == i {
-                    diag[i] = v * inv + 1.0;
-                } else if j + 1 == i {
-                    sub[i - 1] = v * inv;
-                } else if j == i + 1 {
-                    sup[i] = v * inv;
-                } else {
-                    return Err(LinalgError::FormatUnsupported {
-                        format: "operator",
-                        reason: format!(
-                            "generator entry ({i}, {j}) lies outside the tridiagonal band"
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(UniformizedBirthDeath { sub, diag, sup })
-    }
-
-    /// Builds the strips from rate closures without any matrix at all:
-    /// `birth(i)` is the rate `i → i+1`, `death(i)` the rate `i+1 → i`,
-    /// for `i` in `0..n−1`. Replicates the canonical model-builder loop
-    /// (`rate(i, i+1, birth); rate(i+1, i, death)` per `i`, zero rates
-    /// skipped, exit sums accumulated in push order) followed by the
-    /// scale-and-shift, so the strips equal
-    /// [`UniformizedBirthDeath::from_tridiagonal_generator`] on a
-    /// canonically built chain bit for bit.
-    pub fn from_rates(
-        n: usize,
-        rate: f64,
-        birth: impl Fn(usize) -> f64,
-        death: impl Fn(usize) -> f64,
-    ) -> Result<UniformizedBirthDeath, LinalgError> {
-        let inv = check_rate(rate)?;
-        if n == 0 {
-            return Err(LinalgError::FormatUnsupported {
-                format: "operator",
-                reason: "birth-death chain needs at least one state".to_string(),
-            });
-        }
-        let mut exit = vec![0.0f64; n];
-        let mut sub = vec![0.0f64; n.saturating_sub(1)];
-        let mut sup = vec![0.0f64; n.saturating_sub(1)];
-        for i in 0..n.saturating_sub(1) {
-            let b = birth(i);
-            let d = death(i);
-            for (what, r) in [("birth", b), ("death", d)] {
-                if !(r.is_finite() && r >= 0.0) {
-                    return Err(LinalgError::FormatUnsupported {
-                        format: "operator",
-                        reason: format!("{what} rate {r} at level {i} must be finite and >= 0"),
-                    });
-                }
-            }
-            if b > 0.0 {
-                exit[i] += b;
-                sup[i] = b * inv;
-            }
-            if d > 0.0 {
-                exit[i + 1] += d;
-                sub[i] = d * inv;
-            }
-        }
-        let diag = exit.iter().map(|&e| (-e) * inv + 1.0).collect();
-        Ok(UniformizedBirthDeath { sub, diag, sup })
-    }
-
-    /// Extracts the strips verbatim from an **already uniformized**
-    /// tridiagonal matrix (the `P'` the CSR path iterates with).
-    /// Trivially bitwise-identical to that matrix; used when a format
-    /// is forced on a model that carries no structure descriptor.
-    pub fn from_uniformized_csr(
-        p: &CsrMatrix<f64>,
-    ) -> Result<UniformizedBirthDeath, LinalgError> {
-        let n = p.rows();
-        if p.cols() != n || n == 0 {
-            return Err(LinalgError::FormatUnsupported {
-                format: "operator",
-                reason: format!("matrix must be square and non-empty, got {}x{}", n, p.cols()),
-            });
-        }
-        let mut sub = vec![0.0; n - 1];
-        let mut diag = vec![0.0; n];
-        let mut sup = vec![0.0; n - 1];
-        for i in 0..n {
-            for (j, v) in p.row(i) {
-                if j == i {
-                    diag[i] = v;
-                } else if j + 1 == i {
-                    sub[i - 1] = v;
-                } else if j == i + 1 {
-                    sup[i] = v;
-                } else {
-                    return Err(LinalgError::FormatUnsupported {
-                        format: "operator",
-                        reason: format!("entry ({i}, {j}) lies outside the tridiagonal band"),
-                    });
-                }
-            }
-        }
-        Ok(UniformizedBirthDeath { sub, diag, sup })
-    }
-
-    /// The computational body shared by the scalar and fma flavours,
-    /// monomorphized over the per-term accumulate so both keep the
-    /// exact chain shape of the fused kernel's CSR branch.
-    #[inline(always)]
-    fn rows_with(&self, x: &[f64], out: &mut [f64], rows: Range<usize>, acc: impl Fn(f64, f64, f64) -> f64) {
-        let n = self.diag.len();
-        debug_assert_eq!(x.len(), n, "operator matvec: x length mismatch");
-        debug_assert_eq!(out.len(), rows.len(), "operator matvec: out length mismatch");
-        debug_assert!(rows.end <= n, "operator matvec: row range out of bounds");
-        let lo = rows.start;
-        if rows.contains(&0) {
-            let mut dot = 0.0;
-            dot = acc(self.diag[0], x[0], dot);
-            if n > 1 {
-                dot = acc(self.sup[0], x[1], dot);
-            }
-            out[0] = dot;
-        }
-        let int_lo = lo.max(1);
-        let int_hi = rows.end.min(n - 1).max(int_lo);
-        let (sub, diag, sup) = (&self.sub[..], &self.diag[..], &self.sup[..]);
-        for i in int_lo..int_hi {
-            let mut dot = 0.0;
-            dot = acc(sub[i - 1], x[i - 1], dot);
-            dot = acc(diag[i], x[i], dot);
-            dot = acc(sup[i], x[i + 1], dot);
-            out[i - lo] = dot;
-        }
-        if n > 1 && rows.contains(&(n - 1)) {
-            let i = n - 1;
-            let mut dot = 0.0;
-            dot = acc(sub[i - 1], x[i - 1], dot);
-            dot = acc(diag[i], x[i], dot);
-            out[i - lo] = dot;
-        }
-    }
-
-    #[inline(always)]
-    fn fma_rows(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
-        self.rows_with(x, out, rows, |v, x, dot| v.mul_add(x, dot));
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn fma_rows_avx2(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
-        self.fma_rows(x, out, rows);
-    }
-}
-
-impl MatVec for UniformizedBirthDeath {
-    fn rows(&self) -> usize {
-        self.diag.len()
-    }
-
-    fn matvec_range_scalar(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
-        self.rows_with(x, out, rows, |v, x, dot| dot + v * x);
-    }
-
-    fn matvec_range_fma(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
-        #[cfg(target_arch = "x86_64")]
-        if simd::fma_available() {
-            // SAFETY: AVX2+FMA presence was just checked at runtime.
-            unsafe { self.fma_rows_avx2(x, out, rows) };
-            return;
-        }
-        self.fma_rows(x, out, rows);
-    }
-
-    fn bandwidth(&self) -> usize {
-        usize::from(self.diag.len() > 1)
-    }
-
-    fn nnz_estimate(&self) -> usize {
-        3 * self.diag.len() - 2
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        (self.sub.len() + self.diag.len() + self.sup.len()) * std::mem::size_of::<f64>()
-    }
-
-    fn kind(&self) -> &'static str {
-        "birth-death"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn structural_eq(&self, other: &dyn MatVec) -> bool {
-        other.as_any().downcast_ref::<Self>().is_some_and(|o| o == self)
-    }
 }
 
 /// The uniformized matrix of a Kronecker-sum generator
@@ -642,14 +406,6 @@ impl MatVec for KroneckerSum {
 /// computed).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelStructure {
-    /// A birth–death chain: `birth[i]` is the rate `i → i+1`,
-    /// `death[i]` the rate `i+1 → i`, both of length `n − 1`.
-    BirthDeath {
-        /// Up-transition rates, `birth[i]: i → i+1`.
-        birth: Vec<f64>,
-        /// Down-transition rates, `death[i]: i+1 → i`.
-        death: Vec<f64>,
-    },
     /// A Kronecker sum of small factor generators, outermost first.
     KroneckerSum {
         /// Factor generator blocks (diagonals ignored).
@@ -661,17 +417,13 @@ impl ModelStructure {
     /// The number of global states the structure describes.
     pub fn n_states(&self) -> usize {
         match self {
-            ModelStructure::BirthDeath { birth, .. } => birth.len() + 1,
-            ModelStructure::KroneckerSum { factors } => {
-                factors.iter().map(Mat::rows).product()
-            }
+            ModelStructure::KroneckerSum { factors } => factors.iter().map(Mat::rows).product(),
         }
     }
 
     /// Report-friendly structure name.
     pub fn kind(&self) -> &'static str {
         match self {
-            ModelStructure::BirthDeath { .. } => "birth-death",
             ModelStructure::KroneckerSum { .. } => "kronecker-sum",
         }
     }
@@ -702,11 +454,6 @@ impl OperatorMatrix {
         OperatorMatrix { inner }
     }
 
-    /// Wraps a birth–death strip operator.
-    pub fn birth_death(op: UniformizedBirthDeath) -> OperatorMatrix {
-        Self::from_matvec(Arc::new(op))
-    }
-
     /// Wraps a Kronecker-sum operator.
     pub fn kronecker(op: KroneckerSum) -> OperatorMatrix {
         Self::from_matvec(Arc::new(op))
@@ -714,10 +461,9 @@ impl OperatorMatrix {
 
     /// Builds the uniformized operator for a model from its advertised
     /// structure and raw generator. The generator supplies the stored
-    /// diagonal (and, for birth–death, the off-diagonal strips), so the
-    /// operator is bitwise-faithful to the materialized pipeline
-    /// whatever push order assembled the generator; the structure
-    /// supplies the factor blocks for the Kronecker case.
+    /// diagonal, so the operator is bitwise-faithful to the
+    /// materialized pipeline whatever push order assembled the
+    /// generator; the structure supplies the factor blocks.
     pub fn from_structure(
         structure: &ModelStructure,
         generator: &CsrMatrix<f64>,
@@ -734,9 +480,6 @@ impl OperatorMatrix {
             });
         }
         match structure {
-            ModelStructure::BirthDeath { .. } => Ok(Self::birth_death(
-                UniformizedBirthDeath::from_tridiagonal_generator(generator, rate)?,
-            )),
             ModelStructure::KroneckerSum { factors } => {
                 let mut op = KroneckerSum::new(factors.clone(), rate)?;
                 op.align_diagonal_with(generator)?;
@@ -765,7 +508,7 @@ impl OperatorMatrix {
         self.inner.nnz_estimate()
     }
 
-    /// Backend name (`"birth-death"`, `"kronecker-sum"`).
+    /// Backend name (`"kronecker-sum"`).
     pub fn kind(&self) -> &'static str {
         self.inner.kind()
     }
@@ -787,33 +530,6 @@ mod tests {
     use super::*;
     use crate::sparse::TripletBuilder;
 
-    /// Raw birth–death generator Q built exactly like the canonical
-    /// model loop: per level, the up rate then the down rate, with the
-    /// `−exit` diagonal appended afterwards (push order is irrelevant
-    /// for the diagonal — no duplicates).
-    fn bd_generator(n: usize, birth: impl Fn(usize) -> f64, death: impl Fn(usize) -> f64) -> CsrMatrix<f64> {
-        let mut b = TripletBuilder::with_capacity(n, n, 3 * n);
-        let mut exit = vec![0.0f64; n];
-        for i in 0..n - 1 {
-            let up = birth(i);
-            let dn = death(i);
-            if up > 0.0 {
-                b.push(i, i + 1, up);
-                exit[i] += up;
-            }
-            if dn > 0.0 {
-                b.push(i + 1, i, dn);
-                exit[i + 1] += dn;
-            }
-        }
-        for (i, &e) in exit.iter().enumerate() {
-            if e > 0.0 {
-                b.push(i, i, -e);
-            }
-        }
-        b.build()
-    }
-
     fn uniformize(q: &CsrMatrix<f64>, rate: f64) -> CsrMatrix<f64> {
         q.scaled(1.0 / rate).add_scaled_identity(1.0).unwrap()
     }
@@ -822,113 +538,6 @@ mod tests {
     /// the regime the bitwise contract covers).
     fn probe(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 37) % 17) as f64 / 16.0).collect()
-    }
-
-    fn birth(i: usize) -> f64 {
-        1.5 + (i % 4) as f64 * 0.25
-    }
-
-    fn death(i: usize) -> f64 {
-        0.75 + (i % 3) as f64 * 0.5
-    }
-
-    #[test]
-    fn bd_from_rates_equals_from_generator() {
-        for n in [1usize, 2, 3, 17, 64] {
-            let q = bd_generator(n, birth, death);
-            let rate = 9.0;
-            let a = UniformizedBirthDeath::from_tridiagonal_generator(&q, rate).unwrap();
-            let b = UniformizedBirthDeath::from_rates(n, rate, birth, death).unwrap();
-            assert_eq!(a, b, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn bd_matvec_bitwise_matches_uniformized_csr() {
-        for n in [1usize, 2, 5, 33, 257] {
-            let q = bd_generator(n, birth, death);
-            let p = uniformize(&q, 11.0);
-            let op = UniformizedBirthDeath::from_tridiagonal_generator(&q, 11.0).unwrap();
-            let x = probe(n);
-            let mut want = vec![f64::NAN; n];
-            p.matvec_into(&x, &mut want);
-            // Full range, scalar.
-            let mut got = vec![f64::NAN; n];
-            op.matvec_range_scalar(&x, &mut got, 0..n);
-            assert_eq!(got, want, "scalar n = {n}");
-            // Disjoint sub-ranges reassemble the same vector.
-            let mid = n / 2;
-            let mut lowhalf = vec![f64::NAN; mid];
-            let mut highhalf = vec![f64::NAN; n - mid];
-            op.matvec_range_scalar(&x, &mut lowhalf, 0..mid);
-            op.matvec_range_scalar(&x, &mut highhalf, mid..n);
-            lowhalf.extend_from_slice(&highhalf);
-            assert_eq!(lowhalf, want, "chunked n = {n}");
-        }
-    }
-
-    #[test]
-    fn bd_zero_rate_levels_keep_bitwise_contract() {
-        // Levels with a zero up or down rate leave structural holes the
-        // CSR stores nothing for; on non-negative inputs the padded
-        // strips are bitwise-invisible (module docs).
-        let birth = |i: usize| if i % 3 == 0 { 0.0 } else { 2.0 };
-        let death = |i: usize| if i % 4 == 1 { 0.0 } else { 1.0 };
-        let n = 41;
-        let q = bd_generator(n, birth, death);
-        let p = uniformize(&q, 7.0);
-        let op = UniformizedBirthDeath::from_rates(n, 7.0, birth, death).unwrap();
-        assert_eq!(
-            op,
-            UniformizedBirthDeath::from_tridiagonal_generator(&q, 7.0).unwrap()
-        );
-        let x = probe(n);
-        let mut want = vec![f64::NAN; n];
-        p.matvec_into(&x, &mut want);
-        let mut got = vec![f64::NAN; n];
-        op.matvec_range_scalar(&x, &mut got, 0..n);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn bd_from_uniformized_csr_is_verbatim() {
-        let q = bd_generator(19, birth, death);
-        let p = uniformize(&q, 8.0);
-        let a = UniformizedBirthDeath::from_uniformized_csr(&p).unwrap();
-        let b = UniformizedBirthDeath::from_tridiagonal_generator(&q, 8.0).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn bd_fma_agrees_with_scalar_within_rounding() {
-        let n = 64;
-        let q = bd_generator(n, birth, death);
-        let op = UniformizedBirthDeath::from_tridiagonal_generator(&q, 9.0).unwrap();
-        let x = probe(n);
-        let mut s = vec![0.0; n];
-        let mut f = vec![0.0; n];
-        op.matvec_range_scalar(&x, &mut s, 0..n);
-        op.matvec_range_fma(&x, &mut f, 0..n);
-        for i in 0..n {
-            assert!((s[i] - f[i]).abs() <= 1e-14 * s[i].abs().max(1.0), "row {i}");
-        }
-    }
-
-    #[test]
-    fn bd_rejects_bad_input() {
-        assert!(UniformizedBirthDeath::from_rates(0, 1.0, |_| 1.0, |_| 1.0).is_err());
-        assert!(UniformizedBirthDeath::from_rates(3, 0.0, |_| 1.0, |_| 1.0).is_err());
-        assert!(UniformizedBirthDeath::from_rates(3, 1.0, |_| -1.0, |_| 1.0).is_err());
-        assert!(UniformizedBirthDeath::from_rates(3, 1.0, |_| 1.0, |_| f64::NAN).is_err());
-        // Entry outside the band.
-        let mut b = TripletBuilder::new(4, 4);
-        b.push(0, 3, 1.0);
-        b.push(0, 0, -1.0);
-        let err = UniformizedBirthDeath::from_tridiagonal_generator(&b.build(), 2.0);
-        assert!(matches!(err, Err(LinalgError::FormatUnsupported { .. })));
-        // Non-square.
-        let ns = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]);
-        assert!(UniformizedBirthDeath::from_tridiagonal_generator(&ns, 2.0).is_err());
     }
 
     /// Two ON-OFF-like factors and one 3-level factor, rates all > 0.
@@ -1045,42 +654,26 @@ mod tests {
 
     #[test]
     fn operator_matrix_equality_and_metadata() {
-        let q = bd_generator(9, birth, death);
-        let bd = UniformizedBirthDeath::from_tridiagonal_generator(&q, 5.0).unwrap();
-        let a = OperatorMatrix::birth_death(bd.clone());
-        let b = OperatorMatrix::birth_death(bd);
-        let k = OperatorMatrix::kronecker(KroneckerSum::new(sample_factors(), 5.0).unwrap());
+        let a = OperatorMatrix::kronecker(KroneckerSum::new(sample_factors(), 5.0).unwrap());
+        let b = OperatorMatrix::kronecker(KroneckerSum::new(sample_factors(), 5.0).unwrap());
+        let other = OperatorMatrix::kronecker(KroneckerSum::new(sample_factors(), 6.0).unwrap());
         assert_eq!(a, b);
-        assert_ne!(a, k);
-        assert_eq!(a.kind(), "birth-death");
-        assert_eq!(a.rows(), 9);
-        assert_eq!(a.bandwidth(), 1);
-        assert_eq!(a.nnz_estimate(), 25);
-        let other = OperatorMatrix::birth_death(
-            UniformizedBirthDeath::from_tridiagonal_generator(&q, 6.0).unwrap(),
-        );
-        assert_ne!(a, other, "different rate, different strips");
+        assert_ne!(a, other, "different rate, different scale and diagonal");
+        assert_eq!(a.kind(), "kronecker-sum");
+        assert_eq!(a.rows(), 12);
+        assert_eq!(a.bandwidth(), 6);
+        assert_eq!(a.nnz_estimate(), 12 * (1 + 1 + 2 + 1));
     }
 
     #[test]
-    fn from_structure_builds_both_backends() {
-        let n = 7;
-        let q = bd_generator(n, birth, death);
-        let bd = ModelStructure::BirthDeath {
-            birth: (0..n - 1).map(birth).collect(),
-            death: (0..n - 1).map(death).collect(),
-        };
-        assert_eq!(bd.n_states(), n);
-        assert_eq!(bd.kind(), "birth-death");
-        let op = OperatorMatrix::from_structure(&bd, &q, 5.0).unwrap();
-        assert_eq!(op.kind(), "birth-death");
-
+    fn from_structure_builds_the_kronecker_backend() {
         let ks = KroneckerSum::new(sample_factors(), 5.0).unwrap();
         let kq = kron_generator(&ks);
         let structure = ModelStructure::KroneckerSum {
             factors: sample_factors(),
         };
         assert_eq!(structure.n_states(), 12);
+        assert_eq!(structure.kind(), "kronecker-sum");
         let kop = OperatorMatrix::from_structure(&structure, &kq, 5.0).unwrap();
         assert_eq!(kop.kind(), "kronecker-sum");
         let x = probe(12);
@@ -1091,6 +684,7 @@ mod tests {
         assert_eq!(y, want);
 
         // Mismatched dimensions fail with a typed error.
-        assert!(OperatorMatrix::from_structure(&structure, &q, 5.0).is_err());
+        let wrong = TripletBuilder::new(7, 7).build();
+        assert!(OperatorMatrix::from_structure(&structure, &wrong, 5.0).is_err());
     }
 }

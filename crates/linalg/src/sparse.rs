@@ -51,6 +51,28 @@ impl<T: Scalar> CsrMatrix<T> {
         b.build()
     }
 
+    /// Wraps CSR arrays that already hold a built matrix: `row_ptr` has
+    /// `rows + 1` ascending entries from 0 to `col_idx.len()`, and each
+    /// row's columns ascend without duplicates.
+    pub(crate) fn from_sorted_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<T>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), rows + 1);
+        debug_assert_eq!(row_ptr.last(), Some(&col_idx.len()));
+        debug_assert_eq!(col_idx.len(), values.len());
+        CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// The `n × n` identity.
     pub fn identity(n: usize) -> Self {
         let row_ptr = (0..=n).collect();

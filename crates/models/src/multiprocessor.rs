@@ -10,7 +10,6 @@
 
 use somrm_core::error::MrmError;
 use somrm_core::model::SecondOrderMrm;
-use somrm_core::ModelStructure;
 use somrm_ctmc::generator::GeneratorBuilder;
 
 /// Parameters of the multiprocessor performability model.
@@ -65,12 +64,7 @@ impl Multiprocessor {
         let variances: Vec<f64> = (0..=n).map(|i| i as f64 * self.work_variance).collect();
         let mut initial = vec![0.0; n + 1];
         initial[n] = 1.0;
-        // Repair is the birth (i → i+1), failures the death (i+1 → i):
-        // a birth–death chain the solver can run matrix-free.
-        let birth = vec![self.repair_rate; n];
-        let death: Vec<f64> = (0..n).map(|i| (i + 1) as f64 * self.failure_rate).collect();
-        SecondOrderMrm::new(b.build()?, rates, variances, initial)?
-            .with_structure(ModelStructure::BirthDeath { birth, death })
+        SecondOrderMrm::new(b.build()?, rates, variances, initial)
     }
 }
 

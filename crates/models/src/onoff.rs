@@ -13,7 +13,6 @@
 
 use somrm_core::error::MrmError;
 use somrm_core::model::SecondOrderMrm;
-use somrm_core::ModelStructure;
 use somrm_ctmc::generator::GeneratorBuilder;
 use somrm_ctmc::stationary::stationary_birth_death;
 
@@ -122,10 +121,6 @@ impl OnOffMultiplexer {
     /// Builds the model with an arbitrary initial distribution over the
     /// number of ON sources.
     ///
-    /// The returned model carries a birth–death structure descriptor,
-    /// so the solver's `--format operator` (and `auto` at large sizes)
-    /// can run matrix-free.
-    ///
     /// # Errors
     ///
     /// Returns [`MrmError`] for invalid parameters or distribution.
@@ -138,9 +133,7 @@ impl OnOffMultiplexer {
             // ...and i+1 ON sources may switch off in state i+1.
             b.rate(i + 1, i, (i + 1) as f64 * self.alpha)?;
         }
-        let (birth, death) = self.birth_death_rates();
-        SecondOrderMrm::new(b.build()?, self.drifts(), self.variances(), initial)?
-            .with_structure(ModelStructure::BirthDeath { birth, death })
+        SecondOrderMrm::new(b.build()?, self.drifts(), self.variances(), initial)
     }
 
     /// The birth/death rate vectors of the background chain.
@@ -252,17 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn models_carry_a_birth_death_descriptor() {
-        let m = OnOffMultiplexer::table1(1.0);
-        let model = m.model().unwrap();
-        let s = model.structure().expect("builder attaches the descriptor");
-        assert_eq!(s.kind(), "birth-death");
-        assert_eq!(s.n_states(), 33);
-        // The steady-start variant keeps it too (with_initial path).
-        assert!(m.model_steady_start().unwrap().structure().is_some());
-    }
-
-    #[test]
     fn sigma_zero_is_first_order() {
         let model = OnOffMultiplexer::table1(0.0).model().unwrap();
         assert!(model.is_first_order());
@@ -281,7 +263,7 @@ mod tests {
     #[test]
     #[ignore = "paper-scale model (200,001 states); run with --release -- --ignored"]
     fn table2_full_scale_solves_on_dia_kernel() {
-        use somrm_linalg::{DiaMatrix, IterationMatrix};
+        use somrm_linalg::{IterationMatrix, MatrixFormat};
 
         let m = OnOffMultiplexer::table2();
         let model = m.model_steady_start().unwrap();
@@ -290,13 +272,11 @@ mod tests {
         assert_eq!(q, 800_000.0);
 
         // The uniformized kernel Q' = Q/q + I is tridiagonal, and the
-        // auto-detector must pick the DIA storage for it.
-        let kernel = model.generator().uniformized_kernel(q).unwrap();
-        let dia = DiaMatrix::from_csr(&kernel).expect("tridiagonal kernel is DIA-profitable");
-        assert_eq!(dia.bandwidth(), 1, "birth–death chain is tridiagonal");
-        let auto = IterationMatrix::auto(kernel);
+        // auto-detector must store it as DIA strips.
+        let auto = IterationMatrix::uniformized(model.generator().as_csr(), q, MatrixFormat::Auto)
+            .unwrap();
         assert!(auto.is_dia(), "auto-selection must promote to DIA");
-        assert_eq!(auto.bandwidth(), 1);
+        assert_eq!(auto.bandwidth(), 1, "birth–death chain is tridiagonal");
 
         // Steady start: E[B(t)] = rate·t exactly (the Figure-3 line), so
         // the solve is checked against a closed form, within the realized
@@ -315,42 +295,38 @@ mod tests {
     }
 
     /// The Table-2 model at 10× paper scale: 2,000,001 states, solved
-    /// matrix-free through the operator backend.
+    /// on the three DIA strips written straight from the generator.
     ///
     /// Tier-2: run with
-    /// `cargo test --release -p somrm-models -- --ignored`. At this size
-    /// a materialized CSR kernel alone is ~6M entries plus index
-    /// arrays; the operator backend keeps only the O(n) birth–death
-    /// strips. Checks that `Auto` promotes the structure-annotated
-    /// model to the operator at this size, and that the explicit
-    /// operator solve lands within the realized Theorem-4 bound of the
-    /// closed-form steady-start mean `rate·t`.
+    /// `cargo test --release -p somrm-models -- --ignored`. Checks that
+    /// `Auto` stores the birth–death chain as DIA at this size, that the
+    /// strips are all the matrix memory the plan holds (3 offsets and
+    /// 3 × 2,000,001 doubles, no `Q'` CSR), and that the order-2
+    /// steady-start solve lands within the realized Theorem-4 bound of
+    /// the closed-form mean `rate·t`.
     #[test]
     #[ignore = "10x paper scale (2,000,001 states); run with --release -- --ignored"]
-    fn multiplexer_2m_states_operator() {
+    fn multiplexer_2m_states_dia() {
         use somrm_core::plan::SolvePlan;
-        use somrm_linalg::MatrixFormat;
 
         let m = OnOffMultiplexer::table2_scaled(2_000_000);
         let model = m.model_steady_start().unwrap();
         assert_eq!(model.n_states(), 2_000_001);
-        assert!(model.structure().is_some(), "builder attaches the descriptor");
         let q = model.generator().uniformization_rate();
         assert_eq!(q, 8_000_000.0);
 
-        // Auto must pick the matrix-free backend above the threshold.
-        let auto_plan = SolvePlan::build(&model, 2, &SolverConfig::default()).unwrap();
-        assert_eq!(auto_plan.matrix_format_name(), "operator");
+        let plan = SolvePlan::build(&model, 2, &SolverConfig::default()).unwrap();
+        assert_eq!(plan.matrix_format_name(), "dia");
+        assert!(
+            plan.matrix_bytes() <= 48_000_064,
+            "three strips, got {} bytes",
+            plan.matrix_bytes()
+        );
 
-        // The explicit operator solve against the closed form. Steady
-        // start makes E[B(t)] = rate·t exact, so the check is the
+        // Steady start makes E[B(t)] = rate·t exact, so the check is the
         // realized Theorem-4 bound plus accumulated-roundoff slack.
-        let config = SolverConfig {
-            format: MatrixFormat::Operator,
-            ..SolverConfig::default()
-        };
         let t = 0.000_25; // qt = 2,000
-        let sol = moments(&model, 2, t, &config).unwrap();
+        let sol = plan.execute(&[t], 2).unwrap().remove(0);
         let expect = m.steady_state_mean_rate() * t;
         let tol = sol.error_bound(1) + 1e-7 * expect;
         assert!(

@@ -8,7 +8,6 @@
 
 use somrm_core::error::MrmError;
 use somrm_core::model::SecondOrderMrm;
-use somrm_core::ModelStructure;
 use somrm_ctmc::generator::GeneratorBuilder;
 
 /// Parameters of the noisy-throughput M/M/1/K model.
@@ -52,13 +51,7 @@ impl NoisyQueue {
             .collect();
         let mut initial = vec![0.0; k + 1];
         initial[0] = 1.0;
-        // The queue-length process is a birth–death chain (arrivals up,
-        // services down), so advertise it for matrix-free solves.
-        SecondOrderMrm::new(b.build()?, rates, variances, initial)?
-            .with_structure(ModelStructure::BirthDeath {
-                birth: vec![self.arrival_rate; k],
-                death: vec![self.service_rate; k],
-            })
+        SecondOrderMrm::new(b.build()?, rates, variances, initial)
     }
 
     /// Long-run utilization `P[busy]` of the M/M/1/K queue

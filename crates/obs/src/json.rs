@@ -38,43 +38,6 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Appends `v` re-serialized as JSON to `out`.
-///
-/// The inverse of [`parse`] (modulo whitespace): needed by the serve
-/// protocol to echo a request's `id` member — which may be any JSON
-/// value — back verbatim in the response.
-pub fn write_value(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Num(n) => write_f64(out, *n),
-        Value::Str(s) => write_string(out, s),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
-        Value::Obj(members) => {
-            out.push('{');
-            for (i, (k, item)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(out, k);
-                out.push(':');
-                write_value(out, item);
-            }
-            out.push('}');
-        }
-    }
-}
-
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -133,9 +96,32 @@ impl Value {
 ///
 /// A human-readable message with the byte offset of the first problem.
 pub fn parse(text: &str) -> Result<Value, String> {
+    parse_document(text, None)
+}
+
+/// [`parse`], also returning the source text of each top-level object
+/// member's value exactly as written (surrounding whitespace excluded),
+/// in member order — empty unless the document is an object. The serve
+/// protocol echoes a request's `id` from this text, so a number keeps
+/// its digits.
+///
+/// # Errors
+///
+/// As [`parse`].
+pub fn parse_with_member_text(text: &str) -> Result<(Value, Vec<&str>), String> {
+    let mut spans = Vec::new();
+    let value = parse_document(text, Some(&mut spans))?;
+    Ok((value, spans.into_iter().map(|(a, b)| &text[a..b]).collect()))
+}
+
+fn parse_document(text: &str, spans: Option<&mut Vec<(usize, usize)>>) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    skip_ws(bytes, &mut pos);
+    let value = match spans {
+        Some(spans) if bytes.get(pos) == Some(&b'{') => parse_object(bytes, &mut pos, Some(spans))?,
+        _ => parse_value(bytes, &mut pos)?,
+    };
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -166,7 +152,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, None),
         Some(b'[') => parse_array(bytes, pos),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
@@ -312,7 +298,13 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// An object; `spans` (top level only) collects each member value's
+/// byte range.
+fn parse_object(
+    bytes: &[u8],
+    pos: &mut usize,
+    mut spans: Option<&mut Vec<(usize, usize)>>,
+) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -325,7 +317,12 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
+        skip_ws(bytes, pos);
+        let start = *pos;
         let value = parse_value(bytes, pos)?;
+        if let Some(spans) = spans.as_deref_mut() {
+            spans.push((start, *pos));
+        }
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -380,15 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn write_value_round_trips_arbitrary_documents() {
-        let src = r#"{"id": [1, "a\nb", null], "nested": {"ok": false, "x": -2.5e-3}}"#;
-        let v = parse(src).unwrap();
-        let mut out = String::new();
-        write_value(&mut out, &v);
-        assert_eq!(parse(&out).unwrap(), v);
-    }
-
-    #[test]
     fn surrogate_pairs_decode_to_one_scalar() {
         let v = parse(r#""a\ud83d\ude00b""#).unwrap();
         assert_eq!(v.as_str(), Some("a\u{1f600}b"));
@@ -418,6 +406,18 @@ mod tests {
             s.get(..32)
         );
         assert!(elapsed.as_secs_f64() < 0.5, "1 MiB string took {elapsed:?}");
+    }
+
+    #[test]
+    fn member_text_is_each_value_as_written() {
+        let doc = r#" {"id" : 7 , "a":[1, 2],"b":"x\"y","n":1e400}
+"#;
+        let (v, text) = parse_with_member_text(doc).unwrap();
+        assert_eq!(text, ["7", "[1, 2]", r#""x\"y""#, "1e400"]);
+        assert_eq!(v.get("id"), Some(&Value::Num(7.0)));
+        let (v, text) = parse_with_member_text("[1]").unwrap();
+        assert_eq!((v, text.len()), (Value::Arr(vec![Value::Num(1.0)]), 0));
+        assert!(parse_with_member_text(r#"{"id": 1} x"#).is_err());
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! {"id": 1, "model": "states 2\nrate 0 1 1.0\n...", "t": [0.1, 0.5], "order": 2}
 //! ```
 //!
-//! - `id` (optional, any JSON value) — echoed back verbatim;
+//! - `id` (optional, any JSON value) — echoed back verbatim, as the
+//!   first member of the response: the text the request wrote, so
+//!   `7`, `12345678901234567891` and `1e400` come back as written;
 //! - `model` (inline model text) **or** `model_file` (path), exactly one;
-//! - `t` — a number or a non-empty array of finite, non-negative numbers;
+//! - `t` — a number or a non-empty array of at most [`MAX_TIMES`]
+//!   finite, non-negative numbers;
 //! - `order` (optional, default 2) — highest moment order requested.
 //!
 //! A success response:
@@ -48,12 +51,28 @@ pub enum ModelSpec {
     File(String),
 }
 
+/// A request's `id` member as its line wrote it: JSON text the parser
+/// has validated, echoed back unchanged (`null` when there is none).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestId(pub(crate) String);
+
+impl RequestId {
+    /// The id of a request that carried none.
+    pub fn null() -> RequestId {
+        RequestId("null".to_string())
+    }
+
+    /// The id's JSON text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
 /// A parsed, validated request line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    /// Echoed back verbatim in the response ([`Value::Null`] if the
-    /// request carried no `id`).
-    pub id: Value,
+    /// Echoed back unchanged in the response.
+    pub id: RequestId,
     /// The model to solve.
     pub model: ModelSpec,
     /// Requested time points, in request order.
@@ -67,6 +86,30 @@ pub struct Request {
 /// memory-exhaustion attempt), not a workload.
 pub const MAX_ORDER: usize = 16;
 
+/// `t` arrays longer than this are rejected at parse time: each horizon
+/// holds its own Poisson window and solution, so a few megabytes of
+/// request text could otherwise claim gigabytes.
+pub const MAX_TIMES: usize = 1024;
+
+/// The `id` member of the object `v` parsed from a line whose member
+/// value texts are `text` (see [`json::parse_with_member_text`]).
+pub(crate) fn id_text(v: &Value, text: &[&str]) -> RequestId {
+    match v {
+        Value::Obj(members) => members
+            .iter()
+            .position(|(k, _)| k == "id")
+            .map_or_else(RequestId::null, |i| RequestId(text[i].to_string())),
+        _ => RequestId::null(),
+    }
+}
+
+/// The `id` member of `line`, `null` when the line is not a JSON object
+/// or has none — for answering a line that fails [`parse_request`].
+pub fn request_id(line: &str) -> RequestId {
+    json::parse_with_member_text(line)
+        .map_or_else(|_| RequestId::null(), |(v, text)| id_text(&v, &text))
+}
+
 /// Parses and validates one request line.
 ///
 /// # Errors
@@ -74,11 +117,11 @@ pub const MAX_ORDER: usize = 16;
 /// A human-readable message describing the first problem; the caller
 /// wraps it in an error response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+    let (v, text) = json::parse_with_member_text(line).map_err(|e| format!("invalid JSON: {e}"))?;
     if !matches!(v, Value::Obj(_)) {
         return Err("request must be a JSON object".to_string());
     }
-    let id = v.get("id").cloned().unwrap_or(Value::Null);
+    let id = id_text(&v, &text);
 
     let model = match (v.get("model"), v.get("model_file")) {
         (Some(_), Some(_)) => {
@@ -99,6 +142,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
     let times = match v.get("t") {
         Some(Value::Num(t)) => vec![*t],
+        Some(Value::Arr(items)) if items.len() > MAX_TIMES => {
+            return Err(format!(
+                "\"t\" holds {} horizons, more than the limit of {MAX_TIMES}",
+                items.len()
+            ))
+        }
         Some(Value::Arr(items)) => items
             .iter()
             .map(|x| x.as_f64().ok_or("\"t\" array must contain only numbers"))
@@ -145,7 +194,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// is truncated to the request's `order`. `plan_hit` and `coalesced`
 /// fill the `plan` and `coalesced` fields (module docs).
 pub fn render_ok(
-    id: &Value,
+    id: &RequestId,
     plan_hit: bool,
     coalesced: usize,
     order: usize,
@@ -153,7 +202,7 @@ pub fn render_ok(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\"id\":");
-    json::write_value(&mut out, id);
+    out.push_str(id.as_str());
     out.push_str(",\"ok\":true,\"plan\":");
     out.push_str(if plan_hit { "\"hit\"" } else { "\"miss\"" });
     out.push_str(",\"coalesced\":");
@@ -186,10 +235,10 @@ pub fn render_ok(
 }
 
 /// Renders an error response line (no trailing newline).
-pub fn render_err(id: &Value, error: &str) -> String {
+pub fn render_err(id: &RequestId, error: &str) -> String {
     let mut out = String::new();
     out.push_str("{\"id\":");
-    json::write_value(&mut out, id);
+    out.push_str(id.as_str());
     out.push_str(",\"ok\":false,\"error\":");
     json::write_string(&mut out, error);
     out.push('}');
@@ -206,7 +255,7 @@ mod tests {
             r#"{"id": "q1", "model": "states 1\nreward 0 1.0 0.5\n", "t": [0.5, 0.1], "order": 3}"#,
         )
         .unwrap();
-        assert_eq!(r.id, Value::Str("q1".to_string()));
+        assert_eq!(r.id.as_str(), r#""q1""#);
         assert_eq!(r.model, ModelSpec::Inline("states 1\nreward 0 1.0 0.5\n".to_string()));
         assert_eq!(r.times, vec![0.5, 0.1]);
         assert_eq!(r.order, 3);
@@ -215,7 +264,7 @@ mod tests {
     #[test]
     fn scalar_t_and_defaults() {
         let r = parse_request(r#"{"model_file": "models/x.somrm", "t": 0.25}"#).unwrap();
-        assert_eq!(r.id, Value::Null);
+        assert_eq!(r.id, RequestId::null());
         assert_eq!(r.model, ModelSpec::File("models/x.somrm".to_string()));
         assert_eq!(r.times, vec![0.25]);
         assert_eq!(r.order, 2, "order defaults to 2");
@@ -234,10 +283,29 @@ mod tests {
             (r#"{"model": "x", "t": "soon"}"#, "number"),
             (r#"{"model": "x", "t": 1, "order": 2.5}"#, "integer"),
             (r#"{"model": "x", "t": 1, "order": 99}"#, "integer"),
+            (&too_many_times(), "limit of 1024"),
         ] {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
         }
+    }
+
+    /// A request whose `t` array holds one horizon past [`MAX_TIMES`].
+    fn too_many_times() -> String {
+        let times = vec!["0.5"; MAX_TIMES + 1].join(",");
+        format!(r#"{{"id": 3, "model": "x", "t": [{times}]}}"#)
+    }
+
+    #[test]
+    fn t_arrays_up_to_the_limit_parse() {
+        let times = vec!["0.5"; MAX_TIMES].join(",");
+        let r = parse_request(&format!(r#"{{"model": "x", "t": [{times}]}}"#)).unwrap();
+        assert_eq!(r.times.len(), MAX_TIMES);
+        assert_eq!(
+            request_id(&too_many_times()).as_str(),
+            "3",
+            "a refused line keeps its id"
+        );
     }
 
     #[test]
@@ -249,16 +317,51 @@ mod tests {
         ] {
             let line = format!(r#"{{"id":{raw},"model":"states 1\n","t":1}}"#);
             let r = parse_request(&line).unwrap();
-            assert_eq!(r.id, Value::Str(want.to_string()), "{raw}");
+            assert_eq!(r.id.as_str(), raw);
             let ok = render_ok(&r.id, false, 1, 2, &[]);
             let v = somrm_obs::json::parse(&ok).unwrap();
-            assert_eq!(v.get("id"), Some(&r.id), "{raw} -> {ok}");
+            assert_eq!(
+                v.get("id"),
+                Some(&Value::Str(want.to_string())),
+                "{raw} -> {ok}"
+            );
         }
     }
 
     #[test]
+    fn ids_come_back_as_written_first_in_every_response() {
+        for (raw, what) in [
+            ("7", "an integer"),
+            ("12345678901234567891", "an integer past 2^64"),
+            ("1e400", "a number past f64"),
+            ("-0.50", "a number with a trailing zero"),
+            (r#""q1""#, "a string"),
+            ("null", "null"),
+            (r#"[1, {"a": 2}]"#, "a container"),
+        ] {
+            let line = format!(r#"{{"model": "states 1\n", "id": {raw}, "t": 1}}"#);
+            let r = parse_request(&line).unwrap();
+            assert_eq!(r.id.as_str(), raw, "{what}");
+            let head = format!(r#"{{"id":{raw},"#);
+            let ok = render_ok(&r.id, true, 1, 2, &[]);
+            let err = render_err(&r.id, "x");
+            for out in [&ok, &err] {
+                assert!(out.starts_with(&head), "{what}: {out}");
+                assert!(somrm_obs::json::parse(out).is_ok(), "{what}: {out}");
+            }
+        }
+        let absent = parse_request(r#"{"model": "states 1\n", "t": 1}"#).unwrap();
+        assert!(render_ok(&absent.id, true, 1, 2, &[]).starts_with(r#"{"id":null,"#));
+        assert_eq!(request_id("not json"), RequestId::null());
+        assert_eq!(
+            request_id(r#"{"id": 12345678901234567891, "t": []}"#).as_str(),
+            "12345678901234567891"
+        );
+    }
+
+    #[test]
     fn responses_are_valid_json() {
-        let err = render_err(&Value::Num(7.0), "bad \"thing\"\nline two");
+        let err = render_err(&RequestId("7".to_string()), "bad \"thing\"\nline two");
         let v = somrm_obs::json::parse(&err).unwrap();
         assert_eq!(v.get("id").unwrap().as_f64(), Some(7.0));
         assert_eq!(v.get("ok"), Some(&Value::Bool(false)));

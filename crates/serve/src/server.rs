@@ -23,7 +23,7 @@
 //! line slot; the server never exits on bad input.
 
 use crate::cache::{AnswerError, CacheStats, PlanCache, ProjectionStats};
-use crate::proto::{parse_request, render_err, render_ok, ModelSpec, MAX_ORDER};
+use crate::proto::{parse_request, render_err, render_ok, request_id, ModelSpec, MAX_ORDER};
 use crate::telemetry::{
     parse_command, render_health, render_reset, render_stats, CommandKind, SlowTraceOptions,
     TraceTee, TracedLine,
@@ -177,10 +177,7 @@ pub fn serve_batch_traced(
             Ok(req) => req,
             Err(e) => {
                 // The id may still be recoverable from valid JSON.
-                let id = somrm_obs::json::parse(&tl.line)
-                    .ok()
-                    .and_then(|v| v.get("id").cloned())
-                    .unwrap_or(somrm_obs::json::Value::Null);
+                let id = request_id(&tl.line);
                 error_kinds[slot] = Some("parse");
                 responses[slot] = Some(render_err(&id, &e));
                 continue;
@@ -603,6 +600,43 @@ mod tests {
         assert_eq!(errs.len(), 3);
         assert!(errs.iter().any(|v| v.get("id").unwrap().as_f64() == Some(3.0)));
         assert!(errs.iter().all(|v| v.get("error").unwrap().as_str().is_some()));
+    }
+
+    #[test]
+    fn ids_echo_as_written_and_a_long_t_array_spares_the_next_line() {
+        let times = vec!["0.5"; crate::proto::MAX_TIMES + 1].join(",");
+        let input = [
+            r#"{"id": 7, "model": "model-a", "t": 0.5}"#.to_string(),
+            r#"{"id": 12345678901234567891, "model": "model-a", "t": 0.5}"#.to_string(),
+            r#"{"id": 1e400, "model": "model-a", "t": -1}"#.to_string(),
+            format!(r#"{{"id": "long", "model": "model-a", "t": [{times}]}}"#),
+            r#"{"model": "model-b", "t": 0.5}"#.to_string(),
+        ]
+        .join("\n");
+        let mut out = Vec::new();
+        let summary = serve(
+            Cursor::new(input),
+            &mut out,
+            &resolver,
+            &ServeOptions::default(),
+        )
+        .unwrap();
+        assert_eq!((summary.ok, summary.errors), (3, 2));
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let heads = [
+            r#"{"id":7,"ok":true,"#,
+            r#"{"id":12345678901234567891,"ok":true,"#,
+            r#"{"id":1e400,"ok":false,"#,
+            r#"{"id":"long","ok":false,"#,
+            r#"{"id":null,"ok":true,"#,
+        ];
+        assert_eq!(lines.len(), heads.len());
+        for (line, head) in lines.iter().zip(heads) {
+            assert!(line.starts_with(head), "{line}");
+            parse(line).unwrap_or_else(|e| panic!("response not JSON: {e}: {line}"));
+        }
+        assert!(lines[3].contains("limit of 1024"), "{}", lines[3]);
     }
 
     #[test]

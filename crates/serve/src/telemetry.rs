@@ -36,7 +36,8 @@
 //! request's total latency exceeds the threshold, writes that batch's
 //! timeline named by the slow request's seq.
 
-use somrm_obs::json::{self, Value};
+use crate::proto::{id_text, RequestId};
+use somrm_obs::json;
 use somrm_obs::{ChromeTraceRecorder, MetricsSnapshot, Recorder, RecorderHandle, ServeStatsSnapshot};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -198,8 +199,8 @@ impl Recorder for TraceTee {
 pub struct Command {
     /// What was asked.
     pub kind: CommandKind,
-    /// Echoed back verbatim ([`Value::Null`] when absent).
-    pub id: Value,
+    /// Echoed back unchanged.
+    pub id: RequestId,
 }
 
 /// The recognized sideband commands.
@@ -221,9 +222,9 @@ pub enum CommandKind {
 /// command (not JSON, not an object, or no `"cmd"` member) and should
 /// go down the solve-request path.
 pub fn parse_command(line: &str) -> Option<Command> {
-    let v = json::parse(line).ok()?;
+    let (v, text) = json::parse_with_member_text(line).ok()?;
     let cmd = v.get("cmd")?;
-    let id = v.get("id").cloned().unwrap_or(Value::Null);
+    let id = id_text(&v, &text);
     let kind = match cmd.as_str() {
         Some("stats") => CommandKind::Stats,
         Some("reset") => CommandKind::Reset,
@@ -234,16 +235,16 @@ pub fn parse_command(line: &str) -> Option<Command> {
     Some(Command { kind, id })
 }
 
-fn response_head(out: &mut String, id: &Value, cmd: &str) {
+fn response_head(out: &mut String, id: &RequestId, cmd: &str) {
     out.push_str("{\"id\":");
-    json::write_value(out, id);
+    out.push_str(id.as_str());
     out.push_str(",\"ok\":true,\"cmd\":\"");
     out.push_str(cmd);
     out.push('"');
 }
 
 /// Renders the `{"cmd":"stats"}` response line (no trailing newline).
-pub fn render_stats(id: &Value, snapshot: &ServeStatsSnapshot) -> String {
+pub fn render_stats(id: &RequestId, snapshot: &ServeStatsSnapshot) -> String {
     let mut out = String::with_capacity(512);
     response_head(&mut out, id, "stats");
     out.push_str(",\"stats\":");
@@ -253,7 +254,7 @@ pub fn render_stats(id: &Value, snapshot: &ServeStatsSnapshot) -> String {
 }
 
 /// Renders the `{"cmd":"reset"}` acknowledgement (no trailing newline).
-pub fn render_reset(id: &Value) -> String {
+pub fn render_reset(id: &RequestId) -> String {
     let mut out = String::new();
     response_head(&mut out, id, "reset");
     out.push('}');
@@ -264,7 +265,7 @@ pub fn render_reset(id: &Value) -> String {
 /// and gauge of `snapshot` (aggregated across the session's solves),
 /// plus whether solver telemetry is attached at all — without a session
 /// recorder the health sections are empty, not zero.
-pub fn render_health(id: &Value, snapshot: Option<&MetricsSnapshot>) -> String {
+pub fn render_health(id: &RequestId, snapshot: Option<&MetricsSnapshot>) -> String {
     let mut out = String::with_capacity(256);
     response_head(&mut out, id, "health");
     out.push_str(",\"telemetry\":");
@@ -306,13 +307,14 @@ pub fn render_health(id: &Value, snapshot: Option<&MetricsSnapshot>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use somrm_obs::json::Value;
     use somrm_obs::{MetricsRegistry, ServeStats};
 
     #[test]
     fn command_lines_are_recognized_and_requests_are_not() {
         let c = parse_command(r#"{"cmd":"stats","id":7}"#).unwrap();
         assert_eq!(c.kind, CommandKind::Stats);
-        assert_eq!(c.id, Value::Num(7.0));
+        assert_eq!(c.id.as_str(), "7");
         assert_eq!(parse_command(r#"{"cmd":"reset"}"#).unwrap().kind, CommandKind::Reset);
         assert_eq!(parse_command(r#"{"cmd":"health"}"#).unwrap().kind, CommandKind::Health);
         assert_eq!(
@@ -335,7 +337,7 @@ mod tests {
     fn command_responses_are_valid_json() {
         let stats = ServeStats::new();
         stats.record_request(Some(1), None, &somrm_obs::RequestLatency::default());
-        let line = render_stats(&Value::Str("s".into()), &stats.snapshot());
+        let line = render_stats(&RequestId(r#""s""#.to_string()), &stats.snapshot());
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("cmd").unwrap().as_str(), Some("stats"));
         assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
@@ -344,7 +346,7 @@ mod tests {
             Some(1.0)
         );
 
-        let v = json::parse(&render_reset(&Value::Null)).unwrap();
+        let v = json::parse(&render_reset(&RequestId::null())).unwrap();
         assert_eq!(v.get("cmd").unwrap().as_str(), Some("reset"));
     }
 
@@ -356,7 +358,7 @@ mod tests {
         reg.counter_add("serve.requests", 99);
         reg.gauge_set("health.u0_mass_final", 0.75);
         reg.gauge_set("solver.q", 2.0);
-        let line = render_health(&Value::Null, Some(&reg.snapshot()));
+        let line = render_health(&RequestId::null(), Some(&reg.snapshot()));
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("telemetry"), Some(&Value::Bool(true)));
         let counters = v.get("counters").unwrap();
@@ -368,7 +370,7 @@ mod tests {
         assert!(gauges.get("solver.q").is_none());
 
         // No session recorder: telemetry:false, sections empty.
-        let v = json::parse(&render_health(&Value::Null, None)).unwrap();
+        let v = json::parse(&render_health(&RequestId::null(), None)).unwrap();
         assert_eq!(v.get("telemetry"), Some(&Value::Bool(false)));
         assert_eq!(v.get("counters"), Some(&Value::Obj(vec![])));
     }

@@ -102,10 +102,6 @@ impl OracleConfig {
 pub struct CaseStats {
     /// DIA-forced randomization compared bitwise.
     pub dia_checked: bool,
-    /// Matrix-free operator randomization compared bitwise (runs when
-    /// the case's generator is tridiagonal; other shapes assert the
-    /// typed refusal instead).
-    pub op_checked: bool,
     /// Kronecker-sum companion model compared bitwise (operator vs
     /// CSR); runs on every case.
     pub kron_checked: bool,
@@ -318,34 +314,15 @@ fn check_case_inner(
     stats.dia_checked = true;
     rec.counter_add("verify.checks.dia", 1);
 
-    // --- Operator oracle: the matrix-free backend must be bit-identical
-    // wherever it applies. A tridiagonal generator takes the forced
-    // path even without a structure descriptor; any other shape must be
-    // refused with a typed error (never a panic) — the refusal itself
-    // is part of the contract under test. ---
+    // --- Kronecker companion: a small composite model derived
+    // deterministically from the case, solved through the Kronecker-sum
+    // operator and through CSR; bitwise agreement required. Runs on
+    // every case: the case's own models carry no structure, and the
+    // operator is built only from one. ---
     let op_cfg = SolverConfig {
         format: MatrixFormat::Operator,
         ..base.clone()
     };
-    match rec.time("verify.solve.op", || {
-        moments(&model, case.order, case.t, &op_cfg)
-    }) {
-        Ok(op) => {
-            compare_bitwise("rnd-op", &reference.weighted, &op.weighted)?;
-            stats.op_checked = true;
-            rec.counter_add("verify.checks.op", 1);
-        }
-        Err(MrmError::FormatUnsupported { .. }) => {
-            rec.counter_add("verify.checks.op_refused", 1);
-        }
-        Err(e) => return Err(solve_error("rnd-op", &e)),
-    }
-
-    // --- Kronecker companion: a small composite model derived
-    // deterministically from the case, solved through the Kronecker-sum
-    // operator and through CSR; bitwise agreement required. Runs on
-    // every case so the composite path gets coverage regardless of the
-    // case's own shape. ---
     let companion = kron_companion(case).map_err(|e| solve_error("rnd-op-kron", &e))?;
     let kron_ref = rec
         .time("verify.solve.kron_ref", || {
@@ -570,22 +547,15 @@ fn check_weighted(
         .map_err(|e| solve_error(CHECK, &e))?
         .0;
     compare_bitwise(CHECK, &answer.weighted, &streamed[0].weighted)?;
-    // Every format projects the same bits; the operator only where it
-    // applies.
-    for format in [MatrixFormat::Dia, MatrixFormat::Operator] {
-        let cfg = SolverConfig {
-            format,
-            ..base.clone()
-        };
-        let other = match SolvePlan::build(model, case.order, &cfg) {
-            Ok(p) => p,
-            Err(MrmError::FormatUnsupported { .. }) => continue,
-            Err(e) => return Err(solve_error(CHECK, &e)),
-        };
-        let (other_values, other_answer) = run(&other, &[case.t])?;
-        compare_bitwise(CHECK, &values, &other_values)?;
-        compare_bitwise(CHECK, &answer.weighted, &other_answer.weighted)?;
-    }
+    // DIA strips project the same bits.
+    let dia_cfg = SolverConfig {
+        format: MatrixFormat::Dia,
+        ..base.clone()
+    };
+    let dia = SolvePlan::build(model, case.order, &dia_cfg).map_err(|e| solve_error(CHECK, &e))?;
+    let (dia_values, dia_answer) = run(&dia, &[case.t])?;
+    compare_bitwise(CHECK, &values, &dia_values)?;
+    compare_bitwise(CHECK, &answer.weighted, &dia_answer.weighted)?;
     // A pool sums its chunks' lanes in chunk order: within the bound.
     let pool_cfg = SolverConfig {
         threads: 2,
@@ -678,8 +648,10 @@ mod tests {
         let stats = check_case(&case, &OracleConfig::default(), &mut case_rng(1, 1))
             .unwrap_or_else(|v| panic!("unexpected violation: {v}"));
         assert!(stats.dia_checked);
-        assert!(stats.op_checked, "tridiagonal case runs the operator arm");
-        assert!(stats.kron_checked, "every case runs the Kronecker companion");
+        assert!(
+            stats.kron_checked,
+            "every case runs the Kronecker companion"
+        );
         assert!(stats.pool_checked);
         assert!(stats.plan_checked);
         assert!(stats.weighted_checked);
@@ -687,20 +659,6 @@ mod tests {
         assert!(stats.ode_checked);
         assert!(stats.sim_checked);
         assert!(!stats.first_order_checked, "model has positive variances");
-    }
-
-    #[test]
-    fn non_tridiagonal_case_skips_operator_via_typed_refusal() {
-        // A (0 -> 2) jump breaks the tridiagonal shape: the operator arm
-        // must be refused cleanly (no violation, no panic) while the
-        // Kronecker companion still runs.
-        let mut case = simple_case();
-        case.transitions.push((0, 2, 0.25));
-        let stats = check_case(&case, &OracleConfig::default(), &mut case_rng(1, 5))
-            .unwrap_or_else(|v| panic!("unexpected violation: {v}"));
-        assert!(!stats.op_checked, "non-tridiagonal model cannot run matrix-free");
-        assert!(stats.kron_checked);
-        assert!(stats.dia_checked, "other arms unaffected");
     }
 
     #[test]
@@ -765,7 +723,6 @@ mod tests {
         assert_eq!(snap.counter("verify.cases"), Some(1));
         assert_eq!(snap.counter("verify.passed"), Some(1));
         assert_eq!(snap.counter("verify.checks.dia"), Some(1));
-        assert_eq!(snap.counter("verify.checks.op"), Some(1));
         assert_eq!(snap.counter("verify.checks.kron"), Some(1));
         assert_eq!(snap.counter("verify.checks.pool"), Some(1));
         assert_eq!(snap.counter("verify.checks.plan"), Some(1));
