@@ -455,11 +455,6 @@ impl IterationMatrix {
         matches!(self, IterationMatrix::Dia(_))
     }
 
-    /// `true` if the matrix-free operator backend was selected.
-    pub fn is_operator(&self) -> bool {
-        matches!(self, IterationMatrix::Operator(_))
-    }
-
     /// The selected format as a report-friendly name.
     pub fn format_name(&self) -> &'static str {
         match self {

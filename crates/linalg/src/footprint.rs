@@ -9,8 +9,8 @@
 //! and that is what the memory ledger (`somrm-obs`) budgets against.
 //!
 //! Implementations exist for every iteration-matrix storage
-//! ([`CsrMatrix`], [`DiaMatrix`], [`OperatorMatrix`] via
-//! [`MatVec::footprint_bytes`], and the [`IterationMatrix`] dispatch)
+//! ([`CsrMatrix`], [`DiaMatrix`], [`OperatorMatrix`] via its
+//! `KroneckerSum`, and the [`IterationMatrix`] dispatch)
 //! and for the fused kernel's working set
 //! ([`FusedMomentKernel`](crate::fused::FusedMomentKernel)).
 
@@ -47,11 +47,10 @@ impl FootprintBytes for DiaMatrix {
 }
 
 impl FootprintBytes for OperatorMatrix {
-    /// Delegates to the backend's [`MatVec::footprint_bytes`]
-    /// (`crate::operator::MatVec`): factor blocks and one O(n) diagonal, never
-    /// the materialized matrix.
+    /// The wrapped operator's factor blocks and O(n) diagonal, never the
+    /// materialized matrix.
     fn footprint_bytes(&self) -> usize {
-        self.as_matvec().footprint_bytes()
+        self.as_kronecker().footprint_bytes()
     }
 }
 

@@ -94,7 +94,7 @@
 
 use crate::dia::{DiaMatrix, IterationMatrix};
 use crate::footprint::FootprintBytes;
-use crate::operator::MatVec;
+use crate::operator::KroneckerSum;
 use crate::pool::{chunk_range, PoolStats, SyncMutPtr, WorkerPool};
 use crate::simd::{self, lanes_fit, load_lanes, store_lanes, Lanes, ResolvedKernel, PROJ_LANES};
 use somrm_num::sum::neumaier_add;
@@ -123,7 +123,7 @@ enum MatrixParts<'b> {
     /// `(offsets, flattened diagonal data)`.
     Dia(&'b [isize], &'b [f64]),
     /// Matrix-free backend; rows computed on the fly.
-    Op(&'b dyn MatVec),
+    Op(&'b KroneckerSum),
 }
 
 /// How a kernel reaches its worker threads: none (inline), a pool it
@@ -433,7 +433,7 @@ impl<'a> FusedMomentKernel<'a> {
                 }
                 (MatrixParts::Dia(m.offsets(), m.data()), lo..hi.max(lo))
             }
-            IterationMatrix::Operator(m) => (MatrixParts::Op(m.as_matvec()), 0..n),
+            IterationMatrix::Operator(m) => (MatrixParts::Op(m.as_kronecker()), 0..n),
         };
         let order1 = order + 1;
         // Bytes a block keeps per row: both U buffers, both accumulator

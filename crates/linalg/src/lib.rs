@@ -15,8 +15,8 @@
 //!   the solvers build once per solve, writing the uniformized
 //!   generator's strips straight from its rows (the paper's
 //!   200,001-state model is tridiagonal: three strips);
-//! * [`operator`] — matrix-free backends ([`operator::MatVec`]) that
-//!   compute the uniformized mat-vec on the fly from a model's
+//! * [`operator`] — the matrix-free backend ([`operator::KroneckerSum`])
+//!   that computes the uniformized mat-vec on the fly from a model's
 //!   Kronecker structure with O(1) matrix memory per state,
 //!   bitwise-faithful to the CSR pipeline;
 //! * [`footprint`] — exact owned-bytes accounting
@@ -75,7 +75,7 @@ pub use dia::{DiaMatrix, IterationMatrix, MatrixFormat, FORCED_DIA_MAX_BYTES};
 pub use error::LinalgError;
 pub use footprint::FootprintBytes;
 pub use fused::{Accumulated, FusedMomentKernel, StepWeights, MAX_STRETCH_STEPS};
-pub use operator::{KroneckerSum, MatVec, ModelStructure, OperatorMatrix};
+pub use operator::{KroneckerSum, ModelStructure, OperatorMatrix};
 pub use pool::{PoolStats, WorkerPool};
 pub use scalar::{Cx, Scalar};
 pub use simd::{KernelVariant, ResolvedKernel};

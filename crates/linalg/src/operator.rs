@@ -32,53 +32,11 @@
 
 use crate::dense::Mat;
 use crate::error::LinalgError;
+use crate::footprint::FootprintBytes;
 use crate::simd;
 use crate::sparse::CsrMatrix;
-use std::any::Any;
-use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// A matrix-free `y = A·x` backend over a fixed square matrix.
-///
-/// `matvec_range_*` computes rows `rows` of `A·x` into
-/// `out[0..rows.len()]` (`out[k]` is row `rows.start + k`), so the
-/// fused kernel's disjoint row chunks drive the operator exactly like
-/// the CSR/DIA branches. The `scalar` flavour must use the plain
-/// left-associated `dot += v·x` chain in ascending-column order; the
-/// `fma` flavour the canonical `mul_add` chain over the same terms.
-pub trait MatVec: Send + Sync + fmt::Debug {
-    /// Matrix dimension (operators are square).
-    fn rows(&self) -> usize;
-
-    /// Strict-f64 reference rows: plain `*`/`+`, ascending columns.
-    fn matvec_range_scalar(&self, x: &[f64], out: &mut [f64], rows: Range<usize>);
-
-    /// Canonical-FMA rows: correctly-rounded `mul_add` chain from `0.0`
-    /// over the same ascending-column terms.
-    fn matvec_range_fma(&self, x: &[f64], out: &mut [f64], rows: Range<usize>);
-
-    /// Maximum `|col − row|` over structural entries.
-    fn bandwidth(&self) -> usize;
-
-    /// Structural non-zero estimate (for memory/report accounting).
-    fn nnz_estimate(&self) -> usize;
-
-    /// Exact bytes stored by the backend's owned allocations (strips,
-    /// factor blocks, precomputed diagonal) — the operator's entire
-    /// memory cost, since rows are recomputed on the fly. Same `len`-
-    /// based contract as `crate::footprint::FootprintBytes`.
-    fn footprint_bytes(&self) -> usize;
-
-    /// Report-friendly backend name (`"kronecker-sum"`).
-    fn kind(&self) -> &'static str;
-
-    /// Downcast support for [`MatVec::structural_eq`].
-    fn as_any(&self) -> &dyn Any;
-
-    /// `true` if `other` is the same concrete backend with equal data.
-    fn structural_eq(&self, other: &dyn MatVec) -> bool;
-}
 
 fn check_rate(rate: f64) -> Result<f64, LinalgError> {
     if !(rate.is_finite() && rate > 0.0) {
@@ -344,16 +302,24 @@ fn incr_digits(digits: &mut [usize], sizes: &[usize]) {
     }
 }
 
-impl MatVec for KroneckerSum {
-    fn rows(&self) -> usize {
+impl KroneckerSum {
+    /// Matrix dimension (the operator is square).
+    pub fn rows(&self) -> usize {
         self.n
     }
 
-    fn matvec_range_scalar(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
+    /// Rows `rows` of `P'·x` into `out[0..rows.len()]` (`out[k]` is row
+    /// `rows.start + k`), so the fused kernel's disjoint row chunks drive
+    /// the operator like the CSR/DIA branches: strict-f64 reference rows,
+    /// the plain left-associated `dot += v·x` chain in ascending-column
+    /// order.
+    pub fn matvec_range_scalar(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
         self.rows_with(x, out, rows, |v, x, dot| dot + v * x);
     }
 
-    fn matvec_range_fma(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
+    /// [`KroneckerSum::matvec_range_scalar`] with canonical-FMA rows: the
+    /// correctly-rounded `mul_add` chain from `0.0` over the same terms.
+    pub fn matvec_range_fma(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
         #[cfg(target_arch = "x86_64")]
         if simd::fma_available() {
             // SAFETY: AVX2+FMA presence was just checked at runtime.
@@ -363,18 +329,18 @@ impl MatVec for KroneckerSum {
         self.fma_rows(x, out, rows);
     }
 
-    fn bandwidth(&self) -> usize {
+    /// Maximum `|col − row|` over structural entries.
+    pub fn bandwidth(&self) -> usize {
         match self.sizes.first() {
             Some(&s0) if s0 > 1 => (s0 - 1) * self.strides[0],
             _ => 0,
         }
     }
+}
 
-    fn nnz_estimate(&self) -> usize {
-        let off: usize = self.sizes.iter().map(|&s| s - 1).sum();
-        self.n * (1 + off)
-    }
-
+impl FootprintBytes for KroneckerSum {
+    /// The factor blocks, sizes, strides and diagonal — the operator's
+    /// entire memory cost, since rows are recomputed on the fly.
     fn footprint_bytes(&self) -> usize {
         let factor_bytes: usize = self
             .factors
@@ -384,18 +350,6 @@ impl MatVec for KroneckerSum {
         factor_bytes
             + (self.sizes.len() + self.strides.len()) * std::mem::size_of::<usize>()
             + self.diag.len() * std::mem::size_of::<f64>()
-    }
-
-    fn kind(&self) -> &'static str {
-        "kronecker-sum"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn structural_eq(&self, other: &dyn MatVec) -> bool {
-        other.as_any().downcast_ref::<Self>().is_some_and(|o| o == self)
     }
 }
 
@@ -429,34 +383,19 @@ impl ModelStructure {
     }
 }
 
-/// A cheaply clonable, comparable handle around a [`MatVec`] backend —
+/// A cheaply clonable, comparable handle around a [`KroneckerSum`] —
 /// the payload of `IterationMatrix::Operator`.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorMatrix {
-    inner: Arc<dyn MatVec>,
-}
-
-impl fmt::Debug for OperatorMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-impl PartialEq for OperatorMatrix {
-    fn eq(&self, other: &OperatorMatrix) -> bool {
-        self.inner.structural_eq(other.inner.as_ref())
-    }
+    inner: Arc<KroneckerSum>,
 }
 
 impl OperatorMatrix {
-    /// Wraps an arbitrary backend.
-    pub fn from_matvec(inner: Arc<dyn MatVec>) -> OperatorMatrix {
-        OperatorMatrix { inner }
-    }
-
     /// Wraps a Kronecker-sum operator.
     pub fn kronecker(op: KroneckerSum) -> OperatorMatrix {
-        Self::from_matvec(Arc::new(op))
+        OperatorMatrix {
+            inner: Arc::new(op),
+        }
     }
 
     /// Builds the uniformized operator for a model from its advertised
@@ -488,9 +427,9 @@ impl OperatorMatrix {
         }
     }
 
-    /// The wrapped backend (the fused kernel dispatches through this).
-    pub fn as_matvec(&self) -> &dyn MatVec {
-        self.inner.as_ref()
+    /// The wrapped operator (the fused kernel runs its rows).
+    pub fn as_kronecker(&self) -> &KroneckerSum {
+        &self.inner
     }
 
     /// Matrix dimension.
@@ -501,16 +440,6 @@ impl OperatorMatrix {
     /// Maximum `|col − row|` over structural entries.
     pub fn bandwidth(&self) -> usize {
         self.inner.bandwidth()
-    }
-
-    /// Structural non-zero estimate.
-    pub fn nnz_estimate(&self) -> usize {
-        self.inner.nnz_estimate()
-    }
-
-    /// Backend name (`"kronecker-sum"`).
-    pub fn kind(&self) -> &'static str {
-        self.inner.kind()
     }
 
     /// Full `y = A·x` with the scalar (strict-f64 reference) rows.
@@ -637,9 +566,10 @@ mod tests {
         let op = KroneckerSum::new(sample_factors(), 10.0).unwrap();
         // Outermost factor has 2 levels over stride 6.
         assert_eq!(op.bandwidth(), 6);
-        assert_eq!(MatVec::rows(&op), 12);
-        assert_eq!(op.nnz_estimate(), 12 * (1 + 1 + 2 + 1));
-        assert_eq!(op.kind(), "kronecker-sum");
+        assert_eq!(op.rows(), 12);
+        // Factor blocks (4 + 9 + 4 doubles), sizes and strides (6
+        // words) and the diagonal (12 doubles).
+        assert_eq!(op.footprint_bytes(), (4 + 9 + 4) * 8 + 6 * 8 + 12 * 8);
     }
 
     #[test]
@@ -659,10 +589,8 @@ mod tests {
         let other = OperatorMatrix::kronecker(KroneckerSum::new(sample_factors(), 6.0).unwrap());
         assert_eq!(a, b);
         assert_ne!(a, other, "different rate, different scale and diagonal");
-        assert_eq!(a.kind(), "kronecker-sum");
         assert_eq!(a.rows(), 12);
         assert_eq!(a.bandwidth(), 6);
-        assert_eq!(a.nnz_estimate(), 12 * (1 + 1 + 2 + 1));
     }
 
     #[test]
@@ -675,7 +603,7 @@ mod tests {
         assert_eq!(structure.n_states(), 12);
         assert_eq!(structure.kind(), "kronecker-sum");
         let kop = OperatorMatrix::from_structure(&structure, &kq, 5.0).unwrap();
-        assert_eq!(kop.kind(), "kronecker-sum");
+        assert_eq!(kop.as_kronecker(), &ks);
         let x = probe(12);
         let mut y = vec![0.0; 12];
         kop.matvec_into(&x, &mut y);
