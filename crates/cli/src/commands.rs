@@ -636,13 +636,15 @@ pub fn cmd_verify(
 /// A human-readable message; the serve loop wraps it in a per-request
 /// error response.
 pub fn resolve_model_spec(spec: &somrm_serve::ModelSpec) -> Result<somrm_core::model::SecondOrderMrm, String> {
+    let file;
     let text = match spec {
-        somrm_serve::ModelSpec::Inline(text) => text.clone(),
+        somrm_serve::ModelSpec::Inline(text) => text,
         somrm_serve::ModelSpec::File(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
+            file = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            &file
         }
     };
-    let parsed = parse_model(&text).map_err(|e| e.to_string())?;
+    let parsed = parse_model(text).map_err(|e| e.to_string())?;
     if parsed.has_impulses() {
         return Err(
             "impulse models are not served (the serve resolver carries rate rewards only)"
@@ -1236,6 +1238,33 @@ mod tests {
         assert_eq!(ok, [true, false, true]);
         let err = lines[1].get("error").and_then(|e| e.as_str()).unwrap();
         assert!(err.contains("exceeds the limit"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_an_overflowing_exit_rate() {
+        // Two rates of 1e308 out of state 0 sum to an infinite exit
+        // rate; this used to answer moments [1, 0, 0] with bounds 0.
+        let request = r#"{"id":1,"model":"states 3\nrate 0 1 1e308\nrate 0 2 1e308\nrate 1 0 1\nrate 2 0 1\nreward 0 1 0\nreward 1 2 1\n","t":1,"order":2}"#;
+        let mut out = Vec::new();
+        let summary = somrm_serve::serve(
+            std::io::Cursor::new(format!("{request}\n")),
+            &mut out,
+            &resolve_model_spec,
+            &somrm_serve::ServeOptions::default(),
+        )
+        .unwrap();
+        assert_eq!((summary.ok, summary.errors), (0, 1));
+        let out = String::from_utf8(out).unwrap();
+        let response = somrm_obs::json::parse(out.trim_end()).unwrap();
+        assert_eq!(
+            response.get("ok"),
+            Some(&somrm_obs::json::Value::Bool(false))
+        );
+        let err = response.get("error").and_then(|e| e.as_str()).unwrap();
+        assert!(
+            err.contains("exit rate inf of state 0 is not finite"),
+            "{err}"
+        );
     }
 
     #[test]

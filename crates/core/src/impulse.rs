@@ -84,24 +84,7 @@ impl ImpulseMrm {
         let mut b = TripletBuilder::with_capacity(n, n, impulses.len());
         let mut max_impulse = 0.0f64;
         for &(i, j, c) in impulses {
-            if i >= n || j >= n {
-                return Err(MrmError::InvalidParameter {
-                    name: "impulse",
-                    reason: format!("transition ({i},{j}) out of range for {n} states"),
-                });
-            }
-            if i == j || !(c >= 0.0) || !c.is_finite() {
-                return Err(MrmError::InvalidParameter {
-                    name: "impulse",
-                    reason: format!("invalid impulse {c} on ({i},{j})"),
-                });
-            }
-            if base.generator().as_csr().get(i, j) == 0.0 {
-                return Err(MrmError::InvalidParameter {
-                    name: "impulse",
-                    reason: format!("impulse on ({i},{j}) but the transition rate is zero"),
-                });
-            }
+            Self::check_impulse(&base, i, j, c)?;
             if c > 0.0 {
                 b.push(i, j, c);
                 max_impulse = max_impulse.max(c);
@@ -112,6 +95,41 @@ impl ImpulseMrm {
             impulses: b.build(),
             max_impulse,
         })
+    }
+
+    /// The check [`ImpulseMrm::new`] applies to each impulse: `c` on the
+    /// transition `i → j` of `base`. For a caller that reports each
+    /// failure against its own input (a model file's line).
+    ///
+    /// # Errors
+    ///
+    /// As [`ImpulseMrm::new`].
+    pub fn check_impulse(
+        base: &SecondOrderMrm,
+        i: usize,
+        j: usize,
+        c: f64,
+    ) -> Result<(), MrmError> {
+        let n = base.n_states();
+        if i >= n || j >= n {
+            return Err(MrmError::InvalidParameter {
+                name: "impulse",
+                reason: format!("transition ({i},{j}) out of range for {n} states"),
+            });
+        }
+        if i == j || !(c >= 0.0) || !c.is_finite() {
+            return Err(MrmError::InvalidParameter {
+                name: "impulse",
+                reason: format!("invalid impulse {c} on ({i},{j})"),
+            });
+        }
+        if base.generator().as_csr().get(i, j) == 0.0 {
+            return Err(MrmError::InvalidParameter {
+                name: "impulse",
+                reason: format!("impulse on ({i},{j}) but the transition rate is zero"),
+            });
+        }
+        Ok(())
     }
 
     /// The underlying rate-reward model.

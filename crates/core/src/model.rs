@@ -34,11 +34,13 @@ use std::sync::Arc;
 /// assert!(!model.is_first_order());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// The chain `(Q, R, S)` sits behind one [`Arc`]: a clone, a model
+/// started elsewhere ([`SecondOrderMrm::with_initial`]) and a plan's copy
+/// of its model share it and copy only `π`.
 #[derive(Debug, Clone)]
 pub struct SecondOrderMrm {
-    generator: Generator,
-    rates: Vec<f64>,
-    variances: Vec<f64>,
+    chain: Arc<Chain>,
     initial: Vec<f64>,
     /// Optional structure descriptor (Kronecker factors) advertised by
     /// the model builder, letting the solver use
@@ -48,6 +50,15 @@ pub struct SecondOrderMrm {
     structure: Option<Arc<ModelStructure>>,
 }
 
+/// The validated chain of a [`SecondOrderMrm`]: generator, drifts and
+/// variances.
+#[derive(Debug, PartialEq)]
+struct Chain {
+    generator: Generator,
+    rates: Vec<f64>,
+    variances: Vec<f64>,
+}
+
 /// Equality compares the mathematical content — generator, rewards,
 /// initial distribution — and deliberately ignores the optional
 /// structure descriptor (two equal models may differ only in whether a
@@ -55,10 +66,7 @@ pub struct SecondOrderMrm {
 /// annotation either).
 impl PartialEq for SecondOrderMrm {
     fn eq(&self, other: &SecondOrderMrm) -> bool {
-        self.generator == other.generator
-            && self.rates == other.rates
-            && self.variances == other.variances
-            && self.initial == other.initial
+        self.same_chain(other) && self.initial == other.initial
     }
 }
 
@@ -106,9 +114,11 @@ impl SecondOrderMrm {
         }
         validate_distribution(&initial, 1e-9)?;
         Ok(SecondOrderMrm {
-            generator,
-            rates,
-            variances,
+            chain: Arc::new(Chain {
+                generator,
+                rates,
+                variances,
+            }),
             initial,
             structure: None,
         })
@@ -131,22 +141,22 @@ impl SecondOrderMrm {
 
     /// Number of structure states.
     pub fn n_states(&self) -> usize {
-        self.generator.n_states()
+        self.chain.generator.n_states()
     }
 
     /// The structure-state generator `Q`.
     pub fn generator(&self) -> &Generator {
-        &self.generator
+        &self.chain.generator
     }
 
     /// Per-state reward drifts `r_i` (the diagonal of `R`).
     pub fn rates(&self) -> &[f64] {
-        &self.rates
+        &self.chain.rates
     }
 
     /// Per-state reward variances `σ_i²` (the diagonal of `S`).
     pub fn variances(&self) -> &[f64] {
-        &self.variances
+        &self.chain.variances
     }
 
     /// The initial distribution `π`.
@@ -156,40 +166,43 @@ impl SecondOrderMrm {
 
     /// `true` if every state has zero variance (an ordinary MRM).
     pub fn is_first_order(&self) -> bool {
-        self.variances.iter().all(|&s| s == 0.0)
+        self.variances().iter().all(|&s| s == 0.0)
     }
 
     /// The smallest drift `min_i r_i` (the paper's `ř`, used for the
     /// negative-rate shift).
     pub fn min_rate(&self) -> f64 {
-        self.rates.iter().copied().fold(f64::INFINITY, f64::min)
+        self.rates().iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Returns a model identical to this one but with a different
     /// initial distribution (the structure descriptor, if any, is
-    /// carried over — the generator is unchanged).
+    /// carried over — the chain is shared, not copied).
     ///
     /// # Errors
     ///
     /// Returns [`MrmError`] if `initial` is invalid.
     pub fn with_initial(&self, initial: Vec<f64>) -> Result<Self, MrmError> {
-        let mut m = Self::new(
-            self.generator.clone(),
-            self.rates.clone(),
-            self.variances.clone(),
+        if initial.len() != self.n_states() {
+            return Err(MrmError::DimensionMismatch {
+                what: "initial distribution",
+                expected: self.n_states(),
+                actual: initial.len(),
+            });
+        }
+        validate_distribution(&initial, 1e-9)?;
+        Ok(SecondOrderMrm {
+            chain: Arc::clone(&self.chain),
             initial,
-        )?;
-        m.structure = self.structure.clone();
-        Ok(m)
+            structure: self.structure.clone(),
+        })
     }
 
     /// Whether `other` is the same chain — equal generator, drifts and
     /// variances — possibly started from another initial distribution.
     /// A [`crate::SolvePlan`] of one serves the other.
     pub fn same_chain(&self, other: &SecondOrderMrm) -> bool {
-        self.generator == other.generator
-            && self.rates == other.rates
-            && self.variances == other.variances
+        Arc::ptr_eq(&self.chain, &other.chain) || self.chain == other.chain
     }
 
     /// Attaches a structure descriptor advertising how the generator
@@ -226,8 +239,8 @@ impl SecondOrderMrm {
     /// Returns [`MrmError::Ctmc`] if the chain has no stationary
     /// distribution (not irreducible).
     pub fn steady_state_growth_rate(&self) -> Result<f64, MrmError> {
-        let pi = somrm_ctmc::stationary::stationary_gth(&self.generator)?;
-        Ok(pi.iter().zip(&self.rates).map(|(&p, &r)| p * r).sum())
+        let pi = somrm_ctmc::stationary::stationary_gth(self.generator())?;
+        Ok(pi.iter().zip(self.rates()).map(|(&p, &r)| p * r).sum())
     }
 }
 
@@ -308,6 +321,31 @@ mod tests {
         let m2 = m.with_initial(vec![0.0, 1.0]).unwrap();
         assert_eq!(m2.initial(), &[0.0, 1.0]);
         assert!(m.with_initial(vec![2.0, -1.0]).is_err());
+    }
+
+    #[test]
+    fn clones_and_restarts_share_the_chain() {
+        let m =
+            SecondOrderMrm::new(gen2(), vec![1.0, 2.0], vec![0.5, 0.0], vec![1.0, 0.0]).unwrap();
+        let moved = m.with_initial(vec![0.25, 0.75]).unwrap();
+        assert!(Arc::ptr_eq(&m.chain, &moved.chain));
+        assert!(Arc::ptr_eq(&m.chain, &m.clone().chain));
+        assert!(m.same_chain(&moved) && m != moved);
+        // A chain built apart with equal content is still the same chain.
+        let apart =
+            SecondOrderMrm::new(gen2(), vec![1.0, 2.0], vec![0.5, 0.0], vec![0.25, 0.75]).unwrap();
+        assert!(!Arc::ptr_eq(&apart.chain, &moved.chain));
+        assert_eq!(apart, moved);
+        let other =
+            SecondOrderMrm::new(gen2(), vec![1.0, 2.0], vec![0.5, 1.0], vec![1.0, 0.0]).unwrap();
+        assert!(!m.same_chain(&other));
+        assert!(matches!(
+            m.with_initial(vec![1.0]),
+            Err(MrmError::DimensionMismatch {
+                what: "initial distribution",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! - the substochastic `R'` and `½S'` diagonals,
 //! - for an impulse model ([`SolvePlan::build_impulse`]), the coupling
 //!   matrices `Q'_l`,
-//! - the [`WorkerPool`], whose threads stay parked between executes,
-//! - a FNV-1a content digest for cache keying ([`model_digest`]; a
-//!   plan's content depends only on the chain, [`chain_digest`]).
+//! - the [`WorkerPool`], whose threads stay parked between executes.
+//!
+//! A plan holds its model's chain by [`std::sync::Arc`], not a copy, and
+//! takes no digest: a cache that keys plans digests the model itself
+//! ([`chain_digest`], [`model_digest`]).
 //!
 //! [`SolvePlan::execute`] then performs only the per-query work: the
 //! Theorem-4 truncation search for the *requested* time grid, the
@@ -108,13 +110,16 @@ fn format_error(e: LinalgError) -> MrmError {
     }
 }
 
-/// Folds 64-bit words into an FNV-1a hash state, byte by byte.
-fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+/// Folds 64-bit words into a hash state, one whole word per step: the
+/// FNV-1a step (xor, then multiply by the FNV prime) on words instead of
+/// bytes, then a rotation. A product carries bits only upward, so
+/// without the rotation a word's high bits (a float's sign and
+/// exponent) would reach only the state's top bits, where a later
+/// word's could cancel them.
+fn fold_words(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     for v in words {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
+        h = (h ^ v).wrapping_mul(PRIME).rotate_left(29);
     }
     h
 }
@@ -124,32 +129,30 @@ fn f64_words(v: &[f64]) -> impl Iterator<Item = u64> + '_ {
     v.iter().map(|x| x.to_bits())
 }
 
-/// A CSR matrix as digest words: row pointers, column indices, values.
-fn csr_words(m: &CsrMatrix<f64>) -> impl Iterator<Item = u64> + '_ {
+/// Folds a CSR matrix into `h`: row pointers, column indices, values.
+fn fold_csr(h: u64, m: &CsrMatrix<f64>) -> u64 {
     let (row_ptr, col_idx, values) = m.csr_parts();
-    row_ptr
-        .iter()
-        .chain(col_idx)
-        .map(|&p| p as u64)
-        .chain(f64_words(values))
+    let h = fold_words(h, row_ptr.iter().map(|&p| p as u64));
+    let h = fold_words(h, col_idx.iter().map(|&p| p as u64));
+    fold_words(h, f64_words(values))
 }
 
-/// FNV-1a digest of a model's chain — its generator and rewards `(Q, r,
-/// σ²)`, not the initial distribution. Everything a [`SolvePlan`] holds
-/// depends on the chain alone, so this is a plan's cache key.
+/// Digest of a model's chain — its generator and rewards `(Q, r, σ²)`,
+/// not the initial distribution: a word-wise hash over the state count, the
+/// CSR arrays and the drift and variance bit patterns. Everything a
+/// [`SolvePlan`] holds depends on the chain alone, so this is a plan's
+/// cache key. It is index material, not identity: a cache confirms a
+/// key match with [`SecondOrderMrm::same_chain`].
 pub fn chain_digest(model: &SecondOrderMrm) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    fnv1a(
-        OFFSET,
-        std::iter::once(model.n_states() as u64)
-            .chain(csr_words(model.generator().as_csr()))
-            .chain(f64_words(model.rates()))
-            .chain(f64_words(model.variances())),
-    )
+    let h = fold_words(OFFSET, [model.n_states() as u64]);
+    let h = fold_csr(h, model.generator().as_csr());
+    let h = fold_words(h, f64_words(model.rates()));
+    fold_words(h, f64_words(model.variances()))
 }
 
-/// FNV-1a content digest of a model: structure and every parameter, via
-/// the exact bit patterns of the floats — the [`chain_digest`] continued
+/// Content digest of a model: structure and every parameter, via the
+/// exact bit patterns of the floats — the [`chain_digest`] continued
 /// over the initial distribution. Two models share a digest iff they
 /// solve identically (modulo an astronomically unlikely collision): a
 /// mutated model — one rate nudged, one variance added, π moved —
@@ -162,7 +165,7 @@ pub fn model_digest(model: &SecondOrderMrm) -> u64 {
 /// model's content.
 pub fn digests(model: &SecondOrderMrm) -> (u64, u64) {
     let chain = chain_digest(model);
-    (chain, fnv1a(chain, f64_words(model.initial())))
+    (chain, fold_words(chain, f64_words(model.initial())))
 }
 
 /// The π-projected series of one `(chain, π)` (see the module docs):
@@ -432,8 +435,8 @@ impl PlanKernel {
 /// [`SolvePlan::execute_terminal`].
 #[derive(Debug)]
 pub struct SolvePlan {
+    /// The planned model: its chain shared with the caller's, π copied.
     model: SecondOrderMrm,
-    digest: u64,
     max_order: usize,
     config: SolverConfig,
     q: f64,
@@ -493,10 +496,6 @@ impl SolvePlan {
     ) -> Result<SolvePlan, MrmError> {
         let n_states = model.n_states();
         config.validate(n_states)?;
-        let digest = match impulses {
-            Some(m) => fnv1a(model_digest(model), csr_words(m.impulse_matrix())),
-            None => model_digest(model),
-        };
         let q = model.generator().uniformization_rate();
         let shift = model.min_rate().min(0.0);
         let shifted_rates: Vec<f64> = model.rates().iter().map(|&r| r - shift).collect();
@@ -565,7 +564,6 @@ impl SolvePlan {
 
         Ok(SolvePlan {
             model: model.clone(),
-            digest,
             max_order,
             config: config.clone(),
             q,
@@ -618,11 +616,6 @@ impl SolvePlan {
             return Ok(IterationMatrix::Operator(op));
         }
         IterationMatrix::uniformized(model.generator().as_csr(), q, format).map_err(format_error)
-    }
-
-    /// FNV-1a content digest of the planned model (cache key material).
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 
     /// Name of the resolved matrix backend (`"csr"`, `"dia"`,
@@ -1490,6 +1483,20 @@ mod tests {
         assert_ne!(base, model_digest(&mutated), "1-ulp rate change must re-key");
         let redistributed = m.clone().with_initial(vec![0.0, 1.0, 0.0, 0.0]).unwrap();
         assert_ne!(base, model_digest(&redistributed));
+        // Negating two neighbouring drifts changes only the top bit of
+        // two consecutive words; without the word step's rotation the
+        // second flip would cancel the first.
+        let mut rates = m.rates().to_vec();
+        rates[1] = -rates[1];
+        rates[2] = -rates[2];
+        let flipped = SecondOrderMrm::new(
+            m.generator().clone(),
+            rates,
+            m.variances().to_vec(),
+            m.initial().to_vec(),
+        )
+        .unwrap();
+        assert_ne!(chain_digest(&m), chain_digest(&flipped));
     }
 
     #[test]

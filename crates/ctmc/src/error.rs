@@ -23,6 +23,15 @@ pub enum CtmcError {
         /// Number of states in the chain.
         n_states: usize,
     },
+    /// A state's total exit rate (its negated generator diagonal) is
+    /// not finite — finite rates out of it can still overflow their
+    /// sum — so the chain has no finite uniformization rate.
+    NonFiniteExitRate {
+        /// The offending state.
+        state: usize,
+        /// Its exit rate `−q_ii`.
+        rate: f64,
+    },
     /// A generator row does not sum to zero.
     RowSumNonzero {
         /// The offending row.
@@ -62,6 +71,9 @@ impl fmt::Display for CtmcError {
             }
             CtmcError::StateOutOfRange { state, n_states } => {
                 write!(f, "state index {state} out of range for {n_states} states")
+            }
+            CtmcError::NonFiniteExitRate { state, rate } => {
+                write!(f, "total exit rate {rate} of state {state} is not finite")
             }
             CtmcError::RowSumNonzero { row, sum } => {
                 write!(f, "generator row {row} sums to {sum}, expected 0")

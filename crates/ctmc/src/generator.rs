@@ -9,6 +9,7 @@ use somrm_linalg::sparse::{CsrMatrix, TripletBuilder};
 ///
 /// Invariants (enforced at construction):
 /// * off-diagonal entries are finite and non-negative,
+/// * diagonal entries are finite, so the uniformization rate is too,
 /// * every row sums to zero,
 /// * the matrix is square.
 ///
@@ -29,6 +30,9 @@ impl Generator {
     /// * [`CtmcError::DimensionMismatch`] if the matrix is not square.
     /// * [`CtmcError::InvalidRate`] for a negative/non-finite
     ///   off-diagonal entry.
+    /// * [`CtmcError::NonFiniteExitRate`] for a non-finite diagonal
+    ///   entry (finite rates whose sum overflows). The row-sum test
+    ///   below cannot catch it: its tolerance scales with the row.
     /// * [`CtmcError::RowSumNonzero`] if a row sum deviates from zero by
     ///   more than a tolerance scaled to the row magnitude.
     pub fn from_csr(q: CsrMatrix<f64>) -> Result<Self, CtmcError> {
@@ -43,8 +47,11 @@ impl Generator {
         for i in 0..n {
             let mut row_sum = 0.0;
             let mut row_scale = 0.0;
+            let mut diag = 0.0f64;
             for (j, v) in q.row(i) {
-                if i != j && (!(v >= 0.0) || !v.is_finite()) {
+                if i == j {
+                    diag = v;
+                } else if !(v >= 0.0) || !v.is_finite() {
                     return Err(CtmcError::InvalidRate {
                         from: i,
                         to: j,
@@ -54,13 +61,19 @@ impl Generator {
                 row_sum += v;
                 row_scale += v.abs();
             }
+            if !diag.is_finite() {
+                return Err(CtmcError::NonFiniteExitRate {
+                    state: i,
+                    rate: -diag,
+                });
+            }
             if row_sum.abs() > 1e-9 * row_scale.max(1.0) {
                 return Err(CtmcError::RowSumNonzero {
                     row: i,
                     sum: row_sum,
                 });
             }
-            unif_rate = unif_rate.max(q.get(i, i).abs());
+            unif_rate = unif_rate.max(diag.abs());
         }
         Ok(Generator { q, unif_rate })
     }
@@ -132,7 +145,9 @@ impl Generator {
 #[derive(Debug, Clone)]
 pub struct GeneratorBuilder {
     n: usize,
-    triplets: Vec<(usize, usize, f64)>,
+    /// The accepted off-diagonal rates, in push order; the diagonal
+    /// joins them at [`GeneratorBuilder::build`].
+    triplets: TripletBuilder<f64>,
     exit: Vec<f64>,
 }
 
@@ -141,7 +156,7 @@ impl GeneratorBuilder {
     pub fn new(n: usize) -> Self {
         GeneratorBuilder {
             n,
-            triplets: Vec::new(),
+            triplets: TripletBuilder::new(n, n),
             exit: vec![0.0; n],
         }
     }
@@ -170,7 +185,7 @@ impl GeneratorBuilder {
             return Err(CtmcError::InvalidRate { from, to, rate });
         }
         if rate > 0.0 {
-            self.triplets.push((from, to, rate));
+            self.triplets.push(from, to, rate);
             self.exit[from] += rate;
         }
         Ok(self)
@@ -188,10 +203,7 @@ impl GeneratorBuilder {
     /// Propagates validation errors from [`Generator::from_csr`]
     /// (cannot occur for rates accepted by [`GeneratorBuilder::rate`]).
     pub fn build(self) -> Result<Generator, CtmcError> {
-        let mut b = TripletBuilder::with_capacity(self.n, self.n, self.triplets.len() + self.n);
-        for (i, j, v) in self.triplets {
-            b.push(i, j, v);
-        }
+        let mut b = self.triplets;
         for (i, &x) in self.exit.iter().enumerate() {
             if x > 0.0 {
                 b.push(i, i, -x);
@@ -272,6 +284,36 @@ mod tests {
             Generator::from_csr(bad),
             Err(CtmcError::InvalidRate { .. })
         ));
+    }
+
+    #[test]
+    fn overflowing_exit_rate_is_refused() {
+        // Two finite rates whose sum overflows: the row-sum test passes
+        // (its tolerance is infinite too), so the diagonal is checked.
+        let mut b = GeneratorBuilder::new(3);
+        b.rate(0, 1, 1e308).unwrap();
+        b.rate(0, 2, 1e308).unwrap();
+        b.rate(1, 0, 1.0).unwrap();
+        b.rate(2, 0, 1.0).unwrap();
+        let e = b.build().unwrap_err();
+        assert_eq!(
+            e,
+            CtmcError::NonFiniteExitRate {
+                state: 0,
+                rate: f64::INFINITY
+            }
+        );
+        assert!(e.to_string().contains("not finite"), "{e}");
+        // A NaN diagonal handed to from_csr directly.
+        let bad = CsrMatrix::from_triplets(2, 2, &[(0, 0, f64::NAN), (0, 1, 1.0)]);
+        assert!(matches!(
+            Generator::from_csr(bad),
+            Err(CtmcError::NonFiniteExitRate { state: 0, .. })
+        ));
+        // The largest finite sum still builds.
+        let mut b = GeneratorBuilder::new(2);
+        b.rate(0, 1, f64::MAX).unwrap();
+        assert_eq!(b.build().unwrap().uniformization_rate(), f64::MAX);
     }
 
     #[test]

@@ -334,29 +334,62 @@ impl<T: Scalar> TripletBuilder<T> {
     }
 
     /// Builds the CSR matrix, summing duplicates.
-    pub fn build(mut self) -> CsrMatrix<T> {
-        self.entries.sort_by_key(|&(i, j, _)| (i, j));
-        let mut row_ptr = vec![0usize; self.rows + 1];
-        let mut col_idx = Vec::with_capacity(self.entries.len());
-        let mut values: Vec<T> = Vec::with_capacity(self.entries.len());
-        let mut last: Option<(usize, usize)> = None;
-        for (i, j, v) in self.entries {
-            if last == Some((i, j)) {
-                let v_last = values.last_mut().expect("non-empty on duplicate");
-                *v_last += v;
-            } else {
-                col_idx.push(j);
-                values.push(v);
-                row_ptr[i + 1] += 1;
-                last = Some((i, j));
-            }
+    ///
+    /// Entries are ordered by a stable counting sort on the row, then a
+    /// stable sort on the column within each row — the order of a
+    /// stable sort on `(row, col)` — so duplicates are summed left to
+    /// right in push order.
+    pub fn build(self) -> CsrMatrix<T> {
+        let (rows, cols) = (self.rows, self.cols);
+        let nnz = self.entries.len();
+        // Row counts at `row_ptr[i + 1]`, prefix-summed into row starts;
+        // the scatter then advances `row_ptr[i]` to row i's end, and a
+        // shift by one restores the starts.
+        let mut row_ptr = vec![0usize; rows + 1];
+        for &(i, _, _) in &self.entries {
+            row_ptr[i + 1] += 1;
         }
-        for i in 0..self.rows {
+        for i in 0..rows {
             row_ptr[i + 1] += row_ptr[i];
         }
+        let mut col_idx = vec![0usize; nnz];
+        let mut values = vec![T::zero(); nnz];
+        for (i, j, v) in self.entries {
+            let at = row_ptr[i];
+            col_idx[at] = j;
+            values[at] = v;
+            row_ptr[i] = at + 1;
+        }
+        row_ptr.copy_within(0..rows, 1);
+        row_ptr[0] = 0;
+
+        // Sort each row by column and sum its duplicates, compacting in
+        // place: the write cursor never passes the read cursor.
+        let mut w = 0;
+        for i in 0..rows {
+            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+            sort_row(&mut col_idx[lo..hi], &mut values[lo..hi]);
+            row_ptr[i] = w;
+            let mut k = lo;
+            while k < hi {
+                let j = col_idx[k];
+                let mut v = values[k];
+                k += 1;
+                while k < hi && col_idx[k] == j {
+                    v += values[k];
+                    k += 1;
+                }
+                col_idx[w] = j;
+                values[w] = v;
+                w += 1;
+            }
+        }
+        row_ptr[rows] = w;
+        col_idx.truncate(w);
+        values.truncate(w);
         CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
+            rows,
+            cols,
             row_ptr,
             col_idx,
             values,
@@ -364,10 +397,43 @@ impl<T: Scalar> TripletBuilder<T> {
     }
 }
 
+/// Rows longer than this sort through a stable library sort instead of
+/// insertion sort.
+const INSERTION_SORT_MAX: usize = 32;
+
+/// Stable sort of one row's entries by column. Rows are short and
+/// nearly sorted (a generator row is its off-diagonals in order, then
+/// the diagonal), which insertion sort handles in one pass.
+fn sort_row<T: Scalar>(cols: &mut [usize], vals: &mut [T]) {
+    if cols.len() > INSERTION_SORT_MAX {
+        if !cols.is_sorted() {
+            let mut row: Vec<(usize, T)> = cols.iter().copied().zip(vals.iter().copied()).collect();
+            row.sort_by_key(|&(j, _)| j);
+            for (k, (j, v)) in row.into_iter().enumerate() {
+                cols[k] = j;
+                vals[k] = v;
+            }
+        }
+        return;
+    }
+    for k in 1..cols.len() {
+        let (j, v) = (cols[k], vals[k]);
+        let mut at = k;
+        while at > 0 && cols[at - 1] > j {
+            cols[at] = cols[at - 1];
+            vals[at] = vals[at - 1];
+            at -= 1;
+        }
+        cols[at] = j;
+        vals[at] = v;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense::Mat;
+    use proptest::prelude::*;
 
     fn example() -> CsrMatrix<f64> {
         // [1 0 2]
@@ -469,6 +535,85 @@ mod tests {
     fn non_square_add_identity_rejected() {
         let a = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]);
         assert!(a.add_scaled_identity(1.0).is_err());
+    }
+
+    /// The comparison-sort build: a stable sort on `(row, col)`, then
+    /// duplicates summed left to right.
+    fn sort_by_key_build(rows: usize, cols: usize, t: &[(usize, usize, f64)]) -> CsrMatrix<f64> {
+        let mut entries: Vec<_> = t.iter().copied().filter(|&(_, _, v)| v != 0.0).collect();
+        entries.sort_by_key(|&(i, j, _)| (i, j));
+        let mut row_ptr = vec![0usize; rows + 1];
+        let (mut col_idx, mut values) = (Vec::new(), Vec::<f64>::new());
+        let mut last = None;
+        for (i, j, v) in entries {
+            if last == Some((i, j)) {
+                *values.last_mut().unwrap() += v;
+            } else {
+                col_idx.push(j);
+                values.push(v);
+                row_ptr[i + 1] += 1;
+                last = Some((i, j));
+            }
+        }
+        for i in 0..rows {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        CsrMatrix::from_sorted_parts(rows, cols, row_ptr, col_idx, values)
+    }
+
+    fn assert_same_bits(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>) {
+        let ((ap, ac, av), (bp, bc, bv)) = (a.csr_parts(), b.csr_parts());
+        assert_eq!((a.rows(), a.cols(), ap, ac), (b.rows(), b.cols(), bp, bc));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(av), bits(bv));
+    }
+
+    #[test]
+    fn duplicates_sum_in_push_order() {
+        // (1e16 + 1) − 1e16 = 0 but (1e16 − 1e16) + 1 = 1: the sum
+        // depends on the order, and the build keeps push order.
+        for dups in [[1e16, 1.0, -1e16], [1e16, -1e16, 1.0], [1.0, 1e16, -1e16]] {
+            let mut t = vec![(1, 0, 2.0), (0, 2, 5.0)];
+            t.extend(dups.iter().map(|&v| (1, 2, v)));
+            t.push((1, 1, -3.0));
+            let built = CsrMatrix::from_triplets(2, 3, &t);
+            assert_same_bits(&built, &sort_by_key_build(2, 3, &t));
+            let expect = (dups[0] + dups[1]) + dups[2];
+            assert_eq!(built.get(1, 2).to_bits(), expect.to_bits());
+        }
+    }
+
+    #[test]
+    fn long_unsorted_rows_match_the_sort_by_key_build() {
+        // Rows past the insertion-sort length, pushed in reverse column
+        // order with duplicates, plus a row of explicit zeros.
+        let mut t = Vec::new();
+        for j in (0..100).rev() {
+            t.push((0, j % 37, 1.0 + j as f64 * 1e-3));
+            t.push((2, j % 50, [1e16, 1.0, -1e16][j % 3]));
+            t.push((1, j, 0.0));
+        }
+        assert_same_bits(
+            &CsrMatrix::from_triplets(3, 100, &t),
+            &sort_by_key_build(3, 100, &t),
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn counting_sort_build_matches_the_sort_by_key_build(
+            (rows, cols, t) in (1usize..12, 1usize..12).prop_flat_map(|(r, c)| {
+                let entry = (0..r, 0..c, 0usize..8).prop_map(|(i, j, k)| {
+                    (i, j, [1e16, 1.0, -1e16, 0.0, -0.0, 0.5, 3.25, -7.0][k])
+                });
+                (Just(r), Just(c), prop::collection::vec(entry, 0..80))
+            })
+        ) {
+            let built = CsrMatrix::from_triplets(rows, cols, &t);
+            assert_same_bits(&built, &sort_by_key_build(rows, cols, &t));
+        }
     }
 
     #[test]

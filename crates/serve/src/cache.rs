@@ -1,9 +1,11 @@
 //! LRU cache of built [`SolvePlan`]s and the weighted series they
 //! answer from.
 //!
-//! Plans are keyed by the [`somrm_core::chain_digest`] of their model: a plan holds
-//! nothing that depends on the initial distribution, a horizon or an
-//! order (every plan is built for orders up to [`crate::MAX_ORDER`]).
+//! Plans are keyed by the [`somrm_core::chain_digest`] of their model,
+//! taken on every request (one multiply per 64-bit word of the model):
+//! a plan holds nothing that depends on the initial distribution, a
+//! horizon or an order (every plan is built for orders up to
+//! [`crate::MAX_ORDER`]).
 //! Each entry also keeps its chain's [`ProjectedSeries`], one per π, so
 //! a repeat query whose order and `G` its series covers is answered with
 //! no matvec. The series count toward their entry's bytes and leave
@@ -20,7 +22,7 @@ use std::time::Instant;
 /// Cache key of one plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// FNV-1a digest of the model's chain ([`somrm_core::chain_digest`]).
+    /// Word-wise digest of the model's chain ([`somrm_core::chain_digest`]).
     pub digest: u64,
 }
 
@@ -794,7 +796,7 @@ mod tests {
         use somrm_obs::MetricsRegistry;
         // Simulate a 64-bit digest collision: two different chains
         // presented under the same key — exactly what the server would
-        // do if FNV-1a collided.
+        // do if the chain digest collided.
         let registry = Arc::new(MetricsRegistry::new());
         let m1 = model(2.0);
         let m2 = model(5.0);

@@ -31,6 +31,12 @@
 //!   this one included. It describes shared work only: every answer is
 //!   computed for its own request, so `results` do not depend on
 //!   batch-mates.
+//! - `error_bounds` — per order, the Theorem-4 bound on what truncating
+//!   the Poisson series (both edges) can change in that moment. It does
+//!   not cover the floating-point rounding of the recursion and its
+//!   sums, which grows with `G` and can be far larger: at qt = 4.5·10⁷,
+//!   order 16 (`G` ≈ 4.5·10⁷), the order-0 moment came back as
+//!   1.0000000160866536 with a bound of 1.6·10⁻⁹⁷.
 //!
 //! Any problem — unparsable line, missing fields, solver error — yields
 //! a structured error on the same line slot and never kills the server:
