@@ -9,7 +9,7 @@ use somrm_core::moments::summarize;
 use somrm_core::uniformization::{MomentSolution, SolverConfig};
 use somrm_core::SolvePlan;
 use somrm_ctmc::stationary::{stationary_birth_death, stationary_gth};
-use somrm_linalg::{KernelVariant, MatrixFormat};
+use somrm_linalg::MatrixFormat;
 use somrm_num::Dd;
 use somrm_obs::{
     ChromeTraceRecorder, MetricsRegistry, Recorder, RecorderHandle, SolveReport, TraceRecorder,
@@ -46,10 +46,6 @@ pub struct CommonOpts {
     /// `--format`: iteration-matrix storage (`auto` detects banded
     /// structure and promotes to DIA; `csr`/`dia` force a format).
     pub format: MatrixFormat,
-    /// `--kernel`: fused-kernel variant (`auto` picks SIMD when the CPU
-    /// has AVX2+FMA; `scalar` pins the bit-exact reference path; `simd`
-    /// forces the FMA path, portable without AVX2).
-    pub kernel: KernelVariant,
     /// `--events-out`: stream the typed solve event log (JSONL,
     /// `somrm-events-v1`) to this file.
     pub events_out: Option<String>,
@@ -69,7 +65,6 @@ impl Default for CommonOpts {
             trace_out: None,
             progress: false,
             format: MatrixFormat::Auto,
-            kernel: KernelVariant::from_env(),
             events_out: None,
             progress_json: false,
         }
@@ -77,7 +72,7 @@ impl Default for CommonOpts {
 }
 
 /// The recorder of one command invocation plus, for `--trace-out` runs,
-/// the timeline recorder and its destination path so [`emit`] can write
+/// the timeline recorder and its destination path so `emit` can write
 /// the trace file once the command finishes.
 pub struct Telemetry {
     rec: RecorderHandle,
@@ -148,7 +143,6 @@ impl CommonOpts {
             epsilon: self.epsilon,
             threads: self.threads,
             format: self.format,
-            kernel: self.kernel,
             recorder: rec.clone(),
             events: self.events_handle()?,
             progress: self.progress,
@@ -1019,7 +1013,7 @@ fn render_report_human(report: &somrm_obs::json::Value) -> Option<String> {
         report,
         &[
             "command", "q", "d", "qt", "shift", "G", "max_iterations", "epsilon", "order",
-            "n_states", "n_times", "threads", "kernel_variant", "error_bound", "error_bounds",
+            "n_states", "n_times", "threads", "error_bound", "error_bounds",
             "poisson", "pool", "health", "mem", "stages", "counters", "gauges",
         ],
     ) {

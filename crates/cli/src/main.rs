@@ -20,7 +20,7 @@ use somrm_cli::commands::{
     cmd_sweep, cmd_verify, CommonOpts, ServeTelemetryOpts, StatsFormat,
 };
 use somrm_cli::format::parse_model;
-use somrm_linalg::{KernelVariant, MatrixFormat};
+use somrm_linalg::MatrixFormat;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: somrm-tool <check|moments|bounds|simulate|density|sweep> <model-file> [options]
@@ -47,11 +47,6 @@ options:
                   (default auto; results are identical for any choice;
                   operator runs matrix-free and needs a model with a
                   Kronecker structure, which model files do not carry)
-  --kernel K      fused-kernel variant: auto|scalar|simd (default auto:
-                  SIMD when the CPU has AVX2+FMA; scalar pins the
-                  bit-exact reference; env SOMRM_KERNEL overrides the
-                  default; scalar and simd agree within the Theorem-4
-                  truncation bound)
   --metrics DEST  emit the JSON solve report; DEST '-' replaces the
                   normal output on stdout, anything else is a file path
   --trace         print solver stage timings to stderr as they happen
@@ -127,6 +122,36 @@ fn opt_flag(args: &[String], name: &str) -> Result<Option<String>, String> {
     }
 }
 
+/// Refuses every `--` token of `args` that is neither one of `options`
+/// (each followed by its value, which is skipped whatever it looks like)
+/// nor one of `switches`, so a misspelt option fails instead of being
+/// ignored.
+fn check_options(args: &[String], options: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut tokens = args.iter();
+    while let Some(token) = tokens.next() {
+        if options.contains(&token.as_str()) {
+            tokens.next();
+        } else if token.starts_with("--") && !switches.contains(&token.as_str()) {
+            return Err(format!("unknown option {token}\n\n{USAGE}"));
+        }
+    }
+    Ok(())
+}
+
+/// The value-taking options every model subcommand accepts.
+const MODEL_OPTIONS: [&str; 7] = [
+    "--t",
+    "--eps",
+    "--threads",
+    "--metrics",
+    "--trace-out",
+    "--format",
+    "--events-out",
+];
+
+/// The valueless switches every model subcommand accepts.
+const MODEL_SWITCHES: [&str; 3] = ["--trace", "--progress", "--progress-json"];
+
 /// Optional *parsed* flag: absent → `None`, present → parsed value.
 fn opt_parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
     match opt_flag(args, name)? {
@@ -142,6 +167,7 @@ fn run() -> Result<String, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `verify` generates its own models, so it takes no model file.
     if args.first().map(String::as_str) == Some("verify") {
+        check_options(&args, &["--cases", "--seed", "--out-dir", "--metrics"], &[])?;
         return cmd_verify(
             flag(&args, "--cases", 200u64)?,
             flag(&args, "--seed", 0u64)?,
@@ -151,12 +177,28 @@ fn run() -> Result<String, String> {
     }
     // `serve` reads models from its request stream, not from argv.
     if args.first().map(String::as_str) == Some("serve") {
+        check_options(
+            &args,
+            &[
+                "--cache-size",
+                "--cache-bytes",
+                "--threads",
+                "--eps",
+                "--metrics",
+                "--format",
+                "--events-out",
+                "--stats-out",
+                "--stats-format",
+                "--slow-trace-dir",
+                "--slow-ms",
+            ],
+            &["--progress-json"],
+        )?;
         let opts = CommonOpts {
             epsilon: flag(&args, "--eps", 1e-9)?,
             threads: flag(&args, "--threads", 1usize)?,
             metrics: opt_flag(&args, "--metrics")?,
             format: flag(&args, "--format", MatrixFormat::Auto)?,
-            kernel: flag(&args, "--kernel", KernelVariant::from_env())?,
             events_out: opt_flag(&args, "--events-out")?,
             progress_json: switch(&args, "--progress-json"),
             ..CommonOpts::default()
@@ -176,6 +218,7 @@ fn run() -> Result<String, String> {
     }
     // `stats` pretty-prints a snapshot file, no model involved.
     if args.first().map(String::as_str) == Some("stats") {
+        check_options(&args, &[], &[])?;
         let Some(file) = args.get(1).filter(|f| !f.starts_with("--")) else {
             return Err(
                 "stats: need a snapshot file (from serve --stats-out, or a captured \
@@ -189,6 +232,20 @@ fn run() -> Result<String, String> {
         (Some(c), Some(f)) if !f.starts_with("--") => (c.clone(), f.clone()),
         _ => return Err(USAGE.to_string()),
     };
+    let own_options: &[&str] = match cmd.as_str() {
+        "check" => &[],
+        "moments" => &["--order"],
+        "bounds" => &["--moments", "--points"],
+        "simulate" => &["--order", "--samples", "--seed"],
+        "density" => &["--points"],
+        "sweep" => &["--points", "--times"],
+        other => return Err(format!("unknown command '{other}'\n\n{USAGE}")),
+    };
+    check_options(
+        &args,
+        &[&MODEL_OPTIONS[..], own_options].concat(),
+        &MODEL_SWITCHES,
+    )?;
     let text = std::fs::read_to_string(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let parsed = parse_model(&text).map_err(|e| e.to_string())?;
     let opts = CommonOpts {
@@ -200,7 +257,6 @@ fn run() -> Result<String, String> {
         trace_out: opt_flag(&args, "--trace-out")?,
         progress: switch(&args, "--progress"),
         format: flag(&args, "--format", MatrixFormat::Auto)?,
-        kernel: flag(&args, "--kernel", KernelVariant::from_env())?,
         events_out: opt_flag(&args, "--events-out")?,
         progress_json: switch(&args, "--progress-json"),
     };
@@ -236,7 +292,7 @@ fn run() -> Result<String, String> {
             };
             cmd_sweep(&parsed, flag(&args, "--points", 20usize)?, times.as_deref(), &opts)
         }
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+        _ => unreachable!("the command was matched above"),
     }
 }
 

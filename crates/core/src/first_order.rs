@@ -200,7 +200,6 @@ pub fn moments_first_order(
                 threads: 1,
                 // The first-order recursion runs serial matvecs, not
                 // the fused kernel — always strict scalar arithmetic.
-                kernel_variant: "scalar".to_string(),
                 error_bound,
                 error_bounds: error_bounds.clone(),
                 // The reference keeps the whole exact window: no left cut.

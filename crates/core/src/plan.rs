@@ -66,7 +66,7 @@ use crate::uniformization::{
 use somrm_linalg::sparse::{CsrMatrix, TripletBuilder};
 use somrm_linalg::{
     FootprintBytes, FusedMomentKernel, IterationMatrix, LinalgError, MatrixFormat, OperatorMatrix,
-    ResolvedKernel, StepWeights, WorkerPool, MAX_STRETCH_STEPS,
+    StepWeights, WorkerPool, MAX_STRETCH_STEPS,
 };
 use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::ln_factorial;
@@ -1059,7 +1059,6 @@ impl SolvePlan {
                             n_states,
                             n_times: times.len(),
                             threads: kernel.threads(),
-                            kernel_variant: kernel.variant().name().to_string(),
                             error_bound,
                             error_bounds: error_bounds.clone(),
                             poisson: poisson_stats,
@@ -1236,14 +1235,6 @@ impl SolvePlan {
                 },
             );
             rec.gauge_set("solver.bandwidth", pk.bandwidth as f64);
-            rec.gauge_set(
-                "solver.kernel_variant",
-                if self.config.kernel.resolve() == ResolvedKernel::Simd {
-                    1.0
-                } else {
-                    0.0
-                },
-            );
         }
         error_bound
     }
@@ -1312,7 +1303,6 @@ impl SolvePlan {
             u0,
             pool_guard.as_deref_mut(),
         );
-        kernel.set_variant(config.kernel.resolve());
         kernel.set_recorder(rec.clone());
         if let Some(pi) = pi {
             kernel.set_projection(pi);

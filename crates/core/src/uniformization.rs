@@ -80,17 +80,13 @@ pub struct SolverConfig {
     /// changes results — the two kernels are bit-identical (see
     /// `somrm_linalg::dia`).
     pub format: MatrixFormat,
-    /// Arithmetic variant of the fused kernel. The default
-    /// [`KernelVariant::Auto`] (overridable via the `SOMRM_KERNEL`
-    /// environment variable, read once per process) runs the
-    /// canonical-FMA simd path when the CPU has AVX2+FMA and the strict
-    /// scalar reference otherwise. `Scalar` pins the bit-exact
-    /// historical arithmetic; `Simd` forces the FMA path (portable
-    /// fallback without AVX2 — same bits, less speed). Within either
-    /// variant results stay bit-identical across matrix formats and
-    /// thread counts; *between* variants they differ by rounding
-    /// reassociation, far inside the Theorem-4 tolerance (see
-    /// `somrm_linalg::simd`).
+    /// Read by nothing under `crates/`: the fused kernel has one
+    /// arithmetic, strict f64 in canonical order, which runs on AVX2
+    /// lanes where the CPU has them and on portable lanes otherwise,
+    /// with the same bits (see `somrm_linalg::simd`). The field and
+    /// its single-valued [`KernelVariant`] stay only because the
+    /// benchmark still sets them; the next benchmark change removes
+    /// both.
     pub kernel: KernelVariant,
     /// Telemetry sink. Disabled by default: every instrumentation site
     /// degrades to a single branch, and no [`SolveReport`] is built.
@@ -118,7 +114,7 @@ impl Default for SolverConfig {
             threads: 1,
             parallel_threshold: 4096,
             format: MatrixFormat::Auto,
-            kernel: KernelVariant::from_env(),
+            kernel: KernelVariant::Auto,
             recorder: RecorderHandle::disabled(),
             progress: false,
             events: EventLogHandle::disabled(),
@@ -476,7 +472,6 @@ pub(crate) fn attach_degenerate_report(
             n_states: model.n_states(),
             n_times: solutions.len(),
             threads: 1,
-            kernel_variant: config.kernel.resolve().name().to_string(),
             error_bound: 0.0,
             error_bounds: vec![0.0; order + 1],
             poisson: Vec::new(),

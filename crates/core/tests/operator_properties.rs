@@ -14,7 +14,7 @@ use somrm_core::terminal::moments_terminal_weighted;
 use somrm_core::uniformization::{moments_sweep, MomentSolution, SolverConfig};
 use somrm_core::ModelStructure;
 use somrm_ctmc::generator::GeneratorBuilder;
-use somrm_linalg::{KernelVariant, Mat, MatrixFormat};
+use somrm_linalg::{Mat, MatrixFormat};
 
 /// A 2×3 Kronecker-sum model: two small factor generators plus the
 /// matching flat generator, assembled entry-for-entry so the operator
@@ -55,9 +55,6 @@ fn config(format: MatrixFormat, threads: usize) -> SolverConfig {
     SolverConfig {
         format,
         threads,
-        // Pin the bit-exact reference kernel; SIMD lane reassociation is
-        // covered by its own tolerance-based tests.
-        kernel: KernelVariant::Scalar,
         // Exercise the pool even on these tiny models.
         parallel_threshold: 0,
         ..SolverConfig::default()

@@ -45,37 +45,31 @@
 //! a single thread. The kernel resolves the [`IterationMatrix`] once, so
 //! the CSR and DIA backends share every other line of the pass and
 //! inherit the same determinism contract. The matrix-free operator
-//! backend (`crate::operator`) joins the same classes: its scalar rows
-//! use the identical ascending-column `+=` chain (dots are stored, then
-//! combined with the same left-associated expression — stores are
-//! exact), and its fma rows the identical canonical `mul_add` chain with
-//! the combine applied via [`simd::axpy_fma`].
+//! backend (`crate::operator`) joins them: it stores each row's dot,
+//! computed with the same chain (stores are exact), and
+//! `simd::axpy` then adds the same two combine terms in the same
+//! order.
 //!
-//! # Kernel variants
+//! # Arithmetic
 //!
-//! The pass body comes in two arithmetic variants
-//! ([`crate::simd::KernelVariant`], selected per kernel with
-//! [`FusedMomentKernel::set_variant`]):
+//! There is one: strict f64 in canonical order. Each dot is the plain
+//! chain `dot + v·x` from `0.0` over ascending columns, the combine is
+//! `(dot + r'·w₁) + ½s'·w₂`, and the Poisson accumulate is a plain
+//! product `wk·u` fed to the Neumaier update; no multiply-add is fused
+//! (Rust never contracts `a·b + c` on its own, whatever the target
+//! CPU). The row loops are written once over `simd::Lanes`: four rows
+//! per AVX2 register where the CPU has AVX2, one `f64` row otherwise.
+//! Every lane operation is the correctly rounded f64 operation, so both
+//! widths give the same bits, which are also those of the plain
+//! matrix–vector loop (`CsrMatrix::matvec_into`, then the combine) and
+//! of the golden file `tests/regressions/scalar-golden.json`.
 //!
-//! * **scalar** — the strict-f64 reference above, unchanged; bitwise
-//!   results are pinned across releases by golden files.
-//! * **simd** — the same recursion in *canonical FMA association*: each
-//!   row's dot is a left-to-right chain of correctly-rounded
-//!   `mul_add`s over ascending columns, the combine is
-//!   `fma(½s', w₂, fma(r', w₁, dot))`, and the Poisson accumulate is
-//!   unchanged (plain multiply into the Neumaier update). Everything
-//!   the determinism section promises still holds *within* the
-//!   variant — CSR vs DIA, any thread count, AVX2 lanes vs the
-//!   portable fallback all agree bitwise — but scalar vs simd differ
-//!   by rounding reassociation (bounded far below the Theorem-4
-//!   truncation tolerance; the verify oracle checks this).
-//!
-//! The simd DIA interior is a single-pass row loop over groups of four
-//! rows (`simd::Lanes`): it reads each `U` row from memory once and does
-//! every order's dot, combine and Neumaier update in registers,
-//! specialized at compile time for orders 0–3 and three diagonals. The
-//! accumulators live in two planes (running sums, compensations), so
-//! the vector Neumaier update needs no shuffles.
+//! The DIA interior is a single-pass row loop over groups of rows: it
+//! reads each `U` row from memory once and does every order's dot,
+//! combine and Neumaier update in registers, specialized at compile time
+//! for orders 0–3 and three diagonals. The accumulators live in two
+//! planes (running sums, compensations), so the vector Neumaier update
+//! needs no shuffles.
 //!
 //! # Weighted runs
 //!
@@ -88,15 +82,15 @@
 //! sums; the lanes of a step are reduced as `(l₀+l₁)+(l₂+l₃)` after the
 //! stretch. Every lane receives its rows in ascending order on every
 //! schedule, so `aⱼ(k)` is bit-identical across wavefront blocks,
-//! stretch lengths and matrix backends (within one arithmetic variant);
-//! a pooled kernel reduces its chunks' partial sums in chunk order, which
-//! agrees with a serial run only up to rounding.
+//! stretch lengths and matrix backends; a pooled kernel reduces its
+//! chunks' partial sums in chunk order, which agrees with a serial run
+//! only up to rounding.
 
 use crate::dia::{DiaMatrix, IterationMatrix};
 use crate::footprint::FootprintBytes;
 use crate::operator::KroneckerSum;
 use crate::pool::{chunk_range, PoolStats, SyncMutPtr, WorkerPool};
-use crate::simd::{self, lanes_fit, load_lanes, store_lanes, Lanes, ResolvedKernel, PROJ_LANES};
+use crate::simd::{self, lanes_fit, load_lanes, store_lanes, Lanes, PROJ_LANES};
 use somrm_num::sum::neumaier_add;
 use somrm_obs::RecorderHandle;
 use std::ops::Range;
@@ -291,7 +285,6 @@ pub struct FusedMomentKernel<'a> {
     n_times: usize,
     chunks: usize,
     pool: KernelPool<'a>,
-    variant: ResolvedKernel,
     band: usize,
     block_rows: usize,
     /// Steps per wavefront sweep (1: pass by pass).
@@ -454,7 +447,6 @@ impl<'a> FusedMomentKernel<'a> {
             n_times,
             chunks,
             pool,
-            variant: ResolvedKernel::Scalar,
             band,
             block_rows,
             depth: 1,
@@ -525,20 +517,6 @@ impl<'a> FusedMomentKernel<'a> {
         self.u_cur.copy_from_slice(u);
     }
 
-    /// Selects the arithmetic variant of the pass body. Defaults to
-    /// [`ResolvedKernel::Scalar`] (the strict reference); solvers set
-    /// this from the resolved [`crate::simd::KernelVariant`] of their
-    /// config. Switching mid-recursion is allowed but pointless — set
-    /// it once before the first pass.
-    pub fn set_variant(&mut self, variant: ResolvedKernel) {
-        self.variant = variant;
-    }
-
-    /// The arithmetic variant the pass body runs.
-    pub fn variant(&self) -> ResolvedKernel {
-        self.variant
-    }
-
     /// Attaches a telemetry recorder; each stretch is then timed under
     /// `"kernel.pass"` and its steps counted under `"kernel.passes"`, so
     /// the time per pass is `kernel.pass` total over `kernel.passes`.
@@ -587,17 +565,10 @@ impl<'a> FusedMomentKernel<'a> {
     }
 
     fn run_stretch(&mut self, pairs: &[(usize, f64)], ends: &[usize], advance_last: bool) {
-        let variant = self.variant;
         if self.pi.is_empty() {
-            self.run_stretch_with(pairs, ends, advance_last, |ctx, rows| match variant {
-                ResolvedKernel::Scalar => scalar_rows::<false>(ctx, rows),
-                ResolvedKernel::Simd => simd_rows::<false>(ctx, rows),
-            });
+            self.run_stretch_with(pairs, ends, advance_last, simd_rows::<false>);
         } else {
-            self.run_stretch_with(pairs, ends, advance_last, |ctx, rows| match variant {
-                ResolvedKernel::Scalar => scalar_rows::<true>(ctx, rows),
-                ResolvedKernel::Simd => simd_rows::<true>(ctx, rows),
-            });
+            self.run_stretch_with(pairs, ends, advance_last, simd_rows::<true>);
             self.reduce_projection(ends.len());
         }
     }
@@ -923,229 +894,29 @@ impl PassCtx<'_> {
     }
 }
 
-/// The strict-f64 reference body — the historical kernel, bit for bit.
-/// Plain `*`/`+` in source order; no fused multiply-add. `P`: a weighted
-/// run, adding each row's projection into its lanes.
-fn scalar_rows<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
-    let n = ctx.n;
-    let order1 = ctx.order1;
-    let u_cur = ctx.u_cur;
-    let u_next = &ctx.u_next;
-    let r_prime = ctx.r_prime;
-    let s_half = ctx.s_half;
-    for &(ti, wk) in ctx.active {
-        for j in 0..order1 {
-            let uj = &u_cur[j * n..(j + 1) * n];
-            let base = (ti * order1 + j) * n;
-            for i in range.clone() {
-                // SAFETY: bodies write disjoint rows.
-                unsafe {
-                    neumaier_add(
-                        &mut *ctx.acc_sum.add(base + i),
-                        &mut *ctx.acc_comp.add(base + i),
-                        wk * uj[i],
-                    )
-                };
-            }
-        }
-    }
-    if P {
-        for j in 0..order1 {
-            let uj = &u_cur[j * n..(j + 1) * n];
-            // SAFETY: only this body touches its chunk's lanes.
-            let lanes = unsafe { ctx.lanes(j) };
-            for i in range.clone() {
-                lanes[i % PROJ_LANES] += ctx.pi[i] * uj[i];
-            }
-        }
-    }
-    if !ctx.advance {
-        return;
-    }
-    match ctx.parts {
-        MatrixParts::Csr(row_ptr, col_idx, values) => {
-            for j in 0..order1 {
-                let uj = &u_cur[j * n..(j + 1) * n];
-                for i in range.clone() {
-                    let mut dot = 0.0;
-                    for k in row_ptr[i]..row_ptr[i + 1] {
-                        dot += values[k] * uj[col_idx[k]];
-                    }
-                    let v = if j >= 2 {
-                        dot + r_prime[i] * u_cur[(j - 1) * n + i]
-                            + s_half[i] * u_cur[(j - 2) * n + i]
-                    } else if j == 1 {
-                        dot + r_prime[i] * u_cur[i]
-                    } else {
-                        dot
-                    };
-                    // SAFETY: bodies write disjoint rows.
-                    unsafe { *u_next.add(j * n + i) = v };
-                }
-            }
-        }
-        MatrixParts::Dia(offsets, data) => {
-            // Single pass per row, like the CSR branch: interior rows —
-            // where every diagonal is in band — run branch-free, and the
-            // handful of edge rows near the matrix border guard each
-            // diagonal individually. Per-row terms accumulate in
-            // ascending-offset order (= ascending columns, the CSR dot's
-            // term order) into the same left-associated combine, so both
-            // backends stay bit-identical.
-            let int_lo = range.start.max(ctx.interior.start).min(range.end);
-            let int_hi = range.end.min(ctx.interior.end).max(int_lo);
-            let diag = |d: usize| &data[d * n..(d + 1) * n];
-            let combine = |j: usize, i: usize, dot: f64| {
-                if j >= 2 {
-                    dot + r_prime[i] * u_cur[(j - 1) * n + i] + s_half[i] * u_cur[(j - 2) * n + i]
-                } else if j == 1 {
-                    dot + r_prime[i] * u_cur[i]
-                } else {
-                    dot
-                }
-            };
-            for j in 0..order1 {
-                let uj = &u_cur[j * n..(j + 1) * n];
-                for i in (range.start..int_lo).chain(int_hi..range.end) {
-                    let mut dot = 0.0;
-                    for (&o, diag) in offsets.iter().zip(data.chunks_exact(n)) {
-                        if DiaMatrix::diag_rows(n, o).contains(&i) {
-                            dot += diag[i] * uj[(i as isize + o) as usize];
-                        }
-                    }
-                    // SAFETY: bodies write disjoint rows.
-                    unsafe { *u_next.add(j * n + i) = combine(j, i, dot) };
-                }
-            }
-            if matches!(offsets, [-1, 0, 1]) {
-                // The paper-scale shape (birth–death chains). The
-                // interior is tiled into row blocks with the order loop
-                // *inside* the block, so the three diagonals and the
-                // `r'`/`½s'` streams are re-read from cache for the
-                // higher orders. Within a block every stream is
-                // pre-sliced and the order-`j` combine is unswitched, so
-                // the row loop is branch- and bounds-check-free and
-                // vectorizes. The += chain keeps the exact
-                // ascending-column association of the CSR dot; tiling
-                // only reorders *which rows* are computed when, never a
-                // row's own term order, so the result stays
-                // bit-identical.
-                const BLOCK: usize = 4096;
-                let mut blo = int_lo;
-                while blo < int_hi {
-                    let bhi = (blo + BLOCK).min(int_hi);
-                    let len = bhi - blo;
-                    let dm1 = &diag(0)[blo..bhi];
-                    let d0 = &diag(1)[blo..bhi];
-                    let dp1 = &diag(2)[blo..bhi];
-                    let rp = &r_prime[blo..bhi];
-                    let sh = &s_half[blo..bhi];
-                    for j in 0..order1 {
-                        let uj = &u_cur[j * n..(j + 1) * n];
-                        let um1 = &uj[blo - 1..bhi - 1];
-                        let u00 = &uj[blo..bhi];
-                        let up1 = &uj[blo + 1..bhi + 1];
-                        // SAFETY: bodies write disjoint rows.
-                        let out =
-                            unsafe { std::slice::from_raw_parts_mut(u_next.add(j * n + blo), len) };
-                        let tri = |idx: usize| {
-                            let mut dot = 0.0;
-                            dot += dm1[idx] * um1[idx];
-                            dot += d0[idx] * u00[idx];
-                            dot += dp1[idx] * up1[idx];
-                            dot
-                        };
-                        if j >= 2 {
-                            let w1 = &u_cur[(j - 1) * n + blo..(j - 1) * n + bhi];
-                            let w2 = &u_cur[(j - 2) * n + blo..(j - 2) * n + bhi];
-                            for idx in 0..len {
-                                out[idx] = tri(idx) + rp[idx] * w1[idx] + sh[idx] * w2[idx];
-                            }
-                        } else if j == 1 {
-                            let w1 = &u_cur[blo..bhi];
-                            for idx in 0..len {
-                                out[idx] = tri(idx) + rp[idx] * w1[idx];
-                            }
-                        } else {
-                            for idx in 0..len {
-                                out[idx] = tri(idx);
-                            }
-                        }
-                    }
-                    blo = bhi;
-                }
-            } else {
-                for j in 0..order1 {
-                    let uj = &u_cur[j * n..(j + 1) * n];
-                    for i in int_lo..int_hi {
-                        let mut dot = 0.0;
-                        for (&o, diag) in offsets.iter().zip(data.chunks_exact(n)) {
-                            dot += diag[i] * uj[(i as isize + o) as usize];
-                        }
-                        // SAFETY: bodies write disjoint rows.
-                        unsafe { *u_next.add(j * n + i) = combine(j, i, dot) };
-                    }
-                }
-            }
-        }
-        MatrixParts::Op(op) => {
-            // The operator computes these rows' dots straight into
-            // `u_next` (the store is exact), then the diagonal combine
-            // rewrites each cell with the canonical left-associated
-            // `dot + r'·w₁ + ½s'·w₂` expression — bitwise the same chain
-            // as the CSR branch above.
-            let len = range.len();
-            let lo = range.start;
-            for j in 0..order1 {
-                let uj = &u_cur[j * n..(j + 1) * n];
-                // SAFETY: bodies write disjoint rows.
-                let out = unsafe { std::slice::from_raw_parts_mut(u_next.add(j * n + lo), len) };
-                op.matvec_range_scalar(uj, out, range.clone());
-                if j >= 2 {
-                    let w1 = &u_cur[(j - 1) * n + lo..(j - 1) * n + range.end];
-                    let w2 = &u_cur[(j - 2) * n + lo..(j - 2) * n + range.end];
-                    let rp = &r_prime[range.clone()];
-                    let sh = &s_half[range.clone()];
-                    for idx in 0..len {
-                        out[idx] = out[idx] + rp[idx] * w1[idx] + sh[idx] * w2[idx];
-                    }
-                } else if j == 1 {
-                    let w1 = &u_cur[lo..range.end];
-                    let rp = &r_prime[range.clone()];
-                    for idx in 0..len {
-                        out[idx] += rp[idx] * w1[idx];
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The canonical-FMA combine shared by the simd CSR rows and the simd
-/// DIA edge rows: `fma(½s'[i], w₂, fma(r'[i], w₁, dot))`. The DIA
-/// interior applies the identical two terms lane-wise, and the operator
-/// rows via [`simd::axpy_fma`], so every simd row agrees bitwise
-/// regardless of path.
+/// The canonical combine of row `i` at order `j`:
+/// `(dot + r'[i]·u⁽ʲ⁻¹⁾[i]) + ½s'[i]·u⁽ʲ⁻²⁾[i]`, the terms of orders below
+/// 0 left out. The DIA interior adds the same two terms lane-wise, and
+/// the operator rows with `simd::axpy`, so every row agrees bitwise
+/// whatever its path.
 #[inline(always)]
-fn fma_combine(ctx: &PassCtx, j: usize, i: usize, dot: f64) -> f64 {
+fn combine(ctx: &PassCtx, j: usize, i: usize, dot: f64) -> f64 {
     let n = ctx.n;
-    if j >= 2 {
-        ctx.s_half[i].mul_add(
-            ctx.u_cur[(j - 2) * n + i],
-            ctx.r_prime[i].mul_add(ctx.u_cur[(j - 1) * n + i], dot),
-        )
-    } else if j == 1 {
-        ctx.r_prime[i].mul_add(ctx.u_cur[i], dot)
-    } else {
-        dot
+    let mut v = dot;
+    if j >= 1 {
+        v += ctx.r_prime[i] * ctx.u_cur[(j - 1) * n + i];
     }
+    if j >= 2 {
+        v += ctx.s_half[i] * ctx.u_cur[(j - 2) * n + i];
+    }
+    v
 }
 
 /// Orders whose projection lanes the DIA interior keeps in registers
 /// (the orders its specialized loops cover).
 const PROJ_REG_ORDERS: usize = 4;
 
-/// Row-block size of the simd CSR and operator bodies: 2048 rows =
+/// Row-block size of the CSR and operator rows: 2048 rows =
 /// 16 KiB per order stream, sized so a block of every order's `U_k`
 /// plus the matrix and combine streams stays in L1/L2 while all time
 /// points and orders consume it.
@@ -1161,23 +932,21 @@ const CSR_PREFETCH_ROWS: usize = 8;
 /// lookahead row's indices costs more than the stall it would hide.
 const CSR_PREFETCH_MIN_NNZ_PER_ROW: usize = 8;
 
-/// The canonical-FMA body. The DIA interior runs the single-pass row
+/// The pass body over `range`. The DIA interior runs the single-pass row
 /// loop [`dia_groups`]; CSR and operator rows are tiled into
 /// [`SIMD_BLOCK`] row blocks where the Poisson-weighted accumulate runs
 /// for every `(time, order)` pair while the `U_k` rows are cache-hot,
 /// then the advance re-reads the same rows (the CSR gather is
 /// software-prefetched [`CSR_PREFETCH_ROWS`] rows ahead).
 ///
-/// Dispatch: with AVX2+FMA detected the body runs inside a
-/// `#[target_feature]` wrapper so every `mul_add` compiles to a single
-/// `vfmadd` and the DIA interior runs four rows per register — without
-/// it (portable builds, or `--kernel simd` forced on older CPUs) the same
-/// body runs one row at a time and `mul_add` falls back to the
-/// correctly-rounded libm fma, producing identical bits at lower speed.
+/// Dispatch: with AVX2 detected the body runs inside a
+/// `#[target_feature]` wrapper and the DIA interior and the accumulates
+/// run four rows per register; without it the same body runs one row at
+/// a time, with the same bits.
 fn simd_rows<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
     #[cfg(target_arch = "x86_64")]
-    if simd::fma_available() {
-        // SAFETY: AVX2+FMA presence was just checked at runtime.
+    if simd::avx2_available() {
+        // SAFETY: AVX2 presence was just checked at runtime.
         unsafe { simd_rows_avx2::<P>(ctx, range) };
         return;
     }
@@ -1187,14 +956,14 @@ fn simd_rows<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
 
 /// # Safety
 ///
-/// The CPU must support AVX2 and FMA.
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2")]
 unsafe fn simd_rows_avx2<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
     simd_rows_impl::<simd::Avx2Lanes, P>(ctx, range);
 }
 
-/// The simd body with the DIA interior in groups of `V::WIDTH` rows.
+/// The pass body with the DIA interior in groups of `V::WIDTH` rows.
 /// `P`: a weighted run, adding each row's projection into its lanes, in
 /// ascending row order around the interior so every lane sees its rows
 /// in order.
@@ -1221,11 +990,11 @@ unsafe fn simd_rows_impl<V: Lanes, const P: bool>(ctx: &PassCtx, range: Range<us
                     let mut dot = 0.0;
                     for (&o, diag) in offsets.iter().zip(data.chunks_exact(n)) {
                         if DiaMatrix::diag_rows(n, o).contains(&i) {
-                            dot = diag[i].mul_add(u_cur[j * n + (i as isize + o) as usize], dot);
+                            dot += diag[i] * u_cur[j * n + (i as isize + o) as usize];
                         }
                     }
                     // SAFETY: bodies write disjoint rows.
-                    unsafe { *ctx.u_next.add(j * n + i) = fma_combine(ctx, j, i, dot) };
+                    unsafe { *ctx.u_next.add(j * n + i) = combine(ctx, j, i, dot) };
                 }
             }
         }
@@ -1284,33 +1053,32 @@ unsafe fn simd_rows_impl<V: Lanes, const P: bool>(ctx: &PassCtx, range: Range<us
                             }
                             let mut dot = 0.0;
                             for k in row_ptr[i]..row_ptr[i + 1] {
-                                dot = values[k].mul_add(uj[col_idx[k]], dot);
+                                dot += values[k] * uj[col_idx[k]];
                             }
-                            let v = fma_combine(ctx, j, i, dot);
+                            let v = combine(ctx, j, i, dot);
                             // SAFETY: bodies write disjoint rows.
                             unsafe { *ctx.u_next.add(j * n + i) = v };
                         }
                     }
                 }
                 MatrixParts::Op(op) => {
-                    // The operator's canonical-FMA rows land in
-                    // `u_next`, then `axpy_fma` applies the identical
-                    // `r'`/`½s'` terms lane-wise (same chain as
-                    // `fma_combine`).
+                    // The operator's dots land in `u_next`, then `axpy`
+                    // adds the `r'` and `½s'` terms in `combine`'s
+                    // order.
                     for j in 0..order1 {
                         let uj = &u_cur[j * n..(j + 1) * n];
                         // SAFETY: bodies write disjoint rows.
                         let out = unsafe {
                             std::slice::from_raw_parts_mut(ctx.u_next.add(j * n + blo), len)
                         };
-                        op.matvec_range_fma(uj, out, blo..bhi);
+                        op.matvec_range(uj, out, blo..bhi);
                         if j >= 1 {
                             let w1 = &u_cur[(j - 1) * n + blo..(j - 1) * n + bhi];
-                            simd::axpy_fma(out, &ctx.r_prime[blo..bhi], w1);
+                            simd::axpy(out, &ctx.r_prime[blo..bhi], w1);
                         }
                         if j >= 2 {
                             let w2 = &u_cur[(j - 2) * n + blo..(j - 2) * n + bhi];
-                            simd::axpy_fma(out, &ctx.s_half[blo..bhi], w2);
+                            simd::axpy(out, &ctx.s_half[blo..bhi], w2);
                         }
                     }
                 }
@@ -1350,10 +1118,9 @@ unsafe fn dia_interior<V: Lanes, const P: bool>(
 
 /// The single-pass DIA interior: rows `lo..hi` in groups of `V::WIDTH`.
 /// Each group loads its diagonals, `r'` and `½s'` once; computes per
-/// order the canonical-FMA dot over ascending offsets (`d₀·x₀`, then one
-/// `mul_add` per further diagonal, as a strip dot would) and the
-/// combine `fma(½s', w₂, fma(r', w₁, dot))`, carrying the lower orders'
-/// `U` values in registers; then, per active time point, the Neumaier
+/// order the dot `0 + d₀·x₀ + d₁·x₁ + …` over ascending offsets and the
+/// combine `(dot + r'·w₁) + ½s'·w₂`, carrying the lower orders' `U`
+/// values in registers; then, per active time point, the Neumaier
 /// update of every order's accumulators — so each `U` row comes from
 /// memory once per pass, and the per-time loop runs once per group
 /// rather than once per order. `O1` (= order + 1) and `ND` (the diagonal
@@ -1427,18 +1194,15 @@ unsafe fn dia_groups<V: Lanes, const O1: usize, const ND: usize, const P: bool>(
             let (mut w1, mut w2) = (r, r);
             for j in 0..order1 {
                 let uj = u.add(j * n + i);
-                let mut dot = match nd {
-                    0 => V::splat(0.0),
-                    _ => coeff(0).mul(V::load(uj.offset(offsets[0]))),
-                };
-                for d in 1..nd {
-                    dot = coeff(d).mul_add(V::load(uj.offset(offsets[d])), dot);
+                let mut dot = V::splat(0.0);
+                for d in 0..nd {
+                    dot = dot.add(coeff(d).mul(V::load(uj.offset(offsets[d]))));
                 }
                 if j >= 1 {
-                    dot = r.mul_add(w1, dot);
+                    dot = dot.add(r.mul(w1));
                 }
                 if j >= 2 {
-                    dot = s.mul_add(w2, dot);
+                    dot = dot.add(s.mul(w2));
                 }
                 dot.store(ctx.u_next.add(j * n + i));
                 w2 = w1;
@@ -1587,42 +1351,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_kernel_bitwise_matches_reference() {
-        let n = 257;
-        let order = 3;
-        let m = test_matrix(n);
-        let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
-        let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
-        let u0 = vec![1.0; n];
-        let active0 = [(0usize, 0.25f64), (1, 0.5)];
-        let active1 = [(1usize, 0.125f64)];
-        // The reference always runs CSR serially; both kernel backends
-        // (forced — the scattered test matrix fails the auto check) at
-        // every thread count must reproduce it bit for bit.
-        for format in [MatrixFormat::Csr, MatrixFormat::Dia] {
-            let im = stored(&m, format);
-            for threads in [1usize, 2, 4, 8] {
-                let mut fused =
-                    FusedMomentKernel::new(&im, &r_prime, &s_half, order, 2, &u0, threads);
-                let mut reference = Reference::new(n, order, 2, &u0);
-                for k in 0..30 {
-                    let active: &[(usize, f64)] = if k % 2 == 0 { &active0 } else { &active1 };
-                    let advance = k < 29;
-                    fused.step(active, advance);
-                    reference.step(&m, &r_prime, &s_half, active, advance);
+    /// A banded matrix (offsets `−band..=band`, with some in-band
+    /// entries left out) or a scattered one (diagonal, ring and one far
+    /// column per row) of `n` rows, its entries cycled from `vals`.
+    fn prop_matrix(n: usize, band: usize, vals: &[f64]) -> CsrMatrix<f64> {
+        let mut b = TripletBuilder::with_capacity(n, n, (2 * band + 1).max(3) * n);
+        let mut next = vals.iter().copied().cycle();
+        for i in 0..n {
+            if band == 0 {
+                for j in [i, (i + 1) % n, (i * 7 + 3) % n] {
+                    b.push(i, j, next.next().unwrap());
                 }
-                for ti in 0..2 {
-                    for j in 0..=order {
-                        let r: Vec<f64> = reference.acc[ti][j].iter().map(|a| a.value()).collect();
-                        assert_eq!(
-                            values(&fused, ti, j),
-                            r,
-                            "format {format}, threads {threads}, ti {ti}, j {j}"
-                        );
+            } else {
+                let lo = i.saturating_sub(band);
+                for j in lo..(i + band + 1).min(n) {
+                    if j == i || (i + 2 * j) % 5 != 0 {
+                        b.push(i, j, next.next().unwrap());
                     }
                 }
             }
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The kernel owes the pre-fusion loop (`CsrMatrix::matvec_into`,
+        /// then the combine) every bit of its accumulators and of its
+        /// final iterate: banded (tridiagonal, so the specialized DIA
+        /// shape, or pentadiagonal) and scattered matrices of 4–300 rows,
+        /// so whole lane groups, remainder rows and DIA edge rows all
+        /// run; orders 0–5; CSR and forced DIA; 1, 2 and 4 threads.
+        /// `r'`, `½s'` and the iterates stay non-negative, as in the
+        /// solver.
+        #[test]
+        fn fused_kernel_bitwise_matches_reference(
+            n in 4usize..=300,
+            band in 0usize..=2,
+            vals in prop::collection::vec(0.01f64..0.5, 1..16),
+            diag in prop::collection::vec(0.0f64..1.0, 1..16),
+            order in 0usize..=5,
+            dia in 0usize..2,
+            threads_idx in 0usize..3,
+            steps in 1usize..12,
+        ) {
+            let m = prop_matrix(n, band, &vals);
+            let cycled = |scale: f64, shift: usize| -> Vec<f64> {
+                (0..n).map(|i| scale * diag[(i + shift) % diag.len()]).collect()
+            };
+            let (r_prime, s_half, u0) = (cycled(1.0, 0), cycled(0.5, 1), cycled(2.0, 2));
+            let format = [MatrixFormat::Csr, MatrixFormat::Dia][dia];
+            let threads = [1usize, 2, 4][threads_idx];
+            let im = stored(&m, format);
+            let mut fused = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 2, &u0, threads);
+            let mut reference = Reference::new(n, order, 2, &u0);
+            let active0 = [(0usize, 0.25f64), (1, 0.5)];
+            let active1 = [(1usize, 0.125f64)];
+            for k in 0..steps {
+                let active: &[(usize, f64)] = if k % 2 == 0 { &active0 } else { &active1 };
+                let advance = k + 1 < steps;
+                fused.step(active, advance);
+                reference.step(&m, &r_prime, &s_half, active, advance);
+            }
+            let what = format!("{format}, {threads} threads, order {order}");
+            for ti in 0..2 {
+                for j in 0..=order {
+                    let r: Vec<f64> = reference.acc[ti][j].iter().map(|a| a.value()).collect();
+                    assert_bits(&values(&fused, ti, j), &r, &format!("{what}, ti {ti}, j {j}"));
+                }
+            }
+            assert_bits(fused.iterate(), &reference.u.concat(), &format!("{what}, iterate"));
         }
     }
 
@@ -1648,32 +1447,27 @@ mod tests {
         let r_prime: Vec<f64> = (0..n).map(|i| (i % 7) as f64 / 10.0).collect();
         let s_half: Vec<f64> = (0..n).map(|i| (i % 3) as f64 / 20.0).collect();
         let u0 = vec![1.0; n];
-        for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
-            for threads in [1usize, 3, 8] {
-                let mut a = FusedMomentKernel::new(&csr, &r_prime, &s_half, order, 1, &u0, threads);
-                let mut d = FusedMomentKernel::new(&dia, &r_prime, &s_half, order, 1, &u0, threads);
-                a.set_variant(variant);
-                d.set_variant(variant);
-                for k in 0..25 {
-                    let active = [(0usize, 0.5f64 / (k + 1) as f64)];
-                    a.step(&active, k < 24);
-                    d.step(&active, k < 24);
-                }
-                for j in 0..=order {
-                    assert_eq!(
-                        values(&a, 0, j),
-                        values(&d, 0, j),
-                        "{variant:?}, threads {threads}, j {j}"
-                    );
-                }
+        for threads in [1usize, 3, 8] {
+            let mut a = FusedMomentKernel::new(&csr, &r_prime, &s_half, order, 1, &u0, threads);
+            let mut d = FusedMomentKernel::new(&dia, &r_prime, &s_half, order, 1, &u0, threads);
+            for k in 0..25 {
+                let active = [(0usize, 0.5f64 / (k + 1) as f64)];
+                a.step(&active, k < 24);
+                d.step(&active, k < 24);
+            }
+            for j in 0..=order {
+                assert_eq!(
+                    values(&a, 0, j),
+                    values(&d, 0, j),
+                    "threads {threads}, j {j}"
+                );
             }
         }
     }
 
-    /// Runs 30 steps with the given variant and returns every
-    /// accumulated value, flattened. Mixed-sign `r'` exercises the
-    /// negative-intermediate paths of the canonical-FMA chain.
-    fn run_variant(im: &IterationMatrix, threads: usize, variant: ResolvedKernel) -> Vec<f64> {
+    /// Runs 30 steps and returns every accumulated value, flattened.
+    /// Mixed-sign `r'` makes some intermediates negative.
+    fn run_kernel(im: &IterationMatrix, threads: usize) -> Vec<f64> {
         let n = im.rows();
         let order = 3;
         let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0 - 0.4).collect();
@@ -1682,8 +1476,6 @@ mod tests {
         let active0 = [(0usize, 0.25f64), (1, 0.5)];
         let active1 = [(1usize, 0.125f64)];
         let mut k = FusedMomentKernel::new(im, &r_prime, &s_half, order, 2, &u0, threads);
-        k.set_variant(variant);
-        assert_eq!(k.variant(), variant);
         for step in 0..30 {
             let active: &[(usize, f64)] = if step % 2 == 0 { &active0 } else { &active1 };
             k.step(active, step < 29);
@@ -1764,61 +1556,20 @@ mod tests {
     }
 
     #[test]
-    fn operator_kernel_bitwise_matches_csr_kernel_scalar() {
+    fn operator_kernel_bitwise_matches_csr_kernel() {
         let (csr, op) = kronecker_pair();
+        let baseline = run_kernel(&csr, 1);
         for threads in [1usize, 2, 4, 8] {
-            let a = run_variant(&csr, threads, ResolvedKernel::Scalar);
-            let b = run_variant(&op, threads, ResolvedKernel::Scalar);
-            assert_bits(&a, &b, &format!("scalar operator x{threads}"));
-        }
-    }
-
-    #[test]
-    fn operator_kernel_bitwise_matches_csr_kernel_simd() {
-        let (csr, op) = kronecker_pair();
-        let baseline = run_variant(&csr, 1, ResolvedKernel::Simd);
-        for threads in [1usize, 2, 4, 8] {
-            let got = run_variant(&op, threads, ResolvedKernel::Simd);
-            assert_bits(&baseline, &got, &format!("simd operator x{threads}"));
-        }
-    }
-
-    #[test]
-    fn simd_variant_bitwise_across_formats_and_threads() {
-        // The canonical FMA association makes the simd variant its own
-        // determinism class: CSR vs (forced) DIA, every thread count,
-        // vector lanes vs remainder rows — all bit-identical.
-        let m = test_matrix(257);
-        let baseline = run_variant(&stored(&m, MatrixFormat::Csr), 1, ResolvedKernel::Simd);
-        for format in [MatrixFormat::Csr, MatrixFormat::Dia] {
-            for threads in [1usize, 2, 4, 8] {
-                let got = run_variant(&stored(&m, format), threads, ResolvedKernel::Simd);
-                assert_bits(&baseline, &got, &format!("simd {format} x{threads}"));
-            }
-        }
-    }
-
-    #[test]
-    fn simd_variant_agrees_with_scalar_within_rounding() {
-        // Scalar vs simd differ only by rounding reassociation: a few
-        // ulps per step, nowhere near the solver's truncation bounds.
-        let m = IterationMatrix::Csr(test_matrix(257));
-        let scalar = run_variant(&m, 1, ResolvedKernel::Scalar);
-        let simd = run_variant(&m, 1, ResolvedKernel::Simd);
-        let scale = scalar.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
-        for (i, (a, b)) in scalar.iter().zip(&simd).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-12 * scale,
-                "scalar vs simd at {i}: {a} vs {b} (scale {scale})"
-            );
+            let got = run_kernel(&op, threads);
+            assert_bits(&baseline, &got, &format!("operator x{threads}"));
         }
     }
 
     #[test]
     fn portable_lanes_match_the_dispatched_simd_body_bitwise() {
-        // The one-row `f64` lanes are the simd body on CPUs without
-        // AVX2+FMA; on CPUs with it they must still give the very bits of
-        // the four-row lanes, for every specialized order and shape.
+        // The one-row `f64` lanes are the pass body on CPUs without
+        // AVX2; on CPUs with it they must still give the very bits of the
+        // four-row lanes, for every specialized order and shape.
         let n = 37;
         for offsets in [&[-1isize, 0, 1][..], &[-2, -1, 0, 1, 2][..]] {
             let mut b = TripletBuilder::with_capacity(n, n, offsets.len() * n);
@@ -1841,7 +1592,6 @@ mod tests {
             for order in 0..=5 {
                 let run = |portable: bool| {
                     let mut k = FusedMomentKernel::new(&dia, &r_prime, &s_half, order, 2, &u0, 1);
-                    k.set_variant(ResolvedKernel::Simd);
                     for step in 0..12 {
                         let active = [(0usize, 0.25 / (step + 1) as f64), (1, 0.125)];
                         let (pairs, ends) = (&active[..step % 3], [step % 3]);
@@ -1976,54 +1726,50 @@ mod tests {
             let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
             let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
             let u0: Vec<f64> = (0..n).map(|i| 1.0 - (i % 3) as f64 * 0.25).collect();
-            for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
-                for order in 0..=5 {
-                    case += 1;
-                    let n_times = 1 + case % 3;
-                    let block_rows = [8usize, 13, 32, 64][case % 4];
-                    let depth = [2usize, 5, 16, 64][(case / 4) % 4];
-                    let weights = window_weights(n_times, g);
-                    let what = format!(
-                        "{name} {variant:?} order {order}, {n_times} times, \
-                         {block_rows}-row blocks, depth {depth}"
-                    );
+            for order in 0..=5 {
+                case += 1;
+                let n_times = 1 + case % 3;
+                let block_rows = [8usize, 13, 32, 64][case % 4];
+                let depth = [2usize, 5, 16, 64][(case / 4) % 4];
+                let weights = window_weights(n_times, g);
+                let what = format!(
+                    "{name} order {order}, {n_times} times, \
+                     {block_rows}-row blocks, depth {depth}"
+                );
 
-                    let mut by_pass =
-                        FusedMomentKernel::new(&matrix, &r_prime, &s_half, order, n_times, &u0, 1);
-                    by_pass.set_variant(variant);
-                    for (k, active) in weights.iter().enumerate() {
-                        by_pass.step(active, k < g);
-                    }
-
-                    let mut skewed =
-                        FusedMomentKernel::new(&matrix, &r_prime, &s_half, order, n_times, &u0, 1);
-                    skewed.set_variant(variant);
-                    skewed.set_block_rows(block_rows);
-                    if name == "kron" {
-                        assert_eq!(skewed.depth, 1, "Kronecker band is too wide to skew");
-                    } else {
-                        skewed.depth = depth;
-                    }
-                    let mut steps = StepWeights::new();
-                    let mut k0 = 0;
-                    for len in [1usize, 7, 3, 19].iter().cycle() {
-                        let k1 = (k0 + len - 1).min(g);
-                        steps.clear();
-                        for active in &weights[k0..=k1] {
-                            steps.push_step(active.iter().copied());
-                        }
-                        skewed.run(&steps, k1 < g);
-                        k0 = k1 + 1;
-                        if k0 > g {
-                            break;
-                        }
-                    }
-                    assert_bits(
-                        &kernel_state(&by_pass, n_times, order),
-                        &kernel_state(&skewed, n_times, order),
-                        &what,
-                    );
+                let mut by_pass =
+                    FusedMomentKernel::new(&matrix, &r_prime, &s_half, order, n_times, &u0, 1);
+                for (k, active) in weights.iter().enumerate() {
+                    by_pass.step(active, k < g);
                 }
+
+                let mut skewed =
+                    FusedMomentKernel::new(&matrix, &r_prime, &s_half, order, n_times, &u0, 1);
+                skewed.set_block_rows(block_rows);
+                if name == "kron" {
+                    assert_eq!(skewed.depth, 1, "Kronecker band is too wide to skew");
+                } else {
+                    skewed.depth = depth;
+                }
+                let mut steps = StepWeights::new();
+                let mut k0 = 0;
+                for len in [1usize, 7, 3, 19].iter().cycle() {
+                    let k1 = (k0 + len - 1).min(g);
+                    steps.clear();
+                    for active in &weights[k0..=k1] {
+                        steps.push_step(active.iter().copied());
+                    }
+                    skewed.run(&steps, k1 < g);
+                    k0 = k1 + 1;
+                    if k0 > g {
+                        break;
+                    }
+                }
+                assert_bits(
+                    &kernel_state(&by_pass, n_times, order),
+                    &kernel_state(&skewed, n_times, order),
+                    &what,
+                );
             }
         }
     }
@@ -2041,12 +1787,10 @@ mod tests {
         u0: &[f64],
         g: usize,
         threads: usize,
-        variant: ResolvedKernel,
         schedule: Option<(usize, usize)>,
         lens: &[usize],
     ) -> Vec<f64> {
         let mut k = FusedMomentKernel::new(matrix, r_prime, s_half, order, 0, u0, threads);
-        k.set_variant(variant);
         k.set_projection(pi);
         if let Some((block_rows, depth)) = schedule {
             k.set_block_rows(block_rows);
@@ -2087,63 +1831,56 @@ mod tests {
             let pi: Vec<f64> = (0..n)
                 .map(|i| (1 + i % 7) as f64 / (4 * n) as f64)
                 .collect();
-            for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
-                for order in 0..=5 {
-                    case += 1;
-                    let what = format!("{name} {variant:?} order {order}");
-                    let run = |schedule, lens: &[usize]| {
-                        weighted_run(
-                            &matrix, &r_prime, &s_half, &pi, order, &u0, g, 1, variant, schedule,
-                            lens,
-                        )
-                    };
-                    let by_pass = run(None, &[1]);
-                    let schedule =
-                        Some(([8usize, 13, 32, 64][case % 4], [2, 5, 16, 64][case / 4 % 4]));
-                    let skewed = run(schedule, &[1, 7, 3, 19]);
-                    assert_bits(&by_pass, &skewed, &what);
+            for order in 0..=5 {
+                case += 1;
+                let what = format!("{name} order {order}");
+                let run = |schedule, lens: &[usize]| {
+                    weighted_run(
+                        &matrix, &r_prime, &s_half, &pi, order, &u0, g, 1, schedule, lens,
+                    )
+                };
+                let by_pass = run(None, &[1]);
+                let schedule = Some(([8usize, 13, 32, 64][case % 4], [2, 5, 16, 64][case / 4 % 4]));
+                let skewed = run(schedule, &[1, 7, 3, 19]);
+                assert_bits(&by_pass, &skewed, &what);
 
-                    // Against πᵀU read off an accumulating kernel's
-                    // iterates: rounding only.
-                    let mut plain =
-                        FusedMomentKernel::new(&matrix, &r_prime, &s_half, order, 0, &u0, 1);
-                    plain.set_variant(variant);
-                    for k in 0..=g {
-                        for j in 0..=order {
-                            let want: f64 =
-                                plain.u_order(j).iter().zip(&pi).map(|(u, p)| u * p).sum();
-                            let got = by_pass[k * (order + 1) + j];
-                            assert!(
-                                (got - want).abs() <= 1e-13 * want.abs(),
-                                "{what} k {k} j {j}: {got} vs {want}"
-                            );
-                        }
-                        plain.step(&[], k < g);
-                    }
-
-                    // A pool sums its chunks' lanes in chunk order: within
-                    // rounding of the serial run, its iterate bitwise.
-                    let pooled = weighted_run(
-                        &matrix,
-                        &r_prime,
-                        &s_half,
-                        &pi,
-                        order,
-                        &u0,
-                        g,
-                        3,
-                        variant,
-                        None,
-                        &[1],
-                    );
-                    let split = (g + 1) * (order + 1);
-                    assert_bits(&by_pass[split..], &pooled[split..], &what);
-                    for (a, b) in by_pass[..split].iter().zip(&pooled[..split]) {
+                // Against πᵀU read off an accumulating kernel's
+                // iterates: rounding only.
+                let mut plain =
+                    FusedMomentKernel::new(&matrix, &r_prime, &s_half, order, 0, &u0, 1);
+                for k in 0..=g {
+                    for j in 0..=order {
+                        let want: f64 = plain.u_order(j).iter().zip(&pi).map(|(u, p)| u * p).sum();
+                        let got = by_pass[k * (order + 1) + j];
                         assert!(
-                            (a - b).abs() <= 1e-13 * a.abs(),
-                            "{what} pooled: {a} vs {b}"
+                            (got - want).abs() <= 1e-13 * want.abs(),
+                            "{what} k {k} j {j}: {got} vs {want}"
                         );
                     }
+                    plain.step(&[], k < g);
+                }
+
+                // A pool sums its chunks' lanes in chunk order: within
+                // rounding of the serial run, its iterate bitwise.
+                let pooled = weighted_run(
+                    &matrix,
+                    &r_prime,
+                    &s_half,
+                    &pi,
+                    order,
+                    &u0,
+                    g,
+                    3,
+                    None,
+                    &[1],
+                );
+                let split = (g + 1) * (order + 1);
+                assert_bits(&by_pass[split..], &pooled[split..], &what);
+                for (a, b) in by_pass[..split].iter().zip(&pooled[..split]) {
+                    assert!(
+                        (a - b).abs() <= 1e-13 * a.abs(),
+                        "{what} pooled: {a} vs {b}"
+                    );
                 }
             }
         }
@@ -2164,28 +1901,21 @@ mod tests {
             let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
             let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
             let pi = vec![1.0 / n as f64; n];
-            for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
-                let run = |im| {
-                    weighted_run(
-                        im,
-                        &r_prime,
-                        &s_half,
-                        &pi,
-                        3,
-                        &vec![1.0; n],
-                        g,
-                        1,
-                        variant,
-                        Some((32, 8)),
-                        &[5, 64],
-                    )
-                };
-                assert_bits(
-                    &run(csr),
-                    &run(other),
-                    &format!("{variant:?} csr vs {name}"),
-                );
-            }
+            let run = |im| {
+                weighted_run(
+                    im,
+                    &r_prime,
+                    &s_half,
+                    &pi,
+                    3,
+                    &vec![1.0; n],
+                    g,
+                    1,
+                    Some((32, 8)),
+                    &[5, 64],
+                )
+            };
+            assert_bits(&run(csr), &run(other), &format!("csr vs {name}"));
         }
     }
 

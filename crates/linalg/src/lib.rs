@@ -30,10 +30,9 @@
 //!   combine, and the Poisson-weighted moment accumulation, run in
 //!   stretches of passes as a time-skewed wavefront over cache-sized
 //!   row blocks (or chunk by chunk on the worker pool);
-//! * [`simd`] — the kernel-variant selector (`scalar` reference vs
-//!   canonical-FMA `simd`) with runtime AVX2/FMA dispatch and the
-//!   vectorized lane, combine and accumulate primitives the fused kernel
-//!   is written over;
+//! * [`simd`] — the lanes the fused kernel's row loops are written over
+//!   (four AVX2 rows or one `f64` row, with the same bits), their
+//!   runtime AVX2 dispatch, and the combine and accumulate primitives;
 //! * [`expm`] — matrix exponential by scaling-and-squaring with Padé(13),
 //!   generic over the scalar, used to evaluate `exp((Q − vR + v²S/2)t)`;
 //! * [`tridiag`] — symmetric tridiagonal eigensolver (implicit-shift QL)
@@ -78,5 +77,5 @@ pub use fused::{Accumulated, FusedMomentKernel, StepWeights, MAX_STRETCH_STEPS};
 pub use operator::{KroneckerSum, ModelStructure, OperatorMatrix};
 pub use pool::{PoolStats, WorkerPool};
 pub use scalar::{Cx, Scalar};
-pub use simd::{KernelVariant, ResolvedKernel};
+pub use simd::KernelVariant;
 pub use sparse::{CsrMatrix, TripletBuilder};

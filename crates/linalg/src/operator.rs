@@ -22,18 +22,16 @@
 //!   diagonal as `(raw_diag · (1/q)) + 1.0`, matching the
 //!   duplicate-summing triplet rebuild of `add_scaled_identity`;
 //! * each row's dot accumulates terms in ascending-column order with
-//!   the same left-associated `dot += v·x` chain (scalar) or canonical
-//!   `mul_add` chain starting from `0.0` (fma), exactly as the fused
-//!   kernel's CSR branch does;
+//!   the same left-associated chain `dot + v·x` from `0.0`, exactly as
+//!   the fused kernel's CSR branch does;
 //! * structural zeros are skipped outright, as CSR skips them.
 //!
-//! Scalar-kernel operator runs are therefore bitwise-identical to CSR
-//! runs of the same model; the `rnd-op-kron` verify arm pins this.
+//! Operator runs are therefore bitwise-identical to CSR runs of the same
+//! model; the `rnd-op-kron` verify arm pins this.
 
 use crate::dense::Mat;
 use crate::error::LinalgError;
 use crate::footprint::FootprintBytes;
-use crate::simd;
 use crate::sparse::CsrMatrix;
 use std::ops::Range;
 use std::sync::Arc;
@@ -230,8 +228,12 @@ impl KroneckerSum {
         &self.sizes
     }
 
-    #[inline(always)]
-    fn rows_with(&self, x: &[f64], out: &mut [f64], rows: Range<usize>, acc: impl Fn(f64, f64, f64) -> f64) {
+    /// Rows `rows` of `P'·x` into `out[0..rows.len()]` (`out[k]` is row
+    /// `rows.start + k`), so the fused kernel's disjoint row chunks drive
+    /// the operator like the CSR/DIA branches: each row the plain
+    /// left-associated chain `dot + v·x` from `0.0` in ascending-column
+    /// order.
+    pub fn matvec_range(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
         debug_assert_eq!(x.len(), self.n, "operator matvec: x length mismatch");
         debug_assert_eq!(out.len(), rows.len(), "operator matvec: out length mismatch");
         debug_assert!(rows.end <= self.n, "operator matvec: row range out of bounds");
@@ -256,11 +258,11 @@ impl KroneckerSum {
                 for c in 0..jk {
                     let a = f[(jk, c)];
                     if a > 0.0 {
-                        dot = acc(a * inv, x[base + c * s], dot);
+                        dot += a * inv * x[base + c * s];
                     }
                 }
             }
-            dot = acc(self.diag[i], x[i], dot);
+            dot += self.diag[i] * x[i];
             for k in (0..kk).rev() {
                 let jk = digits[k];
                 let s = self.strides[k];
@@ -269,24 +271,13 @@ impl KroneckerSum {
                 for c in jk + 1..self.sizes[k] {
                     let a = f[(jk, c)];
                     if a > 0.0 {
-                        dot = acc(a * inv, x[base + c * s], dot);
+                        dot += a * inv * x[base + c * s];
                     }
                 }
             }
             out[row_i] = dot;
             incr_digits(&mut digits, &self.sizes);
         }
-    }
-
-    #[inline(always)]
-    fn fma_rows(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
-        self.rows_with(x, out, rows, |v, x, dot| v.mul_add(x, dot));
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn fma_rows_avx2(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
-        self.fma_rows(x, out, rows);
     }
 }
 
@@ -306,27 +297,6 @@ impl KroneckerSum {
     /// Matrix dimension (the operator is square).
     pub fn rows(&self) -> usize {
         self.n
-    }
-
-    /// Rows `rows` of `P'·x` into `out[0..rows.len()]` (`out[k]` is row
-    /// `rows.start + k`), so the fused kernel's disjoint row chunks drive
-    /// the operator like the CSR/DIA branches: strict-f64 reference rows,
-    /// the plain left-associated `dot += v·x` chain in ascending-column
-    /// order.
-    pub fn matvec_range_scalar(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
-        self.rows_with(x, out, rows, |v, x, dot| dot + v * x);
-    }
-
-    /// [`KroneckerSum::matvec_range_scalar`] with canonical-FMA rows: the
-    /// correctly-rounded `mul_add` chain from `0.0` over the same terms.
-    pub fn matvec_range_fma(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) {
-        #[cfg(target_arch = "x86_64")]
-        if simd::fma_available() {
-            // SAFETY: AVX2+FMA presence was just checked at runtime.
-            unsafe { self.fma_rows_avx2(x, out, rows) };
-            return;
-        }
-        self.fma_rows(x, out, rows);
     }
 
     /// Maximum `|col − row|` over structural entries.
@@ -442,7 +412,7 @@ impl OperatorMatrix {
         self.inner.bandwidth()
     }
 
-    /// Full `y = A·x` with the scalar (strict-f64 reference) rows.
+    /// Full `y = A·x`.
     ///
     /// # Panics
     ///
@@ -450,7 +420,7 @@ impl OperatorMatrix {
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.rows(), "matvec: x length mismatch");
         assert_eq!(y.len(), self.rows(), "matvec: y length mismatch");
-        self.inner.matvec_range_scalar(x, y, 0..self.rows());
+        self.inner.matvec_range(x, y, 0..self.rows());
     }
 }
 
@@ -511,13 +481,13 @@ mod tests {
         let mut want = vec![f64::NAN; n];
         p.matvec_into(&x, &mut want);
         let mut got = vec![f64::NAN; n];
-        op.matvec_range_scalar(&x, &mut got, 0..n);
+        op.matvec_range(&x, &mut got, 0..n);
         assert_eq!(got, want, "full range");
         // Arbitrary sub-range starts exercise the digit decomposition.
         for lo in 0..n {
             for hi in lo..=n {
                 let mut part = vec![f64::NAN; hi - lo];
-                op.matvec_range_scalar(&x, &mut part, lo..hi);
+                op.matvec_range(&x, &mut part, lo..hi);
                 assert_eq!(part, want[lo..hi], "range {lo}..{hi}");
             }
         }
@@ -531,7 +501,7 @@ mod tests {
         let x = probe(n);
         let want = dense.matvec(&x);
         let mut got = vec![f64::NAN; n];
-        op.matvec_range_scalar(&x, &mut got, 0..n);
+        op.matvec_range(&x, &mut got, 0..n);
         assert_eq!(got, want);
     }
 
@@ -545,20 +515,6 @@ mod tests {
         assert_eq!(op, before);
         let wrong = TripletBuilder::new(3, 3).build();
         assert!(op.align_diagonal_with(&wrong).is_err());
-    }
-
-    #[test]
-    fn kron_fma_agrees_with_scalar_within_rounding() {
-        let op = KroneckerSum::new(sample_factors(), 10.0).unwrap();
-        let n = op.rows();
-        let x = probe(n);
-        let mut s = vec![0.0; n];
-        let mut f = vec![0.0; n];
-        op.matvec_range_scalar(&x, &mut s, 0..n);
-        op.matvec_range_fma(&x, &mut f, 0..n);
-        for i in 0..n {
-            assert!((s[i] - f[i]).abs() <= 1e-14 * s[i].abs().max(1.0), "row {i}");
-        }
     }
 
     #[test]

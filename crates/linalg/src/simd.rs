@@ -1,141 +1,62 @@
-//! Vectorized kernel primitives and the kernel-variant selector.
+//! Vectorized kernel primitives.
 //!
-//! The fused randomization kernel ([`crate::fused`]) comes in two
-//! variants:
+//! The fused randomization kernel ([`crate::fused`]) has one
+//! arithmetic: strict f64 in a canonical order. Every dot product is the
+//! plain chain `dot + v·x` from `0.0` over ascending columns, every
+//! diagonal combine is `(dot + r'·w₁) + ½s'·w₂`, and no multiply-add is
+//! ever fused. Its row loops are written once over `Lanes`, a group
+//! of rows held in registers: four rows in an AVX2 `__m256d`, or one
+//! plain `f64` (the portable path and the remainder rows). Each lane
+//! operation is the correctly rounded f64 operation of that lane, so
+//! both widths give the same bits, on every CPU.
 //!
-//! * **scalar** — the historical strict-f64 path: plain `*`/`+` in
-//!   source order, no fused multiply-add, no reassociation. This is the
-//!   bit-exact reference mode; its results are pinned by golden files.
-//! * **simd** — the per-row arithmetic is re-expressed in a *canonical
-//!   FMA association*: every dot product is a left-to-right chain of
-//!   correctly-rounded fused multiply-adds over ascending columns, and
-//!   the `R'`/`½S'` combine is applied as two further fused terms.
-//!   Because `f64::mul_add` and the AVX2 `vfmadd` instruction are both
-//!   correctly rounded, the same bits come out of the 4-wide AVX2
-//!   lanes, the scalar remainder rows, and the portable one-row
-//!   fallback — on every CPU, at every thread count, and on both the
-//!   CSR and DIA storage layouts. Only *scalar vs simd*
-//!   differ, by the usual rounding reassociation, which stays well
-//!   inside the Theorem-4 truncation tolerance the verify oracle
-//!   checks.
-//!
-//! Runtime dispatch: the AVX2+FMA code paths are compiled behind
-//! `#[target_feature]` and selected once per process via
-//! `is_x86_feature_detected!`. [`KernelVariant::Auto`] resolves to the
-//! simd variant only when the hardware has AVX2+FMA (the portable
-//! fallback is correct everywhere but `f64::mul_add` goes through libm
-//! without an FMA unit, so auto never picks it for speed).
+//! Runtime dispatch: the AVX2 code paths are compiled behind
+//! `#[target_feature(enable = "avx2")]` and selected once per process
+//! via `is_x86_feature_detected!`; without AVX2 the same loops run on
+//! the `f64` lanes.
 
 use somrm_num::sum::neumaier_add;
 
-/// Which fused-kernel implementation a solve should use.
-///
-/// Parsed from `--kernel scalar|simd|auto` on the CLI and from the
-/// `SOMRM_KERNEL` environment variable (the CI kernel-matrix leg forces
-/// `SOMRM_KERNEL=simd` across the whole test suite).
+/// A kernel selector with a single value. Nothing under `crates/` reads
+/// it: the kernel has one arithmetic, and its lane width follows the
+/// CPU. It stays only because the benchmark still names it (with
+/// `SolverConfig::kernel`), and the next benchmark change removes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelVariant {
-    /// Pick [`ResolvedKernel::Simd`] iff the CPU has AVX2+FMA.
+    /// The only kernel.
     #[default]
     Auto,
-    /// The strict-f64 reference path; bitwise-stable across releases.
-    Scalar,
-    /// The canonical-FMA path (AVX2 lanes or the portable one-row
-    /// fallback — same bits either way).
-    Simd,
 }
 
 impl KernelVariant {
-    /// All selectable variants with their command-line names.
-    pub const ALL: [(&'static str, KernelVariant); 3] = [
-        ("auto", KernelVariant::Auto),
-        ("scalar", KernelVariant::Scalar),
-        ("simd", KernelVariant::Simd),
-    ];
-
-    /// Resolves `Auto` against the detected CPU features.
-    pub fn resolve(self) -> ResolvedKernel {
-        match self {
-            KernelVariant::Scalar => ResolvedKernel::Scalar,
-            KernelVariant::Simd => ResolvedKernel::Simd,
-            KernelVariant::Auto => {
-                if fma_available() {
-                    ResolvedKernel::Simd
-                } else {
-                    ResolvedKernel::Scalar
-                }
-            }
-        }
+    /// The variant itself (there is nothing to resolve).
+    pub fn resolve(self) -> KernelVariant {
+        self
     }
 
-    /// The default variant, honouring the `SOMRM_KERNEL` environment
-    /// variable if set (invalid values fall back to `Auto`). Cached
-    /// after the first read.
-    pub fn from_env() -> KernelVariant {
-        use std::sync::OnceLock;
-        static FROM_ENV: OnceLock<KernelVariant> = OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var("SOMRM_KERNEL") {
-            Ok(v) => v.parse().unwrap_or(KernelVariant::Auto),
-            Err(_) => KernelVariant::Auto,
-        })
+    /// The lanes the kernel runs on this CPU: `"avx2"` or `"portable"`.
+    pub fn name(self) -> &'static str {
+        if avx2_available() {
+            "avx2"
+        } else {
+            "portable"
+        }
     }
 }
 
 impl std::fmt::Display for KernelVariant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            KernelVariant::Auto => "auto",
-            KernelVariant::Scalar => "scalar",
-            KernelVariant::Simd => "simd",
-        };
-        f.write_str(name)
+        f.write_str("auto")
     }
 }
 
-impl std::str::FromStr for KernelVariant {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(KernelVariant::Auto),
-            "scalar" => Ok(KernelVariant::Scalar),
-            "simd" => Ok(KernelVariant::Simd),
-            other => Err(format!(
-                "unknown kernel variant {other:?} (expected auto, scalar, or simd)"
-            )),
-        }
-    }
-}
-
-/// A [`KernelVariant`] after `Auto` resolution: what actually runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolvedKernel {
-    /// Strict-f64 reference arithmetic.
-    Scalar,
-    /// Canonical-FMA arithmetic (AVX2 or portable fallback).
-    Simd,
-}
-
-impl ResolvedKernel {
-    /// Stable lowercase name, used for gauges and report fields.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResolvedKernel::Scalar => "scalar",
-            ResolvedKernel::Simd => "simd",
-        }
-    }
-}
-
-/// Whether the AVX2+FMA fast path is usable on this CPU. Detected once.
-pub fn fma_available() -> bool {
+/// Whether the AVX2 lanes are usable on this CPU. Detected once.
+pub(crate) fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::OnceLock;
         static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
+        *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -186,61 +107,22 @@ pub fn prefetch_read(p: *const f64) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// axpy_fma: out[i] = fma(a[i], x[i], out[i])
-// ---------------------------------------------------------------------------
-
-/// Applies one fused combine term in place: `out[i] ← a[i]·x[i] + out[i]`
-/// (single rounding). Called once for the `R'` term and once for the
-/// `½S'` term, preserving the canonical association
-/// `fma(s_half, w2, fma(r_prime, w1, dot))`.
+/// Adds one combine term in place: `out[i] ← out[i] + a[i]·x[i]`, a
+/// plain product and then a plain sum. Applied for the `R'` term and then
+/// for the `½S'` term, it gives the canonical combine
+/// `(dot + r'·w₁) + ½s'·w₂`.
 ///
 /// # Panics
 ///
 /// Panics if the three slices differ in length.
-pub fn axpy_fma(out: &mut [f64], a: &[f64], x: &[f64]) {
+pub(crate) fn axpy(out: &mut [f64], a: &[f64], x: &[f64]) {
     assert!(
         a.len() == out.len() && x.len() == out.len(),
-        "axpy_fma: length mismatch"
+        "axpy: length mismatch"
     );
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: gated on runtime AVX2+FMA detection; lengths checked.
-        unsafe { axpy_fma_avx2(out, a, x) };
-        return;
+    for ((o, &a), &x) in out.iter_mut().zip(a).zip(x) {
+        *o += a * x;
     }
-    // SAFETY: lengths checked above.
-    unsafe { axpy_fma_from::<f64>(out, a, x, 0) };
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA, and the slices must have equal
-/// lengths.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_fma_avx2(out: &mut [f64], a: &[f64], x: &[f64]) {
-    let i = axpy_fma_from::<Avx2Lanes>(out, a, x, 0);
-    axpy_fma_from::<f64>(out, a, x, i);
-}
-
-/// Rows `from..` in whole groups of `V::WIDTH`; returns the first row
-/// left over.
-///
-/// # Safety
-///
-/// The slices have equal lengths and the CPU supports `V`.
-#[inline(always)]
-unsafe fn axpy_fma_from<V: Lanes>(out: &mut [f64], a: &[f64], x: &[f64], from: usize) -> usize {
-    let (po, pa, px) = (out.as_mut_ptr(), a.as_ptr(), x.as_ptr());
-    let mut i = from;
-    while i + V::WIDTH <= out.len() {
-        V::load(pa.add(i))
-            .mul_add(V::load(px.add(i)), V::load(po.add(i)))
-            .store(po.add(i));
-        i += V::WIDTH;
-    }
-    i
 }
 
 // ---------------------------------------------------------------------------
@@ -290,9 +172,6 @@ pub(crate) trait Lanes: Copy {
     /// `(l + r) % WIDTH`.
     fn rotate(self, r: usize) -> Self;
 
-    /// Lane-wise fused `self·b + c` (one rounding).
-    fn mul_add(self, b: Self, c: Self) -> Self;
-
     /// Neumaier update of the accumulator cells whose sums start at `sum`
     /// and compensations at `comp`: per lane, bitwise
     /// [`somrm_num::sum::neumaier_add`].
@@ -338,19 +217,14 @@ impl Lanes for f64 {
     }
 
     #[inline(always)]
-    fn mul_add(self, b: Self, c: Self) -> Self {
-        f64::mul_add(self, b, c)
-    }
-
-    #[inline(always)]
     unsafe fn neumaier(sum: *mut f64, comp: *mut f64, x: Self) {
         neumaier_add(&mut *sum, &mut *comp, x);
     }
 }
 
 /// Four rows in one AVX2 register. Values only come from the unsafe
-/// [`Lanes::load`]/[`Lanes::splat`], whose callers guarantee AVX2+FMA,
-/// so the safe arithmetic on an existing value is sound.
+/// [`Lanes::load`]/[`Lanes::splat`], whose callers guarantee AVX2, so
+/// the safe arithmetic on an existing value is sound.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub(crate) struct Avx2Lanes(core::arch::x86_64::__m256d);
@@ -376,7 +250,7 @@ impl Lanes for Avx2Lanes {
 
     #[inline(always)]
     fn mul(self, b: Self) -> Self {
-        // SAFETY: an `Avx2Lanes` exists only on AVX2+FMA hardware.
+        // SAFETY: an `Avx2Lanes` exists only on AVX2 hardware.
         Avx2Lanes(unsafe { core::arch::x86_64::_mm256_mul_pd(self.0, b.0) })
     }
 
@@ -398,12 +272,6 @@ impl Lanes for Avx2Lanes {
                 _ => permute::<0b10_01_00_11>(self.0),
             }
         })
-    }
-
-    #[inline(always)]
-    fn mul_add(self, b: Self, c: Self) -> Self {
-        // SAFETY: as in `mul`.
-        Avx2Lanes(unsafe { core::arch::x86_64::_mm256_fmadd_pd(self.0, b.0, c.0) })
     }
 
     #[inline(always)]
@@ -436,10 +304,8 @@ impl Lanes for Avx2Lanes {
 /// Folds one Poisson-weighted term into a strip of compensated
 /// accumulators stored as two planes: `(sums[i], comps[i]) ⊕ wk·u[i]`.
 ///
-/// Bitwise identical to [`neumaier_add`] per cell on every path. The
-/// product `wk·u[i]` is a plain (non-fused) multiply, matching the
-/// scalar kernel, so the accumulate is bitwise identical *across kernel
-/// variants* too.
+/// Bitwise identical to [`neumaier_add`] of the plain product `wk·u[i]`
+/// per cell, on either lane width.
 ///
 /// # Panics
 ///
@@ -450,8 +316,8 @@ pub(crate) fn accumulate_planes(sums: &mut [f64], comps: &mut [f64], u: &[f64], 
         "accumulate_planes: length mismatch"
     );
     #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: gated on runtime AVX2+FMA detection; lengths checked.
+    if avx2_available() {
+        // SAFETY: gated on runtime AVX2 detection; lengths checked.
         unsafe { accumulate_planes_avx2(sums, comps, u, wk) };
         return;
     }
@@ -461,10 +327,9 @@ pub(crate) fn accumulate_planes(sums: &mut [f64], comps: &mut [f64], u: &[f64], 
 
 /// # Safety
 ///
-/// The CPU must support AVX2 and FMA, and the slices must have equal
-/// lengths.
+/// The CPU must support AVX2, and the slices must have equal lengths.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2")]
 unsafe fn accumulate_planes_avx2(sums: &mut [f64], comps: &mut [f64], u: &[f64], wk: f64) {
     let i = accumulate_planes_from::<Avx2Lanes>(sums, comps, u, wk, 0);
     accumulate_planes_from::<f64>(sums, comps, u, wk, i);
@@ -574,52 +439,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn variant_parse_round_trip() {
-        for (name, v) in KernelVariant::ALL {
-            assert_eq!(name.parse::<KernelVariant>().unwrap(), v);
-            assert_eq!(v.to_string(), name);
-        }
-        assert!("avx9000".parse::<KernelVariant>().is_err());
-        assert_eq!("SIMD".parse::<KernelVariant>().unwrap(), KernelVariant::Simd);
-    }
-
-    #[test]
-    fn resolve_is_deterministic() {
-        assert_eq!(KernelVariant::Scalar.resolve(), ResolvedKernel::Scalar);
-        assert_eq!(KernelVariant::Simd.resolve(), ResolvedKernel::Simd);
-        let auto = KernelVariant::Auto.resolve();
-        assert_eq!(auto, KernelVariant::Auto.resolve());
-        if fma_available() {
-            assert_eq!(auto, ResolvedKernel::Simd);
-        } else {
-            assert_eq!(auto, ResolvedKernel::Scalar);
-        }
+    fn the_only_variant_names_the_lanes_it_runs() {
+        let kernel = KernelVariant::default();
+        assert_eq!(kernel.resolve(), KernelVariant::Auto);
+        assert_eq!(kernel.to_string(), "auto");
+        let want = if avx2_available() { "avx2" } else { "portable" };
+        assert_eq!(kernel.resolve().name(), want);
     }
 
     #[test]
     fn cpu_features_nonempty() {
         let feats = cpu_features();
         assert!(!feats.is_empty());
-        if fma_available() {
-            assert!(feats.contains("avx2") && feats.contains("fma"), "{feats}");
-        }
-    }
-
-    #[test]
-    fn axpy_fma_matches_mul_add() {
-        let n = 9;
-        let a: Vec<f64> = (0..n).map(|i| 0.1 * i as f64 - 0.3).collect();
-        let x: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.5)).collect();
-        let base: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut out = base.clone();
-        axpy_fma(&mut out, &a, &x);
-        let mut out_portable = base.clone();
-        // SAFETY: equal lengths; plain `f64` lanes run on any CPU.
-        unsafe { axpy_fma_from::<f64>(&mut out_portable, &a, &x, 0) };
-        for i in 0..n {
-            let want = a[i].mul_add(x[i], base[i]);
-            assert_eq!(out[i].to_bits(), want.to_bits(), "lane {i}");
-            assert_eq!(out_portable[i].to_bits(), want.to_bits(), "portable lane {i}");
+        if avx2_available() {
+            assert!(feats.contains("avx2"), "{feats}");
         }
     }
 
@@ -636,14 +469,14 @@ mod tests {
                 want[(first + m) % PROJ_LANES] += pi[m] * u[m];
             }
             let mut got = [0.5, 0.25, 0.125, 1.0];
-            if fma_available() {
+            if avx2_available() {
                 #[cfg(target_arch = "x86_64")]
                 {
-                    #[target_feature(enable = "avx2,fma")]
+                    #[target_feature(enable = "avx2")]
                     unsafe fn avx2(l: &mut [f64; PROJ_LANES], f: usize, p: &[f64], u: &[f64]) {
                         project_strip::<Avx2Lanes>(l, f, p, u);
                     }
-                    // SAFETY: AVX2+FMA detected; equal lengths.
+                    // SAFETY: AVX2 detected; equal lengths.
                     unsafe { avx2(&mut got, first, &pi, &u) };
                     assert_eq!(
                         got.map(f64::to_bits),

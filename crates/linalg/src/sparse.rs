@@ -673,8 +673,8 @@ impl CsrMatrix<f64> {
         });
     }
 
-    /// Parallel `y = A·x` on a persistent [`WorkerPool`]
-    /// (`crate::pool`), avoiding the per-call thread spawns of
+    /// Parallel `y = A·x` on a persistent [`WorkerPool`](crate::WorkerPool),
+    /// avoiding the per-call thread spawns of
     /// [`CsrMatrix::matvec_into_parallel`].
     ///
     /// Chunk boundaries depend only on `(rows, pool.threads())`, and each

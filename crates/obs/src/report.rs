@@ -81,10 +81,6 @@ pub struct SolverSection {
     pub n_times: usize,
     /// Effective worker threads engaged by the kernel.
     pub threads: usize,
-    /// Resolved arithmetic variant of the fused kernel (`"scalar"` or
-    /// `"simd"`; empty for solvers that predate variant dispatch or
-    /// never run the fused kernel).
-    pub kernel_variant: String,
     /// Realized Theorem-4 bound, worst over orders (what `G` guarantees).
     pub error_bound: f64,
     /// Realized Theorem-4 bound per order `0..=order`.
@@ -172,10 +168,6 @@ impl SolveReport {
                 push_num(&mut out, "n_states", s.n_states as f64);
                 push_num(&mut out, "n_times", s.n_times as f64);
                 push_num(&mut out, "threads", s.threads as f64);
-                out.push(',');
-                json::write_string(&mut out, "kernel_variant");
-                out.push(':');
-                json::write_string(&mut out, &s.kernel_variant);
                 push_num(&mut out, "error_bound", s.error_bound);
                 out.push_str(",\"error_bounds\":[");
                 for (i, &b) in s.error_bounds.iter().enumerate() {
@@ -217,7 +209,6 @@ impl SolveReport {
                     "n_states",
                     "n_times",
                     "threads",
-                    "kernel_variant",
                     "error_bound",
                     "error_bounds",
                     "poisson",
@@ -383,7 +374,6 @@ mod tests {
                 n_states: 2,
                 n_times: 1,
                 threads: 1,
-                kernel_variant: "scalar".into(),
                 error_bound: 4.2e-10,
                 error_bounds: vec![1e-12, 1e-11, 1e-10, 4.2e-10],
                 poisson: vec![PoissonStat {

@@ -30,7 +30,8 @@ pub use cache::{
     Answer, AnswerError, CacheStats, PlanCache, PlanKey, ProjectionStats, SERIES_BYTES_PER_PLAN,
 };
 pub use proto::{
-    parse_request, render_err, render_ok, ModelSpec, Request, RequestId, MAX_ORDER, MAX_TIMES,
+    parse_request, render_err, render_ok, ModelSpec, Request, RequestId, MAX_LINE_BYTES, MAX_ORDER,
+    MAX_TIMES,
 };
 pub use server::{
     serve, serve_batch, serve_batch_traced, BatchOutcome, ModelResolver, ServeOptions,

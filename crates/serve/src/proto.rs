@@ -38,8 +38,10 @@
 //!   order 16 (`G` ≈ 4.5·10⁷), the order-0 moment came back as
 //!   1.0000000160866536 with a bound of 1.6·10⁻⁹⁷.
 //!
-//! Any problem — unparsable line, missing fields, solver error — yields
-//! a structured error on the same line slot and never kills the server:
+//! Any problem — a line that is not UTF-8 or is longer than
+//! [`MAX_LINE_BYTES`], unparsable JSON, missing fields, a solver error —
+//! yields a structured error on the same line slot and never kills the
+//! server, which goes on with the next line:
 //!
 //! ```json
 //! {"id":null,"ok":false,"error":"..."}
@@ -96,6 +98,12 @@ pub const MAX_ORDER: usize = 16;
 /// holds its own Poisson window and solution, so a few megabytes of
 /// request text could otherwise claim gigabytes.
 pub const MAX_TIMES: usize = 1024;
+
+/// Request lines longer than this many bytes (the line end not counted)
+/// are answered with an error, and the reader skips the rest of such a
+/// line without holding it: a line that never ends cannot make the
+/// server buffer the whole input.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// The `id` member of the object `v` parsed from a line whose member
 /// value texts are `text` (see [`json::parse_with_member_text`]).

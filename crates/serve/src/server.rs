@@ -23,7 +23,10 @@
 //! line slot; the server never exits on bad input.
 
 use crate::cache::{AnswerError, CacheStats, PlanCache, ProjectionStats};
-use crate::proto::{parse_request, render_err, render_ok, request_id, ModelSpec, MAX_ORDER};
+use crate::proto::{
+    parse_request, render_err, render_ok, request_id, ModelSpec, RequestId, MAX_LINE_BYTES,
+    MAX_ORDER,
+};
 use crate::telemetry::{
     parse_command, render_health, render_reset, render_stats, CommandKind, SlowTraceOptions,
     TraceTee, TracedLine,
@@ -134,7 +137,7 @@ pub fn serve_batch(
         .map(|(i, l)| TracedLine {
             seq: i as u64,
             received: now,
-            line: l.clone(),
+            line: Ok(l.clone()),
         })
         .collect();
     serve_batch_traced(&traced, resolver, cache, solver, None, now)
@@ -173,11 +176,14 @@ pub fn serve_batch_traced(
     let mut answered = Vec::new();
 
     for (slot, tl) in lines.iter().enumerate() {
-        let req = match parse_request(&tl.line) {
+        let parsed = match &tl.line {
+            // The id may still be recoverable from valid JSON.
+            Ok(line) => parse_request(line).map_err(|e| (request_id(line), e)),
+            Err(e) => Err((RequestId::null(), e.clone())),
+        };
+        let req = match parsed {
             Ok(req) => req,
-            Err(e) => {
-                // The id may still be recoverable from valid JSON.
-                let id = request_id(&tl.line);
+            Err((id, e)) => {
                 error_kinds[slot] = Some("parse");
                 responses[slot] = Some(render_err(&id, &e));
                 continue;
@@ -365,6 +371,62 @@ fn flush_segment<W: Write>(
     Ok(())
 }
 
+/// Reads the next line of `input` without its `\n` and a `\r` before
+/// it, as [`BufRead::lines`] strips them: `None` at the end of the
+/// input, and an error message in place of a line that is not UTF-8 or
+/// is longer than `limit` bytes, whose rest is skipped without being
+/// held — so a bad line is answered instead of ending the input.
+fn read_request_line(
+    input: &mut impl BufRead,
+    limit: usize,
+) -> std::io::Result<Option<Result<String, String>>> {
+    let mut buf = Vec::new();
+    // Room for `limit` bytes and a `\r\n`: anything longer is refused.
+    Read::take(&mut *input, limit as u64 + 2).read_until(b'\n', &mut buf)?;
+    if buf.is_empty() {
+        return Ok(None);
+    }
+    let ended = buf.last() == Some(&b'\n');
+    if ended {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    if buf.len() > limit {
+        if !ended {
+            skip_line(input)?;
+        }
+        return Ok(Some(Err(format!(
+            "request line is longer than the limit of {limit} bytes"
+        ))));
+    }
+    Ok(Some(String::from_utf8(buf).map_err(|e| {
+        format!("request line is not UTF-8: {}", e.utf8_error())
+    })))
+}
+
+/// Consumes `input` through the next `\n` (or to its end), one buffered
+/// chunk at a time.
+fn skip_line(input: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        input.consume(used);
+        if newline.is_some() {
+            return Ok(());
+        }
+    }
+}
+
 /// Runs the serve loop until `input` reaches end-of-file: one JSON
 /// request per line in, one JSON response per line out (see
 /// [`crate::proto`]), batching whatever has queued between writes so
@@ -378,8 +440,8 @@ fn flush_segment<W: Write>(
 ///
 /// # Errors
 ///
-/// Only I/O errors on `out` end the loop early; bad request lines are
-/// answered, never fatal.
+/// Only I/O errors end the loop early (on `out`; on `input` they end it
+/// as its end would); bad request lines are answered, never fatal.
 pub fn serve<R, W>(
     input: R,
     out: &mut W,
@@ -390,18 +452,14 @@ where
     R: Read + Send + 'static,
     W: Write,
 {
-    let (tx, rx) = mpsc::channel::<(Instant, String)>();
+    let (tx, rx) = mpsc::channel::<(Instant, Result<String, String>)>();
     let reader = std::thread::Builder::new()
         .name("somrm-serve-reader".to_string())
         .spawn(move || {
-            for line in BufReader::new(input).lines() {
-                match line {
-                    Ok(l) => {
-                        if tx.send((Instant::now(), l)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => break,
+            let mut input = BufReader::new(input);
+            while let Ok(Some(line)) = read_request_line(&mut input, MAX_LINE_BYTES) {
+                if tx.send((Instant::now(), line)).is_err() {
+                    break;
                 }
             }
         })
@@ -433,13 +491,16 @@ where
         }
         let mut pending: Vec<TracedLine> = Vec::new();
         for (received, line) in drained {
-            if line.trim().is_empty() {
+            // A line the reader could not take as text is neither blank
+            // nor a command: it is answered in turn, like any bad request.
+            let text = line.as_deref().unwrap_or("");
+            if line.is_ok() && text.trim().is_empty() {
                 continue;
             }
             // Cheap pre-filter: a full parse only for lines that could
             // possibly carry a top-level "cmd" member.
-            if line.contains("\"cmd\"") {
-                if let Some(cmd) = parse_command(&line) {
+            if text.contains("\"cmd\"") {
+                if let Some(cmd) = parse_command(text) {
                     flush_segment(
                         &mut pending,
                         out,
@@ -544,6 +605,52 @@ mod tests {
             .iter()
             .map(|v| v.as_f64().unwrap())
             .collect()
+    }
+
+    #[test]
+    fn request_lines_lose_their_line_ends_and_bad_lines_become_errors() {
+        let bytes = b"ab\r\n\ncd\n\xff\xfe\n0123456789\r\n0123456789x\n0123456789xyz\nlast\r";
+        // A 4-byte buffer makes the skip cross several chunks.
+        let mut input = BufReader::with_capacity(4, &bytes[..]);
+        let mut read = || read_request_line(&mut input, 10).unwrap();
+        assert_eq!(read(), Some(Ok("ab".to_string())));
+        assert_eq!(read(), Some(Ok(String::new())));
+        assert_eq!(read(), Some(Ok("cd".to_string())));
+        let not_utf8 = read().unwrap().unwrap_err();
+        assert!(
+            not_utf8.starts_with("request line is not UTF-8"),
+            "{not_utf8}"
+        );
+        assert_eq!(read(), Some(Ok("0123456789".to_string())), "at the limit");
+        for _ in 0..2 {
+            let long = read().unwrap().unwrap_err();
+            assert!(long.contains("limit of 10 bytes"), "{long}");
+        }
+        // As `lines()` does, a `\r` stays when no `\n` follows it.
+        assert_eq!(read(), Some(Ok("last\r".to_string())));
+        assert_eq!(read(), None);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_answered_and_the_next_line_too() {
+        let mut input = br#"{"id": 1, "model": "model-a", "t": 0.5}"#.to_vec();
+        input.extend_from_slice(b"\n\xff\n");
+        input.extend_from_slice(br#"{"id": 3, "model": "model-a", "t": 0.5}"#);
+        input.push(b'\n');
+        let mut out = Vec::new();
+        let options = ServeOptions::default();
+        let summary = serve(Cursor::new(input), &mut out, &resolver, &options).unwrap();
+        assert_eq!((summary.requests, summary.ok, summary.errors), (3, 2, 1));
+        assert_eq!(options.stats.snapshot().errors.get("parse"), Some(&1));
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<Value> = text.lines().map(|l| parse(l).unwrap()).collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert_eq!(lines[1].get("id"), Some(&Value::Null));
+        assert_eq!(lines[1].get("ok"), Some(&Value::Bool(false)));
+        let error = lines[1].get("error").and_then(Value::as_str).unwrap();
+        assert!(error.starts_with("request line is not UTF-8"), "{error}");
+        assert_eq!(lines[2].get("id").and_then(Value::as_f64), Some(3.0));
+        assert_eq!(lines[2].get("ok"), Some(&Value::Bool(true)));
     }
 
     #[test]
@@ -779,7 +886,7 @@ mod tests {
             .map(|(i, l)| TracedLine {
                 seq: 100 + i as u64,
                 received: now,
-                line: l.clone(),
+                line: Ok(l.clone()),
             })
             .collect();
         let outcome = serve_batch_traced(
@@ -849,7 +956,7 @@ mod tests {
             .map(|(i, l)| TracedLine {
                 seq: i as u64,
                 received: now,
-                line: l.clone(),
+                line: Ok(l.clone()),
             })
             .collect();
         let on = serve_batch_traced(&traced, &resolver, &mut cache_on, &solver, Some(&stats), now);

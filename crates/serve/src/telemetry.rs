@@ -51,8 +51,10 @@ pub struct TracedLine {
     pub seq: u64,
     /// When the line was received.
     pub received: Instant,
-    /// The raw request line.
-    pub line: String,
+    /// The raw request line, or the error that answers a line the
+    /// reader could not take as text: one that is not UTF-8 or is longer
+    /// than [`crate::MAX_LINE_BYTES`].
+    pub line: Result<String, String>,
 }
 
 /// Slow-request capture configuration (see [`crate::ServeOptions`]).

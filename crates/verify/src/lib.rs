@@ -7,7 +7,7 @@
 //! Monte-Carlo simulation — and asserts pairwise agreement within
 //! tolerances *earned* from each method's own error bounds
 //! ([`oracle`]). A failing case is shrunk to a minimal reproducer
-//! ([`shrink`]) and emitted as a standalone JSON file meant to be
+//! ([`shrink`](mod@shrink)) and emitted as a standalone JSON file meant to be
 //! checked in under `tests/regressions/`.
 //!
 //! Three entry points share this engine:
@@ -104,8 +104,6 @@ pub struct VerifySummary {
     /// See [`VerifySummary::dia_checked`].
     pub weighted_checked: u64,
     /// See [`VerifySummary::dia_checked`].
-    pub simd_checked: u64,
-    /// See [`VerifySummary::dia_checked`].
     pub first_order_checked: u64,
     /// See [`VerifySummary::dia_checked`].
     pub ode_checked: u64,
@@ -130,13 +128,12 @@ impl VerifySummary {
         }
         let _ = writeln!(
             out,
-            "checks: dia {} | kron {} | pool {} | plan {} | weighted {} | simd {} | first-order {} | ode {} | sim {}",
+            "checks: dia {} | kron {} | pool {} | plan {} | weighted {} | first-order {} | ode {} | sim {}",
             self.dia_checked,
             self.kron_checked,
             self.pool_checked,
             self.plan_checked,
             self.weighted_checked,
-            self.simd_checked,
             self.first_order_checked,
             self.ode_checked,
             self.sim_checked
@@ -192,7 +189,6 @@ pub fn run_verification(opts: &VerifyOpts) -> VerifySummary {
                 summary.pool_checked += u64::from(stats.pool_checked);
                 summary.plan_checked += u64::from(stats.plan_checked);
                 summary.weighted_checked += u64::from(stats.weighted_checked);
-                summary.simd_checked += u64::from(stats.simd_checked);
                 summary.first_order_checked += u64::from(stats.first_order_checked);
                 summary.ode_checked += u64::from(stats.ode_checked);
                 summary.sim_checked += u64::from(stats.sim_checked);
@@ -253,7 +249,6 @@ mod tests {
         assert_eq!(summary.pool_checked, 16);
         assert_eq!(summary.plan_checked, 16);
         assert_eq!(summary.weighted_checked, 16);
-        assert_eq!(summary.simd_checked, 16);
         assert!(summary.first_order_checked >= 2, "first-order family ran");
         assert!(summary.render().contains("PASS"));
     }

@@ -14,11 +14,6 @@
 //!   `bound_other` is a Richardson step-doubling estimate (ODE) or a
 //!   `z`-sigma CLT half-width (simulation), and the relative floor
 //!   absorbs accumulated f64 rounding.
-//! - **Scalar vs forced-SIMD kernel** differs only by FMA rounding
-//!   reassociation, far below the Theorem-4 truncation bound; the
-//!   `rnd-simd` arm uses the bounded comparator with both solves'
-//!   realized bounds. All bitwise arms pin `kernel: Scalar` so the
-//!   reference is immune to `SOMRM_KERNEL` / auto-detection.
 //! - **Weighted queries** (`rnd-weighted`) sum over states inside the
 //!   sum over steps, so they agree with the per-state solve within
 //!   both reported bounds plus the relative floor; their projected
@@ -35,7 +30,7 @@ use somrm_core::model::SecondOrderMrm;
 use somrm_core::uniformization::{moments, SolverConfig};
 use somrm_core::{ModelStructure, MomentSolution, ProjectedSeries, SolvePlan};
 use somrm_ctmc::generator::GeneratorBuilder;
-use somrm_linalg::{KernelVariant, Mat, MatrixFormat};
+use somrm_linalg::{Mat, MatrixFormat};
 use somrm_obs::json::{self};
 use somrm_obs::RecorderHandle;
 use somrm_ode::{moments_ode, OdeMethod};
@@ -112,8 +107,6 @@ pub struct CaseStats {
     /// Weighted query compared within the bounds, its series bitwise
     /// across resumes and formats.
     pub weighted_checked: bool,
-    /// Forced-SIMD kernel compared within the Theorem-4 bound.
-    pub simd_checked: bool,
     /// First-order closed form compared (only σ² ≡ 0 models).
     pub first_order_checked: bool,
     /// ODE reference compared with a Richardson tolerance.
@@ -125,7 +118,7 @@ pub struct CaseStats {
 /// One failed pairwise comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
-    /// Name of the check (`"rnd-dia"`, `"rnd-pool"`, `"rnd-simd"`,
+    /// Name of the check (`"rnd-dia"`, `"rnd-pool"`,
     /// `"first-order"`, `"ode-rk4"`, `"simulation"`, or `"solve-error"`).
     pub check: String,
     /// Moment order at which the disagreement occurred.
@@ -285,13 +278,9 @@ fn check_case_inner(
     let model = case.build().map_err(|e| solve_error("build", &e))?;
     let mut stats = CaseStats::default();
 
-    // The kernel is pinned to scalar so the reference (and every bitwise
-    // arm derived from it) is identical regardless of SOMRM_KERNEL or the
-    // host's SIMD feature set; the forced-SIMD arm below overrides it.
     let base = SolverConfig {
         epsilon: cfg.epsilon,
         format: MatrixFormat::Csr,
-        kernel: KernelVariant::Scalar,
         ..SolverConfig::default()
     };
     let reference = rec
@@ -374,34 +363,6 @@ fn check_case_inner(
     })?;
     stats.weighted_checked = true;
     rec.counter_add("verify.checks.weighted", 1);
-
-    // --- Kernel oracle: forced-SIMD randomization must agree within the
-    // realized Theorem-4 bounds (FMA reassociates rounding, so bitwise
-    // equality is not owed — but the truncation budget dwarfs it). ---
-    let simd_cfg = SolverConfig {
-        kernel: KernelVariant::Simd,
-        ..base.clone()
-    };
-    let simd = rec
-        .time("verify.solve.simd", || {
-            moments(&model, case.order, case.t, &simd_cfg)
-        })
-        .map_err(|e| solve_error("rnd-simd", &e))?;
-    compare_bounded("rnd-simd", &reference.weighted, &simd.weighted, |n| {
-        let s = scale(reference.weighted[n], simd.weighted[n]);
-        let tol = reference.error_bound(n) + simd.error_bound(n) + cfg.rel_floor * s;
-        (
-            tol,
-            format!(
-                "bound_rnd={:e} + bound_simd={:e} + floor={:e}",
-                reference.error_bound(n),
-                simd.error_bound(n),
-                cfg.rel_floor * s
-            ),
-        )
-    })?;
-    stats.simd_checked = true;
-    rec.counter_add("verify.checks.simd", 1);
 
     // --- First-order closed path (σ² ≡ 0 models only). ---
     if model.is_first_order() {
@@ -655,7 +616,6 @@ mod tests {
         assert!(stats.pool_checked);
         assert!(stats.plan_checked);
         assert!(stats.weighted_checked);
-        assert!(stats.simd_checked);
         assert!(stats.ode_checked);
         assert!(stats.sim_checked);
         assert!(!stats.first_order_checked, "model has positive variances");
@@ -726,7 +686,6 @@ mod tests {
         assert_eq!(snap.counter("verify.checks.kron"), Some(1));
         assert_eq!(snap.counter("verify.checks.pool"), Some(1));
         assert_eq!(snap.counter("verify.checks.plan"), Some(1));
-        assert_eq!(snap.counter("verify.checks.simd"), Some(1));
         assert_eq!(snap.counter("verify.checks.sim"), Some(1));
         assert_eq!(snap.counter("verify.violations"), None);
         assert!(

@@ -79,7 +79,7 @@ pub mod solver {
     pub use somrm_core::uniformization::{
         moments, moments_sweep, MomentSolution, SolverConfig, SolverStats,
     };
-    pub use somrm_linalg::{KernelVariant, MatrixFormat};
+    pub use somrm_linalg::MatrixFormat;
 }
 
 /// One-import convenience for the common workflow.

@@ -1,23 +1,19 @@
-//! Cross-variant contracts of the fused-kernel dispatch.
-//!
-//! Two tests anchor the `--kernel` surface:
+//! The fused kernel's one arithmetic against its recorded bits.
 //!
 //! - **Golden bit-exactness.** `tests/regressions/scalar-golden.json`
-//!   pins the scalar kernel's outputs as captured *before* the SIMD
-//!   dispatch landed, over three structurally distinct models, two
-//!   thread configurations, and two orders. With `kernel: Scalar` the
-//!   solver must reproduce every bit forever — the scalar path is the
-//!   reference mode the SIMD rewrite is not allowed to disturb.
-//! - **Scalar/SIMD agreement.** A property test crosses the variants
-//!   over random models (banded and scattered), orders 0–5, and thread
-//!   counts 1/2/4: the difference must stay within the Theorem-4
-//!   truncation bounds both solves report, plus a rounding floor —
-//!   FMA reassociation is the only divergence the SIMD path is allowed.
+//!   pins the solver's outputs as captured *before* the SIMD lanes
+//!   landed, over three structurally distinct models, two thread
+//!   configurations, and two orders. The kernel computes strict f64 in
+//!   canonical order, with no fused multiply-add, on AVX2 or portable
+//!   lanes alike, so it must reproduce every bit forever — on any CPU,
+//!   and in a build for any `-C target-cpu`.
+//! - **Schedules.** A model spanning several wavefront blocks keeps
+//!   its bits with a recorder attached, on a worker pool, and through
+//!   terminal-weighted executes.
 
-use proptest::prelude::*;
 use somrm::obs::json;
 use somrm::prelude::*;
-use somrm::solver::{moments_sweep, KernelVariant, MatrixFormat};
+use somrm::solver::{moments_sweep, MatrixFormat};
 
 fn pentadiag_model(n: usize) -> SecondOrderMrm {
     let mut b = GeneratorBuilder::new(n);
@@ -100,7 +96,6 @@ fn scalar_kernel_matches_pre_simd_golden_bits() {
             threads,
             parallel_threshold: par,
             format: MatrixFormat::Auto,
-            kernel: KernelVariant::Scalar,
             ..SolverConfig::default()
         };
         let sols = moments_sweep(&model, order, &GOLDEN_TIMES, &cfg).unwrap();
@@ -127,9 +122,7 @@ fn scalar_kernel_matches_pre_simd_golden_bits() {
 
 /// Regenerator for the golden file. Permanently `#[ignore]`d: run it by
 /// hand only when the golden corpus is *intentionally* extended, and
-/// review the diff — it must never run as part of a normal test pass,
-/// and it pins `kernel: Scalar` so a rerun on SIMD hardware cannot
-/// corrupt the corpus.
+/// review the diff — it must never run as part of a normal test pass.
 #[test]
 #[ignore = "regenerates the golden corpus; run manually, review the diff"]
 fn regenerate_scalar_golden() {
@@ -146,7 +139,6 @@ fn regenerate_scalar_golden() {
                     threads,
                     parallel_threshold: par,
                     format: MatrixFormat::Auto,
-                    kernel: KernelVariant::Scalar,
                     ..SolverConfig::default()
                 };
                 let sols = moments_sweep(&model, order, &GOLDEN_TIMES, &cfg).unwrap();
@@ -178,9 +170,8 @@ fn regenerate_scalar_golden() {
 /// blocks): the kernel's stretches end wherever the health probe samples
 /// when a recorder is attached, and a worker pool runs it pass by pass,
 /// yet every bit must match the plain single-threaded solve.
-/// Terminal-weighted executes share the recursion driver. Runs the
-/// default kernel variant; the kernel's own tests cross both variants
-/// with small blocks.
+/// Terminal-weighted executes share the recursion driver. The kernel's
+/// own tests cross the schedules with small blocks.
 #[test]
 fn multiplexer_spanning_several_blocks_keeps_its_bits_under_every_schedule() {
     use somrm::obs::{MetricsRegistry, Recorder, RecorderHandle};
@@ -232,85 +223,4 @@ fn multiplexer_spanning_several_blocks_keeps_its_bits_under_every_schedule() {
     let (g2, pooled_bits) = bits(&pooled, false);
     assert_eq!(g2, g);
     assert_eq!(pooled_bits[..], want[..pooled_bits.len()], "2 threads");
-}
-
-/// Strategy: a small banded (birth-death-with-bandwidth-2) or scattered
-/// model, so the solver exercises both the DIA strip kernel and the CSR
-/// gather kernel under both variants.
-fn arb_kernel_model() -> impl Strategy<Value = SecondOrderMrm> {
-    (
-        4usize..24,
-        0usize..2,
-        prop::collection::vec(-3.0f64..3.0, 24),
-        prop::collection::vec(0.0f64..2.0, 24),
-        prop::collection::vec(0.1f64..3.0, 24),
-    )
-        .prop_map(|(n, banded, rates, vars, ring)| {
-            let banded = banded == 1;
-            let mut b = GeneratorBuilder::new(n);
-            for i in 0..n {
-                if banded {
-                    if i + 1 < n {
-                        b.rate(i, i + 1, ring[i]).unwrap();
-                    }
-                    if i >= 1 {
-                        b.rate(i, i - 1, 0.5 + ring[n - 1 - i] * 0.25).unwrap();
-                    }
-                    if i + 2 < n && i % 2 == 0 {
-                        b.rate(i, i + 2, 0.125).unwrap();
-                    }
-                } else {
-                    b.rate(i, (i + 1) % n, ring[i]).unwrap();
-                    let j = (i * 5 + 2) % n;
-                    if j != i {
-                        b.rate(i, j, 0.25).unwrap();
-                    }
-                }
-            }
-            let mut init = vec![0.0; n];
-            init[0] = 1.0;
-            SecondOrderMrm::new(
-                b.build().unwrap(),
-                rates[..n].to_vec(),
-                vars[..n].to_vec(),
-                init,
-            )
-            .unwrap()
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Scalar and forced-SIMD solves of the same case agree within the
-    /// Theorem-4 truncation bounds both report plus a rounding floor,
-    /// for every order 0–5 and thread count 1/2/4.
-    #[test]
-    fn scalar_and_simd_agree_within_theorem4_bound(
-        model in arb_kernel_model(),
-        order in 0usize..=5,
-        threads_idx in 0usize..3,
-        t in 0.05f64..1.5,
-    ) {
-        let threads = [1usize, 2, 4][threads_idx];
-        let base = SolverConfig {
-            threads,
-            parallel_threshold: 2,
-            ..SolverConfig::default()
-        };
-        let scalar_cfg = SolverConfig { kernel: KernelVariant::Scalar, ..base.clone() };
-        let simd_cfg = SolverConfig { kernel: KernelVariant::Simd, ..base };
-        let scalar = moments(&model, order, t, &scalar_cfg).unwrap();
-        let simd = moments(&model, order, t, &simd_cfg).unwrap();
-        for n in 0..=order {
-            let (a, b) = (scalar.weighted[n], simd.weighted[n]);
-            let floor = 1e-12 * a.abs().max(b.abs()).max(1.0);
-            let tol = scalar.error_bound(n) + simd.error_bound(n) + floor;
-            prop_assert!(
-                (a - b).abs() <= tol,
-                "order {n} (threads {threads}): |{a} - {b}| = {:e} > tol {tol:e}",
-                (a - b).abs()
-            );
-        }
-    }
 }
