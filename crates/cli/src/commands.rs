@@ -17,6 +17,7 @@ use somrm_obs::{
 use somrm_sim::reward::{estimate_moments, estimate_moments_impulse};
 use somrm_transform::{density_at, TransformConfig};
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::sync::Arc;
 
 /// Options shared by the analysis commands.
@@ -619,11 +620,13 @@ pub fn cmd_verify(
 }
 
 /// The `somrm-tool serve` model resolver: inline text is parsed
-/// directly, `model_file` paths are read relative to the server's
-/// working directory. Impulse models are rejected: a plan can solve
-/// them ([`SolvePlan::build_impulse`]), but serve's `ModelResolver`
-/// hands the plan cache a bare `SecondOrderMrm`, which has no place for
-/// the impulse matrix.
+/// directly (the server passes every text it reads this way), a
+/// `model_file` path is read by [`somrm_serve::read_model_file`],
+/// relative to the working directory and capped like an inline model.
+/// Impulse models are rejected: a plan can solve them
+/// ([`SolvePlan::build_impulse`]), but serve's `ModelResolver` hands the
+/// plan cache a bare `SecondOrderMrm`, which has no place for the
+/// impulse matrix.
 ///
 /// # Errors
 ///
@@ -634,7 +637,7 @@ pub fn resolve_model_spec(spec: &somrm_serve::ModelSpec) -> Result<somrm_core::m
     let text = match spec {
         somrm_serve::ModelSpec::Inline(text) => text,
         somrm_serve::ModelSpec::File(path) => {
-            file = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            file = somrm_serve::read_model_file(path)?;
             &file
         }
     };
@@ -748,8 +751,10 @@ pub fn cmd_serve(
         .map_err(|e| format!("serve: stdout write failed: {e}"))?;
     drop(stdout);
     // The summary goes to stderr: stdout is the response stream, and a
-    // consumer piping it must see protocol lines only.
-    eprintln!(
+    // consumer piping it must see protocol lines only. A closed stderr
+    // loses the summary, nothing else.
+    let _ = writeln!(
+        std::io::stderr(),
         "serve: {} requests in {} batches — {} ok, {} errors, {} cmds; plan cache {} hits / {} misses / {} evictions ({} bytes evicted); series {} hits / {} resumes / {} builds / {} evictions",
         summary.requests,
         summary.batches,

@@ -21,6 +21,7 @@ use somrm_cli::commands::{
 };
 use somrm_cli::format::parse_model;
 use somrm_linalg::MatrixFormat;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: somrm-tool <check|moments|bounds|simulate|density|sweep> <model-file> [options]
@@ -296,14 +297,27 @@ fn run() -> Result<String, String> {
     }
 }
 
+/// Writes `text` to `out` and flushes it. A reader that closed the pipe
+/// has ended the output early, which is not a failure of the command.
+fn write_output(mut out: impl Write, text: &str) -> std::io::Result<()> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        written => written,
+    }
+}
+
 fn main() -> ExitCode {
     match run() {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
+        Ok(out) => match write_output(std::io::stdout().lock(), &out) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                // Nothing is left to report a failed report to.
+                let _ = write_output(std::io::stderr().lock(), &format!("cannot write: {e}\n"));
+                ExitCode::FAILURE
+            }
+        },
         Err(msg) => {
-            eprintln!("{msg}");
+            let _ = write_output(std::io::stderr().lock(), &format!("{msg}\n"));
             ExitCode::FAILURE
         }
     }

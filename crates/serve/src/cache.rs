@@ -1,17 +1,21 @@
-//! LRU cache of built [`SolvePlan`]s and the weighted series they
-//! answer from.
+//! LRU cache of built [`SolvePlan`]s, the weighted series they answer
+//! from, and the model texts those series were asked with.
 //!
-//! Plans are keyed by the [`somrm_core::chain_digest`] of their model,
-//! taken on every request (one multiply per 64-bit word of the model):
+//! Plans are keyed by the [`somrm_core::chain_digest`] of their model:
 //! a plan holds nothing that depends on the initial distribution, a
 //! horizon or an order (every plan is built for orders up to
 //! [`crate::MAX_ORDER`]).
 //! Each entry also keeps its chain's [`ProjectedSeries`], one per π, so
 //! a repeat query whose order and `G` its series covers is answered with
-//! no matvec. The series count toward their entry's bytes and leave
-//! with it. Hits, misses and evictions are published to the `somrm-obs`
-//! registry under `serve.plan.*` and `serve.proj.*`.
+//! no matvec. A series answered for a model text remembers that text
+//! ([`PlanCache::answer_text`]), so a request with a byte-equal text
+//! goes straight to its entry and series: no parse, no digest, no chain
+//! comparison. Series and texts count toward their entry's bytes and
+//! leave with it. Hits, misses and evictions are published to the
+//! `somrm-obs` registry under `serve.plan.*` and `serve.proj.*`.
 
+use crate::proto::ModelSpec;
+use crate::server::{ns, ModelResolver};
 use somrm_core::{
     digests, MomentSolution, MrmError, ProjectedSeries, SecondOrderMrm, SeriesUse, SolvePlan,
 };
@@ -26,26 +30,29 @@ pub struct PlanKey {
     pub digest: u64,
 }
 
-/// Byte budget of one entry's series (their summed
-/// [`ProjectedSeries::footprint_bytes`]): the least recently used go
-/// first, and a query whose own series would not fit is answered without
-/// recording one ([`SeriesUse::Streamed`]). It bounds what an entry
-/// keeps beside its plan when no byte budget is set. Serve-sized series
-/// (100–1,001 states, `G` in the thousands) take 10–100 KB; the paper's
-/// 200,001-state model at order 2 takes 6.4 MB.
+/// Byte budget of one entry's series and the texts they remember
+/// (their summed [`ProjectedSeries::footprint_bytes`] and text bytes):
+/// past it, texts go first, least recently used first, then series, so
+/// a text never costs a series; a text that does not fit beside the
+/// series alone is not remembered, and a query whose own series would
+/// not fit is answered without recording one ([`SeriesUse::Streamed`]).
+/// It bounds what an entry keeps beside its plan when no byte budget is
+/// set. Serve-sized series (100–1,001 states, `G` in the thousands) take
+/// 10–100 KB and their texts about as much; the paper's 200,001-state
+/// model at order 2 takes 6.4 MB, and its 15.5 MB text is never kept.
 pub const SERIES_BYTES_PER_PLAN: u64 = 8 << 20;
 
 /// Hit/miss/eviction counts since the cache was created.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered by a resident plan.
+    /// Lookups answered by a resident plan, a remembered text's included.
     pub hits: u64,
     /// Lookups that had to build a plan.
     pub misses: u64,
     /// Entries dropped to make room.
     pub evictions: u64,
     /// Exact bytes released by those evictions: each victim's plan
-    /// ([`somrm_core::SolvePlan::footprint_bytes`]) and series.
+    /// ([`somrm_core::SolvePlan::footprint_bytes`]), series and texts.
     pub evict_bytes: u64,
     /// Key matches whose resident plan was built for a *different*
     /// chain — a 64-bit digest collision, counted within `misses`.
@@ -81,24 +88,71 @@ pub struct Answer {
     /// The [`somrm_core::model_digest`] of the `(chain, π)` that
     /// answered.
     pub entry: u64,
-    /// Nanoseconds spent looking up or building the plan.
+    /// Nanoseconds spent looking up or building the plan (a text's
+    /// lookup included, its resolution not).
     pub plan_ns: u64,
+    /// Nanoseconds spent in the query on the plan.
+    pub execute_ns: u64,
 }
 
 /// Why a weighted query got no answer.
 #[derive(Debug, Clone)]
 pub enum AnswerError {
-    /// The plan could not be built.
-    Plan(MrmError),
-    /// The plan was there; the query failed.
-    Solve(MrmError),
+    /// The model text did not resolve to a model: the resolver's
+    /// message.
+    Model(String),
+    /// The plan could not be built; first the
+    /// [`somrm_core::model_digest`] of the model.
+    Plan(u64, MrmError),
+    /// The plan was there; the query failed. First the
+    /// [`somrm_core::model_digest`] of the model.
+    Solve(u64, MrmError),
+}
+
+impl AnswerError {
+    /// The error kind the serve stats count: `model`, `plan` or
+    /// `solver`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            AnswerError::Model(_) => "model",
+            AnswerError::Plan(..) => "plan",
+            AnswerError::Solve(..) => "solver",
+        }
+    }
+
+    /// The [`somrm_core::model_digest`] of the model, when it resolved.
+    pub fn entry(&self) -> Option<u64> {
+        match self {
+            AnswerError::Model(_) => None,
+            AnswerError::Plan(entry, _) | AnswerError::Solve(entry, _) => Some(*entry),
+        }
+    }
 }
 
 impl std::fmt::Display for AnswerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AnswerError::Plan(e) | AnswerError::Solve(e) => e.fmt(f),
+            AnswerError::Model(e) => write!(f, "model: {e}"),
+            AnswerError::Plan(_, e) | AnswerError::Solve(_, e) => e.fmt(f),
         }
+    }
+}
+
+/// A series an entry keeps, and the model text it was last answered
+/// for.
+struct Kept {
+    series: ProjectedSeries,
+    /// The [`somrm_core::model_digest`] of the entry's chain and the
+    /// series' π.
+    digest: u64,
+    /// The last text whose query left the series here, while it fits
+    /// [`SERIES_BYTES_PER_PLAN`].
+    text: Option<String>,
+}
+
+impl Kept {
+    fn text_bytes(&self) -> u64 {
+        self.text.as_ref().map_or(0, |t| t.capacity() as u64)
     }
 }
 
@@ -107,8 +161,9 @@ struct Entry {
     plan: Arc<SolvePlan>,
     /// The chain's weighted series, one per π, least recently used
     /// first.
-    series: Vec<ProjectedSeries>,
-    /// Exact owned bytes of the plan's solver state plus the series'.
+    series: Vec<Kept>,
+    /// Exact owned bytes of the plan's solver state, the series and
+    /// their texts.
     bytes: u64,
     last_used: u64,
 }
@@ -126,12 +181,49 @@ impl Entry {
     }
 
     fn series_bytes(&self) -> u64 {
-        self.series.iter().map(|s| s.footprint_bytes() as u64).sum()
+        self.series
+            .iter()
+            .map(|k| k.series.footprint_bytes() as u64)
+            .sum()
+    }
+
+    fn text_bytes(&self) -> u64 {
+        self.series.iter().map(Kept::text_bytes).sum()
+    }
+
+    /// Brings the series and texts within [`SERIES_BYTES_PER_PLAN`],
+    /// first giving `text` to the newest series if it fits beside the
+    /// series alone: drops the least recently used series while the
+    /// series alone exceed it (keeping the newest), then the least
+    /// recently used texts. Returns the number of series dropped.
+    fn fit(&mut self, text: Option<String>) -> usize {
+        let mut dropped = 0;
+        while self.series.len() > 1 && self.series_bytes() > SERIES_BYTES_PER_PLAN {
+            self.series.remove(0);
+            dropped += 1;
+        }
+        let series_bytes = self.series_bytes();
+        if let (Some(mut text), Some(newest)) = (text, self.series.last_mut()) {
+            if text.len() as u64 + series_bytes <= SERIES_BYTES_PER_PLAN {
+                text.shrink_to_fit();
+                newest.text = Some(text);
+            }
+        }
+        let mut bytes = series_bytes + self.text_bytes();
+        for kept in &mut self.series {
+            if bytes <= SERIES_BYTES_PER_PLAN {
+                break;
+            }
+            bytes -= kept.text_bytes();
+            kept.text = None;
+        }
+        dropped
     }
 }
 
-/// An LRU map from [`PlanKey`] to a shared [`SolvePlan`] and its chain's
-/// weighted series ([`PlanCache::answer`]).
+/// An LRU map from [`PlanKey`] to a shared [`SolvePlan`], its chain's
+/// weighted series and the texts they remember ([`PlanCache::answer`],
+/// [`PlanCache::answer_text`]).
 ///
 /// Linear scans over small vectors — plan caches are small (each entry
 /// holds a matrix and possibly a worker pool), so a vector beats
@@ -140,10 +232,14 @@ impl Entry {
 /// Eviction is LRU under **two** ceilings: the entry-count `capacity`
 /// and an optional byte budget ([`PlanCache::with_budget`]) measured
 /// against each entry's exact bytes, its plan's
-/// [`somrm_core::SolvePlan::footprint_bytes`] plus its series. The most
-/// recently used entry is never evicted, so an entry larger than the
-/// whole budget still serves (a budget bounds what is *retained*, not
-/// what the server may build).
+/// [`somrm_core::SolvePlan::footprint_bytes`] plus its series and texts.
+/// The most recently used entry is never evicted, so an entry larger
+/// than the whole budget still serves (a budget bounds what is
+/// *retained*, not what the server may build).
+///
+/// A cache assumes one solver configuration for its plans and one
+/// [`ModelResolver`] for its texts: a remembered text answers as the
+/// model it resolved to when it was remembered.
 pub struct PlanCache {
     capacity: usize,
     byte_budget: Option<u64>,
@@ -205,7 +301,8 @@ impl PlanCache {
         self.byte_budget
     }
 
-    /// Summed exact bytes of the resident entries: plans and series.
+    /// Summed exact bytes of the resident entries: plans, series and
+    /// texts.
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
     }
@@ -228,6 +325,11 @@ impl PlanCache {
     /// The series' share of [`PlanCache::resident_bytes`].
     pub fn projection_bytes(&self) -> u64 {
         self.entries.iter().map(Entry::series_bytes).sum()
+    }
+
+    /// The remembered texts' share of [`PlanCache::resident_bytes`].
+    pub fn text_bytes(&self) -> u64 {
+        self.entries.iter().map(Entry::text_bytes).sum()
     }
 
     /// `true` when the cache exceeds either ceiling and still holds a
@@ -277,7 +379,7 @@ impl PlanCache {
     /// mismatch (a digest collision) is treated as a miss — counted
     /// under `serve.plan.digest_collision` and [`CacheStats::collisions`]
     /// — with the fresh plan replacing the colliding entry, and its
-    /// series, in place (no eviction of bystanders).
+    /// series and texts, in place (no eviction of bystanders).
     ///
     /// A failed build caches nothing and counts as a miss.
     ///
@@ -365,33 +467,123 @@ impl PlanCache {
         order: usize,
         build: impl FnOnce() -> Result<SolvePlan, MrmError>,
     ) -> Result<Answer, AnswerError> {
+        self.answer_model(model, None, 0, times, order, build)
+    }
+
+    /// [`PlanCache::answer`] for the model that `resolver` makes of
+    /// `text`, remembering the text. A series remembers the last text
+    /// whose query succeeded and left the series in its entry (a new
+    /// spelling of the same chain and π replaces the old one), within
+    /// [`SERIES_BYTES_PER_PLAN`]. A text byte-equal to a remembered one
+    /// — the lengths compared first, then every byte — goes straight to
+    /// that entry and series, touching both as a plan hit does, and is
+    /// not resolved again; any other text is resolved as
+    /// [`ModelSpec::Inline`]. A failed query on a remembered text leaves
+    /// it remembered: the text still names the same model.
+    ///
+    /// # Errors
+    ///
+    /// [`AnswerError::Model`] when `resolver` refuses the text, and
+    /// [`PlanCache::answer`]'s errors; none of them remembers the text.
+    pub fn answer_text(
+        &mut self,
+        text: String,
+        times: &[f64],
+        order: usize,
+        resolver: &ModelResolver,
+        build: impl FnOnce(&SecondOrderMrm) -> Result<SolvePlan, MrmError>,
+    ) -> Result<Answer, AnswerError> {
+        let t0 = Instant::now();
+        let found = self.entries.iter().enumerate().find_map(|(idx, e)| {
+            // `str` equality compares the lengths first, then the bytes.
+            let pos = e.series.iter().position(|k| k.text.as_deref() == Some(&*text));
+            pos.map(|pos| (idx, pos))
+        });
+        if let Some((idx, pos)) = found {
+            self.tick += 1;
+            self.count_plan(true);
+            let entry = &mut self.entries[idx];
+            entry.last_used = self.tick;
+            let kept = entry.series.remove(pos);
+            return self.query(idx, kept, None, times, order, true, ns(t0.elapsed()));
+        }
+        let lookup_ns = ns(t0.elapsed());
+        let spec = ModelSpec::Inline(text);
+        let model = resolver(&spec).map_err(AnswerError::Model)?;
+        let ModelSpec::Inline(text) = spec else {
+            unreachable!("the spec was built inline above")
+        };
+        self.answer_model(&model, Some(text), lookup_ns, times, order, || {
+            build(&model)
+        })
+    }
+
+    /// [`PlanCache::answer`], giving `text` to the series when the query
+    /// succeeds; `lookup_ns` is added to the answer's `plan_ns`.
+    fn answer_model(
+        &mut self,
+        model: &SecondOrderMrm,
+        text: Option<String>,
+        lookup_ns: u64,
+        times: &[f64],
+        order: usize,
+        build: impl FnOnce() -> Result<SolvePlan, MrmError>,
+    ) -> Result<Answer, AnswerError> {
         let plan_t0 = Instant::now();
-        let (chain, entry) = digests(model);
+        let (chain, digest) = digests(model);
         let (idx, plan_hit) = self
             .slot(PlanKey { digest: chain }, model, build)
-            .map_err(AnswerError::Plan)?;
-        let plan_ns = plan_t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            .map_err(|e| AnswerError::Plan(digest, e))?;
+        let plan_ns = lookup_ns + ns(plan_t0.elapsed());
         let e = &mut self.entries[idx];
-        let mut series = match e.series.iter().position(|s| s.pi() == model.initial()) {
+        // The digest picks the candidate; π decides.
+        let kept = match e
+            .series
+            .iter()
+            .position(|k| k.digest == digest && k.series.pi() == model.initial())
+        {
             Some(pos) => e.series.remove(pos),
-            None => ProjectedSeries::new(model.initial().to_vec())
-                .with_max_bytes(SERIES_BYTES_PER_PLAN as usize),
+            None => Kept {
+                series: ProjectedSeries::new(model.initial().to_vec())
+                    .with_max_bytes(SERIES_BYTES_PER_PLAN as usize),
+                digest,
+                text: None,
+            },
         };
-        let result = e.plan.execute_weighted(&mut series, times, order);
-        if series.g().is_some() {
-            e.series.push(series);
+        self.query(idx, kept, text, times, order, plan_hit, plan_ns)
+    }
+
+    /// Runs the query on entry `idx`'s plan and `kept`'s series, keeps
+    /// the series as the entry's newest (with `text` if the query
+    /// succeeds), refits the entry's bytes and counts the outcome.
+    #[allow(clippy::too_many_arguments)]
+    fn query(
+        &mut self,
+        idx: usize,
+        mut kept: Kept,
+        text: Option<String>,
+        times: &[f64],
+        order: usize,
+        plan_hit: bool,
+        plan_ns: u64,
+    ) -> Result<Answer, AnswerError> {
+        let execute_t0 = Instant::now();
+        let digest = kept.digest;
+        let e = &mut self.entries[idx];
+        let result = e.plan.execute_weighted(&mut kept.series, times, order);
+        let execute_ns = ns(execute_t0.elapsed());
+        let kept_here = kept.series.g().is_some();
+        if kept_here {
+            e.series.push(kept);
         }
-        let mut dropped = 0;
-        while e.series.len() > 1 && e.series_bytes() > SERIES_BYTES_PER_PLAN {
-            e.series.remove(0);
-            dropped += 1;
-        }
-        let bytes = e.plan.footprint_bytes() as u64 + e.series_bytes();
+        let text = text.filter(|_| kept_here && result.is_ok());
+        let dropped = e.fit(text);
+        let bytes = e.plan.footprint_bytes() as u64 + e.series_bytes() + e.text_bytes();
         self.resident_bytes = self.resident_bytes - e.bytes + bytes;
         e.bytes = bytes;
         self.count_series_evictions(dropped);
         self.enforce_budget();
-        let (solutions, used) = result.map_err(AnswerError::Solve)?;
+        let (solutions, used) = result.map_err(|e| AnswerError::Solve(digest, e))?;
         let (name, count) = match used {
             SeriesUse::Hit => ("serve.proj.hit", &mut self.projection.hits),
             SeriesUse::Resumed => ("serve.proj.resume", &mut self.projection.resumes),
@@ -405,8 +597,9 @@ impl PlanCache {
             solutions,
             plan_hit,
             series: used,
-            entry,
+            entry: digest,
             plan_ns,
+            execute_ns,
         })
     }
 
@@ -421,6 +614,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::ModelSpec;
     use somrm_core::uniformization::SolverConfig;
     use somrm_core::{chain_digest, SecondOrderMrm, SolvePlan};
     use somrm_ctmc::generator::GeneratorBuilder;
@@ -913,7 +1107,7 @@ mod tests {
         assert_eq!(again.solutions[0].weighted, hit.solutions[0].weighted);
         // A failing query leaves no series behind.
         let far = cache.answer(&bystander, &[1e12], 1, || build(&bystander));
-        assert!(matches!(far, Err(AnswerError::Solve(_))));
+        assert!(matches!(far, Err(AnswerError::Solve(..))));
         assert_eq!(cache.projection_entries(), 0);
     }
 
@@ -977,6 +1171,141 @@ mod tests {
         assert_eq!(short.series, SeriesUse::Built);
         assert_eq!(short.solutions[0].weighted, want[0].weighted);
         assert!(cache.projection_bytes() > 0);
+    }
+
+    /// Resolves a text `"<rate> [<π₀>] [# …]"` to [`model`] at that rate,
+    /// started from `(π₀, 1 − π₀)` when π₀ is given.
+    fn by_rate(spec: &ModelSpec) -> Result<SecondOrderMrm, String> {
+        let ModelSpec::Inline(text) = spec else {
+            panic!("the cache resolves texts inline: {spec:?}")
+        };
+        let mut words = text.split('#').next().unwrap_or("").split_whitespace();
+        let rate: f64 = words.next().and_then(|w| w.parse().ok()).ok_or("no rate")?;
+        let m = model(rate);
+        match words.next().map(str::parse::<f64>) {
+            None => Ok(m),
+            Some(Ok(p)) => m.with_initial(vec![p, 1.0 - p]).map_err(|e| e.to_string()),
+            Some(Err(e)) => Err(e.to_string()),
+        }
+    }
+
+    fn build_max(m: &SecondOrderMrm) -> Result<SolvePlan, somrm_core::MrmError> {
+        build_plan(m, crate::MAX_ORDER)
+    }
+
+    #[test]
+    fn evicting_an_entry_drops_its_texts_and_texts_count_in_its_bytes() {
+        use somrm_obs::MetricsRegistry;
+        let registry = Arc::new(MetricsRegistry::new());
+        let calls = std::cell::Cell::new(0);
+        let counting = |spec: &ModelSpec| {
+            calls.set(calls.get() + 1);
+            by_rate(spec)
+        };
+        let mut cache = PlanCache::new(1, RecorderHandle::new(registry.clone()));
+        let plan_bytes = build_max(&model(2.0)).unwrap().footprint_bytes() as u64;
+        let first = cache
+            .answer_text("2".to_string(), &[0.5], 2, &counting, build_max)
+            .unwrap();
+        assert_eq!(cache.text_bytes(), 1);
+        let entry_a = plan_bytes + cache.projection_bytes() + 1;
+        assert_eq!(cache.resident_bytes(), entry_a);
+        let hit = cache
+            .answer_text("2".to_string(), &[0.25], 1, &counting, |_| panic!("cached"))
+            .unwrap();
+        assert!(hit.plan_hit);
+        assert_eq!((hit.series, hit.entry), (SeriesUse::Hit, first.entry));
+        assert_eq!(calls.get(), 1);
+        // Another chain evicts the entry, its series and its text.
+        cache
+            .answer_text("4.5 # b".to_string(), &[0.5], 2, &counting, build_max)
+            .unwrap();
+        assert_eq!(cache.text_bytes(), "4.5 # b".len() as u64);
+        assert_eq!(
+            cache.resident_bytes(),
+            plan_bytes + cache.projection_bytes() + cache.text_bytes()
+        );
+        assert_eq!(cache.stats().evict_bytes, entry_a);
+        assert_eq!(
+            registry.snapshot().gauge("mem.cache.resident"),
+            Some(cache.resident_bytes() as f64)
+        );
+        let back = cache
+            .answer_text("2".to_string(), &[0.25], 1, &counting, build_max)
+            .unwrap();
+        assert_eq!(calls.get(), 3, "the evicted text is resolved again");
+        assert!(!back.plan_hit);
+        assert_eq!(back.solutions[0].weighted, hit.solutions[0].weighted);
+        // A text the resolver refuses is remembered nowhere.
+        for _ in 0..2 {
+            let refused = cache.answer_text("x".to_string(), &[0.5], 2, &counting, build_max);
+            assert!(matches!(refused, Err(AnswerError::Model(_))));
+        }
+        assert_eq!(calls.get(), 5);
+    }
+
+    #[test]
+    fn a_text_past_the_series_budget_is_not_remembered_and_evicts_no_series() {
+        let calls = std::cell::Cell::new(0);
+        let counting = |spec: &ModelSpec| {
+            calls.set(calls.get() + 1);
+            by_rate(spec)
+        };
+        let m = model(2.0);
+        let mut cache = PlanCache::new(4, RecorderHandle::disabled());
+        let other = m.with_initial(vec![0.5, 0.5]).unwrap();
+        cache.answer(&other, &[0.5], 2, || build_max(&m)).unwrap();
+        cache
+            .answer_text("2".to_string(), &[0.5], 2, &counting, build_max)
+            .unwrap();
+        let big = format!("2 #{}", " ".repeat(SERIES_BYTES_PER_PLAN as usize));
+        for round in 1..=2 {
+            let answer = cache
+                .answer_text(big.clone(), &[0.5], 2, &counting, build_max)
+                .unwrap();
+            assert_eq!((answer.plan_hit, answer.series), (true, SeriesUse::Hit));
+            assert_eq!(calls.get(), 1 + round, "the big text is resolved each time");
+        }
+        assert_eq!(cache.projection_entries(), 2);
+        assert_eq!(cache.projection_stats().evictions, 0);
+        assert_eq!(cache.text_bytes(), 1, "the fitting spelling stays");
+        cache
+            .answer_text("2".to_string(), &[0.5], 2, &counting, build_max)
+            .unwrap();
+        assert_eq!(calls.get(), 3);
+    }
+
+    #[test]
+    fn texts_go_before_series_within_an_entrys_budget() {
+        // At order 16 each series takes a bit more than 0.3 of the budget
+        // and each text 0.25: two of each do not fit, two series and a
+        // text do.
+        let m = model(2.0);
+        let q = m.generator().uniformization_rate();
+        let t = 0.3 * SERIES_BYTES_PER_PLAN as f64 / 136.0 / q;
+        let pad = " ".repeat(SERIES_BYTES_PER_PLAN as usize / 4);
+        let (a, b) = (format!("2 # {pad}"), format!("2 0.5 # {pad}"));
+        let calls = std::cell::Cell::new(0);
+        let counting = |spec: &ModelSpec| {
+            calls.set(calls.get() + 1);
+            by_rate(spec)
+        };
+        let mut cache = PlanCache::new(4, RecorderHandle::disabled());
+        let mut ask = |text: &String| {
+            cache
+                .answer_text(text.clone(), &[t], 16, &counting, build_max)
+                .unwrap();
+            (cache.projection_entries(), cache.text_bytes())
+        };
+        assert_eq!(ask(&a), (1, a.len() as u64));
+        assert_eq!(ask(&b), (2, b.len() as u64), "a's text made room");
+        assert_eq!(calls.get(), 2);
+        assert_eq!(ask(&b), (2, b.len() as u64));
+        assert_eq!(calls.get(), 2, "b's text is remembered");
+        assert_eq!(ask(&a), (2, a.len() as u64), "now b's text made room");
+        assert_eq!(calls.get(), 3);
+        assert_eq!(cache.projection_stats().evictions, 0);
+        assert!(cache.projection_bytes() + cache.text_bytes() <= SERIES_BYTES_PER_PLAN);
     }
 
     fn snap_counter(registry: &somrm_obs::MetricsRegistry, name: &str) -> Option<u64> {

@@ -10,7 +10,10 @@
 //! - `id` (optional, any JSON value) — echoed back verbatim, as the
 //!   first member of the response: the text the request wrote, so
 //!   `7`, `12345678901234567891` and `1e400` come back as written;
-//! - `model` (inline model text) **or** `model_file` (path), exactly one;
+//! - `model` (inline model text) **or** `model_file` (path), exactly one.
+//!   The server reads a `model_file` itself, for every request, and
+//!   refuses one longer than [`MAX_LINE_BYTES`], the limit an inline
+//!   model already has ([`read_model_file`]);
 //! - `t` — a number or a non-empty array of at most [`MAX_TIMES`]
 //!   finite, non-negative numbers;
 //! - `order` (optional, default 2) — highest moment order requested.
@@ -23,14 +26,16 @@
 //! ```
 //!
 //! - `plan` — `"miss"` when answering this request built a plan, else
-//!   `"hit"` (its chain's plan was cached). The `serve.plan.hit`/`miss`
-//!   counters and the stats sideband's `cache.hits`/`misses` count the
-//!   same per-request events.
-//! - `coalesced` — how many of this batch's successful requests were
-//!   answered from the same weighted series (the same chain and π),
-//!   this one included. It describes shared work only: every answer is
-//!   computed for its own request, so `results` do not depend on
-//!   batch-mates.
+//!   `"hit"` (its chain's plan was cached, whether or not its model
+//!   text was remembered). The `serve.plan.hit`/`miss` counters and the
+//!   stats sideband's `cache.hits`/`misses` count the same per-request
+//!   events.
+//! - `coalesced` — how many of this batch's successful requests answered
+//!   so far were answered from the same weighted series (the same chain
+//!   and π), this one included: each response is written as soon as it
+//!   is answered, so it cannot count the requests after it. It describes
+//!   shared work only: every answer is computed for its own request, so
+//!   `results` do not depend on batch-mates.
 //! - `error_bounds` — per order, the Theorem-4 bound on what truncating
 //!   the Poisson series (both edges) can change in that moment. It does
 //!   not cover the floating-point rounding of the recursion and its
@@ -49,14 +54,77 @@
 
 use somrm_core::MomentSolution;
 use somrm_obs::json::{self, Value};
+use std::io::Read;
 
 /// Where the model of a request comes from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelSpec {
     /// The model file content inline in the request.
     Inline(String),
-    /// A path to a model file readable by the server.
+    /// A path to a model file, which the server reads for every request
+    /// ([`read_model_file`], capped at [`MAX_LINE_BYTES`]).
     File(String),
+}
+
+impl ModelSpec {
+    /// The model text: inline as it is, a file as [`read_model_file`]
+    /// reads it.
+    ///
+    /// # Errors
+    ///
+    /// [`read_model_file`]'s message.
+    pub fn into_text(self) -> Result<String, String> {
+        match self {
+            ModelSpec::Inline(text) => Ok(text),
+            ModelSpec::File(path) => read_model_file(&path),
+        }
+    }
+}
+
+/// Reads the model file at `path` (relative to the working directory):
+/// the reader of every `model_file`. A file longer than
+/// [`MAX_LINE_BYTES`], the limit an inline model has, is refused after
+/// holding at most that many bytes plus one, so `/dev/zero` or a huge
+/// file costs a bounded read.
+///
+/// # Errors
+///
+/// `cannot read <path>: …` when the file cannot be opened or read, is
+/// longer than the limit, or is not UTF-8.
+pub fn read_model_file(path: &str) -> Result<String, String> {
+    let cannot = |e: &dyn std::fmt::Display| format!("cannot read {path}: {e}");
+    let file = std::fs::File::open(path).map_err(|e| cannot(&e))?;
+    // A regular file's length sizes the buffer once; a pipe or a device
+    // reports 0 and grows it.
+    let len = file.metadata().map_or(0, |m| m.len());
+    let bytes = read_capped(file, len, MAX_LINE_BYTES).map_err(|e| cannot(&e))?;
+    if bytes.len() > MAX_LINE_BYTES {
+        return Err(cannot(&format_args!(
+            "the file is longer than the limit of {MAX_LINE_BYTES} bytes"
+        )));
+    }
+    String::from_utf8(bytes).map_err(|_| cannot(&"stream did not contain valid UTF-8"))
+}
+
+/// Reads `input` to its end, or its first `limit` + 1 bytes when it is
+/// longer, into a buffer that starts at `len_hint` + 1 bytes and doubles
+/// but never holds more than `limit` + 1.
+fn read_capped(input: impl Read, len_hint: u64, limit: usize) -> std::io::Result<Vec<u8>> {
+    let max = limit.saturating_add(1);
+    let mut input = input.take(max as u64);
+    let mut bytes = Vec::new();
+    let mut grow = usize::try_from(len_hint).map_or(max, |n| n.saturating_add(1).min(max));
+    loop {
+        bytes
+            .try_reserve_exact(grow)
+            .map_err(|_| std::io::Error::from(std::io::ErrorKind::OutOfMemory))?;
+        let room = bytes.capacity() - bytes.len();
+        // Short of its room, the read met the end of the input.
+        if (&mut input).take(room as u64).read_to_end(&mut bytes)? < room || bytes.len() >= max {
+            return Ok(bytes);
+        }
+        grow = bytes.len().min(max - bytes.len());
+    }
 }
 
 /// A request's `id` member as its line wrote it: JSON text the parser
@@ -102,7 +170,8 @@ pub const MAX_TIMES: usize = 1024;
 /// Request lines longer than this many bytes (the line end not counted)
 /// are answered with an error, and the reader skips the rest of such a
 /// line without holding it: a line that never ends cannot make the
-/// server buffer the whole input.
+/// server buffer the whole input. A `model_file` longer than this is
+/// refused likewise ([`read_model_file`]).
 pub const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// The `id` member of the object `v` parsed from a line whose member
@@ -380,5 +449,45 @@ mod tests {
         assert_eq!(v.get("id").unwrap().as_f64(), Some(7.0));
         assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
         assert!(v.get("error").unwrap().as_str().unwrap().contains("line two"));
+    }
+
+    #[test]
+    fn the_capped_reader_never_holds_more_than_the_limit_plus_one() {
+        for hint in [0, 3, 10, 11, 1 << 40] {
+            let endless = read_capped(std::io::repeat(b'x'), hint, 10).unwrap();
+            assert_eq!(endless.len(), 11, "hint {hint}");
+            assert!(endless.capacity() <= 11, "hint {hint}: {}", endless.capacity());
+            assert_eq!(read_capped(&b"abc"[..], hint, 10).unwrap(), b"abc");
+            assert_eq!(read_capped(&[b'y'; 10][..], hint, 10).unwrap(), [b'y'; 10]);
+            assert!(read_capped(&b""[..], hint, 10).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn model_files_past_the_line_limit_or_not_utf8_are_refused() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("somrm-proto-{}-long.somrm", std::process::id()));
+        // Sparse: one byte past the limit, none of it on disk.
+        std::fs::File::create(&path)
+            .unwrap()
+            .set_len(MAX_LINE_BYTES as u64 + 1)
+            .unwrap();
+        let long = read_model_file(path.to_str().unwrap());
+        std::fs::write(&path, b"states 1\n\xff\n").unwrap();
+        let not_utf8 = read_model_file(path.to_str().unwrap());
+        std::fs::write(&path, b"states 1\n").unwrap();
+        let fine = read_model_file(path.to_str().unwrap());
+        std::fs::remove_file(&path).ok();
+        let head = format!("cannot read {}: ", path.display());
+        let long = long.unwrap_err();
+        assert!(long.starts_with(&head), "{long}");
+        assert!(long.ends_with("longer than the limit of 67108864 bytes"), "{long}");
+        let not_utf8 = not_utf8.unwrap_err();
+        assert!(not_utf8.starts_with(&head) && not_utf8.contains("UTF-8"), "{not_utf8}");
+        assert_eq!(fine.unwrap(), "states 1\n");
+        let missing = ModelSpec::File("/nonexistent/m.somrm".to_string()).into_text();
+        assert!(missing.unwrap_err().starts_with("cannot read /nonexistent/m.somrm: "));
+        let inline = ModelSpec::Inline("states 1\n".to_string()).into_text();
+        assert_eq!(inline.unwrap(), "states 1\n");
     }
 }
