@@ -31,7 +31,7 @@ pub const MAX_MODEL_ROWS: usize = 64;
 /// `queue_ns` is received → batch processing start; `plan_ns` is the
 /// request's plan lookup/build (0 when no lookup was needed);
 /// `execute_ns` is its query; `slice_ns` is its rendering; `total_ns`
-/// is received → response rendered.
+/// is received → response written.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestLatency {
     /// Received → batch start (time spent queued behind the previous
@@ -43,7 +43,7 @@ pub struct RequestLatency {
     pub execute_ns: u64,
     /// Per-request slice + render time (measured, not split).
     pub slice_ns: u64,
-    /// Received → response rendered, end to end.
+    /// Received → response written, end to end.
     pub total_ns: u64,
 }
 

@@ -15,8 +15,8 @@
 //! - Per-request latency splits into the phases of
 //!   [`somrm_obs::RequestLatency`]: queue wait (received → batch
 //!   start), the request's own plan lookup/build and weighted query,
-//!   its slice/render, and the end-to-end total (received → batch
-//!   responses rendered).
+//!   its slice/render, and the end-to-end total (received → its own
+//!   response written).
 //! - The splits feed the rolling [`somrm_obs::ServeStats`] histograms;
 //!   the *timeline* view goes through [`Recorder::span_complete`] as
 //!   `req[<seq>]` / `req[<seq>] slice` events — timeline-only on
