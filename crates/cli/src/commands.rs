@@ -11,9 +11,7 @@ use somrm_core::SolvePlan;
 use somrm_ctmc::stationary::{stationary_birth_death, stationary_gth};
 use somrm_linalg::MatrixFormat;
 use somrm_num::Dd;
-use somrm_obs::{
-    ChromeTraceRecorder, MetricsRegistry, Recorder, RecorderHandle, SolveReport, TraceRecorder,
-};
+use somrm_obs::{ChromeTraceRecorder, MetricsRegistry, Recorder, RecorderHandle, SolveReport};
 use somrm_sim::reward::{estimate_moments, estimate_moments_impulse};
 use somrm_transform::{density_at, TransformConfig};
 use std::fmt::Write as _;
@@ -34,16 +32,10 @@ pub struct CommonOpts {
     /// output with the JSON [`SolveReport`] on stdout; `Some(path)`
     /// writes the JSON to `path` and keeps the human output.
     pub metrics: Option<String>,
-    /// `--trace`: print span open/close lines with timings to stderr
-    /// while the solver runs.
-    pub trace: bool,
     /// `--trace-out`: capture the solve timeline and write it to this
     /// path as Chrome `trace_event` JSON (open in Perfetto or
-    /// `chrome://tracing`). Supersedes `--trace` when both are given.
+    /// `chrome://tracing`).
     pub trace_out: Option<String>,
-    /// `--progress`: print a throttled `k/G` heartbeat with ETA to
-    /// stderr during long recursions.
-    pub progress: bool,
     /// `--format`: iteration-matrix storage (`auto` detects banded
     /// structure and promotes to DIA; `csr`/`dia` force a format).
     pub format: MatrixFormat,
@@ -62,9 +54,7 @@ impl Default for CommonOpts {
             epsilon: 1e-9,
             threads: 1,
             metrics: None,
-            trace: false,
             trace_out: None,
-            progress: false,
             format: MatrixFormat::Auto,
             events_out: None,
             progress_json: false,
@@ -90,8 +80,7 @@ impl Telemetry {
 impl CommonOpts {
     /// Builds the telemetry for one command invocation. A `--trace-out`
     /// run captures the timeline with [`ChromeTraceRecorder`] (which
-    /// also aggregates, so `--metrics` composes with it); a `--trace`
-    /// run uses the live [`TraceRecorder`] (likewise aggregating); a
+    /// also aggregates, so `--metrics` composes with it); a
     /// `--metrics`-only run aggregates silently; otherwise recording is
     /// disabled and the solver pays a single predictable branch per
     /// instrumentation point.
@@ -101,11 +90,6 @@ impl CommonOpts {
             Telemetry {
                 rec: RecorderHandle::new(chrome.clone() as Arc<dyn Recorder>),
                 chrome: Some((chrome, path.clone())),
-            }
-        } else if self.trace {
-            Telemetry {
-                rec: RecorderHandle::new(Arc::new(TraceRecorder::new()) as Arc<dyn Recorder>),
-                chrome: None,
             }
         } else if self.metrics.is_some() {
             Telemetry {
@@ -146,7 +130,6 @@ impl CommonOpts {
             format: self.format,
             recorder: rec.clone(),
             events: self.events_handle()?,
-            progress: self.progress,
             ..SolverConfig::default()
         })
     }
@@ -154,7 +137,9 @@ impl CommonOpts {
 
 /// Sorts and dedups a command's evaluation grid in place. Returns a
 /// human-readable note when anything was reordered or dropped, `None`
-/// when the grid was already sorted and duplicate-free.
+/// when the grid was already sorted and duplicate-free. Callers write
+/// the note to stderr and ignore a failed write: a closed stderr loses
+/// the note, not the result.
 ///
 /// The solvers require strictly increasing grids; user-supplied lists
 /// (and degenerate generated ones, e.g. `sweep --t 0`) get normalized
@@ -398,7 +383,7 @@ pub fn cmd_bounds(
         .map(|k| mean + sd * (k as f64 / (n_points - 1).max(1) as f64 * 8.0 - 4.0))
         .collect();
     if let Some(note) = normalize_grid("bounds x", &mut xs) {
-        eprintln!("{note}");
+        let _ = writeln!(std::io::stderr(), "{note}");
     }
     let bounds =
         cdf_bounds_recorded::<Dd>(&sol.weighted, &xs, &rec).map_err(|e| e.to_string())?;
@@ -499,7 +484,7 @@ pub fn cmd_sweep(
         }
     };
     if let Some(note) = normalize_grid("sweep time", &mut times) {
-        eprintln!("{note}");
+        let _ = writeln!(std::io::stderr(), "{note}");
     }
     let tel = opts.telemetry();
     let rec = tel.rec().clone();
@@ -550,7 +535,7 @@ pub fn cmd_density(
         .map(|k| mean + sd * (k as f64 / (n_points - 1).max(1) as f64 * 10.0 - 5.0))
         .collect();
     if let Some(note) = normalize_grid("density x", &mut xs) {
-        eprintln!("{note}");
+        let _ = writeln!(std::io::stderr(), "{note}");
     }
     let d = rec.time("density.transform", || {
         density_at(&parsed.model, opts.t, &xs, &TransformConfig::default())
@@ -972,9 +957,9 @@ fn render_stats_human(stats: &somrm_obs::json::Value) -> Option<String> {
     Some(out)
 }
 
-/// Renders a `--metrics` solve report: the headline solver facts plus
-/// the memory section the ledger recorded, with a one-line warning for
-/// any section this renderer does not know.
+/// Renders a `--metrics` solve report: the headline solver facts, the
+/// stage timings and the memory section the ledger recorded, with a
+/// one-line warning for any section this renderer does not know.
 fn render_report_human(report: &somrm_obs::json::Value) -> Option<String> {
     use somrm_obs::json::Value;
     let command = report.get("command")?.as_str()?;
@@ -1006,6 +991,21 @@ fn render_report_human(report: &somrm_obs::json::Value) -> Option<String> {
                 let _ = write!(out, ", left bound {bound:.2e}");
             }
             out.push('\n');
+        }
+    }
+    if let Some(Value::Obj(stages)) = report.get("stages") {
+        let _ = writeln!(out, "stages     :");
+        let width = stages.iter().map(|(name, _)| name.len()).max().unwrap_or(0);
+        for (name, t) in stages {
+            let ns = |key: &str| t.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+            let _ = writeln!(
+                out,
+                "  {name:<width$} : {:.0} runs, {} total, p50 {}, p99 {}",
+                ns("count"),
+                fmt_ns_human(ns("total_ns")),
+                fmt_ns_human(ns("p50_ns")),
+                fmt_ns_human(ns("p99_ns")),
+            );
         }
     }
     match report.get("mem") {
@@ -1606,6 +1606,9 @@ mod tests {
         let out = cmd_stats(&path.display().to_string()).unwrap();
         let _ = std::fs::remove_file(&path);
         assert!(out.contains("command    : moments"), "{out}");
+        assert!(out.contains("stages     :"), "{out}");
+        let recursion = out.lines().find(|l| l.starts_with("  solve.recursion "));
+        assert!(recursion.is_some_and(|l| l.contains(": 1 runs, ")), "{out}");
         assert!(out.contains("memory     :"), "{out}");
         assert!(out.contains("kernel.buffers"), "{out}");
         assert!(out.contains("poisson    : t = "), "{out}");

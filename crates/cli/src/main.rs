@@ -50,10 +50,8 @@ options:
                   Kronecker structure, which model files do not carry)
   --metrics DEST  emit the JSON solve report; DEST '-' replaces the
                   normal output on stdout, anything else is a file path
-  --trace         print solver stage timings to stderr as they happen
   --trace-out P   write the solve timeline to P as Chrome trace_event
                   JSON (open in Perfetto / chrome://tracing)
-  --progress      print a throttled k/G heartbeat with ETA to stderr
   --events-out P  stream the typed solve event log (JSONL, schema
                   somrm-events-v1: solve.start, plan.resolved,
                   truncation, health, progress with ETA, complete) to P
@@ -85,8 +83,9 @@ lines with a top-level \"cmd\" member are sideband admin commands:
   --slow-ms T       slow threshold in milliseconds (default 250;
                     0 captures every request)
 
-stats: pretty-print a snapshot file from serve --stats-out (or a
-captured {\"cmd\":\"stats\"} response line)
+stats: pretty-print a solve report file from --metrics (stage
+timings, memory), a snapshot file from serve --stats-out, or a
+captured {\"cmd\":\"stats\"} response line
 
 model file format:
   states N
@@ -151,7 +150,7 @@ const MODEL_OPTIONS: [&str; 7] = [
 ];
 
 /// The valueless switches every model subcommand accepts.
-const MODEL_SWITCHES: [&str; 3] = ["--trace", "--progress", "--progress-json"];
+const MODEL_SWITCHES: [&str; 1] = ["--progress-json"];
 
 /// Optional *parsed* flag: absent → `None`, present → parsed value.
 fn opt_parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
@@ -254,9 +253,7 @@ fn run() -> Result<String, String> {
         epsilon: flag(&args, "--eps", 1e-9)?,
         threads: flag(&args, "--threads", 1usize)?,
         metrics: opt_flag(&args, "--metrics")?,
-        trace: switch(&args, "--trace"),
         trace_out: opt_flag(&args, "--trace-out")?,
-        progress: switch(&args, "--progress"),
         format: flag(&args, "--format", MatrixFormat::Auto)?,
         events_out: opt_flag(&args, "--events-out")?,
         progress_json: switch(&args, "--progress-json"),

@@ -20,6 +20,8 @@ fn unknown_options_are_refused_with_the_usage_text() {
     for (args, unknown) in [
         (&["moments", MODEL, "--oder", "5"][..], "--oder"),
         (&["moments", MODEL, "--kernel", "simd"], "--kernel"),
+        (&["moments", MODEL, "--trace"], "--trace"),
+        (&["sweep", MODEL, "--progress"], "--progress"),
         (&["check", MODEL, "--order", "2"], "--order"),
         (&["serve", "--kernel", "simd"], "--kernel"),
         (&["verify", "--cases", "1", "--case", "2"], "--case"),

@@ -21,7 +21,7 @@ use crate::uniformization::{
 use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::ln_factorial;
 use somrm_num::sum::NeumaierSum;
-use somrm_obs::{HealthMonitor, ProgressMeter, SolveReport, SolverSection};
+use somrm_obs::{HealthMonitor, SolveReport, SolverSection};
 use std::sync::Arc;
 
 /// Computes raw moments `0 ..= order` of a **first-order** model at time
@@ -123,9 +123,6 @@ pub fn moments_first_order(
     let mut scratch = vec![0.0f64; n_states];
 
     let mut health = rec.enabled().then(|| HealthMonitor::new(g_limit, order));
-    let mut meter = config
-        .progress
-        .then(|| ProgressMeter::new("solve.recursion", g_limit));
     let recursion = rec.span("solve.recursion");
     for k in 0..=g_limit {
         let wk = window.as_ref().map_or(0.0, |w| w.weight(k));
@@ -142,9 +139,6 @@ pub fn moments_first_order(
                     h.observe_order(j, uj);
                 }
             }
-        }
-        if let Some(m) = meter.as_mut() {
-            m.tick(k);
         }
         if k == g_limit {
             break;

@@ -72,8 +72,7 @@ use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::ln_factorial;
 use somrm_num::sum::NeumaierSum;
 use somrm_obs::{
-    Event, HealthMonitor, MemCategory, MemLedger, PoissonStat, ProgressMeter, SolveReport,
-    SolverSection, Span,
+    Event, HealthMonitor, MemCategory, MemLedger, PoissonStat, SolveReport, SolverSection, Span,
 };
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -1253,10 +1252,10 @@ impl SolvePlan {
     /// Each step's `(time, weight)` list goes into one reused
     /// [`StepWeights`], and the kernel runs them in stretches that end at
     /// every hook point — a health sample, an event-log progress record,
-    /// `G` — and after at most [`MAX_STRETCH_STEPS`] steps, where the
-    /// `--progress` heartbeat is checked. The hooks only read, and the
-    /// kernel's result does not depend on where stretches end, so
-    /// attaching any of them leaves every bit unchanged. On an impulse
+    /// `G` — and after at most [`MAX_STRETCH_STEPS`] steps, which bounds
+    /// the step list and a wavefront sweep's depth. The hooks only read,
+    /// and the kernel's result does not depend on where stretches end,
+    /// so attaching any of them leaves every bit unchanged. On an impulse
     /// plan every stretch is one step, after which the coupling terms are
     /// added into the new iterate before any hook sees it.
     #[allow(clippy::too_many_arguments)]
@@ -1318,9 +1317,6 @@ impl SolvePlan {
         // The monitor also feeds the event log's health records, so it
         // runs whenever either sink is attached (it only reads).
         let mut health = (rec.enabled() || ev.enabled()).then(|| HealthMonitor::new(g, order));
-        let mut meter = config
-            .progress
-            .then(|| ProgressMeter::new("solve.recursion", g));
         // Progress events fire every ~5% of G (stride floor 1) plus the
         // final iteration; the ETA is read off a wall clock only when a
         // record is actually emitted.
@@ -1385,9 +1381,6 @@ impl SolvePlan {
                             eta_s,
                         });
                     }
-                }
-                if let Some(m) = meter.as_mut() {
-                    m.tick(k1);
                 }
                 k0 = k1 + 1;
             }

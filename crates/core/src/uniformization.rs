@@ -93,11 +93,6 @@ pub struct SolverConfig {
     /// Attaching a recorder never changes computed results — the
     /// instrumentation only observes.
     pub recorder: RecorderHandle,
-    /// Print a throttled progress heartbeat (`k/G`, percentage, ETA) to
-    /// stderr during the recursion — for paper-scale solves where `G`
-    /// reaches tens of thousands. Off by default; never affects
-    /// results.
-    pub progress: bool,
     /// Structured solve event log (`somrm-events-v1` JSONL): solve
     /// start, resolved plan with exact byte footprints, truncation
     /// result, health samples, ~5%-of-`G` progress with ETA, and
@@ -116,7 +111,6 @@ impl Default for SolverConfig {
             format: MatrixFormat::Auto,
             kernel: KernelVariant::Auto,
             recorder: RecorderHandle::disabled(),
-            progress: false,
             events: EventLogHandle::disabled(),
         }
     }

@@ -1,11 +1,11 @@
 //! Streamed solve event log (`somrm-events-v1`): typed JSONL records.
 //!
 //! Long solves (the 2M-state operator runs take over a minute) need a
-//! machine-readable heartbeat — the `--progress` meter is human-only
-//! stderr. An [`EventLogRecorder`] tees one JSON object per line to any
-//! number of sinks (a file for `--events-out PATH`, stderr for
-//! `--progress-json`), and the solver emits a fixed vocabulary of
-//! [`Event`] records through an [`EventLogHandle`]:
+//! heartbeat a supervisor can read. An [`EventLogRecorder`] tees one
+//! JSON object per line to any number of sinks (a file for
+//! `--events-out PATH`, stderr for `--progress-json`), and the solver
+//! emits a fixed vocabulary of [`Event`] records through an
+//! [`EventLogHandle`]:
 //!
 //! - `solve.start` — order / state / time-point counts;
 //! - `plan.resolved` — chosen matrix format plus exact matrix and plan

@@ -16,7 +16,6 @@
 //! attached, keeping disabled runs at zero cost.
 
 use crate::recorder::RecorderHandle;
-use std::time::Instant;
 
 /// Sampling cadence: at most this many sampled iterations per solve
 /// (plus the final one), so probing a million-iteration recursion costs
@@ -182,63 +181,6 @@ impl HealthSection {
     /// Total anomaly sightings (NaN + Inf + subnormal).
     pub fn warnings(&self) -> u64 {
         self.nan + self.inf + self.subnormal
-    }
-}
-
-/// Throttled stderr progress heartbeat for long recursions
-/// (`--progress`): prints `k/G`, percentage and a linear-extrapolation
-/// ETA at most every [`ProgressMeter::PERIOD`].
-#[derive(Debug)]
-pub struct ProgressMeter {
-    label: &'static str,
-    total: u64,
-    start: Instant,
-    last_print: Option<Instant>,
-}
-
-impl ProgressMeter {
-    /// Minimum interval between heartbeat lines.
-    pub const PERIOD: std::time::Duration = std::time::Duration::from_millis(500);
-
-    /// A meter for `total + 1` steps (`k` in `0..=total`) labelled
-    /// `label`. The first heartbeat prints one period in, so short
-    /// solves stay silent.
-    pub fn new(label: &'static str, total: u64) -> Self {
-        ProgressMeter {
-            label,
-            total,
-            start: Instant::now(),
-            last_print: None,
-        }
-    }
-
-    /// Reports progress `k`; prints a heartbeat when due.
-    pub fn tick(&mut self, k: u64) {
-        let now = Instant::now();
-        let due = match self.last_print {
-            None => now.duration_since(self.start) >= Self::PERIOD,
-            Some(last) => now.duration_since(last) >= Self::PERIOD,
-        };
-        if !due {
-            return;
-        }
-        self.last_print = Some(now);
-        let total = self.total.max(1);
-        let pct = 100.0 * k as f64 / total as f64;
-        let elapsed = now.duration_since(self.start).as_secs_f64();
-        let eta = if k > 0 {
-            elapsed * (total.saturating_sub(k)) as f64 / k as f64
-        } else {
-            f64::NAN
-        };
-        if eta.is_finite() {
-            eprintln!(
-                "progress: {} {k}/{} ({pct:.1}%) ETA {eta:.1}s",
-                self.label, self.total
-            );
-        } else {
-            eprintln!("progress: {} {k}/{} ({pct:.1}%)", self.label, self.total);
-        }
     }
 }
 

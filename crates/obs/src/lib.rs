@@ -14,10 +14,10 @@
 //!    locking. The satellite regression test in the root crate checks
 //!    instrumented and disabled solves are *bit-identical*.
 //! 2. **Events flow one way.** Solvers emit counters, gauges, span
-//!    timings; sinks aggregate ([`MetricsRegistry`]) or narrate
-//!    ([`TraceRecorder`]). Solvers never read metrics back — the only
-//!    read path is [`Recorder::snapshot`], taken once at the end of a
-//!    solve to assemble a [`SolveReport`].
+//!    timings; sinks aggregate ([`MetricsRegistry`]), some also
+//!    drawing a timeline ([`ChromeTraceRecorder`]). Solvers never read
+//!    metrics back — the only read path is [`Recorder::snapshot`],
+//!    taken once at the end of a solve to assemble a [`SolveReport`].
 //! 3. **No dependencies.** JSON serialization is hand-rolled
 //!    ([`mod@json`]); timing uses `std::time::Instant`.
 //!
@@ -52,11 +52,10 @@ pub mod recorder;
 pub mod registry;
 pub mod report;
 pub mod stats;
-pub mod trace;
 
 pub use chrome::ChromeTraceRecorder;
 pub use events::{Event, EventLogHandle, EventLogRecorder, VecSink};
-pub use health::{HealthMonitor, HealthSection, ProgressMeter};
+pub use health::{HealthMonitor, HealthSection};
 pub use mem::{
     current_rss_bytes, peak_rss_bytes, rss_sample, MemCategory, MemEntry, MemLedger, MemSection,
     RssSample,
@@ -66,4 +65,3 @@ pub use recorder::{thread_lane, NoopRecorder, Recorder, RecorderHandle, Span};
 pub use registry::{MetricsRegistry, MetricsSnapshot, TimingStat};
 pub use report::{PoissonStat, PoolSection, SolveReport, SolverSection};
 pub use stats::{ModelStats, ProjectionCounts, RequestLatency, ServeStats, ServeStatsSnapshot};
-pub use trace::TraceRecorder;

@@ -17,10 +17,10 @@ thread_local! {
 /// thread's lifetime.
 ///
 /// `std::thread::ThreadId` has no stable integer form, but timeline
-/// sinks (the Chrome exporter, the stderr tracer) want one lane per
-/// thread with small consecutive numbers. Lanes are assigned on first
-/// use in program order, so the main thread is usually lane 0 and pool
-/// workers claim theirs at spawn (see `linalg`'s worker loop).
+/// sinks (the Chrome exporter) want one lane per thread with small
+/// consecutive numbers. Lanes are assigned on first use in program
+/// order, so the main thread is usually lane 0 and pool workers claim
+/// theirs at spawn (see `linalg`'s worker loop).
 pub fn thread_lane() -> u64 {
     THREAD_LANE.with(|l| *l)
 }
@@ -47,36 +47,24 @@ pub trait Recorder: Send + Sync {
     /// min / max) under `name`.
     fn duration_ns(&self, name: &str, nanos: u64);
 
-    /// A span named `name` was entered. Default: ignored.
-    fn span_start(&self, name: &str) {
-        let _ = name;
-    }
-
-    /// The span `name` ended after `nanos`. Default: ignored. The
-    /// [`Span`] guard additionally reports the same duration through
-    /// [`Recorder::duration_ns`], so aggregating sinks need not
-    /// implement this.
-    fn span_end(&self, name: &str, nanos: u64) {
-        let _ = (name, nanos);
-    }
-
     /// A timeline event: the span `name` ran on the *calling thread*
     /// from the monotonic instant `start` for `nanos`. Default:
     /// ignored.
     ///
-    /// Unlike [`Recorder::span_end`] this carries enough to place the
-    /// span on a wall-clock timeline — the start instant plus the
-    /// caller's thread (recover a lane with [`thread_lane`]). The
-    /// [`Span`] guard emits it on drop alongside `duration_ns` /
-    /// `span_end`; kernels additionally emit per-chunk events directly
-    /// from worker threads so the timeline shows one lane per worker.
+    /// It carries enough to place the span on a wall-clock timeline —
+    /// the start instant plus the caller's thread (recover a lane with
+    /// [`thread_lane`]). The [`Span`] guard emits it on drop after
+    /// reporting the same duration through [`Recorder::duration_ns`];
+    /// kernels additionally emit per-chunk events directly from worker
+    /// threads so the timeline shows one lane per worker.
     fn span_complete(&self, name: &str, start: Instant, nanos: u64) {
         let _ = (name, start, nanos);
     }
 
     /// A snapshot of everything aggregated so far, if this recorder
-    /// aggregates (the [`crate::MetricsRegistry`] does; a pure tracer
-    /// that forwards to one does too). `None` means "nothing to report".
+    /// aggregates (the [`crate::MetricsRegistry`] does; a timeline
+    /// recorder that forwards to one does too). `None` means "nothing to
+    /// report".
     fn snapshot(&self) -> Option<MetricsSnapshot> {
         None
     }
@@ -149,9 +137,7 @@ impl RecorderHandle {
     }
 
     /// The attached recorder, if any. Lets adapters — tees, filters —
-    /// wrap an existing handle's sink without losing raw events
-    /// (`span_start`/`span_end`/`span_complete` have no handle-level
-    /// pass-through for the first two).
+    /// wrap an existing handle's sink.
     pub fn shared(&self) -> Option<Arc<dyn Recorder>> {
         self.0.clone()
     }
@@ -191,22 +177,13 @@ impl RecorderHandle {
     }
 
     /// Opens a timing span; its drop records the elapsed time under
-    /// `name` (both as a duration observation and as a span-end event).
+    /// `name` (both as a duration observation and as a timeline event).
     /// Disabled handles return an inert guard without reading the clock.
     pub fn span(&self, name: &'static str) -> Span<'_> {
-        if let Some(r) = &self.0 {
-            r.span_start(name);
-            Span {
-                handle: self,
-                name,
-                start: Some(Instant::now()),
-            }
-        } else {
-            Span {
-                handle: self,
-                name,
-                start: None,
-            }
+        Span {
+            handle: self,
+            name,
+            start: self.0.is_some().then(Instant::now),
         }
     }
 
@@ -237,7 +214,6 @@ impl Drop for Span<'_> {
         if let (Some(start), Some(r)) = (self.start, &self.handle.0) {
             let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             r.duration_ns(self.name, nanos);
-            r.span_end(self.name, nanos);
             r.span_complete(self.name, start, nanos);
         }
     }

@@ -13,7 +13,8 @@
 //! - `model` (inline model text) **or** `model_file` (path), exactly one.
 //!   The server reads a `model_file` itself, for every request, and
 //!   refuses one longer than [`MAX_LINE_BYTES`], the limit an inline
-//!   model already has ([`read_model_file`]);
+//!   model already has, or one that is a FIFO or a socket
+//!   ([`read_model_file`]);
 //! - `t` — a number or a non-empty array of at most [`MAX_TIMES`]
 //!   finite, non-negative numbers;
 //! - `order` (optional, default 2) — highest moment order requested.
@@ -85,14 +86,24 @@ impl ModelSpec {
 /// the reader of every `model_file`. A file longer than
 /// [`MAX_LINE_BYTES`], the limit an inline model has, is refused after
 /// holding at most that many bytes plus one, so `/dev/zero` or a huge
-/// file costs a bounded read.
+/// file costs a bounded read. A FIFO or a socket is refused before it
+/// is opened: opening a FIFO waits for a writer, which would stall the
+/// serve loop and every request after this one.
 ///
 /// # Errors
 ///
-/// `cannot read <path>: …` when the file cannot be opened or read, is
-/// longer than the limit, or is not UTF-8.
+/// `cannot read <path>: …` when the file cannot be opened or read, is a
+/// FIFO or a socket, is longer than the limit, or is not UTF-8.
 pub fn read_model_file(path: &str) -> Result<String, String> {
     let cannot = |e: &dyn std::fmt::Display| format!("cannot read {path}: {e}");
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileTypeExt;
+        let kind = std::fs::metadata(path).map_err(|e| cannot(&e))?.file_type();
+        if kind.is_fifo() || kind.is_socket() {
+            return Err(cannot(&"a FIFO or a socket is not a model file"));
+        }
+    }
     let file = std::fs::File::open(path).map_err(|e| cannot(&e))?;
     // A regular file's length sizes the buffer once; a pipe or a device
     // reports 0 and grows it.
@@ -489,5 +500,43 @@ mod tests {
         assert!(missing.unwrap_err().starts_with("cannot read /nonexistent/m.somrm: "));
         let inline = ModelSpec::Inline("states 1\n".to_string()).into_text();
         assert_eq!(inline.unwrap(), "states 1\n");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn fifos_and_sockets_are_refused_without_blocking() {
+        let dir = std::env::temp_dir();
+        let fifo = dir.join(format!("somrm-proto-{}-fifo", std::process::id()));
+        let socket = dir.join(format!("somrm-proto-{}-socket", std::process::id()));
+        for p in [&fifo, &socket] {
+            std::fs::remove_file(p).ok();
+        }
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.expect("mkfifo runs").success());
+        let listener = std::os::unix::net::UnixListener::bind(&socket).unwrap();
+        // Each read runs on its own thread, so a reader that blocks in
+        // `open` fails the test instead of hanging it.
+        let reads = [&fifo, &socket].map(|p| {
+            let path = p.to_str().unwrap().to_string();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reader = std::thread::spawn(move || tx.send(read_model_file(&path)));
+            let read = rx.recv_timeout(std::time::Duration::from_secs(5));
+            if read.is_ok() {
+                reader.join().unwrap().ok();
+            }
+            (p.display().to_string(), read)
+        });
+        drop(listener);
+        for p in [&fifo, &socket] {
+            std::fs::remove_file(p).ok();
+        }
+        for (path, read) in reads {
+            let err = read
+                .unwrap_or_else(|_| panic!("reading {path} blocked"))
+                .unwrap_err();
+            assert!(err.starts_with(&format!("cannot read {path}: ")), "{err}");
+        }
+        // A character device is still read, to the cap.
+        assert_eq!(read_model_file("/dev/null").unwrap(), "");
     }
 }

@@ -363,21 +363,24 @@ fn flush_segment<W: Write>(
         for (tl, lat) in pending.iter().zip(&outcome.latencies) {
             if lat.total_ns > threshold || threshold == 0 {
                 // Responses stay untouched (bitwise contract), so the
-                // trace is named by seq and correlated on stderr.
+                // trace is named by seq and correlated on stderr. A closed
+                // stderr loses the notice, nothing else.
                 let json = trace_json.get_or_insert_with(|| batch_rec.to_json());
                 let path = slow.trace_path(tl.seq);
-                match std::fs::write(&path, json.as_bytes()) {
-                    Ok(()) => eprintln!(
+                let _ = match std::fs::write(&path, json.as_bytes()) {
+                    Ok(()) => writeln!(
+                        std::io::stderr(),
                         "somrm-serve: slow request seq={} total_ms={:.3} trace={}",
                         tl.seq,
                         lat.total_ns as f64 / 1e6,
                         path.display()
                     ),
-                    Err(e) => eprintln!(
+                    Err(e) => writeln!(
+                        std::io::stderr(),
                         "somrm-serve: failed to write slow trace {}: {e}",
                         path.display()
                     ),
-                }
+                };
             }
         }
     }

@@ -158,24 +158,6 @@ impl Recorder for TraceTee {
         }
     }
 
-    fn span_start(&self, name: &str) {
-        if let Some(r) = &self.stable {
-            r.span_start(name);
-        }
-        if let Some(b) = self.batch_rec() {
-            b.span_start(name);
-        }
-    }
-
-    fn span_end(&self, name: &str, nanos: u64) {
-        if let Some(r) = &self.stable {
-            r.span_end(name, nanos);
-        }
-        if let Some(b) = self.batch_rec() {
-            b.span_end(name, nanos);
-        }
-    }
-
     fn span_complete(&self, name: &str, start: Instant, nanos: u64) {
         if let Some(r) = &self.stable {
             r.span_complete(name, start, nanos);
