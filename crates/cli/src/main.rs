@@ -44,10 +44,8 @@ options:
   --eps E         solver precision (default 1e-9)
   --threads N     solver worker threads (default 1; results are
                   identical for any count)
-  --format F      iteration-matrix storage: auto|csr|dia|operator
-                  (default auto; results are identical for any choice;
-                  operator runs matrix-free and needs a model with a
-                  Kronecker structure, which model files do not carry)
+  --format F      iteration-matrix storage: auto|csr|dia
+                  (default auto; results are identical for any choice)
   --metrics DEST  emit the JSON solve report; DEST '-' replaces the
                   normal output on stdout, anything else is a file path
   --trace-out P   write the solve timeline to P as Chrome trace_event
@@ -94,14 +92,18 @@ model file format:
   impulse i j AMOUNT     (optional)
   init   i PROB          (optional; default: all mass on state 0)";
 
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+fn flag<T>(args: &[String], name: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     match args.iter().position(|a| a == name) {
         None => Ok(default),
         Some(i) => args
             .get(i + 1)
             .ok_or_else(|| format!("missing value after {name}"))?
             .parse()
-            .map_err(|_| format!("cannot parse value of {name}")),
+            .map_err(|e| format!("cannot parse value of {name}: {e}")),
     }
 }
 
@@ -153,13 +155,17 @@ const MODEL_OPTIONS: [&str; 7] = [
 const MODEL_SWITCHES: [&str; 1] = ["--progress-json"];
 
 /// Optional *parsed* flag: absent → `None`, present → parsed value.
-fn opt_parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+fn opt_parsed<T>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     match opt_flag(args, name)? {
         None => Ok(None),
         Some(s) => s
             .parse()
             .map(Some)
-            .map_err(|_| format!("cannot parse value of {name}")),
+            .map_err(|e| format!("cannot parse value of {name}: {e}")),
     }
 }
 

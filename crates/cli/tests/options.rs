@@ -1,4 +1,5 @@
-//! The command line refuses options it does not know, before any work.
+//! The command line refuses options it does not know, and values it
+//! cannot parse, before any work.
 
 use std::process::{Command, Output, Stdio};
 
@@ -43,4 +44,15 @@ fn unknown_options_are_refused_with_the_usage_text() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn a_refused_format_names_the_accepted_ones() {
+    let out = somrm_tool(&["moments", MODEL, "--format", "operator"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "cannot parse value of --format: unknown matrix format 'operator' (auto|csr|dia)\n"
+    );
+    assert!(out.stdout.is_empty());
 }

@@ -76,14 +76,6 @@ pub enum MrmError {
         /// The cap that was exceeded, in bytes.
         cap_bytes: u64,
     },
-    /// The requested matrix format cannot represent this model (e.g.
-    /// `--format operator` on a model with no recognized structure).
-    FormatUnsupported {
-        /// The requested format.
-        format: &'static str,
-        /// Why the model does not fit it.
-        reason: String,
-    },
     /// The underlying CTMC is invalid.
     Ctmc(CtmcError),
 }
@@ -131,9 +123,6 @@ impl fmt::Display for MrmError {
                 "{what} would allocate an estimated {estimated_bytes} bytes \
                  (cap {cap_bytes}); use --format auto or csr"
             ),
-            MrmError::FormatUnsupported { format, reason } => {
-                write!(f, "matrix format '{format}' cannot represent this model: {reason}")
-            }
             MrmError::Ctmc(e) => write!(f, "invalid structure-state process: {e}"),
         }
     }

@@ -34,8 +34,8 @@ use std::sync::Arc;
 ///   an invalid `t` or configuration.
 /// * [`MrmError::TruncationCapExceeded`] if the Theorem-4 truncation
 ///   point exceeds `max_iterations`.
-/// * [`MrmError::FormatUnsupported`] or [`MrmError::AllocationTooLarge`]
-///   if `config.format` cannot hold the model, as for a [`SolvePlan`].
+/// * [`MrmError::AllocationTooLarge`] if a forced `config.format`
+///   cannot hold the model, as for a [`SolvePlan`].
 ///
 /// # Example
 ///

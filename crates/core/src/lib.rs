@@ -45,6 +45,5 @@ pub mod uniformization;
 
 pub use error::MrmError;
 pub use model::SecondOrderMrm;
-pub use somrm_linalg::ModelStructure;
 pub use plan::{chain_digest, digests, model_digest, ProjectedSeries, SeriesUse, SolvePlan};
 pub use uniformization::{moments as solve_moments, MomentSolution, SolverConfig, SolverStats};

@@ -10,7 +10,6 @@
 use crate::error::MrmError;
 use somrm_ctmc::error::validate_distribution;
 use somrm_ctmc::Generator;
-use somrm_linalg::ModelStructure;
 use std::sync::Arc;
 
 /// A second-order Markov reward model `(Q, R, S, π)`.
@@ -42,12 +41,6 @@ use std::sync::Arc;
 pub struct SecondOrderMrm {
     chain: Arc<Chain>,
     initial: Vec<f64>,
-    /// Optional structure descriptor (Kronecker factors) advertised by
-    /// the model builder, letting the solver use
-    /// a matrix-free operator backend. Purely derived metadata: it
-    /// never changes the numbers a model produces, so it is excluded
-    /// from equality.
-    structure: Option<Arc<ModelStructure>>,
 }
 
 /// The validated chain of a [`SecondOrderMrm`]: generator, drifts and
@@ -60,10 +53,8 @@ struct Chain {
 }
 
 /// Equality compares the mathematical content — generator, rewards,
-/// initial distribution — and deliberately ignores the optional
-/// structure descriptor (two equal models may differ only in whether a
-/// builder annotated them, and the plan-cache digest does not cover the
-/// annotation either).
+/// initial distribution — and skips comparing the chain entry by entry
+/// when both models share it.
 impl PartialEq for SecondOrderMrm {
     fn eq(&self, other: &SecondOrderMrm) -> bool {
         self.same_chain(other) && self.initial == other.initial
@@ -120,7 +111,6 @@ impl SecondOrderMrm {
                 variances,
             }),
             initial,
-            structure: None,
         })
     }
 
@@ -176,8 +166,7 @@ impl SecondOrderMrm {
     }
 
     /// Returns a model identical to this one but with a different
-    /// initial distribution (the structure descriptor, if any, is
-    /// carried over — the chain is shared, not copied).
+    /// initial distribution (the chain is shared, not copied).
     ///
     /// # Errors
     ///
@@ -194,7 +183,6 @@ impl SecondOrderMrm {
         Ok(SecondOrderMrm {
             chain: Arc::clone(&self.chain),
             initial,
-            structure: self.structure.clone(),
         })
     }
 
@@ -203,31 +191,6 @@ impl SecondOrderMrm {
     /// A [`crate::SolvePlan`] of one serves the other.
     pub fn same_chain(&self, other: &SecondOrderMrm) -> bool {
         Arc::ptr_eq(&self.chain, &other.chain) || self.chain == other.chain
-    }
-
-    /// Attaches a structure descriptor advertising how the generator
-    /// was assembled (builder API — the descriptor must describe this
-    /// generator; solvers cross-check dimensions before trusting it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MrmError::DimensionMismatch`] if the descriptor's
-    /// state count differs from the model's.
-    pub fn with_structure(mut self, structure: ModelStructure) -> Result<Self, MrmError> {
-        if structure.n_states() != self.n_states() {
-            return Err(MrmError::DimensionMismatch {
-                what: "structure descriptor",
-                expected: self.n_states(),
-                actual: structure.n_states(),
-            });
-        }
-        self.structure = Some(Arc::new(structure));
-        Ok(self)
-    }
-
-    /// The structure descriptor, if the model builder attached one.
-    pub fn structure(&self) -> Option<&ModelStructure> {
-        self.structure.as_deref()
     }
 
     /// The long-run reward growth rate `π_stat · r` (slope of the mean
@@ -346,30 +309,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn structure_descriptor_is_attached_and_ignored_by_equality() {
-        let m = SecondOrderMrm::first_order(gen2(), vec![1.0, 2.0], vec![1.0, 0.0]).unwrap();
-        assert!(m.structure().is_none());
-        let annotated = m
-            .clone()
-            .with_structure(ModelStructure::KroneckerSum {
-                factors: vec![gen2().to_dense()],
-            })
-            .unwrap();
-        let s = annotated.structure().expect("descriptor attached");
-        assert_eq!(s.kind(), "kronecker-sum");
-        assert_eq!(s.n_states(), 2);
-        // Equality ignores the annotation...
-        assert_eq!(annotated, m);
-        // ...and with_initial carries it over.
-        let moved = annotated.with_initial(vec![0.0, 1.0]).unwrap();
-        assert!(moved.structure().is_some());
-        // Wrong-sized descriptors are rejected.
-        let err = m.with_structure(ModelStructure::KroneckerSum {
-            factors: vec![gen2().to_dense(), gen2().to_dense()],
-        });
-        assert!(matches!(err, Err(MrmError::DimensionMismatch { .. })));
     }
 }

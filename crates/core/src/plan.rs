@@ -45,14 +45,13 @@
 //! `(chain, π)` plus the iterate it stopped at, so one series answers
 //! every horizon whose `G` it covers with no recursion at all, and a
 //! longer horizon resumes it. The series is bitwise the same built in
-//! one go or resumed, on CSR, DIA and the operator backend, so each
-//! answer is a pure function of the plan's chain, π, the query and the
-//! configuration. It differs from [`SolvePlan::execute`]'s `weighted`
-//! by rounding only (the sum over states moves inside the sum over
-//! steps). A series never grows past its byte limit
-//! ([`ProjectedSeries::with_max_bytes`]): a query it cannot keep folds
-//! the same scalars into its Poisson sums as they come and records
-//! nothing, with the same bits.
+//! one go or resumed, on CSR and on DIA, so each answer is a pure
+//! function of the plan's chain, π, the query and the configuration.
+//! It differs from [`SolvePlan::execute`]'s `weighted` by rounding only
+//! (the sum over states moves inside the sum over steps). A series
+//! never grows past its byte limit ([`ProjectedSeries::with_max_bytes`]):
+//! a query it cannot keep folds the same scalars into its Poisson sums
+//! as they come and records nothing, with the same bits.
 
 use crate::error::MrmError;
 use crate::impulse::ImpulseMrm;
@@ -65,8 +64,8 @@ use crate::uniformization::{
 };
 use somrm_linalg::sparse::{CsrMatrix, TripletBuilder};
 use somrm_linalg::{
-    FootprintBytes, FusedMomentKernel, IterationMatrix, LinalgError, MatrixFormat, OperatorMatrix,
-    StepWeights, WorkerPool, MAX_STRETCH_STEPS,
+    FootprintBytes, FusedMomentKernel, IterationMatrix, LinalgError, MatrixFormat, StepWeights,
+    WorkerPool, MAX_STRETCH_STEPS,
 };
 use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::ln_factorial;
@@ -76,15 +75,6 @@ use somrm_obs::{
 };
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
-
-/// State count above which [`MatrixFormat::Auto`] switches a model
-/// that advertises a structure descriptor to the matrix-free operator
-/// backend. Below it the materialized formats win (DIA's branch-free
-/// strips beat recomputed rows at cache-resident sizes, and the paper's
-/// 200,001-state reference model stays on its golden-pinned DIA path);
-/// above it the O(n) matrix footprint and the skipped `Q'`
-/// materialization dominate.
-pub const OPERATOR_AUTO_THRESHOLD: usize = 500_000;
 
 /// Maps the linalg-level format failures to their typed [`MrmError`]
 /// equivalents (anything else would be a solver bug surfacing late).
@@ -99,9 +89,6 @@ fn format_error(e: LinalgError) -> MrmError {
             estimated_bytes,
             cap_bytes,
         },
-        LinalgError::FormatUnsupported { format, reason } => {
-            MrmError::FormatUnsupported { format, reason }
-        }
         other => MrmError::InvalidParameter {
             name: "format",
             reason: other.to_string(),
@@ -579,46 +566,23 @@ impl SolvePlan {
         match matrix {
             IterationMatrix::Csr(_) => MemCategory::MatrixCsr,
             IterationMatrix::Dia(_) => MemCategory::MatrixDia,
-            IterationMatrix::Operator(_) => MemCategory::MatrixOperator,
         }
     }
 
-    /// Picks the iteration-matrix backend for this model/format pair.
-    ///
-    /// * `Operator` (explicit): build the matrix-free operator from the
-    ///   model's Kronecker structure descriptor, which skips
-    ///   materializing `Q'` entirely; a model without one is a typed
-    ///   [`MrmError::FormatUnsupported`].
-    /// * `Auto`: switch to the operator backend only when the model
-    ///   advertises a structure descriptor *and* has at least
-    ///   [`OPERATOR_AUTO_THRESHOLD`] states; otherwise DIA strips or
-    ///   CSR, as [`IterationMatrix::uniformized`] selects.
-    /// * `Csr`/`Dia`: that storage, with the forced-DIA path refusing
-    ///   past [`somrm_linalg::FORCED_DIA_MAX_BYTES`].
+    /// The iteration matrix of this model/format pair, as
+    /// [`IterationMatrix::uniformized`] stores it: `Auto` picks DIA
+    /// strips or CSR, `Csr`/`Dia` force that storage, with the forced-DIA
+    /// path refusing past [`somrm_linalg::FORCED_DIA_MAX_BYTES`].
     pub(crate) fn resolve_matrix(
         model: &SecondOrderMrm,
         q: f64,
         format: MatrixFormat,
     ) -> Result<IterationMatrix, MrmError> {
-        let auto_operator = format == MatrixFormat::Auto
-            && model.structure().is_some()
-            && model.n_states() >= OPERATOR_AUTO_THRESHOLD;
-        if format == MatrixFormat::Operator || auto_operator {
-            let structure = model
-                .structure()
-                .ok_or_else(|| MrmError::FormatUnsupported {
-                    format: "operator",
-                    reason: "the model advertises no Kronecker structure descriptor".to_string(),
-                })?;
-            let op = OperatorMatrix::from_structure(structure, model.generator().as_csr(), q)
-                .map_err(format_error)?;
-            return Ok(IterationMatrix::Operator(op));
-        }
         IterationMatrix::uniformized(model.generator().as_csr(), q, format).map_err(format_error)
     }
 
-    /// Name of the resolved matrix backend (`"csr"`, `"dia"`,
-    /// `"operator"`), or `"none"` for a frozen chain with no kernel.
+    /// Name of the resolved matrix backend (`"csr"` or `"dia"`), or
+    /// `"none"` for a frozen chain with no kernel.
     pub fn matrix_format_name(&self) -> &'static str {
         self.kernel
             .as_ref()
@@ -1230,7 +1194,6 @@ impl SolvePlan {
                 match pk.matrix {
                     IterationMatrix::Csr(_) => 0.0,
                     IterationMatrix::Dia(_) => 1.0,
-                    IterationMatrix::Operator(_) => 2.0,
                 },
             );
             rec.gauge_set("solver.bandwidth", pk.bandwidth as f64);
@@ -1557,137 +1520,6 @@ mod tests {
         let cold = moments_terminal_weighted(&m, 2, 0.8, &w, &SolverConfig::default()).unwrap();
         assert_eq!(warm.weighted, cold.weighted);
         assert_eq!(warm.per_state, cold.per_state);
-    }
-
-    /// A 6-state Kronecker-sum chain (factors of 2 and 3 levels with
-    /// every off-diagonal rate positive) carrying its structure
-    /// descriptor; the flat generator lists each factor's entries
-    /// verbatim, so the operator owes the CSR path exact agreement.
-    fn kron_chain() -> SecondOrderMrm {
-        let factors = vec![
-            somrm_linalg::Mat::from_fn(2, 2, |r, c| if r != c { 1.5 + r as f64 } else { 0.0 }),
-            somrm_linalg::Mat::from_fn(3, 3, |r, c| {
-                if r != c {
-                    0.5 + ((r + 2 * c) % 3) as f64
-                } else {
-                    0.0
-                }
-            }),
-        ];
-        let mut b = GeneratorBuilder::new(6);
-        for i in 0..6 {
-            let (d0, d1) = (i / 3, i % 3);
-            for c in 0..2 {
-                if c != d0 {
-                    b.rate(i, c * 3 + d1, factors[0][(d0, c)]).unwrap();
-                }
-            }
-            for c in 0..3 {
-                if c != d1 {
-                    b.rate(i, d0 * 3 + c, factors[1][(d1, c)]).unwrap();
-                }
-            }
-        }
-        let rates: Vec<f64> = (0..6).map(|i| i as f64 / 6.0).collect();
-        let variances: Vec<f64> = (0..6).map(|i| 0.1 + i as f64 / 6.0).collect();
-        let mut init = vec![0.0; 6];
-        init[1] = 1.0;
-        SecondOrderMrm::new(b.build().unwrap(), rates, variances, init)
-            .unwrap()
-            .with_structure(crate::ModelStructure::KroneckerSum { factors })
-            .unwrap()
-    }
-
-    #[test]
-    fn operator_plans_match_csr_plans_bitwise() {
-        // A forced operator plan on a Kronecker-structured model: its
-        // sweep and terminal results must be bit-identical to the CSR
-        // plan's.
-        let m = kron_chain();
-        let op_cfg = SolverConfig {
-            format: MatrixFormat::Operator,
-            ..SolverConfig::default()
-        };
-        let csr_cfg = SolverConfig {
-            format: MatrixFormat::Csr,
-            ..SolverConfig::default()
-        };
-        let csr = SolvePlan::build(&m, 3, &csr_cfg).unwrap();
-        let op = SolvePlan::build(&m, 3, &op_cfg).unwrap();
-        assert_eq!(op.matrix_format_name(), "operator");
-        let times = [0.3, 1.1];
-        let a = csr.execute(&times, 3).unwrap();
-        let b = op.execute(&times, 3).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.weighted, y.weighted);
-            assert_eq!(x.per_state, y.per_state);
-            assert_eq!(x.error_bounds, y.error_bounds);
-        }
-        let w = [1.0, 0.0, 0.0, 0.0, 0.0, 2.0];
-        let ta = csr.execute_terminal(0.7, &w, 3).unwrap();
-        let tb = op.execute_terminal(0.7, &w, 3).unwrap();
-        assert_eq!(ta.weighted, tb.weighted);
-        assert_eq!(ta.per_state, tb.per_state);
-        let pi = vec![1.0 / 6.0; 6];
-        let mut sa = ProjectedSeries::new(pi.clone());
-        let mut sb = ProjectedSeries::new(pi);
-        let (wa, _) = csr.execute_weighted(&mut sa, &[2.0], 3).unwrap();
-        let (wb, _) = op.execute_weighted(&mut sb, &[2.0], 3).unwrap();
-        assert_eq!(series_bits(&sa), series_bits(&sb));
-        assert_eq!(wa[0].weighted, wb[0].weighted);
-        // Operator plans account exact owned bytes: the factor blocks
-        // (4 + 9 doubles), sizes and strides (4 words) and the diagonal.
-        assert_eq!(op.matrix_bytes(), (4 + 9 + 6) * 8 + 4 * 8);
-    }
-
-    #[test]
-    fn auto_keeps_small_structured_models_on_materialized_formats() {
-        let m = kron_chain();
-        let auto = SolvePlan::build(&m, 2, &SolverConfig::default()).unwrap();
-        assert_ne!(
-            auto.matrix_format_name(),
-            "operator",
-            "below the threshold Auto must keep its materialized selection"
-        );
-        // Forcing the operator uses the descriptor and stays bitwise.
-        let op_cfg = SolverConfig {
-            format: MatrixFormat::Operator,
-            ..SolverConfig::default()
-        };
-        let op = SolvePlan::build(&m, 2, &op_cfg).unwrap();
-        assert_eq!(op.matrix_format_name(), "operator");
-        let a = auto.execute(&[0.9], 2).unwrap();
-        let b = op.execute(&[0.9], 2).unwrap();
-        assert_eq!(a[0].weighted, b[0].weighted);
-    }
-
-    #[test]
-    fn forced_operator_without_structure_errors_cleanly() {
-        // Neither a tridiagonal chain nor one with a (0 -> 2) jump
-        // carries a descriptor: a typed error, never a panic.
-        let mut b = GeneratorBuilder::new(4);
-        b.rate(0, 2, 1.0).unwrap();
-        b.rate(2, 0, 1.0).unwrap();
-        b.rate(1, 2, 0.5).unwrap();
-        b.rate(3, 2, 0.5).unwrap();
-        b.rate(2, 3, 0.5).unwrap();
-        let jump = SecondOrderMrm::first_order(
-            b.build().unwrap(),
-            vec![1.0, 0.0, 2.0, 0.0],
-            vec![1.0, 0.0, 0.0, 0.0],
-        )
-        .unwrap();
-        let op_cfg = SolverConfig {
-            format: MatrixFormat::Operator,
-            ..SolverConfig::default()
-        };
-        for m in [jump, chain(6)] {
-            let err = SolvePlan::build(&m, 2, &op_cfg).unwrap_err();
-            assert!(
-                matches!(err, MrmError::FormatUnsupported { format: "operator", .. }),
-                "got {err:?}"
-            );
-        }
     }
 
     #[test]
@@ -2224,35 +2056,5 @@ mod tests {
         let plan = SolvePlan::build(&chain(4), 1, &SolverConfig::default()).unwrap();
         assert!(plan.mem_ledger().is_none());
         assert!(plan.footprint_bytes() > 0, "byte accounting works regardless");
-    }
-
-    #[test]
-    fn auto_switches_to_operator_at_the_threshold_for_structured_models() {
-        // Four 27-level factors, 531,441 states, annotated with their
-        // Kronecker structure: Auto must pick the matrix-free backend
-        // without ever materializing Q'. Each factor moves only from
-        // level 0 to level 1, which keeps the flat generator small.
-        let (k, levels) = (27, 4);
-        let step = somrm_linalg::Mat::from_fn(k, k, |r, c| if (r, c) == (0, 1) { 1.0 } else { 0.0 });
-        let n = k.pow(levels);
-        assert!(n >= OPERATOR_AUTO_THRESHOLD);
-        let mut b = GeneratorBuilder::new(n);
-        for i in 0..n {
-            for stride in (0..levels).rev().map(|f| k.pow(f)) {
-                if i / stride % k == 0 {
-                    b.rate(i, i + stride, 1.0).unwrap();
-                }
-            }
-        }
-        let mut init = vec![0.0; n];
-        init[0] = 1.0;
-        let m = SecondOrderMrm::first_order(b.build().unwrap(), vec![0.0; n], init)
-            .unwrap()
-            .with_structure(crate::ModelStructure::KroneckerSum {
-                factors: vec![step; levels as usize],
-            })
-            .unwrap();
-        let plan = SolvePlan::build(&m, 1, &SolverConfig::default()).unwrap();
-        assert_eq!(plan.matrix_format_name(), "operator");
     }
 }

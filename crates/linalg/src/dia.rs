@@ -34,7 +34,6 @@
 //! format forced for benchmarks and tests.
 
 use crate::error::LinalgError;
-use crate::operator::OperatorMatrix;
 use crate::sparse::CsrMatrix;
 
 /// Hard cap on the padded storage a **forced** DIA conversion may
@@ -304,8 +303,7 @@ fn offsets_and_nnz(rows: &impl Rows) -> (Vec<isize>, usize) {
 /// `Auto` (the default) stores DIA strips when the bandwidth detector
 /// accepts the matrix and CSR otherwise; `Csr`/`Dia` force the format
 /// (DIA on a scattered matrix stores every populated diagonal in full —
-/// benchmarks only); `Operator` asks for the matrix-free backend, which
-/// only a Kronecker-structured model can supply.
+/// benchmarks only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatrixFormat {
     /// Pick per matrix: DIA when profitable, CSR otherwise.
@@ -315,9 +313,6 @@ pub enum MatrixFormat {
     Csr,
     /// Always DIA (padded to every populated diagonal).
     Dia,
-    /// Matrix-free operator (`crate::operator`): entries computed on
-    /// the fly from model structure, never materialized.
-    Operator,
 }
 
 impl std::fmt::Display for MatrixFormat {
@@ -326,7 +321,6 @@ impl std::fmt::Display for MatrixFormat {
             MatrixFormat::Auto => "auto",
             MatrixFormat::Csr => "csr",
             MatrixFormat::Dia => "dia",
-            MatrixFormat::Operator => "operator",
         })
     }
 }
@@ -339,10 +333,7 @@ impl std::str::FromStr for MatrixFormat {
             "auto" => Ok(MatrixFormat::Auto),
             "csr" => Ok(MatrixFormat::Csr),
             "dia" => Ok(MatrixFormat::Dia),
-            "operator" | "op" => Ok(MatrixFormat::Operator),
-            other => Err(format!(
-                "unknown matrix format '{other}' (auto|csr|dia|operator)"
-            )),
+            other => Err(format!("unknown matrix format '{other}' (auto|csr|dia)")),
         }
     }
 }
@@ -357,8 +348,6 @@ pub enum IterationMatrix {
     Csr(CsrMatrix<f64>),
     /// Diagonal storage for banded matrices.
     Dia(DiaMatrix),
-    /// Matrix-free operator computed from model structure.
-    Operator(OperatorMatrix),
 }
 
 impl IterationMatrix {
@@ -375,16 +364,12 @@ impl IterationMatrix {
     /// * `Dia` forces the strips, refusing with
     ///   [`LinalgError::AllocationTooLarge`] before allocating past
     ///   [`FORCED_DIA_MAX_BYTES`];
-    /// * `Csr` forces CSR, the only storage that materializes `Q'` in
-    ///   that form;
-    /// * `Operator` is refused with [`LinalgError::FormatUnsupported`]:
-    ///   the matrix-free backend is built from a model's Kronecker
-    ///   structure ([`OperatorMatrix::from_structure`]), not from `q`.
+    /// * `Csr` forces CSR.
     ///
     /// # Errors
     ///
-    /// The two above, and [`LinalgError::DimensionMismatch`] if `q` is
-    /// not square.
+    /// [`LinalgError::AllocationTooLarge`] as above, and
+    /// [`LinalgError::DimensionMismatch`] if `q` is not square.
     pub fn uniformized(
         q: &CsrMatrix<f64>,
         rate: f64,
@@ -403,14 +388,6 @@ impl IterationMatrix {
             MatrixFormat::Auto => DiaMatrix::from_rows(&rows, false)?,
             MatrixFormat::Dia => DiaMatrix::from_rows(&rows, true)?,
             MatrixFormat::Csr => None,
-            MatrixFormat::Operator => {
-                return Err(LinalgError::FormatUnsupported {
-                    format: "operator",
-                    reason: "the matrix-free operator is built from a model's Kronecker \
-                             structure, not from its generator matrix"
-                        .to_string(),
-                })
-            }
         };
         Ok(match dia {
             Some(d) => IterationMatrix::Dia(d),
@@ -436,17 +413,14 @@ impl IterationMatrix {
         match self {
             IterationMatrix::Csr(m) => m.rows(),
             IterationMatrix::Dia(m) => m.rows(),
-            IterationMatrix::Operator(m) => m.rows(),
         }
     }
 
-    /// Number of columns (square for the DIA and operator variants by
-    /// construction).
+    /// Number of columns (square for the DIA variant by construction).
     pub fn cols(&self) -> usize {
         match self {
             IterationMatrix::Csr(m) => m.cols(),
             IterationMatrix::Dia(m) => m.rows(),
-            IterationMatrix::Operator(m) => m.rows(),
         }
     }
 
@@ -460,7 +434,6 @@ impl IterationMatrix {
         match self {
             IterationMatrix::Csr(_) => "csr",
             IterationMatrix::Dia(_) => "dia",
-            IterationMatrix::Operator(_) => "operator",
         }
     }
 
@@ -479,7 +452,6 @@ impl IterationMatrix {
                 bw
             }
             IterationMatrix::Dia(m) => m.bandwidth(),
-            IterationMatrix::Operator(m) => m.bandwidth(),
         }
     }
 
@@ -492,7 +464,6 @@ impl IterationMatrix {
         match self {
             IterationMatrix::Csr(m) => m.matvec_into(x, y),
             IterationMatrix::Dia(m) => m.matvec_into(x, y),
-            IterationMatrix::Operator(m) => m.matvec_into(x, y),
         }
     }
 }
@@ -777,21 +748,17 @@ mod tests {
             ("auto", MatrixFormat::Auto),
             ("csr", MatrixFormat::Csr),
             ("dia", MatrixFormat::Dia),
-            ("operator", MatrixFormat::Operator),
         ] {
             assert_eq!(s.parse::<MatrixFormat>().unwrap(), f);
             assert_eq!(f.to_string(), s);
         }
-        assert_eq!("op".parse::<MatrixFormat>().unwrap(), MatrixFormat::Operator);
-        assert!("banded".parse::<MatrixFormat>().is_err());
+        for refused in ["banded", "operator", "op"] {
+            assert_eq!(
+                refused.parse::<MatrixFormat>(),
+                Err(format!("unknown matrix format '{refused}' (auto|csr|dia)"))
+            );
+        }
         assert_eq!(MatrixFormat::default(), MatrixFormat::Auto);
-    }
-
-    #[test]
-    fn operator_format_needs_a_model_structure() {
-        let (q, rate) = generators().swap_remove(0);
-        let err = IterationMatrix::uniformized(&q, rate, MatrixFormat::Operator);
-        assert!(matches!(err, Err(LinalgError::FormatUnsupported { .. })));
     }
 
     #[test]

@@ -44,14 +44,6 @@ pub enum LinalgError {
         /// The cap that was exceeded, in bytes.
         cap_bytes: u64,
     },
-    /// A storage format cannot represent the given matrix (e.g.
-    /// `--format operator` on a model with no recognized structure).
-    FormatUnsupported {
-        /// The requested format.
-        format: &'static str,
-        /// Why the matrix does not fit it.
-        reason: String,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -80,9 +72,6 @@ impl fmt::Display for LinalgError {
                 f,
                 "{what} would allocate an estimated {estimated_bytes} bytes (cap {cap_bytes})"
             ),
-            LinalgError::FormatUnsupported { format, reason } => {
-                write!(f, "matrix format '{format}' unsupported here: {reason}")
-            }
         }
     }
 }
@@ -118,12 +107,6 @@ mod tests {
         };
         assert!(alloc.to_string().contains("forced DIA storage"));
         assert!(alloc.to_string().contains(&(1u64 << 40).to_string()));
-        let fmt = LinalgError::FormatUnsupported {
-            format: "operator",
-            reason: "no structure".to_string(),
-        };
-        assert!(fmt.to_string().contains("operator"));
-        assert!(fmt.to_string().contains("no structure"));
     }
 
     #[test]

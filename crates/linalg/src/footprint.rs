@@ -9,15 +9,13 @@
 //! and that is what the memory ledger (`somrm-obs`) budgets against.
 //!
 //! Implementations exist for every iteration-matrix storage
-//! ([`CsrMatrix`], [`DiaMatrix`], [`OperatorMatrix`] via its
-//! `KroneckerSum`, and the [`IterationMatrix`] dispatch)
+//! ([`CsrMatrix`], [`DiaMatrix`] and the [`IterationMatrix`] dispatch)
 //! and for the fused kernel's working set
 //! ([`FusedMomentKernel`](crate::fused::FusedMomentKernel)).
 
 use std::mem::size_of;
 
 use crate::dia::{DiaMatrix, IterationMatrix};
-use crate::operator::OperatorMatrix;
 use crate::sparse::CsrMatrix;
 
 /// Exact stored bytes of a value's owned heap allocations.
@@ -46,20 +44,11 @@ impl FootprintBytes for DiaMatrix {
     }
 }
 
-impl FootprintBytes for OperatorMatrix {
-    /// The wrapped operator's factor blocks and O(n) diagonal, never the
-    /// materialized matrix.
-    fn footprint_bytes(&self) -> usize {
-        self.as_kronecker().footprint_bytes()
-    }
-}
-
 impl FootprintBytes for IterationMatrix {
     fn footprint_bytes(&self) -> usize {
         match self {
             IterationMatrix::Csr(csr) => csr.footprint_bytes(),
             IterationMatrix::Dia(dia) => dia.footprint_bytes(),
-            IterationMatrix::Operator(op) => op.footprint_bytes(),
         }
     }
 }

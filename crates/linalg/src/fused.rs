@@ -29,8 +29,8 @@
 //! is the matrix bandwidth; see `Wavefront` for why two `U` buffers
 //! suffice and every row reads exactly the values the pass-by-pass order
 //! gives it. With a pool attached, or when the band is too wide for the
-//! skew to fit a block (Kronecker sums), the same scheduler runs with
-//! depth 1: one pass at a time over fixed row chunks.
+//! skew to fit a block, the same scheduler runs with depth 1: one pass
+//! at a time over fixed row chunks.
 //!
 //! # Determinism
 //!
@@ -44,11 +44,7 @@
 //! each accumulator cell receives its terms in ascending-`k` order from
 //! a single thread. The kernel resolves the [`IterationMatrix`] once, so
 //! the CSR and DIA backends share every other line of the pass and
-//! inherit the same determinism contract. The matrix-free operator
-//! backend (`crate::operator`) joins them: it stores each row's dot,
-//! computed with the same chain (stores are exact), and
-//! `simd::axpy` then adds the same two combine terms in the same
-//! order.
+//! inherit the same determinism contract.
 //!
 //! # Arithmetic
 //!
@@ -88,7 +84,6 @@
 
 use crate::dia::{DiaMatrix, IterationMatrix};
 use crate::footprint::FootprintBytes;
-use crate::operator::KroneckerSum;
 use crate::pool::{chunk_range, PoolStats, SyncMutPtr, WorkerPool};
 use crate::simd::{self, lanes_fit, load_lanes, store_lanes, Lanes, PROJ_LANES};
 use somrm_num::sum::neumaier_add;
@@ -116,8 +111,6 @@ enum MatrixParts<'b> {
     Csr(&'b [usize], &'b [usize], &'b [f64]),
     /// `(offsets, flattened diagonal data)`.
     Dia(&'b [isize], &'b [f64]),
-    /// Matrix-free backend; rows computed on the fly.
-    Op(&'b KroneckerSum),
 }
 
 /// How a kernel reaches its worker threads: none (inline), a pool it
@@ -426,7 +419,6 @@ impl<'a> FusedMomentKernel<'a> {
                 }
                 (MatrixParts::Dia(m.offsets(), m.data()), lo..hi.max(lo))
             }
-            IterationMatrix::Operator(m) => (MatrixParts::Op(m.as_kronecker()), 0..n),
         };
         let order1 = order + 1;
         // Bytes a block keeps per row: both U buffers, both accumulator
@@ -896,9 +888,8 @@ impl PassCtx<'_> {
 
 /// The canonical combine of row `i` at order `j`:
 /// `(dot + r'[i]·u⁽ʲ⁻¹⁾[i]) + ½s'[i]·u⁽ʲ⁻²⁾[i]`, the terms of orders below
-/// 0 left out. The DIA interior adds the same two terms lane-wise, and
-/// the operator rows with `simd::axpy`, so every row agrees bitwise
-/// whatever its path.
+/// 0 left out. The DIA interior adds the same two terms lane-wise, so
+/// every row agrees bitwise whatever its path.
 #[inline(always)]
 fn combine(ctx: &PassCtx, j: usize, i: usize, dot: f64) -> f64 {
     let n = ctx.n;
@@ -916,7 +907,7 @@ fn combine(ctx: &PassCtx, j: usize, i: usize, dot: f64) -> f64 {
 /// (the orders its specialized loops cover).
 const PROJ_REG_ORDERS: usize = 4;
 
-/// Row-block size of the CSR and operator rows: 2048 rows =
+/// Row-block size of the CSR rows: 2048 rows =
 /// 16 KiB per order stream, sized so a block of every order's `U_k`
 /// plus the matrix and combine streams stays in L1/L2 while all time
 /// points and orders consume it.
@@ -933,7 +924,7 @@ const CSR_PREFETCH_ROWS: usize = 8;
 const CSR_PREFETCH_MIN_NNZ_PER_ROW: usize = 8;
 
 /// The pass body over `range`. The DIA interior runs the single-pass row
-/// loop [`dia_groups`]; CSR and operator rows are tiled into
+/// loop [`dia_groups`]; CSR rows are tiled into
 /// [`SIMD_BLOCK`] row blocks where the Poisson-weighted accumulate runs
 /// for every `(time, order)` pair while the `U_k` rows are cache-hot,
 /// then the advance re-reads the same rows (the CSR gather is
@@ -1058,27 +1049,6 @@ unsafe fn simd_rows_impl<V: Lanes, const P: bool>(ctx: &PassCtx, range: Range<us
                             let v = combine(ctx, j, i, dot);
                             // SAFETY: bodies write disjoint rows.
                             unsafe { *ctx.u_next.add(j * n + i) = v };
-                        }
-                    }
-                }
-                MatrixParts::Op(op) => {
-                    // The operator's dots land in `u_next`, then `axpy`
-                    // adds the `r'` and `½s'` terms in `combine`'s
-                    // order.
-                    for j in 0..order1 {
-                        let uj = &u_cur[j * n..(j + 1) * n];
-                        // SAFETY: bodies write disjoint rows.
-                        let out = unsafe {
-                            std::slice::from_raw_parts_mut(ctx.u_next.add(j * n + blo), len)
-                        };
-                        op.matvec_range(uj, out, blo..bhi);
-                        if j >= 1 {
-                            let w1 = &u_cur[(j - 1) * n + blo..(j - 1) * n + bhi];
-                            simd::axpy(out, &ctx.r_prime[blo..bhi], w1);
-                        }
-                        if j >= 2 {
-                            let w2 = &u_cur[(j - 2) * n + blo..(j - 2) * n + bhi];
-                            simd::axpy(out, &ctx.s_half[blo..bhi], w2);
                         }
                     }
                 }
@@ -1257,7 +1227,6 @@ mod tests {
     use super::*;
     use crate::dense::Mat;
     use crate::dia::{DiaMatrix, MatrixFormat};
-    use crate::operator::{KroneckerSum, OperatorMatrix};
     use crate::sparse::{CsrMatrix, TripletBuilder};
     use proptest::prelude::*;
     use somrm_num::sum::NeumaierSum;
@@ -1465,30 +1434,6 @@ mod tests {
         }
     }
 
-    /// Runs 30 steps and returns every accumulated value, flattened.
-    /// Mixed-sign `r'` makes some intermediates negative.
-    fn run_kernel(im: &IterationMatrix, threads: usize) -> Vec<f64> {
-        let n = im.rows();
-        let order = 3;
-        let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0 - 0.4).collect();
-        let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
-        let u0 = vec![1.0; n];
-        let active0 = [(0usize, 0.25f64), (1, 0.5)];
-        let active1 = [(1usize, 0.125f64)];
-        let mut k = FusedMomentKernel::new(im, &r_prime, &s_half, order, 2, &u0, threads);
-        for step in 0..30 {
-            let active: &[(usize, f64)] = if step % 2 == 0 { &active0 } else { &active1 };
-            k.step(active, step < 29);
-        }
-        let mut out = Vec::new();
-        for ti in 0..2 {
-            for j in 0..=order {
-                out.extend(values(&k, ti, j));
-            }
-        }
-        out
-    }
-
     /// Fully-populated tridiagonal matrix (no structural zeros), the
     /// shape every storage shares with CSR bitwise for inputs of any
     /// sign.
@@ -1528,41 +1473,34 @@ mod tests {
         })
     }
 
-    /// A 48-state Kronecker-sum operator and the uniformized CSR of its
-    /// materialized generator, which the operator owes bit for bit.
-    fn kronecker_pair() -> (IterationMatrix, IterationMatrix) {
-        let rate = 20.0;
-        let op =
-            KroneckerSum::new(vec![kron_factor(4), kron_factor(3), kron_factor(4)], rate).unwrap();
-        let n = op.rows();
+    /// The uniformized CSR of the 48-state Kronecker-sum generator
+    /// `A₀ ⊕ A₁ ⊕ A₂` of [`kron_factor`] blocks of sizes 4, 3 and 4
+    /// (factor 0 outermost): state `i` has digit `(i / strideₖ) % sizeₖ`
+    /// in factor `k`, and moves to each other value `c` of one digit at
+    /// that factor's rate. Its band (36) is too wide for a wavefront
+    /// block to skew over.
+    fn kronecker_csr() -> IterationMatrix {
+        let (sizes, strides, n, rate) = ([4usize, 3, 4], [12usize, 4, 1], 48, 20.0);
+        let factors = sizes.map(kron_factor);
         let mut b = TripletBuilder::with_capacity(n, n, 10 * n);
-        let mut exit = vec![0.0; n];
-        for (i, j, a) in op.generator_triplets() {
-            b.push(i, j, a);
-            exit[i] += a;
-        }
-        for (i, &e) in exit.iter().enumerate() {
-            b.push(i, i, -e);
+        for i in 0..n {
+            let mut exit = 0.0;
+            for k in 0..sizes.len() {
+                let jk = (i / strides[k]) % sizes[k];
+                for c in (0..sizes[k]).filter(|&c| c != jk) {
+                    let a = factors[k][(jk, c)];
+                    b.push(i, i - jk * strides[k] + c * strides[k], a);
+                    exit += a;
+                }
+            }
+            b.push(i, i, -exit);
         }
         let csr = b
             .build()
             .scaled(1.0 / rate)
             .add_scaled_identity(1.0)
             .unwrap();
-        (
-            IterationMatrix::Csr(csr),
-            IterationMatrix::Operator(OperatorMatrix::kronecker(op)),
-        )
-    }
-
-    #[test]
-    fn operator_kernel_bitwise_matches_csr_kernel() {
-        let (csr, op) = kronecker_pair();
-        let baseline = run_kernel(&csr, 1);
-        for threads in [1usize, 2, 4, 8] {
-            let got = run_kernel(&op, threads);
-            assert_bits(&baseline, &got, &format!("operator x{threads}"));
-        }
+        IterationMatrix::Csr(csr)
     }
 
     #[test]
@@ -1654,8 +1592,8 @@ mod tests {
     }
 
     /// The iteration matrices the schedule test runs: DIA with three and
-    /// five diagonals, banded CSR, and a Kronecker sum whose band is too
-    /// wide for a skewed sweep.
+    /// five diagonals, banded CSR, and a Kronecker sum stored as CSR whose
+    /// band is too wide for a skewed sweep.
     fn schedule_matrices(n: usize) -> Vec<(&'static str, IterationMatrix)> {
         let banded = |offsets: &[isize]| {
             let mut b = TripletBuilder::with_capacity(n, n, offsets.len() * n);
@@ -1676,8 +1614,8 @@ mod tests {
         let tri = banded(&[-1, 0, 1]);
         let penta = banded(&[-2, -1, 0, 1, 2]);
         let wide = banded(&[-3, 0, 2]);
-        let (_, kron) = kronecker_pair();
-        assert_eq!(kron.rows(), 48);
+        let kron = kronecker_csr();
+        assert_eq!((kron.rows(), kron.bandwidth()), (48, 36));
         vec![
             ("dia3", stored(&tri, MatrixFormat::Dia)),
             ("dia5", stored(&penta, MatrixFormat::Dia)),
@@ -1885,38 +1823,31 @@ mod tests {
             }
         }
         // One matrix in two backends projects the same bits: a
-        // tridiagonal one as CSR and DIA, a Kronecker sum as CSR and
-        // operator.
+        // tridiagonal one as CSR and DIA.
         let m = tridiag_matrix(131);
-        let pairs = [
-            (
-                "dia",
-                stored(&m, MatrixFormat::Csr),
-                stored(&m, MatrixFormat::Dia),
-            ),
-            ("operator", kronecker_pair().0, kronecker_pair().1),
-        ];
-        for (name, csr, other) in &pairs {
-            let n = csr.rows();
-            let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
-            let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
-            let pi = vec![1.0 / n as f64; n];
-            let run = |im| {
-                weighted_run(
-                    im,
-                    &r_prime,
-                    &s_half,
-                    &pi,
-                    3,
-                    &vec![1.0; n],
-                    g,
-                    1,
-                    Some((32, 8)),
-                    &[5, 64],
-                )
-            };
-            assert_bits(&run(csr), &run(other), &format!("csr vs {name}"));
-        }
+        let n = m.rows();
+        let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
+        let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
+        let pi = vec![1.0 / n as f64; n];
+        let run = |format| {
+            weighted_run(
+                &stored(&m, format),
+                &r_prime,
+                &s_half,
+                &pi,
+                3,
+                &vec![1.0; n],
+                g,
+                1,
+                Some((32, 8)),
+                &[5, 64],
+            )
+        };
+        assert_bits(
+            &run(MatrixFormat::Csr),
+            &run(MatrixFormat::Dia),
+            "csr vs dia",
+        );
     }
 
     #[test]

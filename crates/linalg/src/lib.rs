@@ -15,10 +15,6 @@
 //!   the solvers build once per solve, writing the uniformized
 //!   generator's strips straight from its rows (the paper's
 //!   200,001-state model is tridiagonal: three strips);
-//! * [`operator`] — the matrix-free backend ([`operator::KroneckerSum`])
-//!   that computes the uniformized mat-vec on the fly from a model's
-//!   Kronecker structure with O(1) matrix memory per state,
-//!   bitwise-faithful to the CSR pipeline;
 //! * [`footprint`] — exact owned-bytes accounting
 //!   ([`footprint::FootprintBytes`]) for every matrix storage and the
 //!   fused kernel's working set, feeding the `somrm-obs` memory ledger;
@@ -60,7 +56,6 @@ pub mod fft;
 pub mod footprint;
 pub mod fused;
 pub mod lu;
-pub mod operator;
 pub mod pool;
 pub mod scalar;
 pub mod simd;
@@ -74,7 +69,6 @@ pub use dia::{DiaMatrix, IterationMatrix, MatrixFormat, FORCED_DIA_MAX_BYTES};
 pub use error::LinalgError;
 pub use footprint::FootprintBytes;
 pub use fused::{Accumulated, FusedMomentKernel, StepWeights, MAX_STRETCH_STEPS};
-pub use operator::{KroneckerSum, ModelStructure, OperatorMatrix};
 pub use pool::{PoolStats, WorkerPool};
 pub use scalar::{Cx, Scalar};
 pub use simd::KernelVariant;

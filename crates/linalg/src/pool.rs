@@ -2,9 +2,9 @@
 //!
 //! The randomization recursion runs one parallel pass per iteration `k`,
 //! and `G` routinely reaches tens of thousands (the paper's large model
-//! has `G = 41,588`). Spawning scoped OS threads inside every pass — the
-//! old `matvec_into_parallel` strategy — pays `O(G·order·threads)` thread
-//! creations per solve, which dwarfs the useful work on sparse rows. The
+//! has `G = 41,588`). Spawning scoped OS threads inside every pass would
+//! pay `O(G·order·threads)` thread creations per solve, which dwarfs the
+//! useful work on sparse rows. The
 //! [`WorkerPool`] instead creates its threads **once per solve** and
 //! parks them between passes:
 //!

@@ -107,24 +107,6 @@ pub fn prefetch_read(p: *const f64) {
     }
 }
 
-/// Adds one combine term in place: `out[i] ← out[i] + a[i]·x[i]`, a
-/// plain product and then a plain sum. Applied for the `R'` term and then
-/// for the `½S'` term, it gives the canonical combine
-/// `(dot + r'·w₁) + ½s'·w₂`.
-///
-/// # Panics
-///
-/// Panics if the three slices differ in length.
-pub(crate) fn axpy(out: &mut [f64], a: &[f64], x: &[f64]) {
-    assert!(
-        a.len() == out.len() && x.len() == out.len(),
-        "axpy: length mismatch"
-    );
-    for ((o, &a), &x) in out.iter_mut().zip(a).zip(x) {
-        *o += a * x;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Lanes: the register type of the fused row loops
 // ---------------------------------------------------------------------------

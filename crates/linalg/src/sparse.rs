@@ -627,157 +627,6 @@ mod tests {
             }
         }
     }
-}
-
-impl CsrMatrix<f64> {
-    /// Parallel `y = A·x` over contiguous row chunks using scoped
-    /// threads. Falls back to the serial kernel for small matrices or
-    /// `n_threads <= 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths do not match the matrix shape.
-    pub fn matvec_into_parallel(&self, x: &[f64], y: &mut [f64], n_threads: usize) {
-        assert_eq!(x.len(), self.cols, "matvec: x length mismatch");
-        assert_eq!(y.len(), self.rows, "matvec: y length mismatch");
-        if n_threads <= 1 || self.rows < 4096 {
-            self.matvec_into(x, y);
-            return;
-        }
-        let threads = n_threads.min(self.rows);
-        let chunk = self.rows.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut rest = &mut y[..];
-            let mut start = 0usize;
-            while start < self.rows {
-                let len = chunk.min(self.rows - start);
-                let (head, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let row_ptr = &self.row_ptr;
-                let col_idx = &self.col_idx;
-                let values = &self.values;
-                scope.spawn(move || {
-                    for (offset, out) in head.iter_mut().enumerate() {
-                        let i = start + offset;
-                        let lo = row_ptr[i];
-                        let hi = row_ptr[i + 1];
-                        let mut acc = 0.0;
-                        for k in lo..hi {
-                            acc += values[k] * x[col_idx[k]];
-                        }
-                        *out = acc;
-                    }
-                });
-                start += len;
-            }
-        });
-    }
-
-    /// Parallel `y = A·x` on a persistent [`WorkerPool`](crate::WorkerPool),
-    /// avoiding the per-call thread spawns of
-    /// [`CsrMatrix::matvec_into_parallel`].
-    ///
-    /// Chunk boundaries depend only on `(rows, pool.threads())`, and each
-    /// row's dot product is evaluated in the same order as the serial
-    /// kernel, so the result is bit-identical to [`CsrMatrix::matvec_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths do not match the matrix shape.
-    pub fn matvec_into_pooled(&self, x: &[f64], y: &mut [f64], pool: &mut crate::pool::WorkerPool) {
-        assert_eq!(x.len(), self.cols, "matvec: x length mismatch");
-        assert_eq!(y.len(), self.rows, "matvec: y length mismatch");
-        let chunks = pool.threads();
-        if chunks <= 1 {
-            self.matvec_into(x, y);
-            return;
-        }
-        let rows = self.rows;
-        let row_ptr = &self.row_ptr;
-        let col_idx = &self.col_idx;
-        let values = &self.values;
-        let y_out = crate::pool::SyncMutPtr::new(y.as_mut_ptr());
-        pool.run(&|c| {
-            for i in crate::pool::chunk_range(rows, chunks, c) {
-                let lo = row_ptr[i];
-                let hi = row_ptr[i + 1];
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += values[k] * x[col_idx[k]];
-                }
-                // SAFETY: chunk row ranges are disjoint.
-                unsafe { *y_out.add(i) = acc };
-            }
-        });
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::pool::WorkerPool;
-
-    #[test]
-    fn parallel_matvec_matches_serial() {
-        // Large tridiagonal matrix crossing the parallel threshold.
-        let n = 10_000;
-        let mut b = TripletBuilder::with_capacity(n, n, 3 * n);
-        for i in 0..n {
-            if i > 0 {
-                b.push(i, i - 1, 0.25 + (i % 7) as f64 * 0.1);
-            }
-            b.push(i, i, -1.0);
-            if i + 1 < n {
-                b.push(i, i + 1, 0.5);
-            }
-        }
-        let m = b.build();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
-        let mut serial = vec![0.0; n];
-        m.matvec_into(&x, &mut serial);
-        for threads in [1usize, 2, 3, 8] {
-            let mut par = vec![0.0; n];
-            m.matvec_into_parallel(&x, &mut par, threads);
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn small_matrix_takes_serial_path() {
-        let m = CsrMatrix::from_triplets(3, 3, &[(0, 1, 2.0), (2, 0, 1.0)]);
-        let mut y = vec![0.0; 3];
-        m.matvec_into_parallel(&[1.0, 1.0, 1.0], &mut y, 8);
-        assert_eq!(y, vec![2.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn pooled_matvec_matches_serial_bitwise() {
-        let n = 4097;
-        let mut b = TripletBuilder::with_capacity(n, n, 3 * n);
-        for i in 0..n {
-            if i > 0 {
-                b.push(i, i - 1, 0.3 + (i % 5) as f64 * 0.01);
-            }
-            b.push(i, i, -0.9);
-            if i + 1 < n {
-                b.push(i, i + 1, 0.6);
-            }
-        }
-        let m = b.build();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 29) % 13) as f64 / 7.0 - 0.8).collect();
-        let mut serial = vec![0.0; n];
-        m.matvec_into(&x, &mut serial);
-        for threads in [1usize, 2, 5, 8] {
-            let mut pool = WorkerPool::new(threads);
-            let mut y = vec![f64::NAN; n];
-            m.matvec_into_pooled(&x, &mut y, &mut pool);
-            assert_eq!(y, serial, "threads = {threads}");
-            // The pool is reusable across calls.
-            let mut y2 = vec![f64::NAN; n];
-            m.matvec_into_pooled(&x, &mut y2, &mut pool);
-            assert_eq!(y2, serial, "threads = {threads}, second call");
-        }
-    }
 
     #[test]
     fn csr_parts_expose_row_structure() {

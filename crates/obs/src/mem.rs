@@ -29,8 +29,6 @@ pub enum MemCategory {
     MatrixCsr,
     /// DIA iteration-matrix storage (offsets + padded diagonals).
     MatrixDia,
-    /// Matrix-free operator state (strips / factor blocks + diagonal).
-    MatrixOperator,
     /// Fused-kernel working set: `U` ping-pong pair + accumulators.
     KernelBuffers,
     /// Plan-owned vectors (`R'`, `½S'`) beyond the matrix itself.
@@ -41,10 +39,9 @@ pub enum MemCategory {
 
 impl MemCategory {
     /// Every category, in report order.
-    pub const ALL: [MemCategory; 6] = [
+    pub const ALL: [MemCategory; 5] = [
         MemCategory::MatrixCsr,
         MemCategory::MatrixDia,
-        MemCategory::MatrixOperator,
         MemCategory::KernelBuffers,
         MemCategory::Plan,
         MemCategory::CacheResident,
@@ -55,7 +52,6 @@ impl MemCategory {
         match self {
             MemCategory::MatrixCsr => "matrix.csr",
             MemCategory::MatrixDia => "matrix.dia",
-            MemCategory::MatrixOperator => "matrix.operator",
             MemCategory::KernelBuffers => "kernel.buffers",
             MemCategory::Plan => "plan",
             MemCategory::CacheResident => "cache.resident",
@@ -67,7 +63,6 @@ impl MemCategory {
         match self {
             MemCategory::MatrixCsr => "mem.matrix.csr",
             MemCategory::MatrixDia => "mem.matrix.dia",
-            MemCategory::MatrixOperator => "mem.matrix.operator",
             MemCategory::KernelBuffers => "mem.kernel.buffers",
             MemCategory::Plan => "mem.plan",
             MemCategory::CacheResident => "mem.cache.resident",
@@ -78,10 +73,9 @@ impl MemCategory {
         match self {
             MemCategory::MatrixCsr => 0,
             MemCategory::MatrixDia => 1,
-            MemCategory::MatrixOperator => 2,
-            MemCategory::KernelBuffers => 3,
-            MemCategory::Plan => 4,
-            MemCategory::CacheResident => 5,
+            MemCategory::KernelBuffers => 2,
+            MemCategory::Plan => 3,
+            MemCategory::CacheResident => 4,
         }
     }
 }
@@ -96,7 +90,7 @@ struct Slot {
 /// the ledger is a monitor, not a synchronization point).
 #[derive(Debug, Default)]
 pub struct MemLedger {
-    slots: [Slot; 6],
+    slots: [Slot; 5],
     peak_rss: AtomicU64,
 }
 
@@ -279,7 +273,6 @@ mod tests {
             vec![
                 "matrix.csr",
                 "matrix.dia",
-                "matrix.operator",
                 "kernel.buffers",
                 "plan",
                 "cache.resident"

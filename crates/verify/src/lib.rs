@@ -96,8 +96,6 @@ pub struct VerifySummary {
     /// How many cases each optional cross-check actually covered.
     pub dia_checked: u64,
     /// See [`VerifySummary::dia_checked`].
-    pub kron_checked: u64,
-    /// See [`VerifySummary::dia_checked`].
     pub pool_checked: u64,
     /// See [`VerifySummary::dia_checked`].
     pub plan_checked: u64,
@@ -128,9 +126,8 @@ impl VerifySummary {
         }
         let _ = writeln!(
             out,
-            "checks: dia {} | kron {} | pool {} | plan {} | weighted {} | first-order {} | ode {} | sim {}",
+            "checks: dia {} | pool {} | plan {} | weighted {} | first-order {} | ode {} | sim {}",
             self.dia_checked,
-            self.kron_checked,
             self.pool_checked,
             self.plan_checked,
             self.weighted_checked,
@@ -185,7 +182,6 @@ pub fn run_verification(opts: &VerifyOpts) -> VerifySummary {
         match check_case(&case, &opts.oracle, &mut rng) {
             Ok(stats) => {
                 summary.dia_checked += u64::from(stats.dia_checked);
-                summary.kron_checked += u64::from(stats.kron_checked);
                 summary.pool_checked += u64::from(stats.pool_checked);
                 summary.plan_checked += u64::from(stats.plan_checked);
                 summary.weighted_checked += u64::from(stats.weighted_checked);
@@ -245,7 +241,6 @@ mod tests {
         assert_eq!(summary.family_counts.len(), 8);
         assert!(summary.family_counts.iter().all(|&(_, c)| c == 2));
         assert_eq!(summary.dia_checked, 16);
-        assert_eq!(summary.kron_checked, 16, "companion runs on every case");
         assert_eq!(summary.pool_checked, 16);
         assert_eq!(summary.plan_checked, 16);
         assert_eq!(summary.weighted_checked, 16);

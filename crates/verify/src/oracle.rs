@@ -4,10 +4,9 @@
 //! Tolerance discipline — every comparison budget is derived from error
 //! bounds the solvers themselves report, never from a magic constant:
 //!
-//! - **CSR vs DIA**, **CSR vs matrix-free operator** (tridiagonal cases
-//!   plus a Kronecker-sum companion built per case), and **serial vs
-//!   pooled** randomization must agree **bitwise** (prior work proved
-//!   the kernels bit-identical; the oracle keeps them honest).
+//! - **CSR vs DIA** and **serial vs pooled** randomization must agree
+//!   **bitwise** (prior work proved the kernels bit-identical; the
+//!   oracle keeps them honest).
 //! - **Randomization vs closed forms / ODE / simulation** must agree
 //!   within `bound_rnd + bound_other + rel_floor·scale`, where
 //!   `bound_rnd` is the realized Theorem-4 truncation bound,
@@ -18,9 +17,8 @@
 //!   sum over steps, so they agree with the per-state solve within
 //!   both reported bounds plus the relative floor; their projected
 //!   series must be bitwise the same run in one go or resumed, on CSR
-//!   and DIA (and the operator where it applies), an answer that records
-//!   nothing must match the recorded one bitwise, and a pooled series
-//!   agrees within the bound.
+//!   and DIA, an answer that records nothing must match the recorded
+//!   one bitwise, and a pooled series agrees within the bound.
 
 use crate::case::VerifyCase;
 use rand::rngs::StdRng;
@@ -28,9 +26,8 @@ use somrm_core::error::MrmError;
 use somrm_core::first_order::moments_first_order;
 use somrm_core::model::SecondOrderMrm;
 use somrm_core::uniformization::{moments, SolverConfig};
-use somrm_core::{ModelStructure, MomentSolution, ProjectedSeries, SolvePlan};
-use somrm_ctmc::generator::GeneratorBuilder;
-use somrm_linalg::{Mat, MatrixFormat};
+use somrm_core::{MomentSolution, ProjectedSeries, SolvePlan};
+use somrm_linalg::MatrixFormat;
 use somrm_obs::json::{self};
 use somrm_obs::RecorderHandle;
 use somrm_ode::{moments_ode, OdeMethod};
@@ -97,9 +94,6 @@ impl OracleConfig {
 pub struct CaseStats {
     /// DIA-forced randomization compared bitwise.
     pub dia_checked: bool,
-    /// Kronecker-sum companion model compared bitwise (operator vs
-    /// CSR); runs on every case.
-    pub kron_checked: bool,
     /// Pooled randomization compared bitwise.
     pub pool_checked: bool,
     /// Cached-plan execute (cold and warm) compared bitwise.
@@ -303,30 +297,6 @@ fn check_case_inner(
     stats.dia_checked = true;
     rec.counter_add("verify.checks.dia", 1);
 
-    // --- Kronecker companion: a small composite model derived
-    // deterministically from the case, solved through the Kronecker-sum
-    // operator and through CSR; bitwise agreement required. Runs on
-    // every case: the case's own models carry no structure, and the
-    // operator is built only from one. ---
-    let op_cfg = SolverConfig {
-        format: MatrixFormat::Operator,
-        ..base.clone()
-    };
-    let companion = kron_companion(case).map_err(|e| solve_error("rnd-op-kron", &e))?;
-    let kron_ref = rec
-        .time("verify.solve.kron_ref", || {
-            moments(&companion, case.order, case.t, &base)
-        })
-        .map_err(|e| solve_error("rnd-op-kron", &e))?;
-    let kron_op = rec
-        .time("verify.solve.kron_op", || {
-            moments(&companion, case.order, case.t, &op_cfg)
-        })
-        .map_err(|e| solve_error("rnd-op-kron", &e))?;
-    compare_bitwise("rnd-op-kron", &kron_ref.weighted, &kron_op.weighted)?;
-    stats.kron_checked = true;
-    rec.counter_add("verify.checks.kron", 1);
-
     // --- Pool oracle: pooled kernel must be bit-identical. ---
     let pool_cfg = SolverConfig {
         threads: 2,
@@ -529,59 +499,6 @@ fn check_weighted(
     bounded(&pooled_answer, &answer)
 }
 
-/// Builds the case's Kronecker companion: a 2×3-factor composite chain
-/// (6 states) with rates derived deterministically from the case's own
-/// parameters, annotated with a [`ModelStructure::KroneckerSum`]
-/// descriptor. The flat generator is assembled from the *same* factor
-/// entries the operator enumerates, so the operator's off-diagonal
-/// values (`a · 1/q`) coincide exactly with CSR's (`v · 1/q`), and its
-/// diagonal is aligned with the stored `Q` — bitwise agreement is owed,
-/// not hoped for.
-fn kron_companion(case: &VerifyCase) -> Result<SecondOrderMrm, MrmError> {
-    let r0 = case
-        .transitions
-        .first()
-        .map_or(1.0, |&(_, _, r)| r.abs().clamp(0.125, 8.0));
-    let r1 = (0.5 + case.t).clamp(0.25, 4.0);
-    let f0 = Mat::from_rows(&[&[0.0, r0][..], &[0.5 * r1, 0.0][..]])
-        .expect("2x2 factor rows are rectangular");
-    let f1 = Mat::from_rows(&[
-        &[0.0, r1, 0.0][..],
-        &[0.75 * r0, 0.0, 1.5][..],
-        &[0.0, 2.0 * r1, 0.0][..],
-    ])
-    .expect("3x3 factor rows are rectangular");
-    let factors = vec![f0, f1];
-
-    // Flat generator over the mixed-radix product space (outer factor
-    // stride 3, inner stride 1), emitting each factor's off-diagonal
-    // entries verbatim.
-    let (sizes, strides) = ([2usize, 3], [3usize, 1]);
-    let n = 6;
-    let mut b = GeneratorBuilder::new(n);
-    for i in 0..n {
-        let digits = [i / 3, i % 3];
-        for k in 0..2 {
-            let jk = digits[k];
-            let base = i - jk * strides[k];
-            for c in 0..sizes[k] {
-                let a = factors[k][(jk, c)];
-                if c != jk && a > 0.0 {
-                    b.rate(i, base + c * strides[k], a)?;
-                }
-            }
-        }
-    }
-    let drifts: Vec<f64> = (0..n).map(|i| case.drifts[i % case.drifts.len()]).collect();
-    let variances: Vec<f64> = (0..n)
-        .map(|i| case.variances[i % case.variances.len()])
-        .collect();
-    let mut initial = vec![0.0; n];
-    initial[0] = 1.0;
-    SecondOrderMrm::new(b.build()?, drifts, variances, initial)?
-        .with_structure(ModelStructure::KroneckerSum { factors })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,10 +526,6 @@ mod tests {
         let stats = check_case(&case, &OracleConfig::default(), &mut case_rng(1, 1))
             .unwrap_or_else(|v| panic!("unexpected violation: {v}"));
         assert!(stats.dia_checked);
-        assert!(
-            stats.kron_checked,
-            "every case runs the Kronecker companion"
-        );
         assert!(stats.pool_checked);
         assert!(stats.plan_checked);
         assert!(stats.weighted_checked);
@@ -683,7 +596,6 @@ mod tests {
         assert_eq!(snap.counter("verify.cases"), Some(1));
         assert_eq!(snap.counter("verify.passed"), Some(1));
         assert_eq!(snap.counter("verify.checks.dia"), Some(1));
-        assert_eq!(snap.counter("verify.checks.kron"), Some(1));
         assert_eq!(snap.counter("verify.checks.pool"), Some(1));
         assert_eq!(snap.counter("verify.checks.plan"), Some(1));
         assert_eq!(snap.counter("verify.checks.sim"), Some(1));
