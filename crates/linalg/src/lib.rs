@@ -68,7 +68,7 @@ pub use dense::Mat;
 pub use dia::{DiaMatrix, IterationMatrix, MatrixFormat, FORCED_DIA_MAX_BYTES};
 pub use error::LinalgError;
 pub use footprint::FootprintBytes;
-pub use fused::{Accumulated, FusedMomentKernel, StepWeights, MAX_STRETCH_STEPS};
+pub use fused::{Accumulated, FusedMomentKernel, Start, StepWeights, MAX_STRETCH_STEPS};
 pub use pool::{PoolStats, WorkerPool};
 pub use scalar::{Cx, Scalar};
 pub use simd::KernelVariant;

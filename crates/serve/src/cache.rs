@@ -1113,11 +1113,11 @@ mod tests {
 
     #[test]
     fn an_entry_keeps_its_series_within_its_byte_budget() {
-        // 136 bytes a step at order 16: each series takes a bit less
-        // than half the budget.
+        // 128 bytes a step at order 16 (orders 1–16; a₀ = Σπ is not
+        // recorded): each series takes a bit less than half the budget.
         let m = model(2.0);
         let q = m.generator().uniformization_rate();
-        let t = 0.4 * SERIES_BYTES_PER_PLAN as f64 / 136.0 / q;
+        let t = 0.4 * SERIES_BYTES_PER_PLAN as f64 / 128.0 / q;
         let (a, b, c) = (
             m.clone(),
             m.with_initial(vec![0.5, 0.5]).unwrap(),
@@ -1144,11 +1144,11 @@ mod tests {
 
     #[test]
     fn a_series_past_the_budget_is_answered_without_recording() {
-        // 136 bytes a step at order 16: this horizon's G needs more than
-        // the whole budget.
+        // 128 bytes a step at order 16 (orders 1–16): this horizon's G
+        // needs more than the whole budget.
         let m = model(2.0);
         let q = m.generator().uniformization_rate();
-        let t = 1.05 * SERIES_BYTES_PER_PLAN as f64 / 136.0 / q;
+        let t = 1.05 * SERIES_BYTES_PER_PLAN as f64 / 128.0 / q;
         let mut cache = PlanCache::new(4, RecorderHandle::disabled());
         let build = || build_plan(&m, crate::MAX_ORDER);
         let streamed = cache.answer(&m, &[0.5, t], 16, build).unwrap();
@@ -1282,7 +1282,7 @@ mod tests {
         // text do.
         let m = model(2.0);
         let q = m.generator().uniformization_rate();
-        let t = 0.3 * SERIES_BYTES_PER_PLAN as f64 / 136.0 / q;
+        let t = 0.3 * SERIES_BYTES_PER_PLAN as f64 / 128.0 / q;
         let pad = " ".repeat(SERIES_BYTES_PER_PLAN as usize / 4);
         let (a, b) = (format!("2 # {pad}"), format!("2 0.5 # {pad}"));
         let calls = std::cell::Cell::new(0);

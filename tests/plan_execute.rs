@@ -193,3 +193,114 @@ fn plan_execute_impulse_is_bitwise_identical_to_cold_impulse_solves() {
     assert!(events.iter().any(|e| matches!(e, Event::Truncation { .. })));
     assert!(matches!(events.last(), Some(Event::Complete { g, .. }) if *g == sol.stats.iterations));
 }
+
+/// Per-state moments of `a` within a relative `tol` of `b`'s.
+fn assert_close(label: &str, a: &[Vec<f64>], b: &[Vec<f64>], tol: f64) {
+    assert_eq!(a.len(), b.len(), "{label}: orders");
+    for (j, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.len(), y.len(), "{label}: order {j} length");
+        for (i, (&x, &y)) in x.iter().zip(y).enumerate() {
+            assert!(
+                (x - y).abs() <= tol * y.abs(),
+                "{label}: order {j}, state {i}: {x} vs {y}"
+            );
+        }
+    }
+}
+
+#[test]
+fn unit_start_execute_matches_the_full_recursion_from_all_ones() {
+    // `execute` starts from U⁽⁰⁾ ≡ 1 and stores orders ≥ 1 only;
+    // `execute_terminal` with all-ones weights runs the full recursion,
+    // U⁽⁰⁾ included. Non-negative drifts, so no unshift amplifies the
+    // rounding that separates them.
+    let small = OnOffMultiplexer::table2_scaled(200).model().unwrap();
+    let large = OnOffMultiplexer::table2_scaled(20_000)
+        .model_steady_start()
+        .unwrap();
+    for (name, model, qt) in [
+        ("onoff-200", small, 2_000.0),
+        ("multiplexer-20k", large, 400.0),
+    ] {
+        assert!(model.rates().iter().all(|&r| r >= 0.0), "{name}");
+        let n = model.n_states();
+        let ones = vec![1.0; n];
+        let t = qt / model.generator().uniformization_rate();
+        let impulses = ImpulseMrm::new(
+            model.clone(),
+            &[
+                (0, 1, 0.5),
+                (2, 1, 1.0),
+                (n / 2, n / 2 + 1, 0.25),
+                (n - 1, n - 2, 2.0),
+            ],
+        )
+        .unwrap();
+        let cfg = SolverConfig::default();
+        let plans = [
+            ("plain", SolvePlan::build(&model, 3, &cfg).unwrap()),
+            (
+                "impulse",
+                SolvePlan::build_impulse(&impulses, 3, &cfg).unwrap(),
+            ),
+        ];
+        for (kind, plan) in plans {
+            let label = format!("{name} {kind}");
+            let unit = plan.execute(&[t], 3).unwrap().pop().unwrap();
+            let full = plan.execute_terminal(t, &ones, 3).unwrap();
+            assert_eq!(unit.stats.iterations, full.stats.iterations, "{label}: G");
+            assert!(unit.stats.iterations > 100, "{label}: G");
+            assert_bitwise(
+                &format!("{label} bounds"),
+                &unit.error_bounds,
+                &full.error_bounds,
+            );
+            assert_close(&label, &unit.per_state, &full.per_state, 1e-11);
+        }
+    }
+}
+
+#[test]
+fn order_zero_execute_returns_each_window_mass_without_a_pass() {
+    use somrm::num::poisson::PoissonWindow;
+    use somrm::num::sum::NeumaierSum;
+
+    let model = OnOffMultiplexer::table2_scaled(200).model().unwrap();
+    let q = model.generator().uniformization_rate();
+    let times = [50.0 / q, 400.0 / q, 2_000.0 / q];
+    let registry = Arc::new(MetricsRegistry::new());
+    let cfg = SolverConfig::default().with_recorder(RecorderHandle::new(registry.clone()));
+    let plan = SolvePlan::build(&model, 2, &cfg).unwrap();
+    let sols = plan.execute(&times, 0).unwrap();
+    let g = sols[0].stats.iterations;
+    let report = sols[0]
+        .report
+        .clone()
+        .expect("a recorder attaches a report");
+    let windows = &report.solver.as_ref().unwrap().poisson;
+    for (sol, stat) in sols.iter().zip(windows) {
+        // The horizon's window, rebuilt from its reported left edge.
+        let w = PoissonWindow::exact_from(q * sol.t, stat.weights_left_skipped, g);
+        assert_eq!(w.weights().len() as u64, stat.weights_kept);
+        let mut mass = NeumaierSum::new();
+        w.weights().iter().for_each(|&wk| mass.add(wk));
+        assert_eq!(sol.per_state.len(), 1);
+        assert!(
+            sol.per_state[0]
+                .iter()
+                .all(|&m| m.to_bits() == mass.value().to_bits()),
+            "t = {}: every state's order 0 is the window mass {}",
+            sol.t,
+            mass.value()
+        );
+    }
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter("kernel.passes").unwrap_or(0),
+        0,
+        "no kernel pass"
+    );
+    let health = report.health.as_ref().expect("health section");
+    assert!(health.samples > 0);
+    assert_eq!(health.u0_mass_final, 1.0);
+}
