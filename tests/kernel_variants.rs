@@ -3,10 +3,11 @@
 //! - **Golden bit-exactness.** `tests/regressions/scalar-golden.json`
 //!   pins the solver's outputs as captured *before* the SIMD lanes
 //!   landed, over three structurally distinct models, two thread
-//!   configurations, and two orders. The kernel computes strict f64 in
-//!   canonical order, with no fused multiply-add, on AVX2 or portable
-//!   lanes alike, so it must reproduce every bit forever — on any CPU,
-//!   and in a build for any `-C target-cpu`.
+//!   configurations, and two orders, and regenerated once since, with no
+//!   value moving, when plain solves stopped computing `U⁽⁰⁾`. The kernel
+//!   computes strict f64 in canonical order, with no fused multiply-add,
+//!   on AVX2 or portable lanes alike, so it must reproduce every bit
+//!   forever — on any CPU, and in a build for any `-C target-cpu`.
 //! - **Schedules.** A model spanning several wavefront blocks keeps
 //!   its bits with a recorder attached, on a worker pool, and through
 //!   terminal-weighted executes.
@@ -67,6 +68,13 @@ fn golden_model(label: &str) -> SecondOrderMrm {
 /// The evaluation grid the golden file was captured on.
 const GOLDEN_TIMES: [f64; 3] = [0.05, 0.4, 1.1];
 
+/// Every weighted moment of the golden corpus, bit for bit. The values
+/// were captured from the scalar kernel before the SIMD lanes existed.
+/// They were regenerated once (`regenerate_scalar_golden`) when plain
+/// solves began to start from `U⁽⁰⁾ ≡ 1` instead of computing it (the
+/// kernel's unit start): on these models and horizons the computed
+/// `U⁽⁰⁾` had been exactly 1.0 at every step, so no value moved and only
+/// the file's note changed.
 #[test]
 fn scalar_kernel_matches_pre_simd_golden_bits() {
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -128,7 +136,9 @@ fn scalar_kernel_matches_pre_simd_golden_bits() {
 fn regenerate_scalar_golden() {
     let models = ["onoff-200", "pentadiag-64", "scattered-97"];
     let mut out = String::from(
-        "{\n  \"note\": \"pre-PR scalar-kernel golden values; f64 bits as hex\",\n  \"cases\": [\n",
+        "{\n  \"note\": \"scalar-kernel golden values: the pre-SIMD bits, regenerated under \
+         the unit start (U0 = 1 not computed) with no value moved; f64 bits as hex\",\n  \
+         \"cases\": [\n",
     );
     let mut first = true;
     for label in models {
