@@ -296,13 +296,22 @@ enum Opened<'a> {
     Recurse(Span<'a>),
 }
 
-/// Where a weighted run's `aⱼ(k)` go.
-enum Projection<'p, 'w> {
-    /// Appended to the series, resuming from its last step.
+/// What a recursion run does besides advancing the iterate.
+enum Route<'p, 'w> {
+    /// Forward from step 0: each horizon's window weights accumulate
+    /// every state's `U(k)` into the kernel's planes.
+    Accumulate(&'w [Option<PoissonWindow>]),
+    /// Forward, weighted: each step's `aⱼ(k)` is appended to the series,
+    /// resuming from its last step.
     Record(&'p mut ProjectedSeries),
-    /// Folded into the horizons' Poisson sums stretch by stretch, from
-    /// step 0 over the initial distribution given; nothing is kept.
+    /// Forward, weighted: each stretch's `aⱼ(k)` is folded into the
+    /// horizons' Poisson sums, from step 0 over the initial distribution
+    /// given; nothing is kept.
     Fold(&'p [f64], &'p mut WindowSums<'w>),
+    /// Backward over one horizon's window, by Horner's scheme (unit start
+    /// only; `somrm_linalg::fused`, "Backward schedule"): `G` passes and
+    /// no planes, leaving that horizon's orders `≥ 1` in the iterate.
+    Horner(&'w PoissonWindow),
 }
 
 /// Each horizon's compensated Poisson sums `Σₖ wₖ aⱼ(k)` over a weighted
@@ -386,11 +395,13 @@ fn coupling_matrices(model: &ImpulseMrm, q: f64, d: f64, max_order: usize) -> Ve
 /// ascending `l` and column order and then added once. `next` and `prev`
 /// are the kernel's flattened iterates of the orders from `base` up
 /// (`u[(j−base)·n + i]`); on a unit start (`base` 1) the `U⁽⁰⁾` term
-/// reads the constant 1, so it adds `Q'_j`'s row entries themselves.
+/// reads the step's `u0` (1 forward, `c_{k+1}` backward), so it adds
+/// `Q'_j`'s row entries times `u0`.
 fn add_coupling(
     coupling: &[CsrMatrix<f64>],
     n: usize,
     base: usize,
+    u0: f64,
     next: &mut [f64],
     prev: &[f64],
 ) {
@@ -400,7 +411,7 @@ fn add_coupling(
             for l in 1..=j {
                 let row = coupling[l - 1].row(i);
                 if j - l < base {
-                    row.for_each(|(_, v)| sum += v);
+                    row.for_each(|(_, v)| sum += v * u0);
                 } else {
                     let u = &prev[(j - l - base) * n..(j - l - base + 1) * n];
                     row.for_each(|(col, v)| sum += v * u[col]);
@@ -696,7 +707,10 @@ impl SolvePlan {
     /// Moments at several time points in one pass of the `U`-recursion —
     /// the per-query half of [`crate::uniformization::moments_sweep`]
     /// (or, on an impulse plan, of [`crate::impulse::moments_with_impulse`]),
-    /// bit-identical to a cold call.
+    /// bit-identical to a cold call. One horizon `t > 0` runs backward,
+    /// by Horner's scheme, in `G` passes with no accumulator planes;
+    /// several horizons run forward, in `G + 1` passes that accumulate
+    /// every horizon at once.
     ///
     /// # Errors
     ///
@@ -895,8 +909,8 @@ impl SolvePlan {
             let resume = order <= series.order && series.g().is_some();
             let grown_order = if resume { series.order } else { order };
             if series.bytes_at(grown_order, tr.g) > series.max_bytes as u128 {
-                let fold = Projection::Fold(&series.pi, &mut sums);
-                self.run_recursion(pk, Start::Unit, order, &[], Some(fold), tr.g, finish_health);
+                let fold = Route::Fold(&series.pi, &mut sums);
+                self.run_recursion(pk, Start::Unit, order, fold, tr.g, finish_health);
                 SeriesUse::Streamed
             } else {
                 if !resume {
@@ -905,16 +919,8 @@ impl SolvePlan {
                     series.iterate.clear();
                 }
                 let series_order = series.order;
-                let record = Projection::Record(series);
-                self.run_recursion(
-                    pk,
-                    Start::Unit,
-                    series_order,
-                    &[],
-                    Some(record),
-                    tr.g,
-                    finish_health,
-                );
+                let record = Route::Record(series);
+                self.run_recursion(pk, Start::Unit, series_order, record, tr.g, finish_health);
                 if resume {
                     SeriesUse::Resumed
                 } else {
@@ -1000,6 +1006,15 @@ impl SolvePlan {
     /// truncation front) and in the normalization `d` they assemble
     /// with. On a unit start each state's order 0 is its horizon's window
     /// mass ([`window_mass`]), the same for every state.
+    ///
+    /// The route depends on the horizon count alone. A unit start with
+    /// one horizon `t > 0` runs backward ([`Route::Horner`]): `G` passes
+    /// that neither accumulate nor keep planes, its orders `≥ 1` read off
+    /// the final iterate. Several horizons run forward
+    /// ([`Route::Accumulate`]), since a backward run per horizon would
+    /// cost `Σ Gᵢ` passes against one forward run's `G + 1`; so do
+    /// terminal starts, whose `U⁽⁰⁾` is a vector that a backward run
+    /// would have to carry with its own `wₖ·w` source term.
     fn drive(
         &self,
         times: &[f64],
@@ -1033,6 +1048,11 @@ impl SolvePlan {
                 .collect(),
             Start::Vector(_) => Vec::new(),
         };
+        let route = match (start, &windows[..]) {
+            (Start::Unit, [Some(window)]) => Route::Horner(window),
+            _ => Route::Accumulate(&windows),
+        };
+        let backward = matches!(route, Route::Horner(_));
 
         let stats = SolverStats {
             q,
@@ -1045,8 +1065,7 @@ impl SolvePlan {
             pk,
             start,
             order,
-            &windows,
-            None,
+            route,
             g_limit,
             |kernel, mut health| {
                 if let Some(h) = health.as_mut() {
@@ -1065,6 +1084,13 @@ impl SolvePlan {
                                     if j < base {
                                         let mass = masses[ti].expect("a window for t > 0");
                                         return vec![scale * mass.value(); n_states];
+                                    }
+                                    if backward {
+                                        return kernel
+                                            .u_order(j)
+                                            .iter()
+                                            .map(|v| scale * v)
+                                            .collect();
                                     }
                                     kernel
                                         .accumulated(ti, j)
@@ -1282,36 +1308,42 @@ impl SolvePlan {
         error_bound
     }
 
-    /// The recursion driver behind [`SolvePlan::drive`]: runs `k = 0..=g`
-    /// through the fused kernel from `start`, accumulating
-    /// `windows[ti].weight(k)` for every time point, then hands the
-    /// kernel and the health monitor to `finish`. A unit start stores
-    /// orders `1..=order` only, and at order 0 the kernel runs no pass
-    /// (the hooks below still run).
+    /// The recursion driver behind [`SolvePlan::drive`] and
+    /// [`SolvePlan::execute_weighted`]: runs steps `k = 0..=g` through the
+    /// fused kernel from `start` along `route`, then hands the kernel and
+    /// the health monitor to `finish`. A unit start stores orders
+    /// `1..=order` only, and at order 0 the kernel runs no pass (the
+    /// hooks below still run).
     ///
-    /// With a `projection` the run is weighted instead (no windows; unit
-    /// start only). A recording run starts from the series' last step and
-    /// iterate (step 0 when empty), appends each step's `aⱼ(k)`, and
-    /// leaves `U(g)` as the series' iterate; a folding run starts at step
-    /// 0 and adds each stretch's `aⱼ(k)` to the Poisson sums.
+    /// - [`Route::Accumulate`]: step `k` accumulates
+    ///   `windows[ti].weight(k)` for every time point and advances, except
+    ///   at `G`: `G + 1` passes.
+    /// - [`Route::Record`], [`Route::Fold`] (weighted; unit start only):
+    ///   no windows. A recording run starts from the series' last step and
+    ///   iterate (step 0 when empty), appends each step's `aⱼ(k)`, and
+    ///   leaves `U(g)` as the series' iterate; a folding run starts at
+    ///   step 0 and adds each stretch's `aⱼ(k)` to the Poisson sums.
+    /// - [`Route::Horner`] (unit start only): step 0 is the start `Y_G`,
+    ///   and step `k ≥ 1` is the `k`-th pass, from `Y_{G−k+1}` to `Y_{G−k}`,
+    ///   its `u⁽⁰⁾` the suffix sum `c_{G−k+1}` (compensated, grown one
+    ///   weight per pass): `G` passes, so a hook at step `k` sees `k`
+    ///   passes done.
     ///
-    /// Each step's `(time, weight)` list goes into one reused
-    /// [`StepWeights`], and the kernel runs them in stretches that end at
-    /// every hook point — a health sample, an event-log progress record,
-    /// `G` — and after at most [`MAX_STRETCH_STEPS`] steps, which bounds
-    /// the step list and a wavefront sweep's depth. The hooks only read,
-    /// and the kernel's result does not depend on where stretches end,
-    /// so attaching any of them leaves every bit unchanged. On an impulse
-    /// plan every stretch is one step, after which the coupling terms are
-    /// added into the new iterate before any hook sees it.
-    #[allow(clippy::too_many_arguments)]
+    /// Each step goes into one reused [`StepWeights`], and the kernel runs
+    /// them in stretches that end at every hook point — a health sample,
+    /// an event-log progress record, `G` — and after at most
+    /// [`MAX_STRETCH_STEPS`] steps, which bounds the step list and a
+    /// wavefront sweep's depth. The hooks only read, and the kernel's
+    /// result does not depend on where stretches end, so attaching any of
+    /// them leaves every bit unchanged. On an impulse plan every stretch is
+    /// one step, after which the coupling terms are added into the new
+    /// iterate before any hook sees it.
     fn run_recursion<R>(
         &self,
         pk: &PlanKernel,
         start: Start<'_>,
         order: usize,
-        windows: &[Option<PoissonWindow>],
-        projection: Option<Projection<'_, '_>>,
+        route: Route<'_, '_>,
         g: u64,
         finish: impl FnOnce(&FusedMomentKernel<'_>, Option<HealthMonitor>) -> R,
     ) -> R {
@@ -1321,13 +1353,19 @@ impl SolvePlan {
         let n = self.n_states();
         let base = start.lowest_order();
         let stored = order + 1 - base;
-        let (pi, mut record, mut fold) = match projection {
-            Some(Projection::Record(s)) => {
-                (Some(&s.pi[..]), Some((&mut s.values, &mut s.iterate)), None)
-            }
-            Some(Projection::Fold(pi, sums)) => (Some(pi), None, Some(sums)),
-            None => (None, None, None),
+        let (windows, pi, mut record, mut fold, horner) = match route {
+            Route::Accumulate(w) => (w, None, None, None, None),
+            Route::Record(s) => (
+                &[][..],
+                Some(&s.pi[..]),
+                Some((&mut s.values, &mut s.iterate)),
+                None,
+                None,
+            ),
+            Route::Fold(pi, sums) => (&[][..], Some(pi), None, Some(sums), None),
+            Route::Horner(w) => (&[][..], None, None, None, Some(w)),
         };
+        assert!(horner.is_none() || base == 1, "a backward run needs the unit start");
         // A recording run resumes at the series' last step, whose value
         // it records again (bit for bit).
         let k_start = record.as_ref().map_or(0, |(v, _)| {
@@ -1377,6 +1415,9 @@ impl SolvePlan {
         {
             let _recursion = rec.span("solve.recursion");
             let mut steps = StepWeights::new();
+            // A backward run's c_k = Σ_{i≥k} w_i, grown as k falls.
+            let mut suffix = NeumaierSum::new();
+            let mut u0 = 1.0;
             let mut k0 = k_start;
             while k0 <= g {
                 let cap = (k0 + stretch - 1).min(g);
@@ -1387,21 +1428,33 @@ impl SolvePlan {
                 let k1 = (k0..cap).find(|&k| hook(k)).unwrap_or(cap);
                 steps.clear();
                 for k in k0..=k1 {
-                    steps.push_step(windows.iter().enumerate().filter_map(|(ti, w)| {
-                        let wk = w.as_ref().map_or(0.0, |w| w.weight(k));
-                        (wk > 0.0).then_some((ti, wk))
-                    }));
+                    match horner {
+                        Some(window) if k > 0 => {
+                            suffix.add(window.weight(g - k + 1));
+                            u0 = suffix.value();
+                            steps.push_step_with_u0(u0, []);
+                        }
+                        Some(_) => {}
+                        None => {
+                            steps.push_step(windows.iter().enumerate().filter_map(|(ti, w)| {
+                                let wk = w.as_ref().map_or(0.0, |w| w.weight(k));
+                                (wk > 0.0).then_some((ti, wk))
+                            }))
+                        }
+                    }
                 }
-                kernel.run(&steps, k1 < g);
+                // Every backward step advances; a forward run stops at G.
+                let advanced = if horner.is_some() { k1 > 0 } else { k1 < g };
+                kernel.run(&steps, horner.is_some() || k1 < g);
                 if let Some((values, _)) = record.as_mut() {
                     values.extend_from_slice(kernel.projected());
                 }
                 if let Some(sums) = fold.as_mut() {
                     sums.add(k0, kernel.projected(), stored);
                 }
-                if !coupling.is_empty() && k1 < g {
+                if !coupling.is_empty() && advanced {
                     let (next, prev) = kernel.iterates_mut();
-                    add_coupling(coupling, n, base, next, prev);
+                    add_coupling(coupling, n, base, u0, next, prev);
                 }
                 if let Some(h) = health.as_mut() {
                     if h.should_sample(k1, g) {

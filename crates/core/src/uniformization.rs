@@ -1308,10 +1308,8 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("solver.g"), Some(sol.stats.iterations as f64));
         assert_eq!(snap.gauge("solver.q"), Some(sol.stats.q));
-        assert_eq!(
-            snap.counter("kernel.passes"),
-            Some(sol.stats.iterations + 1)
-        );
+        // One horizon runs backward: exactly G passes.
+        assert_eq!(snap.counter("kernel.passes"), Some(sol.stats.iterations));
         // The 2-state tridiagonal kernel is auto-promoted to DIA.
         assert_eq!(snap.gauge("solver.matrix_format"), Some(1.0));
         assert_eq!(snap.gauge("solver.bandwidth"), Some(1.0));

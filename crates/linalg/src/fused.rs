@@ -17,13 +17,35 @@
 //! A kernel built with [`Start::Unit`] starts from `U⁽⁰⁾(0) = 1`. `Q'` is
 //! stochastic, so `U⁽⁰⁾(k) = 1` for every `k`, and the kernel does not
 //! compute it: its `U` buffers, accumulator planes and projection lanes
-//! hold orders `1..=order` only, and every row body reads `u⁽⁰⁾` as the
-//! constant 1. Order 1 then adds `r'` and order 2 adds `½s'`, the very
-//! bits the combine gives with a `U⁽⁰⁾` pinned to 1.0 (a product by 1.0
-//! is exact). A pass of order `n` streams `n` vectors instead of
-//! `n + 1`. A [`Start::Vector`] kernel (terminal weights) stores and
-//! computes `U⁽⁰⁾` like any other order. The row bodies are the same in
-//! both cases; they take the lowest stored order as a parameter.
+//! hold orders `1..=order` only, and every row body reads `u⁽⁰⁾` as a
+//! per-step scalar, which a forward step sets to 1 ([`StepWeights`]).
+//! Order 1 then adds `r'` and order 2 adds `½s'`, the very bits the
+//! combine gives with a `U⁽⁰⁾` pinned to 1.0 (a product by 1.0 is
+//! exact). A pass of order `n` streams `n` vectors instead of `n + 1`. A
+//! [`Start::Vector`] kernel (terminal weights) stores and computes
+//! `U⁽⁰⁾` like any other order, and never reads the scalar. The row
+//! bodies are the same in both cases; they take the lowest stored order
+//! as a parameter.
+//!
+//! # Backward schedule
+//!
+//! One horizon's moments are `V = Σ_{k=0}^{G} w_k·Mᵏ·U(0)`, where `M` is
+//! one pass: `Q'` on each order, plus `R'` and `½S'` from the two orders
+//! below. Horner's scheme evaluates the same sum backward, with no
+//! accumulator: `Y_G = w_G·U(0)`, then `Y_k = M·Y_{k+1} + w_k·U(0)`, and
+//! `V = Y_0`. On a unit start `U(0)` is 1 at order 0 and 0 above, so
+//! `Y⁽⁰⁾_k = c_k·1` with the suffix sum `c_k = Σ_{i≥k} w_i`, and the
+//! orders above 0 gain nothing from `w_k·U(0)`. A backward pass is
+//! therefore the unit-start row body with `u⁽⁰⁾ = c_{k+1}`: a kernel
+//! built with no time points (hence no planes) starts from its zero
+//! orders `≥ 1` (`Y_G`), runs `G` advancing steps pushed with
+//! [`StepWeights::push_step_with_u0`], and its final iterate holds
+//! orders `≥ 1` of `V`. The caller keeps `c_k` as a compensated sum and
+//! knows order 0 (`c_0`). Every schedule, backend and thread count gives
+//! the same bits, as for a forward run. A stretch whose steps all read
+//! `u⁽⁰⁾ = 1` (every forward run) runs row bodies built for the constant,
+//! in which the products by it fold away as they did before the scalar
+//! existed; the bits are the same either way.
 //!
 //! # Stretches and the time-skewed wavefront
 //!
@@ -154,14 +176,16 @@ impl KernelPool<'_> {
 }
 
 /// The `(time index, weight)` lists of a stretch of consecutive passes,
-/// one list per step, in one reusable buffer: the recursion driver
-/// clears it, pushes each step's active Poisson weights, and hands it to
+/// one list per step, and each step's `u⁽⁰⁾`, in one reusable buffer: the
+/// recursion driver clears it, pushes each step, and hands it to
 /// [`FusedMomentKernel::run`].
 #[derive(Debug, Clone, Default)]
 pub struct StepWeights {
     pairs: Vec<(usize, f64)>,
     /// Exclusive end of each step's slice of `pairs`.
     ends: Vec<usize>,
+    /// The value a unit start's `u⁽⁰⁾` holds at each step.
+    u0: Vec<f64>,
 }
 
 impl StepWeights {
@@ -174,12 +198,23 @@ impl StepWeights {
     pub fn clear(&mut self) {
         self.pairs.clear();
         self.ends.clear();
+        self.u0.clear();
     }
 
-    /// Appends one step with the given `(time index, weight)` pairs.
+    /// Appends one forward step with the given `(time index, weight)`
+    /// pairs: a unit start reads `u⁽⁰⁾ = 1`.
     pub fn push_step(&mut self, active: impl IntoIterator<Item = (usize, f64)>) {
+        self.push_step_with_u0(1.0, active);
+    }
+
+    /// Appends one step whose unit start reads `u⁽⁰⁾ = u0` instead of 1,
+    /// such as a backward step's suffix sum `c_{k+1}` (module docs,
+    /// "Backward schedule"). A kernel that stores `U⁽⁰⁾`
+    /// ([`Start::Vector`]) never reads it.
+    pub fn push_step_with_u0(&mut self, u0: f64, active: impl IntoIterator<Item = (usize, f64)>) {
         self.pairs.extend(active);
         self.ends.push(self.pairs.len());
+        self.u0.push(u0);
     }
 }
 
@@ -600,26 +635,49 @@ impl<'a> FusedMomentKernel<'a> {
     ///
     /// Panics if an `active` time index is out of range.
     pub fn step(&mut self, active: &[(usize, f64)], advance: bool) {
-        self.run_stretch(active, &[active.len()], advance);
+        self.run_stretch(active, &[active.len()], &[1.0], advance);
     }
 
     /// Runs the passes of `steps` in order — step `t` accumulates the
-    /// pairs pushed `t`-th — advancing the iterate after every step
-    /// but the last, and after the last too if `advance_last`. Bitwise
-    /// the same as calling [`FusedMomentKernel::step`] once per step.
+    /// pairs pushed `t`-th and reads the `u⁽⁰⁾` pushed with them —
+    /// advancing the iterate after every step but the last, and after
+    /// the last too if `advance_last`. Bitwise the same as running the
+    /// steps one stretch each.
     ///
     /// # Panics
     ///
     /// Panics if a time index is out of range.
     pub fn run(&mut self, steps: &StepWeights, advance_last: bool) {
-        self.run_stretch(&steps.pairs, &steps.ends, advance_last);
+        self.run_stretch(&steps.pairs, &steps.ends, &steps.u0, advance_last);
     }
 
-    fn run_stretch(&mut self, pairs: &[(usize, f64)], ends: &[usize], advance_last: bool) {
-        if self.pi.is_empty() {
-            self.run_stretch_with(pairs, ends, advance_last, simd_rows::<false>);
-        } else {
-            self.run_stretch_with(pairs, ends, advance_last, simd_rows::<true>);
+    fn run_stretch(
+        &mut self,
+        pairs: &[(usize, f64)],
+        ends: &[usize],
+        u0: &[f64],
+        advance_last: bool,
+    ) {
+        // A stretch whose every step reads u⁽⁰⁾ = 1 (any forward run) runs
+        // the row bodies built for the constant 1, in which the products
+        // by it fold away; a backward stretch reads each step's value.
+        let one = u0.iter().all(|&u| u == 1.0);
+        let project = !self.pi.is_empty();
+        match (project, one) {
+            (false, true) => {
+                self.run_stretch_with(pairs, ends, u0, advance_last, simd_rows::<false, true>)
+            }
+            (false, false) => {
+                self.run_stretch_with(pairs, ends, u0, advance_last, simd_rows::<false, false>)
+            }
+            (true, true) => {
+                self.run_stretch_with(pairs, ends, u0, advance_last, simd_rows::<true, true>)
+            }
+            (true, false) => {
+                self.run_stretch_with(pairs, ends, u0, advance_last, simd_rows::<true, false>)
+            }
+        }
+        if project {
             self.reduce_projection(ends.len());
         }
     }
@@ -649,12 +707,14 @@ impl<'a> FusedMomentKernel<'a> {
         &mut self,
         pairs: &[(usize, f64)],
         ends: &[usize],
+        u0: &[f64],
         advance_last: bool,
         body: impl Fn(&PassCtx, Range<usize>) + Sync,
     ) {
         for &(ti, _) in pairs {
             assert!(ti < self.n_times, "time index {ti} out of range");
         }
+        assert_eq!(u0.len(), ends.len(), "one u0 per step");
         let steps = ends.len();
         if steps == 0 || self.stored == 0 {
             return;
@@ -686,6 +746,7 @@ impl<'a> FusedMomentKernel<'a> {
             proj: project.then(|| SyncMutPtr::new(self.proj_lanes.as_mut_ptr())),
             pairs,
             ends,
+            u0,
             advance_last,
         };
         let rec = &self.recorder;
@@ -852,6 +913,8 @@ struct Stretch<'c> {
     proj: Option<SyncMutPtr<[f64; PROJ_LANES]>>,
     pairs: &'c [(usize, f64)],
     ends: &'c [usize],
+    /// Each step's `u⁽⁰⁾` on a unit start.
+    u0: &'c [f64],
     advance_last: bool,
 }
 
@@ -885,6 +948,7 @@ impl Stretch<'_> {
                 .as_ref()
                 .map(|p| SyncMutPtr::new(p.add((chunk * self.ends.len() + t) * self.stored))),
             active: &self.pairs[start..self.ends[t]],
+            u0: self.u0[t],
             advance: t + 1 < self.ends.len() || self.advance_last,
         }
     }
@@ -912,10 +976,24 @@ struct PassCtx<'c> {
     /// order, in a weighted run.
     proj: Option<SyncMutPtr<[f64; PROJ_LANES]>>,
     active: &'c [(usize, f64)],
+    /// The value of a unit start's `u⁽⁰⁾` at this step: 1 forward, the
+    /// suffix sum `c_{k+1}` backward.
+    u0: f64,
     advance: bool,
 }
 
 impl PassCtx<'_> {
+    /// A unit start's `u⁽⁰⁾` at this step: the constant 1 in a body built
+    /// for a forward stretch (`ONE`), else the step's value.
+    #[inline(always)]
+    fn u0<const ONE: bool>(&self) -> f64 {
+        if ONE {
+            1.0
+        } else {
+            self.u0
+        }
+    }
+
     /// The projection lanes of stored order `s` (order `s + base`;
     /// weighted runs only).
     ///
@@ -962,18 +1040,18 @@ impl PassCtx<'_> {
 
 /// The canonical combine of row `i` at stored order `s`, that is order
 /// `j = s + base`: `(dot + r'[i]·u⁽ʲ⁻¹⁾[i]) + ½s'[i]·u⁽ʲ⁻²⁾[i]`, the terms
-/// of orders below 0 left out and a unit start's `u⁽⁰⁾` read as 1. The
-/// DIA interior adds the same two terms lane-wise, so every row agrees
-/// bitwise whatever its path.
+/// of orders below 0 left out and a unit start's `u⁽⁰⁾` read as the
+/// step's value (1 on a forward step). The DIA interior adds the same
+/// two terms lane-wise, so every row agrees bitwise whatever its path.
 #[inline(always)]
-fn combine(ctx: &PassCtx, s: usize, i: usize, dot: f64) -> f64 {
+fn combine<const ONE: bool>(ctx: &PassCtx, s: usize, i: usize, dot: f64) -> f64 {
     let n = ctx.n;
-    // u⁽ʲ⁻ᵈ⁾[i]: a stored order, or the unit start's constant u⁽⁰⁾ = 1.
+    // u⁽ʲ⁻ᵈ⁾[i]: a stored order, or the unit start's step value u⁽⁰⁾.
     let below = |d: usize| {
         if s >= d {
             ctx.u_cur[(s - d) * n + i]
         } else {
-            1.0
+            ctx.u0::<ONE>()
         }
     };
     let j = s + ctx.base;
@@ -1018,15 +1096,15 @@ const CSR_PREFETCH_MIN_NNZ_PER_ROW: usize = 8;
 /// `#[target_feature]` wrapper and the DIA interior and the accumulates
 /// run four rows per register; without it the same body runs one row at
 /// a time, with the same bits.
-fn simd_rows<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
+fn simd_rows<const P: bool, const ONE: bool>(ctx: &PassCtx, range: Range<usize>) {
     #[cfg(target_arch = "x86_64")]
     if simd::avx2_available() {
         // SAFETY: AVX2 presence was just checked at runtime.
-        unsafe { simd_rows_avx2::<P>(ctx, range) };
+        unsafe { simd_rows_avx2::<P, ONE>(ctx, range) };
         return;
     }
     // SAFETY: plain `f64` lanes run on every CPU.
-    unsafe { simd_rows_impl::<f64, P>(ctx, range) };
+    unsafe { simd_rows_impl::<f64, P, ONE>(ctx, range) };
 }
 
 /// # Safety
@@ -1034,8 +1112,8 @@ fn simd_rows<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn simd_rows_avx2<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
-    simd_rows_impl::<simd::Avx2Lanes, P>(ctx, range);
+unsafe fn simd_rows_avx2<const P: bool, const ONE: bool>(ctx: &PassCtx, range: Range<usize>) {
+    simd_rows_impl::<simd::Avx2Lanes, P, ONE>(ctx, range);
 }
 
 /// The pass body with the DIA interior in groups of `V::WIDTH` rows.
@@ -1047,7 +1125,10 @@ unsafe fn simd_rows_avx2<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
 ///
 /// The CPU must support `V`'s instructions.
 #[inline(always)]
-unsafe fn simd_rows_impl<V: Lanes, const P: bool>(ctx: &PassCtx, range: Range<usize>) {
+unsafe fn simd_rows_impl<V: Lanes, const P: bool, const ONE: bool>(
+    ctx: &PassCtx,
+    range: Range<usize>,
+) {
     let n = ctx.n;
     let stored = ctx.stored;
     let u_cur = ctx.u_cur;
@@ -1069,15 +1150,15 @@ unsafe fn simd_rows_impl<V: Lanes, const P: bool>(ctx: &PassCtx, range: Range<us
                         }
                     }
                     // SAFETY: bodies write disjoint rows.
-                    unsafe { *ctx.u_next.add(s * n + i) = combine(ctx, s, i, dot) };
+                    unsafe { *ctx.u_next.add(s * n + i) = combine::<ONE>(ctx, s, i, dot) };
                 }
             }
         }
         // SAFETY: `ilo..ihi` lies in the DIA interior and inside this
         // body's rows; our caller guarantees the CPU supports `V`.
         unsafe {
-            let rest = dia_interior::<V, P>(ctx, offsets, data, ilo, ihi);
-            dia_groups::<f64, 0, 0, false>(ctx, offsets, data, rest, ihi);
+            let rest = dia_interior::<V, P, ONE>(ctx, offsets, data, ilo, ihi);
+            dia_groups::<f64, 0, 0, false, ONE>(ctx, offsets, data, rest, ihi);
             // A weighted pass projects the rows past the interior's whole
             // groups, then the upper edge, in ascending order.
             if P {
@@ -1130,7 +1211,7 @@ unsafe fn simd_rows_impl<V: Lanes, const P: bool>(ctx: &PassCtx, range: Range<us
                             for k in row_ptr[i]..row_ptr[i + 1] {
                                 dot += values[k] * us[col_idx[k]];
                             }
-                            let v = combine(ctx, s, i, dot);
+                            let v = combine::<ONE>(ctx, s, i, dot);
                             // SAFETY: bodies write disjoint rows.
                             unsafe { *ctx.u_next.add(s * n + i) = v };
                         }
@@ -1151,7 +1232,7 @@ unsafe fn simd_rows_impl<V: Lanes, const P: bool>(ctx: &PassCtx, range: Range<us
 ///
 /// As [`dia_groups`].
 #[inline(always)]
-unsafe fn dia_interior<V: Lanes, const P: bool>(
+unsafe fn dia_interior<V: Lanes, const P: bool, const ONE: bool>(
     ctx: &PassCtx,
     offsets: &[isize],
     data: &[f64],
@@ -1159,15 +1240,15 @@ unsafe fn dia_interior<V: Lanes, const P: bool>(
     hi: usize,
 ) -> usize {
     match (ctx.stored, offsets.len()) {
-        (1, 3) => dia_groups::<V, 1, 3, P>(ctx, offsets, data, lo, hi),
-        (2, 3) => dia_groups::<V, 2, 3, P>(ctx, offsets, data, lo, hi),
-        (3, 3) => dia_groups::<V, 3, 3, P>(ctx, offsets, data, lo, hi),
-        (4, 3) => dia_groups::<V, 4, 3, P>(ctx, offsets, data, lo, hi),
-        (1, _) => dia_groups::<V, 1, 0, P>(ctx, offsets, data, lo, hi),
-        (2, _) => dia_groups::<V, 2, 0, P>(ctx, offsets, data, lo, hi),
-        (3, _) => dia_groups::<V, 3, 0, P>(ctx, offsets, data, lo, hi),
-        (4, _) => dia_groups::<V, 4, 0, P>(ctx, offsets, data, lo, hi),
-        _ => dia_groups::<V, 0, 0, P>(ctx, offsets, data, lo, hi),
+        (1, 3) => dia_groups::<V, 1, 3, P, ONE>(ctx, offsets, data, lo, hi),
+        (2, 3) => dia_groups::<V, 2, 3, P, ONE>(ctx, offsets, data, lo, hi),
+        (3, 3) => dia_groups::<V, 3, 3, P, ONE>(ctx, offsets, data, lo, hi),
+        (4, 3) => dia_groups::<V, 4, 3, P, ONE>(ctx, offsets, data, lo, hi),
+        (1, _) => dia_groups::<V, 1, 0, P, ONE>(ctx, offsets, data, lo, hi),
+        (2, _) => dia_groups::<V, 2, 0, P, ONE>(ctx, offsets, data, lo, hi),
+        (3, _) => dia_groups::<V, 3, 0, P, ONE>(ctx, offsets, data, lo, hi),
+        (4, _) => dia_groups::<V, 4, 0, P, ONE>(ctx, offsets, data, lo, hi),
+        _ => dia_groups::<V, 0, 0, P, ONE>(ctx, offsets, data, lo, hi),
     }
 }
 
@@ -1175,13 +1256,16 @@ unsafe fn dia_interior<V: Lanes, const P: bool>(
 /// Each group loads its diagonals, `r'` and `½s'` once; computes per
 /// stored order the dot `0 + d₀·x₀ + d₁·x₁ + …` over ascending offsets
 /// and the combine `(dot + r'·w₁) + ½s'·w₂`, carrying the lower orders'
-/// `U` values in registers (`w₁`, `w₂` start at 1, a unit start's
-/// `u⁽⁰⁾`); then, per active time point, the Neumaier update of every
-/// stored order's accumulators — so each `U` row comes from memory once
-/// per pass, and the per-time loop runs once per group rather than once
-/// per order. `M` (the number of stored orders) and `ND` (the diagonal
-/// count) fix the loop bounds at compile time; 0 reads them from
-/// `ctx`/`offsets`. With `P` (a weighted run) each group also adds
+/// `U` values in registers (`w₁`, `w₂` start at the step's `u⁽⁰⁾`, a
+/// unit start's order 0); then, per active time point, the Neumaier
+/// update of every stored order's accumulators — so each `U` row comes
+/// from memory once per pass, and the per-time loop runs once per group
+/// rather than once per order. `M` (the number of stored orders) and
+/// `ND` (the diagonal count) fix the loop bounds at compile time; 0 reads
+/// them from `ctx`/`offsets`. `ONE` (a forward stretch) makes `u⁽⁰⁾` the
+/// constant 1, so its products fold away; read at run time instead, it
+/// cost a weighted order-3 pass on a small chain about 5%. With `P` (a
+/// weighted run) each group also adds
 /// `π·U⁽ʲ⁾` of its rows into the projection lanes, which stay in
 /// registers for the first [`PROJ_REG_ORDERS`] stored orders. Returns
 /// the first row not covered by a whole group.
@@ -1192,7 +1276,7 @@ unsafe fn dia_interior<V: Lanes, const P: bool>(
 /// and inside the rows the calling body owns, and the CPU must support
 /// `V`.
 #[inline(always)]
-unsafe fn dia_groups<V: Lanes, const M: usize, const ND: usize, const P: bool>(
+unsafe fn dia_groups<V: Lanes, const M: usize, const ND: usize, const P: bool, const ONE: bool>(
     ctx: &PassCtx,
     offsets: &[isize],
     data: &[f64],
@@ -1246,9 +1330,9 @@ unsafe fn dia_groups<V: Lanes, const M: usize, const ND: usize, const P: bool>(
             r
         };
         if ctx.advance {
-            // Centre values of orders j−1 and j−2: a unit start's
-            // u⁽⁰⁾ = 1, else read only once set.
-            let (mut w1, mut w2) = (V::splat(1.0), V::splat(1.0));
+            // Centre values of orders j−1 and j−2: a unit start's step
+            // value u⁽⁰⁾, else read only once set.
+            let (mut w1, mut w2) = (V::splat(ctx.u0::<ONE>()), V::splat(ctx.u0::<ONE>()));
             for s in 0..stored {
                 let j = s + ctx.base;
                 let us = u.add(s * n + i);
@@ -1508,14 +1592,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// A unit start owes the same loop, with `U⁽⁰⁾` reset to exactly
-        /// 1.0 after every advance, every bit of its accumulators (orders
-        /// ≥ 1) and of its final iterate, and a weighted unit-start run
-        /// the reference's lane sums of every step's `aⱼ(k)`: the shapes,
-        /// orders, backends and thread counts of the test above, pass by
-        /// pass or in stretches on small skewed wavefront blocks.
+        /// A unit start owes the same loop, with `U⁽⁰⁾` pinned before
+        /// every step to the `u⁽⁰⁾` that step was pushed with — 1.0 on a
+        /// forward step, any other value on a backward one — every bit
+        /// of its accumulators (orders ≥ 1) and of its final iterate, a
+        /// kernel with no time points (the backward schedule's) the
+        /// same iterate, and a weighted unit-start run the reference's
+        /// lane sums of every step's `aⱼ(k)`: the shapes, orders,
+        /// backends and thread counts of the test above, pass by pass
+        /// or in stretches on small skewed wavefront blocks.
         #[test]
-        fn unit_start_kernel_bitwise_matches_reference_pinned_to_one(
+        fn unit_start_kernel_bitwise_matches_reference_pinned_to_each_u0(
             n in 4usize..=300,
             band in 0usize..=2,
             vals in prop::collection::vec(0.01f64..0.5, 1..16),
@@ -1527,6 +1614,7 @@ mod tests {
             stretched in 0usize..2,
             block_rows in 8usize..65,
             depth in 2usize..17,
+            drawn in prop::collection::vec(0.0f64..3.0, 12),
         ) {
             let m = prop_matrix(n, band, &vals);
             let cycled = |scale: f64, shift: usize| -> Vec<f64> {
@@ -1539,26 +1627,28 @@ mod tests {
             let weights: Vec<Vec<(usize, f64)>> = (0..steps)
                 .map(|k| if k % 2 == 0 { vec![(0, 0.25), (1, 0.5)] } else { vec![(1, 0.125)] })
                 .collect();
+            // About a third of the steps forward (1.0), the rest backward.
+            let u0: Vec<f64> = drawn[..steps].iter().map(|&x| if x < 2.0 { x } else { 1.0 }).collect();
             let (schedule, lens) = if stretched == 1 {
                 (Some((block_rows, depth)), &[3usize, 1, 7][..])
             } else {
                 (None, &[1usize][..])
             };
             let mut fused = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 2, Start::Unit, threads);
-            run_schedule(&mut fused, &weights, schedule, lens);
+            run_schedule(&mut fused, &weights, &u0, schedule, lens);
+            let no_weights = vec![Vec::new(); steps];
+            let mut planeless = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 0, Start::Unit, threads);
+            run_schedule(&mut planeless, &no_weights, &u0, schedule, lens);
             let mut weighted = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 0, Start::Unit, threads);
             weighted.set_projection(&pi);
-            let projected = run_schedule(&mut weighted, &vec![Vec::new(); steps], schedule, lens);
+            let projected = run_schedule(&mut weighted, &no_weights, &u0, schedule, lens);
 
             let mut reference = Reference::new(n, order, 2, &vec![1.0; n]);
             let mut want_projected = Vec::new();
             for (k, active) in weights.iter().enumerate() {
+                reference.u[0].fill(u0[k]);
                 want_projected.extend(reference.projected(&pi, 1, weighted.threads()));
-                let advance = k + 1 < steps;
-                reference.step(&m, &r_prime, &s_half, active, advance);
-                if advance {
-                    reference.u[0].fill(1.0);
-                }
+                reference.step(&m, &r_prime, &s_half, active, k + 1 < steps);
             }
             let what = format!("{format}, {threads} threads, order {order}, stretched {stretched}");
             for ti in 0..2 {
@@ -1569,6 +1659,7 @@ mod tests {
             }
             let want_iterate = reference.u[1..].concat();
             assert_bits(fused.iterate(), &want_iterate, &format!("{what}, iterate"));
+            assert_bits(planeless.iterate(), &want_iterate, &format!("{what}, planeless iterate"));
             assert_bits(weighted.iterate(), &want_iterate, &format!("{what}, weighted iterate"));
             assert_bits(&projected, &want_projected, &format!("{what}, projections"));
         }
@@ -1704,7 +1795,8 @@ mod tests {
         // The one-row `f64` lanes are the pass body on CPUs without
         // AVX2; on CPUs with it they must still give the very bits of the
         // four-row lanes, for every specialized order and shape, from
-        // either start.
+        // either start, with a unit start's u⁽⁰⁾ other than 1 (a backward
+        // step's).
         let n = 37;
         for offsets in [&[-1isize, 0, 1][..], &[-2, -1, 0, 1, 2][..]] {
             let mut b = TripletBuilder::with_capacity(n, n, offsets.len() * n);
@@ -1733,13 +1825,14 @@ mod tests {
                     for step in 0..12 {
                         let active = [(0usize, 0.25 / (step + 1) as f64), (1, 0.125)];
                         let (pairs, ends) = (&active[..step % 3], [step % 3]);
+                        let u0 = [1.0 - step as f64 / 16.0];
                         if portable {
-                            k.run_stretch_with(pairs, &ends, step < 11, |ctx, rows| {
+                            k.run_stretch_with(pairs, &ends, &u0, step < 11, |ctx, rows| {
                                 // SAFETY: `f64` lanes run on every CPU.
-                                unsafe { simd_rows_impl::<f64, false>(ctx, rows) }
+                                unsafe { simd_rows_impl::<f64, false, false>(ctx, rows) }
                             });
                         } else {
-                            k.run_stretch(pairs, &ends, step < 11);
+                            k.run_stretch(pairs, &ends, &u0, step < 11);
                         }
                     }
                     kernel_state(&k, 2, order)
@@ -1945,19 +2038,21 @@ mod tests {
         let mut k = FusedMomentKernel::new(matrix, r_prime, s_half, order, 0, start, threads);
         k.set_projection(pi);
         let no_weights = vec![Vec::new(); g + 1];
-        let mut out = run_schedule(&mut k, &no_weights, schedule, lens);
+        let mut out = run_schedule(&mut k, &no_weights, &vec![1.0; g + 1], schedule, lens);
         out.extend_from_slice(k.iterate());
         out
     }
 
     /// Runs `k` over steps `0..weights.len()`, each accumulating its
-    /// pairs and advancing after all but the last, in stretches of the
-    /// given lengths (cycled); `schedule` sets `(block rows, depth)` of
-    /// the wavefront, the depth only where the band allows it. Returns
-    /// every step's projections (empty unless weighted).
+    /// pairs with its `u0` and advancing after all but the last, in
+    /// stretches of the given lengths (cycled); `schedule` sets
+    /// `(block rows, depth)` of the wavefront, the depth only where the
+    /// band allows it. Returns every step's projections (empty unless
+    /// weighted).
     fn run_schedule(
         k: &mut FusedMomentKernel,
         weights: &[Vec<(usize, f64)>],
+        u0: &[f64],
         schedule: Option<(usize, usize)>,
         lens: &[usize],
     ) -> Vec<f64> {
@@ -1974,8 +2069,8 @@ mod tests {
         for len in lens.iter().cycle() {
             let k1 = (k0 + len - 1).min(g);
             steps.clear();
-            for active in &weights[k0..=k1] {
-                steps.push_step(active.iter().copied());
+            for (active, &u0) in weights[k0..=k1].iter().zip(&u0[k0..=k1]) {
+                steps.push_step_with_u0(u0, active.iter().copied());
             }
             k.run(&steps, k1 < g);
             let stored = if k.pi.is_empty() { 0 } else { k.stored };

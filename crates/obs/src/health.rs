@@ -16,6 +16,14 @@
 //! trajectory is scanned; it decays only where the weights make the
 //! iteration genuinely substochastic.
 //!
+//! A one-horizon plain or impulse solve runs backward, by Horner's
+//! scheme, with no accumulators. Its samples are the partial Horner sums
+//! `Y⁽ʲ⁾_k = Σ_{i≥k} wᵢ·U⁽ʲ⁾(i − k)` of orders `j ≥ 1` after each
+//! sampled count of passes, order 0 again observed as `[1.0]` (its
+//! `Y⁽⁰⁾_k = c_k·1` is a scalar the plan keeps). No accumulator
+//! compensation is observed, since there are no accumulators; only the
+//! order-0 window mass feeds the compensation ratio.
+//!
 //! The monitor only ever *reads* solver state, so attaching it cannot
 //! perturb results; solvers create one only when a recorder is
 //! attached, keeping disabled runs at zero cost.

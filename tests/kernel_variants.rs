@@ -9,8 +9,9 @@
 //!   on AVX2 or portable lanes alike, so it must reproduce every bit
 //!   forever — on any CPU, and in a build for any `-C target-cpu`.
 //! - **Schedules.** A model spanning several wavefront blocks keeps
-//!   its bits with a recorder attached, on a worker pool, and through
-//!   terminal-weighted executes.
+//!   its bits with a recorder attached, on a worker pool, through a
+//!   one-horizon (backward) execute and through terminal-weighted
+//!   executes.
 
 use somrm::obs::json;
 use somrm::prelude::*;
@@ -179,9 +180,10 @@ fn regenerate_scalar_golden() {
 /// blocks (20,001 states at order 2 with two time points is four 1 MiB
 /// blocks): the kernel's stretches end wherever the health probe samples
 /// when a recorder is attached, and a worker pool runs it pass by pass,
-/// yet every bit must match the plain single-threaded solve.
-/// Terminal-weighted executes share the recursion driver. The kernel's
-/// own tests cross the schedules with small blocks.
+/// yet every bit must match the plain single-threaded solve. A
+/// one-horizon execute (the backward route) and terminal-weighted
+/// executes share the recursion driver. The kernel's own tests cross the
+/// schedules with small blocks.
 #[test]
 fn multiplexer_spanning_several_blocks_keeps_its_bits_under_every_schedule() {
     use somrm::obs::{MetricsRegistry, Recorder, RecorderHandle};
@@ -199,6 +201,7 @@ fn multiplexer_spanning_several_blocks_keeps_its_bits_under_every_schedule() {
     let bits = |cfg: &SolverConfig, terminal: bool| {
         let plan = SolvePlan::build(&model, 2, cfg).unwrap();
         let mut sols = plan.execute(&times, 2).unwrap();
+        sols.extend(plan.execute(&times[1..], 2).unwrap());
         if terminal {
             sols.push(plan.execute_terminal(times[1], &weights, 2).unwrap());
         }

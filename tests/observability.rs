@@ -7,7 +7,7 @@ use somrm::ctmc::generator::GeneratorBuilder;
 use somrm::model::SecondOrderMrm;
 use somrm::models::OnOffMultiplexer;
 use somrm::obs::{ChromeTraceRecorder, MetricsRegistry, NoopRecorder, Recorder, RecorderHandle};
-use somrm::solver::{moments, SolverConfig};
+use somrm::solver::{moments, moments_sweep, SolverConfig};
 use std::sync::Arc;
 
 #[test]
@@ -29,10 +29,8 @@ fn recorder_captures_solver_facts_on_onoff_model() {
         sol.stats.iterations + 1,
         "kept + trimmed + left-skipped must cover all G+1 Poisson weights"
     );
-    assert_eq!(
-        snap.counter("kernel.passes").unwrap(),
-        sol.stats.iterations + 1
-    );
+    // One horizon runs backward: exactly G passes, none accumulating.
+    assert_eq!(snap.counter("kernel.passes").unwrap(), sol.stats.iterations);
     for stage in [
         "solve.setup",
         "solve.truncation",
@@ -50,6 +48,18 @@ fn recorder_captures_solver_facts_on_onoff_model() {
     assert_eq!(
         v.get("G").and_then(|g| g.as_f64()),
         Some(sol.stats.iterations as f64)
+    );
+
+    // Two horizons run forward: G + 1 passes, the last one accumulating
+    // only.
+    let registry = Arc::new(MetricsRegistry::new());
+    let cfg = SolverConfig::default()
+        .with_recorder(RecorderHandle::new(Arc::clone(&registry) as Arc<dyn Recorder>));
+    let sweep = moments_sweep(&model, 3, &[0.25, 0.5], &cfg).unwrap();
+    assert_eq!(sweep[1].stats.iterations, sol.stats.iterations, "same G");
+    assert_eq!(
+        registry.snapshot().counter("kernel.passes").unwrap(),
+        sol.stats.iterations + 1
     );
 }
 
