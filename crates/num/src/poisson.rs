@@ -48,36 +48,6 @@ pub fn weights_upto(lambda: f64, gmax: u64) -> Vec<f64> {
     (0..=gmax).map(|k| pmf(lambda, k)).collect()
 }
 
-/// Poisson weights `w_0 .. w_g` with the underflowed right tail trimmed:
-/// the vector ends at the last index `≤ gmax` whose weight is non-zero.
-///
-/// A multi-time sweep truncates the recursion at the `G` of the
-/// *largest* time, but a small time's weights underflow to exact `0.0`
-/// far earlier; allocating each vector to the global `G` costs
-/// `O(T·G_max)` memory for entries that can never contribute. Trimming
-/// where the weights are exactly `0.0` changes no computed value — the
-/// solver treats out-of-range indices as weight zero — so results stay
-/// bit-identical to [`weights_upto`].
-pub fn weights_trimmed(lambda: f64, gmax: u64) -> Vec<f64> {
-    if pmf(lambda, gmax) > 0.0 {
-        return weights_upto(lambda, gmax);
-    }
-    // The pmf is unimodal with a never-underflowing mode, so beyond the
-    // mode "weight > 0" is a monotone predicate: bisect for the cut.
-    let mut lo = (lambda.floor() as u64).min(gmax); // pmf > 0 here
-    let mut hi = gmax; // pmf == 0 here
-    debug_assert!(pmf(lambda, lo) > 0.0);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if pmf(lambda, mid) > 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    weights_upto(lambda, lo)
-}
-
 /// CDF `P[Pois(λ) ≤ k]`, computed by compensated summation of the pmf.
 pub fn cdf(lambda: f64, k: u64) -> f64 {
     let mut acc = NeumaierSum::new();
@@ -224,7 +194,7 @@ impl PoissonWindow {
     /// range (the skipped terms are multiplications by exact zero).
     ///
     /// At the paper's `qt = 40,000` the left edge sits near
-    /// `k ≈ 32,000` — about ⅘ of the [`weights_trimmed`] vector is exact
+    /// `k ≈ 32,000` — about ⅘ of the weights `w_0 ..= w_gmax` are exact
     /// zeros that [`weights_upto`] would compute, store, and an
     /// accumulation loop would then filter out one by one. The
     /// randomization solvers start further right, at an ε-budgeted
@@ -378,26 +348,6 @@ mod tests {
             let s: f64 = w.iter().copied().collect::<NeumaierSum>().value();
             assert!((s - 1.0).abs() < 1e-10, "lambda = {lambda}, sum = {s}");
         }
-    }
-
-    #[test]
-    fn trimmed_weights_are_a_prefix_of_full_weights() {
-        for &(lambda, gmax) in &[(0.5f64, 4000u64), (8.0, 2500), (100.0, 10_000)] {
-            let full = weights_upto(lambda, gmax);
-            let trimmed = weights_trimmed(lambda, gmax);
-            assert!(trimmed.len() < full.len(), "lambda = {lambda}: should trim");
-            assert_eq!(trimmed[..], full[..trimmed.len()], "lambda = {lambda}");
-            assert!(*trimmed.last().unwrap() > 0.0, "last kept weight non-zero");
-            // Everything trimmed away was an exact zero.
-            assert!(full[trimmed.len()..].iter().all(|&w| w == 0.0));
-        }
-    }
-
-    #[test]
-    fn trimmed_weights_keep_everything_when_no_underflow() {
-        let lambda = 50.0;
-        let gmax = 120;
-        assert_eq!(weights_trimmed(lambda, gmax), weights_upto(lambda, gmax));
     }
 
     #[test]
