@@ -1263,8 +1263,8 @@ unsafe fn dia_interior<V: Lanes, const P: bool, const ONE: bool>(
 /// rather than once per order. `M` (the number of stored orders) and
 /// `ND` (the diagonal count) fix the loop bounds at compile time; 0 reads
 /// them from `ctx`/`offsets`. `ONE` (a forward stretch) makes `u⁽⁰⁾` the
-/// constant 1, so its products fold away; read at run time instead, it
-/// cost a weighted order-3 pass on a small chain about 5%. With `P` (a
+/// constant 1, so its products fold away (read at run time, it slowed
+/// weighted order-3 passes on small chains; DESIGN.md §4h). With `P` (a
 /// weighted run) each group also adds
 /// `π·U⁽ʲ⁾` of its rows into the projection lanes, which stay in
 /// registers for the first [`PROJ_REG_ORDERS`] stored orders. Returns
