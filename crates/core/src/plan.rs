@@ -1445,7 +1445,7 @@ impl SolvePlan {
                 }
                 // Every backward step advances; a forward run stops at G.
                 let advanced = if horner.is_some() { k1 > 0 } else { k1 < g };
-                kernel.run(&steps, horner.is_some() || k1 < g);
+                kernel.run(&steps, advanced);
                 if let Some((values, _)) = record.as_mut() {
                     values.extend_from_slice(kernel.projected());
                 }

@@ -42,10 +42,7 @@
 //! [`StepWeights::push_step_with_u0`], and its final iterate holds
 //! orders `≥ 1` of `V`. The caller keeps `c_k` as a compensated sum and
 //! knows order 0 (`c_0`). Every schedule, backend and thread count gives
-//! the same bits, as for a forward run. A stretch whose steps all read
-//! `u⁽⁰⁾ = 1` (every forward run) runs row bodies built for the constant,
-//! in which the products by it fold away as they did before the scalar
-//! existed; the bits are the same either way.
+//! the same bits, as for a forward run.
 //!
 //! # Stretches and the time-skewed wavefront
 //!
@@ -176,15 +173,16 @@ impl KernelPool<'_> {
 }
 
 /// The `(time index, weight)` lists of a stretch of consecutive passes,
-/// one list per step, and each step's `u⁽⁰⁾`, in one reusable buffer: the
-/// recursion driver clears it, pushes each step, and hands it to
-/// [`FusedMomentKernel::run`].
+/// one list per step, and on a backward stretch each step's `u⁽⁰⁾`, in
+/// one reusable buffer: the recursion driver clears it, pushes each
+/// step, and hands it to [`FusedMomentKernel::run`].
 #[derive(Debug, Clone, Default)]
 pub struct StepWeights {
     pairs: Vec<(usize, f64)>,
     /// Exclusive end of each step's slice of `pairs`.
     ends: Vec<usize>,
-    /// The value a unit start's `u⁽⁰⁾` holds at each step.
+    /// The value a unit start's `u⁽⁰⁾` holds at each step; empty when
+    /// every step reads 1 (a forward stretch).
     u0: Vec<f64>,
 }
 
@@ -204,16 +202,17 @@ impl StepWeights {
     /// Appends one forward step with the given `(time index, weight)`
     /// pairs: a unit start reads `u⁽⁰⁾ = 1`.
     pub fn push_step(&mut self, active: impl IntoIterator<Item = (usize, f64)>) {
-        self.push_step_with_u0(1.0, active);
+        self.pairs.extend(active);
+        self.ends.push(self.pairs.len());
     }
 
     /// Appends one step whose unit start reads `u⁽⁰⁾ = u0` instead of 1,
     /// such as a backward step's suffix sum `c_{k+1}` (module docs,
-    /// "Backward schedule"). A kernel that stores `U⁽⁰⁾`
-    /// ([`Start::Vector`]) never reads it.
+    /// "Backward schedule"). A stretch pushes every step this way or
+    /// none. A kernel that stores `U⁽⁰⁾` ([`Start::Vector`]) never reads
+    /// it.
     pub fn push_step_with_u0(&mut self, u0: f64, active: impl IntoIterator<Item = (usize, f64)>) {
-        self.pairs.extend(active);
-        self.ends.push(self.pairs.len());
+        self.push_step(active);
         self.u0.push(u0);
     }
 }
@@ -635,18 +634,19 @@ impl<'a> FusedMomentKernel<'a> {
     ///
     /// Panics if an `active` time index is out of range.
     pub fn step(&mut self, active: &[(usize, f64)], advance: bool) {
-        self.run_stretch(active, &[active.len()], &[1.0], advance);
+        self.run_stretch(active, &[active.len()], &[], advance);
     }
 
     /// Runs the passes of `steps` in order — step `t` accumulates the
-    /// pairs pushed `t`-th and reads the `u⁽⁰⁾` pushed with them —
+    /// pairs pushed `t`-th and reads the `u⁽⁰⁾` pushed with them, or 1 —
     /// advancing the iterate after every step but the last, and after
     /// the last too if `advance_last`. Bitwise the same as running the
     /// steps one stretch each.
     ///
     /// # Panics
     ///
-    /// Panics if a time index is out of range.
+    /// Panics if a time index is out of range, or if some steps were
+    /// pushed with a `u⁽⁰⁾` and others without.
     pub fn run(&mut self, steps: &StepWeights, advance_last: bool) {
         self.run_stretch(&steps.pairs, &steps.ends, &steps.u0, advance_last);
     }
@@ -658,26 +658,10 @@ impl<'a> FusedMomentKernel<'a> {
         u0: &[f64],
         advance_last: bool,
     ) {
-        // A stretch whose every step reads u⁽⁰⁾ = 1 (any forward run) runs
-        // the row bodies built for the constant 1, in which the products
-        // by it fold away; a backward stretch reads each step's value.
-        let one = u0.iter().all(|&u| u == 1.0);
-        let project = !self.pi.is_empty();
-        match (project, one) {
-            (false, true) => {
-                self.run_stretch_with(pairs, ends, u0, advance_last, simd_rows::<false, true>)
-            }
-            (false, false) => {
-                self.run_stretch_with(pairs, ends, u0, advance_last, simd_rows::<false, false>)
-            }
-            (true, true) => {
-                self.run_stretch_with(pairs, ends, u0, advance_last, simd_rows::<true, true>)
-            }
-            (true, false) => {
-                self.run_stretch_with(pairs, ends, u0, advance_last, simd_rows::<true, false>)
-            }
-        }
-        if project {
+        if self.pi.is_empty() {
+            self.run_stretch_with(pairs, ends, u0, advance_last, simd_rows::<false>);
+        } else {
+            self.run_stretch_with(pairs, ends, u0, advance_last, simd_rows::<true>);
             self.reduce_projection(ends.len());
         }
     }
@@ -714,7 +698,10 @@ impl<'a> FusedMomentKernel<'a> {
         for &(ti, _) in pairs {
             assert!(ti < self.n_times, "time index {ti} out of range");
         }
-        assert_eq!(u0.len(), ends.len(), "one u0 per step");
+        assert!(
+            u0.is_empty() || u0.len() == ends.len(),
+            "a u0 for every step or none"
+        );
         let steps = ends.len();
         if steps == 0 || self.stored == 0 {
             return;
@@ -913,7 +900,7 @@ struct Stretch<'c> {
     proj: Option<SyncMutPtr<[f64; PROJ_LANES]>>,
     pairs: &'c [(usize, f64)],
     ends: &'c [usize],
-    /// Each step's `u⁽⁰⁾` on a unit start.
+    /// Each step's `u⁽⁰⁾` on a unit start; empty when every step reads 1.
     u0: &'c [f64],
     advance_last: bool,
 }
@@ -948,7 +935,7 @@ impl Stretch<'_> {
                 .as_ref()
                 .map(|p| SyncMutPtr::new(p.add((chunk * self.ends.len() + t) * self.stored))),
             active: &self.pairs[start..self.ends[t]],
-            u0: self.u0[t],
+            u0: self.u0.get(t).copied().unwrap_or(1.0),
             advance: t + 1 < self.ends.len() || self.advance_last,
         }
     }
@@ -983,17 +970,6 @@ struct PassCtx<'c> {
 }
 
 impl PassCtx<'_> {
-    /// A unit start's `u⁽⁰⁾` at this step: the constant 1 in a body built
-    /// for a forward stretch (`ONE`), else the step's value.
-    #[inline(always)]
-    fn u0<const ONE: bool>(&self) -> f64 {
-        if ONE {
-            1.0
-        } else {
-            self.u0
-        }
-    }
-
     /// The projection lanes of stored order `s` (order `s + base`;
     /// weighted runs only).
     ///
@@ -1044,14 +1020,14 @@ impl PassCtx<'_> {
 /// step's value (1 on a forward step). The DIA interior adds the same
 /// two terms lane-wise, so every row agrees bitwise whatever its path.
 #[inline(always)]
-fn combine<const ONE: bool>(ctx: &PassCtx, s: usize, i: usize, dot: f64) -> f64 {
+fn combine(ctx: &PassCtx, s: usize, i: usize, dot: f64) -> f64 {
     let n = ctx.n;
     // u⁽ʲ⁻ᵈ⁾[i]: a stored order, or the unit start's step value u⁽⁰⁾.
     let below = |d: usize| {
         if s >= d {
             ctx.u_cur[(s - d) * n + i]
         } else {
-            ctx.u0::<ONE>()
+            ctx.u0
         }
     };
     let j = s + ctx.base;
@@ -1096,15 +1072,15 @@ const CSR_PREFETCH_MIN_NNZ_PER_ROW: usize = 8;
 /// `#[target_feature]` wrapper and the DIA interior and the accumulates
 /// run four rows per register; without it the same body runs one row at
 /// a time, with the same bits.
-fn simd_rows<const P: bool, const ONE: bool>(ctx: &PassCtx, range: Range<usize>) {
+fn simd_rows<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
     #[cfg(target_arch = "x86_64")]
     if simd::avx2_available() {
         // SAFETY: AVX2 presence was just checked at runtime.
-        unsafe { simd_rows_avx2::<P, ONE>(ctx, range) };
+        unsafe { simd_rows_avx2::<P>(ctx, range) };
         return;
     }
     // SAFETY: plain `f64` lanes run on every CPU.
-    unsafe { simd_rows_impl::<f64, P, ONE>(ctx, range) };
+    unsafe { simd_rows_impl::<f64, P>(ctx, range) };
 }
 
 /// # Safety
@@ -1112,8 +1088,8 @@ fn simd_rows<const P: bool, const ONE: bool>(ctx: &PassCtx, range: Range<usize>)
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn simd_rows_avx2<const P: bool, const ONE: bool>(ctx: &PassCtx, range: Range<usize>) {
-    simd_rows_impl::<simd::Avx2Lanes, P, ONE>(ctx, range);
+unsafe fn simd_rows_avx2<const P: bool>(ctx: &PassCtx, range: Range<usize>) {
+    simd_rows_impl::<simd::Avx2Lanes, P>(ctx, range);
 }
 
 /// The pass body with the DIA interior in groups of `V::WIDTH` rows.
@@ -1125,10 +1101,7 @@ unsafe fn simd_rows_avx2<const P: bool, const ONE: bool>(ctx: &PassCtx, range: R
 ///
 /// The CPU must support `V`'s instructions.
 #[inline(always)]
-unsafe fn simd_rows_impl<V: Lanes, const P: bool, const ONE: bool>(
-    ctx: &PassCtx,
-    range: Range<usize>,
-) {
+unsafe fn simd_rows_impl<V: Lanes, const P: bool>(ctx: &PassCtx, range: Range<usize>) {
     let n = ctx.n;
     let stored = ctx.stored;
     let u_cur = ctx.u_cur;
@@ -1150,15 +1123,15 @@ unsafe fn simd_rows_impl<V: Lanes, const P: bool, const ONE: bool>(
                         }
                     }
                     // SAFETY: bodies write disjoint rows.
-                    unsafe { *ctx.u_next.add(s * n + i) = combine::<ONE>(ctx, s, i, dot) };
+                    unsafe { *ctx.u_next.add(s * n + i) = combine(ctx, s, i, dot) };
                 }
             }
         }
         // SAFETY: `ilo..ihi` lies in the DIA interior and inside this
         // body's rows; our caller guarantees the CPU supports `V`.
         unsafe {
-            let rest = dia_interior::<V, P, ONE>(ctx, offsets, data, ilo, ihi);
-            dia_groups::<f64, 0, 0, false, ONE>(ctx, offsets, data, rest, ihi);
+            let rest = dia_interior::<V, P>(ctx, offsets, data, ilo, ihi);
+            dia_groups::<f64, 0, 0, false>(ctx, offsets, data, rest, ihi);
             // A weighted pass projects the rows past the interior's whole
             // groups, then the upper edge, in ascending order.
             if P {
@@ -1211,7 +1184,7 @@ unsafe fn simd_rows_impl<V: Lanes, const P: bool, const ONE: bool>(
                             for k in row_ptr[i]..row_ptr[i + 1] {
                                 dot += values[k] * us[col_idx[k]];
                             }
-                            let v = combine::<ONE>(ctx, s, i, dot);
+                            let v = combine(ctx, s, i, dot);
                             // SAFETY: bodies write disjoint rows.
                             unsafe { *ctx.u_next.add(s * n + i) = v };
                         }
@@ -1232,7 +1205,7 @@ unsafe fn simd_rows_impl<V: Lanes, const P: bool, const ONE: bool>(
 ///
 /// As [`dia_groups`].
 #[inline(always)]
-unsafe fn dia_interior<V: Lanes, const P: bool, const ONE: bool>(
+unsafe fn dia_interior<V: Lanes, const P: bool>(
     ctx: &PassCtx,
     offsets: &[isize],
     data: &[f64],
@@ -1240,15 +1213,15 @@ unsafe fn dia_interior<V: Lanes, const P: bool, const ONE: bool>(
     hi: usize,
 ) -> usize {
     match (ctx.stored, offsets.len()) {
-        (1, 3) => dia_groups::<V, 1, 3, P, ONE>(ctx, offsets, data, lo, hi),
-        (2, 3) => dia_groups::<V, 2, 3, P, ONE>(ctx, offsets, data, lo, hi),
-        (3, 3) => dia_groups::<V, 3, 3, P, ONE>(ctx, offsets, data, lo, hi),
-        (4, 3) => dia_groups::<V, 4, 3, P, ONE>(ctx, offsets, data, lo, hi),
-        (1, _) => dia_groups::<V, 1, 0, P, ONE>(ctx, offsets, data, lo, hi),
-        (2, _) => dia_groups::<V, 2, 0, P, ONE>(ctx, offsets, data, lo, hi),
-        (3, _) => dia_groups::<V, 3, 0, P, ONE>(ctx, offsets, data, lo, hi),
-        (4, _) => dia_groups::<V, 4, 0, P, ONE>(ctx, offsets, data, lo, hi),
-        _ => dia_groups::<V, 0, 0, P, ONE>(ctx, offsets, data, lo, hi),
+        (1, 3) => dia_groups::<V, 1, 3, P>(ctx, offsets, data, lo, hi),
+        (2, 3) => dia_groups::<V, 2, 3, P>(ctx, offsets, data, lo, hi),
+        (3, 3) => dia_groups::<V, 3, 3, P>(ctx, offsets, data, lo, hi),
+        (4, 3) => dia_groups::<V, 4, 3, P>(ctx, offsets, data, lo, hi),
+        (1, _) => dia_groups::<V, 1, 0, P>(ctx, offsets, data, lo, hi),
+        (2, _) => dia_groups::<V, 2, 0, P>(ctx, offsets, data, lo, hi),
+        (3, _) => dia_groups::<V, 3, 0, P>(ctx, offsets, data, lo, hi),
+        (4, _) => dia_groups::<V, 4, 0, P>(ctx, offsets, data, lo, hi),
+        _ => dia_groups::<V, 0, 0, P>(ctx, offsets, data, lo, hi),
     }
 }
 
@@ -1262,11 +1235,8 @@ unsafe fn dia_interior<V: Lanes, const P: bool, const ONE: bool>(
 /// from memory once per pass, and the per-time loop runs once per group
 /// rather than once per order. `M` (the number of stored orders) and
 /// `ND` (the diagonal count) fix the loop bounds at compile time; 0 reads
-/// them from `ctx`/`offsets`. `ONE` (a forward stretch) makes `u⁽⁰⁾` the
-/// constant 1, so its products fold away (read at run time, it slowed
-/// weighted order-3 passes on small chains; DESIGN.md §4h). With `P` (a
-/// weighted run) each group also adds
-/// `π·U⁽ʲ⁾` of its rows into the projection lanes, which stay in
+/// them from `ctx`/`offsets`. With `P` (a weighted run) each group also
+/// adds `π·U⁽ʲ⁾` of its rows into the projection lanes, which stay in
 /// registers for the first [`PROJ_REG_ORDERS`] stored orders. Returns
 /// the first row not covered by a whole group.
 ///
@@ -1276,7 +1246,7 @@ unsafe fn dia_interior<V: Lanes, const P: bool, const ONE: bool>(
 /// and inside the rows the calling body owns, and the CPU must support
 /// `V`.
 #[inline(always)]
-unsafe fn dia_groups<V: Lanes, const M: usize, const ND: usize, const P: bool, const ONE: bool>(
+unsafe fn dia_groups<V: Lanes, const M: usize, const ND: usize, const P: bool>(
     ctx: &PassCtx,
     offsets: &[isize],
     data: &[f64],
@@ -1332,7 +1302,7 @@ unsafe fn dia_groups<V: Lanes, const M: usize, const ND: usize, const P: bool, c
         if ctx.advance {
             // Centre values of orders j−1 and j−2: a unit start's step
             // value u⁽⁰⁾, else read only once set.
-            let (mut w1, mut w2) = (V::splat(ctx.u0::<ONE>()), V::splat(ctx.u0::<ONE>()));
+            let (mut w1, mut w2) = (V::splat(ctx.u0), V::splat(ctx.u0));
             for s in 0..stored {
                 let j = s + ctx.base;
                 let us = u.add(s * n + i);
@@ -1593,8 +1563,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// A unit start owes the same loop, with `U⁽⁰⁾` pinned before
-        /// every step to the `u⁽⁰⁾` that step was pushed with — 1.0 on a
-        /// forward step, any other value on a backward one — every bit
+        /// every step to the `u⁽⁰⁾` that step reads — 1.0 on every step
+        /// of a forward run, a drawn value on each backward one — every bit
         /// of its accumulators (orders ≥ 1) and of its final iterate, a
         /// kernel with no time points (the backward schedule's) the
         /// same iterate, and a weighted unit-start run the reference's
@@ -1614,6 +1584,7 @@ mod tests {
             stretched in 0usize..2,
             block_rows in 8usize..65,
             depth in 2usize..17,
+            forward in 0usize..2,
             drawn in prop::collection::vec(0.0f64..3.0, 12),
         ) {
             let m = prop_matrix(n, band, &vals);
@@ -1627,21 +1598,22 @@ mod tests {
             let weights: Vec<Vec<(usize, f64)>> = (0..steps)
                 .map(|k| if k % 2 == 0 { vec![(0, 0.25), (1, 0.5)] } else { vec![(1, 0.125)] })
                 .collect();
-            // About a third of the steps forward (1.0), the rest backward.
-            let u0: Vec<f64> = drawn[..steps].iter().map(|&x| if x < 2.0 { x } else { 1.0 }).collect();
+            // A forward run pushes no u⁽⁰⁾ and reads 1 at every step.
+            let u0: Vec<f64> = if forward == 1 { vec![1.0; steps] } else { drawn[..steps].to_vec() };
+            let pushed = (forward == 0).then_some(&u0[..]);
             let (schedule, lens) = if stretched == 1 {
                 (Some((block_rows, depth)), &[3usize, 1, 7][..])
             } else {
                 (None, &[1usize][..])
             };
             let mut fused = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 2, Start::Unit, threads);
-            run_schedule(&mut fused, &weights, &u0, schedule, lens);
+            run_schedule(&mut fused, &weights, pushed, schedule, lens);
             let no_weights = vec![Vec::new(); steps];
             let mut planeless = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 0, Start::Unit, threads);
-            run_schedule(&mut planeless, &no_weights, &u0, schedule, lens);
+            run_schedule(&mut planeless, &no_weights, pushed, schedule, lens);
             let mut weighted = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 0, Start::Unit, threads);
             weighted.set_projection(&pi);
-            let projected = run_schedule(&mut weighted, &no_weights, &u0, schedule, lens);
+            let projected = run_schedule(&mut weighted, &no_weights, pushed, schedule, lens);
 
             let mut reference = Reference::new(n, order, 2, &vec![1.0; n]);
             let mut want_projected = Vec::new();
@@ -1650,7 +1622,9 @@ mod tests {
                 want_projected.extend(reference.projected(&pi, 1, weighted.threads()));
                 reference.step(&m, &r_prime, &s_half, active, k + 1 < steps);
             }
-            let what = format!("{format}, {threads} threads, order {order}, stretched {stretched}");
+            let what = format!(
+                "{format}, {threads} threads, order {order}, stretched {stretched}, forward {forward}"
+            );
             for ti in 0..2 {
                 for j in 1..=order {
                     let r: Vec<f64> = reference.acc[ti][j].iter().map(|a| a.value()).collect();
@@ -1829,7 +1803,7 @@ mod tests {
                         if portable {
                             k.run_stretch_with(pairs, &ends, &u0, step < 11, |ctx, rows| {
                                 // SAFETY: `f64` lanes run on every CPU.
-                                unsafe { simd_rows_impl::<f64, false, false>(ctx, rows) }
+                                unsafe { simd_rows_impl::<f64, false>(ctx, rows) }
                             });
                         } else {
                             k.run_stretch(pairs, &ends, &u0, step < 11);
@@ -2038,21 +2012,22 @@ mod tests {
         let mut k = FusedMomentKernel::new(matrix, r_prime, s_half, order, 0, start, threads);
         k.set_projection(pi);
         let no_weights = vec![Vec::new(); g + 1];
-        let mut out = run_schedule(&mut k, &no_weights, &vec![1.0; g + 1], schedule, lens);
+        let mut out = run_schedule(&mut k, &no_weights, None, schedule, lens);
         out.extend_from_slice(k.iterate());
         out
     }
 
     /// Runs `k` over steps `0..weights.len()`, each accumulating its
-    /// pairs with its `u0` and advancing after all but the last, in
-    /// stretches of the given lengths (cycled); `schedule` sets
+    /// pairs and advancing after all but the last, in stretches of the
+    /// given lengths (cycled): forward steps if `u0` is `None`, else each
+    /// step pushed with its `u0`. `schedule` sets
     /// `(block rows, depth)` of the wavefront, the depth only where the
     /// band allows it. Returns every step's projections (empty unless
     /// weighted).
     fn run_schedule(
         k: &mut FusedMomentKernel,
         weights: &[Vec<(usize, f64)>],
-        u0: &[f64],
+        u0: Option<&[f64]>,
         schedule: Option<(usize, usize)>,
         lens: &[usize],
     ) -> Vec<f64> {
@@ -2069,8 +2044,11 @@ mod tests {
         for len in lens.iter().cycle() {
             let k1 = (k0 + len - 1).min(g);
             steps.clear();
-            for (active, &u0) in weights[k0..=k1].iter().zip(&u0[k0..=k1]) {
-                steps.push_step_with_u0(u0, active.iter().copied());
+            for (k, active) in weights.iter().enumerate().take(k1 + 1).skip(k0) {
+                match u0 {
+                    Some(u0) => steps.push_step_with_u0(u0[k], active.iter().copied()),
+                    None => steps.push_step(active.iter().copied()),
+                }
             }
             k.run(&steps, k1 < g);
             let stored = if k.pi.is_empty() { 0 } else { k.stored };
